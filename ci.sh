@@ -77,20 +77,6 @@ echo "== perfdiff regression gate (deterministic metrics, zero tolerance)"
 cargo run -q --release -p rtosunit-bench --bin perfdiff -- \
   ci/perf_baseline.json results/fig_tail_quick.json --no-throughput --tolerance 0 > /dev/null
 
-echo "== block-cache smoke (fig9 --quick / fig_tail --quick with --blocks)"
-# The block translation cache must be invisible in every artifact:
-# fig9's v1 artifact is byte-compared against the interpreted run, and
-# the tail sweep's deterministic metrics are re-gated against the same
-# committed baseline with the cache enabled.
-cargo run -q --release -p rtosunit-bench --bin fig9 -- --quick > /dev/null
-cp results/fig9_quick.json results/fig9_quick_interp.json
-cargo run -q --release -p rtosunit-bench --bin fig9 -- --quick --blocks > /dev/null
-cmp results/fig9_quick_interp.json results/fig9_quick.json
-rm results/fig9_quick_interp.json
-cargo run -q --release -p rtosunit-bench --bin fig_tail -- --quick --blocks > /dev/null
-cargo run -q --release -p rtosunit-bench --bin perfdiff -- \
-  ci/perf_baseline.json results/fig_tail_quick.json --no-throughput --tolerance 0 > /dev/null
-
 echo "== snapshot smoke (roundtrip, resume determinism, fork, time travel)"
 # The snapshot contract: a restored system is byte-identical to one that
 # never stopped. `roundtrip` byte-diffs the cold-run snapshot against

@@ -1,14 +1,12 @@
 //! Campaign-layer throughput: the Fig. 9 matrix (cores × latency presets
-//! × suite workloads) executed four ways —
+//! × suite workloads) executed three ways —
 //!
-//! 1. the seed's configuration: cycle-by-cycle stepping, one worker;
-//! 2. batched `run_until` stepping, one worker (batching speedup alone);
-//! 3. batched stepping across all host cores (batching × parallelism);
-//! 4. batched stepping through the block translation cache, one worker
-//!    (`fig9_blockcache`: the translated fast path's speedup over plain
-//!    batched interpretation).
+//! 1. the reference path: cycle-by-cycle stepping, one worker;
+//! 2. the fast path: batched stepping through the block translation
+//!    cache, one worker (its speedup alone);
+//! 3. the fast path across all host cores (speedup × parallelism).
 //!
-//! All four artifacts must render identically (the determinism
+//! All three artifacts must render identically (the determinism
 //! guarantee); the simulated-cycles-per-second figures quantify the
 //! speedups and land in `results/BENCH_campaign.json`. Each variant
 //! runs [`REPS`] times with per-cell minimum host times kept, so the
@@ -17,12 +15,6 @@
 use rtosbench::{workloads, Campaign, CampaignSpec};
 use rtosunit_bench::harness::Bench;
 use rvsim_cores::CoreKind;
-
-/// Boot-prefix length for the warm-start variant, in cycles. Short of
-/// every suite workload's first external-interrupt injection (the
-/// earliest is `interrupt_latency` at 9973), as the forking contract
-/// requires.
-const BOOT_PREFIX: u64 = 8_000;
 
 /// Geometric-mean per-cell speedup of `fast` over `base`: the two
 /// campaigns ran the identical matrix (and simulated identical cycles in
@@ -42,12 +34,11 @@ fn geomean_speedup(base: &Campaign, fast: &Campaign) -> f64 {
     (log_sum / f64::from(n.max(1))).exp()
 }
 
-fn fig9_spec(stepwise: bool, blocks: bool) -> CampaignSpec {
+fn fig9_spec(stepwise: bool) -> CampaignSpec {
     let presets = rtosunit_bench::latency_presets();
     let mut spec = CampaignSpec::matrix("bench_fig9", &CoreKind::ALL, &presets, &workloads::ALL);
     for run in &mut spec.runs {
         run.stepwise = stepwise;
-        run.blocks = blocks;
     }
     spec
 }
@@ -77,21 +68,21 @@ fn main() {
     let workers = rtosunit_bench::default_workers();
     let mut bench = Bench::new("campaign");
 
-    let baseline = run_best(|| fig9_spec(true, false), 1);
+    let baseline = run_best(|| fig9_spec(true), 1);
     bench.record(
         "fig9_matrix/stepwise_sequential",
         u128::from(baseline.host_nanos),
         Some((baseline.simulated_cycles() as f64, "cycles")),
     );
 
-    let batched_seq = run_best(|| fig9_spec(false, false), 1);
+    let batched_seq = run_best(|| fig9_spec(false), 1);
     bench.record(
         "fig9_matrix/batched_sequential",
         u128::from(batched_seq.host_nanos),
         Some((batched_seq.simulated_cycles() as f64, "cycles")),
     );
 
-    let batched_par = run_best(|| fig9_spec(false, false), workers);
+    let batched_par = run_best(|| fig9_spec(false), workers);
     // A stable record name (no worker count) so perfdiff can match it
     // against a baseline captured on a host with a different core count.
     println!("batched_parallel uses {workers} workers");
@@ -101,76 +92,29 @@ fn main() {
         Some((batched_par.simulated_cycles() as f64, "cycles")),
     );
 
-    let blockcache = run_best(|| fig9_spec(false, true), 1);
-    bench.record(
-        "fig9_matrix/fig9_blockcache",
-        u128::from(blockcache.host_nanos),
-        Some((blockcache.simulated_cycles() as f64, "cycles")),
+    assert_eq!(
+        baseline.to_json().render(),
+        batched_seq.to_json().render(),
+        "batched execution must reproduce the stepwise artifact"
     );
-
-    // Warm-start variant: boot every matrix cell ONCE into a post-boot
-    // snapshot, then fork each of the `REPS` repetitions from it — the
-    // repetitions stop paying the boot prefix entirely.
-    let warm_template = {
-        let mut spec = fig9_spec(false, false);
-        spec.runs = spec
-            .runs
-            .into_iter()
-            .map(|run| {
-                let doc = run
-                    .boot_snapshot(BOOT_PREFIX)
-                    .expect("boot prefix simulates");
-                run.from_snapshot(&doc).expect("fork from boot snapshot")
-            })
-            .collect();
-        spec
-    };
-    let cells = warm_template.runs.len() as u64;
-    let warm = run_best(|| warm_template.clone(), 1);
-    bench.record(
-        "fig9_matrix/warm_start",
-        u128::from(warm.host_nanos),
-        Some((warm.simulated_cycles() as f64, "cycles")),
-    );
-    println!(
-        "warm start: {BOOT_PREFIX}-cycle boot prefix snapshotted once per cell and forked \
-         {REPS}x — {} boot cycles eliminated per campaign pass, {} across all repetitions",
-        cells * BOOT_PREFIX,
-        cells * BOOT_PREFIX * (REPS as u64 - 1),
-    );
-
     assert_eq!(
         baseline.to_json().render(),
         batched_par.to_json().render(),
         "batched parallel execution must reproduce the stepwise artifact"
     );
-    assert_eq!(
-        baseline.to_json().render(),
-        blockcache.to_json().render(),
-        "block-cache execution must reproduce the stepwise artifact"
-    );
-    assert_eq!(
-        baseline.to_json().render(),
-        warm.to_json().render(),
-        "warm-started execution must reproduce the cold-boot artifact"
-    );
 
     let base_rate = baseline.cycles_per_second();
     println!(
-        "speedup over stepwise sequential: batched x{:.2}, batched+{}w x{:.2}, blocks x{:.2}",
+        "speedup over stepwise sequential: batched x{:.2}, batched+{}w x{:.2}",
         batched_seq.cycles_per_second() / base_rate,
         workers,
         batched_par.cycles_per_second() / base_rate,
-        blockcache.cycles_per_second() / base_rate
     );
-    // The tentpole's self-reported headline: per-cell geomean speedup of
-    // the translated fast path over the seed's stepwise configuration
-    // (the baseline every prior speedup in this series is quoted against)
-    // and over plain batched interpretation.
+    // The self-reported headline: per-cell geomean speedup of the fast
+    // path over the cycle-by-cycle reference.
     println!(
-        "blockcache geomean speedup per matrix cell: x{:.2} over stepwise, x{:.2} over batched",
-        geomean_speedup(&baseline, &blockcache),
-        geomean_speedup(&batched_seq, &blockcache),
+        "batched geomean speedup per matrix cell: x{:.2} over stepwise",
+        geomean_speedup(&baseline, &batched_seq),
     );
     bench.finish();
 }

@@ -8,9 +8,6 @@
 //!
 //! `--quick` restricts the matrix to one core (CI smoke; artifact
 //! `results/fig9_quick.json` so the full figure is never clobbered).
-//! `--blocks` executes every run through the block translation cache —
-//! the tables and artifact must come out identical (host-side speedup
-//! only), which is exactly what the CI smoke pass checks.
 
 use rtosbench::{report, workloads, Campaign, CampaignSpec, Fig9Row};
 use rtosunit::{trace, LatencyStats, Preset};
@@ -42,8 +39,7 @@ fn pool_row(campaign: &Campaign, core: CoreKind, preset: Preset) -> Fig9Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let blocks = std::env::args().any(|a| a == "--blocks");
+    let quick = rtosunit_bench::quick_arg("fig9");
     let presets = rtosunit_bench::latency_presets();
     let cores: &[CoreKind] = if quick {
         &CoreKind::ALL[..1]
@@ -51,11 +47,8 @@ fn main() {
         &CoreKind::ALL
     };
     let name = if quick { "fig9_quick" } else { "fig9" };
-    let mut spec = CampaignSpec::matrix(name, cores, &presets, &workloads::ALL);
-    for run in &mut spec.runs {
-        run.blocks = blocks;
-    }
-    let campaign = spec.run(rtosunit_bench::default_workers());
+    let campaign = CampaignSpec::matrix(name, cores, &presets, &workloads::ALL)
+        .run(rtosunit_bench::default_workers());
 
     let mut out = String::new();
     for &core in cores {

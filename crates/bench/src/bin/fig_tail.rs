@@ -11,10 +11,7 @@
 //! miss rate against a fixed latency budget.
 //!
 //! `--quick` shrinks the cycle budget for CI smoke runs (the same spec
-//! shape, so the committed perf baseline stays comparable). `--blocks`
-//! executes every run through the block translation cache — simulated
-//! metrics and the artifact are identical to the interpreted run (the
-//! CI smoke pass relies on this), only host time changes. The
+//! shape, so the committed perf baseline stays comparable). The
 //! machine-readable artifact lands in `results/fig_tail.json`
 //! (`results/fig_tail_quick.json` with `--quick`).
 
@@ -22,14 +19,10 @@ use rtosbench::tail::{self, SLO_CYCLES};
 use rtosunit::hist::REPORTED_PERCENTILES;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let blocks = std::env::args().any(|a| a == "--blocks");
-    let mut spec = tail::tail_spec(quick);
-    for run in &mut spec.runs {
-        run.blocks = blocks;
-    }
-    spec = spec.with_progress();
-    let campaign = spec.run(rtosunit_bench::default_workers());
+    let quick = rtosunit_bench::quick_arg("fig_tail");
+    let campaign = tail::tail_spec(quick)
+        .with_progress()
+        .run(rtosunit_bench::default_workers());
 
     let mut out = String::new();
     out.push_str("# Tail switch latency under open-loop bursty arrivals\n");

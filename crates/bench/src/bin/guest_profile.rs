@@ -2,7 +2,7 @@
 //! input plus the ranked hot-block report.
 //!
 //! ```text
-//! guest_profile [WORKLOAD] [--core NAME] [--preset LABEL] [--harts N] [--blocks]
+//! guest_profile [WORKLOAD] [--core NAME] [--preset LABEL] [--harts N]
 //! ```
 //!
 //! Runs the workload with the [`PcProfile`](rvsim_cores::PcProfile)
@@ -14,11 +14,10 @@
 //! * `results/guest_profile.txt` — the ranked hot-block table that
 //!   seeded the translation-cache work (ROADMAP item 1).
 //!
-//! With `--blocks` the run executes through the block translation cache
-//! (simulated timing and the profile are bit-identical either way) and
-//! the hot-block table gains per-block cache columns: dispatches, hit
-//! rate, fused macro-ops and retranslations. Single-hart only — the SMP
-//! path steps per-cycle, where the cache is inert.
+//! A single-hart run executes through the block translation cache, so
+//! its hot-block table carries per-block cache columns: dispatches, hit
+//! rate, fused macro-ops and retranslations. The SMP path steps
+//! per-cycle and builds no cache, so its tables omit them.
 //!
 //! With `--harts N` (N > 1) the workload runs on hart 0 of an
 //! [`SmpSystem`](rtosunit::SmpSystem) while the other harts pound the
@@ -26,15 +25,14 @@
 //! root per hart so the flamegraph shows per-hart attribution
 //! side by side.
 
+use rtosbench::campaign::contention_program;
 use rtosbench::workloads;
 use rtosunit::{Preset, SmpSystem, System};
 use rvsim_cores::{hot_block_report, hot_block_report_with_blocks, CoreKind, PcProfile};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: guest_profile [WORKLOAD] [--core NAME] [--preset LABEL] [--harts N] [--blocks]"
-    );
+    eprintln!("usage: guest_profile [WORKLOAD] [--core NAME] [--preset LABEL] [--harts N]");
     eprintln!(
         "  workloads: {}",
         names(workloads::ALL.iter().map(|w| w.name))
@@ -70,11 +68,9 @@ fn main() -> ExitCode {
     let mut core = CoreKind::Cv32e40p;
     let mut preset = Preset::Slt;
     let mut harts = 1usize;
-    let mut blocks = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--blocks" => blocks = true,
             "--core" => {
                 i += 1;
                 let Some(c) = args
@@ -127,7 +123,6 @@ fn main() -> ExitCode {
         let mut sys = System::new(core, preset);
         image.install(&mut sys);
         sys.set_profiling(true);
-        sys.set_block_cache(blocks);
         if w.ext_irq_interval > 0 {
             let mut at = w.ext_irq_interval;
             while at < w.run_cycles {
@@ -137,15 +132,11 @@ fn main() -> ExitCode {
         }
         sys.run(w.run_cycles);
         let profile = sys.take_profile().expect("profiling was enabled");
-        append_hart(&mut folded, &mut report, &mut sys, &profile, 0, blocks);
+        append_hart(&mut folded, &mut report, &mut sys, &profile, 0, true);
     } else {
-        if blocks {
-            eprintln!("guest_profile: --blocks is single-hart only (SMP steps per-cycle)");
-            return usage();
-        }
         let mut smp = SmpSystem::new(core, preset, harts);
         image.install(smp.hart_mut(0));
-        let pounder = contention_echo();
+        let pounder = contention_program();
         for h in 1..harts {
             smp.load_program(h, &pounder);
         }
@@ -178,20 +169,20 @@ fn main() -> ExitCode {
 }
 
 /// Appends one hart's folded stacks and hot-block table — with the
-/// per-block translation-cache columns when the cache was enabled.
+/// per-block translation-cache columns when the hart ran batched.
 fn append_hart(
     folded: &mut String,
     report: &mut String,
     sys: &mut System,
     profile: &PcProfile,
     hart: usize,
-    block_cache: bool,
+    batched: bool,
 ) {
     let root = format!("hart{hart}");
     folded.push_str(&sys.core.folded_profile(profile, &root));
     let blocks = sys.core.hot_blocks(profile);
     report.push_str(&format!("## {root}\n\n"));
-    if block_cache {
+    if batched {
         report.push_str(&hot_block_report_with_blocks(
             profile,
             &blocks,
@@ -202,23 +193,4 @@ fn append_hart(
         report.push_str(&hot_block_report(profile, &blocks, 10));
     }
     report.push('\n');
-}
-
-/// The same cache-defeating pounder the campaign layer uses for its SMP
-/// contention axis (private DMEM walk, pure shared-bus pressure).
-fn contention_echo() -> rvsim_isa::Program {
-    use rvsim_isa::{Asm, Reg};
-    let mut a = Asm::new(rtosunit::layout::IMEM_BASE);
-    a.li(Reg::T4, 4096);
-    a.label("pound");
-    a.li(Reg::T2, rtosunit::layout::DMEM_BASE as i32);
-    a.li(Reg::T1, 8);
-    a.label("slot");
-    a.sw(Reg::T3, 0, Reg::T2);
-    a.lw(Reg::T3, 4, Reg::T2);
-    a.add(Reg::T2, Reg::T2, Reg::T4);
-    a.addi(Reg::T1, Reg::T1, -1);
-    a.bne(Reg::T1, Reg::Zero, "slot");
-    a.j("pound");
-    a.finish().expect("contention program assembles")
 }

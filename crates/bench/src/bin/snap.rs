@@ -23,7 +23,7 @@
 //! lowercase tags (`vanilla`, `slt`, ...); workloads are the suite names
 //! (`pingpong_semaphore`, ...).
 
-use rtosbench::{workloads, RunSpec, WorkloadSpec};
+use rtosbench::workloads;
 use rtosunit::{Preset, System};
 use rvsim_cores::CoreKind;
 use rvsim_snapshot as snap;
@@ -51,7 +51,15 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
 fn boot(core: CoreKind, preset: Preset, workload: &str, cycle: u64) -> Result<snap::Json, String> {
     let w = workloads::by_name(workload)
         .ok_or_else(|| format!("unknown suite workload `{workload}`"))?;
-    RunSpec::new(core, preset, WorkloadSpec::Suite(w)).boot_snapshot(cycle)
+    let image =
+        workloads::build(&w, preset).map_err(|e| format!("workload failed to build: {e:?}"))?;
+    let mut sys = System::new(core, preset);
+    image.install(&mut sys);
+    sys.run(cycle);
+    if sys.halted() {
+        return Err(format!("guest halted before cycle {cycle}"));
+    }
+    Ok(sys.snapshot())
 }
 
 fn load(path: &str) -> Result<snap::Json, String> {
@@ -150,11 +158,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let cycle = parse_u64(cycle, "cycle")?;
             let budget = parse_u64(cycles, "cycle budget")?;
             let cold_doc = boot(core, preset, workload, cycle + budget)?;
-            let warm_doc = boot(core, preset, workload, cycle)?;
-            let state = snap::open(&warm_doc.render()).map_err(|e| e.to_string())?;
-            let mut warm = System::from_state_snap(&state).map_err(|e| e.to_string())?;
-            warm.run(budget);
-            let resumed = warm.snapshot().render();
+            let saved_doc = boot(core, preset, workload, cycle)?;
+            let state = snap::open(&saved_doc.render()).map_err(|e| e.to_string())?;
+            let mut restored = System::from_state_snap(&state).map_err(|e| e.to_string())?;
+            restored.run(budget);
+            let resumed = restored.snapshot().render();
             if cold_doc.render() != resumed {
                 return Err(format!(
                     "restored run diverged from the uninterrupted one at cycle {}",

@@ -34,6 +34,22 @@ pub fn latency_presets() -> Vec<Preset> {
     Preset::LATENCY_SET.to_vec()
 }
 
+/// Parses the command line of a figure binary whose only option is
+/// `--quick`. Any other argument prints a usage line and exits with
+/// status 2, so a removed or mistyped flag fails loudly instead of being
+/// ignored.
+pub fn quick_arg(bin: &str) -> bool {
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--quick" {
+            eprintln!("{bin}: unknown argument `{arg}`\nusage: {bin} [--quick]");
+            std::process::exit(2);
+        }
+        quick = true;
+    }
+    quick
+}
+
 /// Worker-thread count for campaign execution: the host's available
 /// parallelism (the artifact is worker-count independent, so this only
 /// affects wall-clock time).

@@ -18,9 +18,9 @@
 //! misaligned access itself, and the driver merely checks cause equality.
 //!
 //! With [`EpisodeSpec::blocks`] set the engine instead runs through
-//! batched [`run_until`](rvsim_cores::CoreEngine::run_until) calls with
-//! the block translation cache enabled — same program, same golden model,
-//! but the translated fast path does the executing. State is diffed at
+//! batched [`run_until`](rvsim_cores::CoreEngine::run_until) calls — same
+//! program, same golden model, but the block translation cache (the
+//! simulator's fast path) does the executing. State is diffed at
 //! every batch boundary and event, so a block that retires a wrong value,
 //! mis-orders a trap or survives an imem write diverges within one chunk.
 //! Interrupt lines rise at batch granularity (`at_retire` is a lower
@@ -100,8 +100,8 @@ pub struct EpisodeSpec {
     pub max_cycles: u64,
     /// Injected bug, if any (self-test only).
     pub fault: Option<Fault>,
-    /// Drive the engine through batched `run_until` calls with the block
-    /// translation cache enabled, instead of per-cycle stepping.
+    /// Drive the engine through batched `run_until` calls, which execute
+    /// translated blocks, instead of per-cycle stepping.
     pub blocks: bool,
     /// Round-trip the engine through the snapshot codec at pseudo-random
     /// retire points mid-episode: serialize, restore into a fresh engine,
@@ -150,7 +150,8 @@ pub struct EpisodeStats {
     /// Whether the guest halted (vs running out of budget).
     pub halted: bool,
     /// Translated-block dispatches (zero unless the episode ran with
-    /// [`EpisodeSpec::blocks`]).
+    /// [`EpisodeSpec::blocks`]), counted since the last snapshot
+    /// round-trip, which restores the engine with a cold cache.
     pub block_hits: u64,
     /// Mid-episode snapshot round-trips performed (zero unless the
     /// episode ran with [`EpisodeSpec::snap`]).
@@ -474,8 +475,8 @@ fn run_episode_cycle(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
     Ok(stats)
 }
 
-/// The batched driver: the block translation cache is enabled and the
-/// engine runs in `CHUNK`-cycle `run_until` batches; the golden core
+/// The batched driver: the engine runs in `CHUNK`-cycle `run_until`
+/// batches through the block translation cache; the golden core
 /// catches up by the batch's retire delta and the full state is diffed at
 /// every batch boundary. Events surface on the batch's final cycle, so
 /// interrupt and exception causes are checked exactly as in the per-cycle
@@ -494,7 +495,6 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
         data_base,
         data_len,
     } = build_rig(ep);
-    engine.set_block_cache(true);
 
     let mut stats = EpisodeStats::default();
     let mut snap_plan = SnapPlan::new(ep);
@@ -780,6 +780,8 @@ mod tests {
         // mid-run snapshot/restore swaps must equal the undisturbed
         // outcome field for field, and the combined corpus must clear
         // the tier-1 floor of 1 000 instructions under snapshot stress.
+        // A restored engine's block cache starts cold, so only its
+        // dispatch count may differ.
         let cfg = GenConfig {
             len: 256,
             ..GenConfig::default()
@@ -800,6 +802,7 @@ mod tests {
                         base,
                         EpisodeStats {
                             snap_roundtrips: 0,
+                            block_hits: base.block_hits,
                             ..snapped
                         },
                         "{core} seed {seed} blocks={blocks}: snapshot round-trip \

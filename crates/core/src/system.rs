@@ -160,8 +160,9 @@ impl System {
 
     /// Schedules the external interrupt line to rise at an absolute cycle.
     pub fn schedule_external_irq(&mut self, cycle: u64) {
-        self.ext_schedule.push(cycle);
-        self.ext_schedule.sort_unstable_by(|a, b| b.cmp(a)); // pop from the back
+        // Latest first, so the next arrival pops off the back.
+        let at = self.ext_schedule.partition_point(|&c| c >= cycle);
+        self.ext_schedule.insert(at, cycle);
     }
 
     /// Attaches a deterministic fault-injection schedule. The quiescence
@@ -309,14 +310,6 @@ impl System {
         self.core.take_profile()
     }
 
-    /// Attaches or detaches the core's basic-block translation cache (see
-    /// [`CoreEngine::set_block_cache`]). Off by default; simulated timing,
-    /// state, counters and artifacts are bit-identical either way — the
-    /// cache only accelerates batched host execution.
-    pub fn set_block_cache(&mut self, on: bool) {
-        self.core.set_block_cache(on);
-    }
-
     /// Block-translation statistics for blocks entered in `[start, end]`
     /// (see [`CoreEngine::block_stats_in`]).
     pub fn block_stats_in(&self, start: u32, end: u32) -> rvsim_cores::BlockStats {
@@ -362,7 +355,19 @@ impl System {
         self.core.state.csrs.mip = mask;
 
         let out = self.core.step(&mut self.platform, self.unit.as_coproc());
-        match out.event {
+        self.track_episode(out.event, now);
+
+        self.unit
+            .as_coproc()
+            .step(&mut self.core.state, &mut self.platform);
+    }
+
+    /// Switch-episode bookkeeping for a core event on cycle `now`: ISR
+    /// entry opens an episode at the cause's trigger timestamp (and
+    /// re-arms an auto-reset timer), a retiring `mret` closes it into a
+    /// [`SwitchRecord`].
+    fn track_episode(&mut self, event: Option<CoreEvent>, now: u64) {
+        match event {
             Some(CoreEvent::InterruptEntered { cause }) => {
                 let trigger = self.pending_triggers[cause_slot(cause)]
                     .take()
@@ -386,10 +391,6 @@ impl System {
             }
             _ => {}
         }
-
-        self.unit
-            .as_coproc()
-            .step(&mut self.core.state, &mut self.platform);
     }
 
     /// How many upcoming cycles can run batched, and in which mode.
@@ -442,10 +443,11 @@ impl System {
     /// Runs until the guest halts or `max_cycles` elapse.
     ///
     /// Quiescent stretches execute through the engine's batched
-    /// [`run_until`](CoreEngine::run_until) — cycle-exact with
-    /// [`run_stepwise`](Self::run_stepwise) (the differential tests assert
-    /// identical records and counters) but without one dynamic dispatch
-    /// per cycle.
+    /// [`run_until`](CoreEngine::run_until) and
+    /// [`run_costep`](CoreEngine::run_costep), which dispatch translated
+    /// blocks — cycle-exact with [`run_stepwise`](Self::run_stepwise) (the
+    /// differential tests assert identical records and counters) but
+    /// without one dynamic dispatch per cycle.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let end = self.platform.cycle() + max_cycles;
         loop {
@@ -480,31 +482,7 @@ impl System {
                     budget,
                 )
             };
-            let now = self.platform.cycle();
-            match exit.event {
-                Some(CoreEvent::InterruptEntered { cause }) => {
-                    let trigger = self.pending_triggers[cause_slot(cause)]
-                        .take()
-                        .unwrap_or(now);
-                    self.open_episode = Some((trigger, now, cause));
-                    self.platform.record(TraceEvent::IsrEntry { cause });
-                    if cause == csr::CAUSE_TIMER && self.platform.mmio.auto_timer_reset {
-                        self.platform.auto_reset_timer();
-                    }
-                }
-                Some(CoreEvent::MretRetired) => {
-                    self.platform.record(TraceEvent::MretRetired);
-                    if let Some((trigger, entry, cause)) = self.open_episode.take() {
-                        self.records.push(SwitchRecord {
-                            trigger_cycle: trigger,
-                            entry_cycle: entry,
-                            mret_cycle: now,
-                            cause,
-                        });
-                    }
-                }
-                _ => {}
-            }
+            self.track_episode(exit.event, self.platform.cycle());
             // The exit cycle's unit step: a no-op unless the final cycle
             // entered an interrupt or executed a custom instruction —
             // exactly the cycles where the per-cycle path steps a
@@ -836,10 +814,17 @@ mod tests {
         a.mret();
         let mut sys = System::new(CoreKind::Cv32e40p, Preset::Vanilla);
         sys.load_program(&a.finish().expect("assemble"));
-        sys.schedule_external_irq(300);
+        // Out of order, with a duplicate: kept latest first, so the next
+        // arrival pops off the back.
+        for at in [900, 300, 2_000, 600, 300] {
+            sys.schedule_external_irq(at);
+        }
+        assert_eq!(sys.ext_schedule, [2_000, 900, 600, 300, 300]);
         assert_eq!(sys.run(5000), RunExit::Halted);
-        // The trigger cycle must match the scheduled assertion.
-        assert!(sys.platform.cycle() >= 300);
+        // The trigger cycle must match the earliest scheduled assertion,
+        // and both arrivals due then have fired.
+        assert!(sys.platform.cycle() >= 300 && sys.platform.cycle() < 600);
+        assert_eq!(sys.ext_schedule, [2_000, 900, 600]);
     }
 
     fn isr_program_with_stack() -> Program {

@@ -13,7 +13,7 @@
 //! cycle, retirement, trace entry, counter increment, profile attribution
 //! and predictor update lands precisely where the per-cycle interpreter
 //! puts it. The batching differential tests assert bit-identical results
-//! with the cache on. Key replay rules:
+//! against per-cycle stepping. Key replay rules:
 //!
 //! * Pairing is decided greedily from the block entry, exactly as the
 //!   interpreter's memoryless per-step pairing does; a block is trimmed
@@ -28,7 +28,9 @@
 //!   peek-fills), so interleaving block and interpreter execution never
 //!   decodes a word through two disagreeing paths.
 //!
-//! **Block lifecycle.** Blocks are built lazily at the executed PC,
+//! **Block lifecycle.** The cache itself is built on the engine's first
+//! batched dispatch, so an engine that only steps per cycle never
+//! allocates one. Blocks are built lazily at the executed PC,
 //! terminate at control flow, at a CSR access that could write the
 //! interrupt-gate CSRs (`mstatus`/`mie` — translated as a terminal
 //! *barrier* micro-op: the write may unmask a pending interrupt, so the
@@ -42,6 +44,9 @@
 //! fault-injected IMEM flips) kills every block covering the word, and
 //! `fence.i` flushes the whole cache; per-entry-PC execution statistics
 //! survive invalidation so retranslation shows up in the profiler.
+//!
+//! The cache is host bookkeeping, not machine state: snapshots leave it
+//! out, and a restored engine starts cold.
 
 use crate::coproc::Coprocessor;
 use crate::counters::CoreCounters;
@@ -52,7 +57,6 @@ use rvsim_isa::instr::LoadOp;
 use rvsim_isa::uop::{fuse, lower, Uop, UopSrc};
 use rvsim_isa::{csr, decode, CsrOp, Instr, Reg};
 use rvsim_mem::{AccessSize, Mem};
-use rvsim_snapshot::{self as snap, Json, SnapError};
 use std::collections::HashMap;
 
 /// Longest block, in instruction words. Long enough to cover real ISR
@@ -109,7 +113,7 @@ const MAP_FALLBACK: u32 = u32::MAX - 1;
 
 /// The per-engine translation cache: an entry-PC → block map over the
 /// instruction memory, slots for live translations, and folded statistics
-/// keyed by entry PC. Built by [`CoreEngine::set_block_cache`].
+/// keyed by entry PC. Built on the engine's first batched dispatch.
 #[derive(Debug)]
 pub struct BlockCache {
     base: u32,
@@ -212,144 +216,6 @@ impl BlockCache {
         for m in &mut self.map {
             *m = MAP_NONE;
         }
-    }
-
-    /// Full reset for a fresh program image: translations *and* stats.
-    pub(crate) fn reset(&mut self) {
-        self.flush();
-        self.stats.clear();
-    }
-
-    /// Serializes the cache *layout* for a machine-state snapshot: the
-    /// entry map (including fallback marks), each live slot's identity
-    /// and lifetime counters, the free list, and the folded per-PC
-    /// statistics (sorted by entry PC — `HashMap` iteration order must
-    /// never leak into a snapshot). Translations themselves are not
-    /// stored: they are a deterministic function of the instruction
-    /// memory and are rebuilt by [`from_snap`](Self::from_snap).
-    pub(crate) fn to_snap(&self) -> Json {
-        let slots: Vec<Json> = self
-            .blocks
-            .iter()
-            .map(|b| match b {
-                None => Json::Null,
-                Some(b) => Json::object()
-                    .with("start", b.start)
-                    .with("len", b.instrs.len())
-                    .with("warm", b.warm)
-                    .with("execs", b.execs)
-                    .with("fused_execs", b.fused_execs),
-            })
-            .collect();
-        let mut pcs: Vec<u32> = self.stats.keys().copied().collect();
-        pcs.sort_unstable();
-        let stats: Vec<Json> = pcs
-            .iter()
-            .map(|pc| {
-                let s = self.stats[pc];
-                Json::object()
-                    .with("pc", *pc)
-                    .with("builds", s.builds)
-                    .with("execs", s.execs)
-                    .with("fused", s.fused)
-            })
-            .collect();
-        Json::object()
-            .with("base", self.base)
-            .with("map", snap::words_to_json(&self.map))
-            .with("slots", slots)
-            .with("free", snap::words_to_json(&self.free))
-            .with("free_len", self.free.len())
-            .with("stats", stats)
-    }
-
-    /// Rebuilds the cache from [`to_snap`](Self::to_snap) output by
-    /// retranslating every live slot from the restored instruction
-    /// memory — through the pure [`build_block`] path, so no counter or
-    /// statistic is bumped and the slot layout, free list and map come
-    /// out exactly as snapshotted.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed fields, an IMEM-geometry mismatch, or a slot
-    /// whose entry PC no longer translates to a block of the recorded
-    /// length (the snapshot and instruction memory disagree).
-    pub(crate) fn from_snap(
-        value: &Json,
-        params: &TimingParams,
-        imem: &Mem,
-    ) -> Result<BlockCache, SnapError> {
-        let base = snap::get_u32(value, "base")?;
-        if base != imem.base() {
-            return Err(SnapError::new(format!(
-                "block cache: base {base:#010x} does not match imem base {:#010x}",
-                imem.base()
-            )));
-        }
-        let map_len = (imem.end() - base).div_ceil(4) as usize;
-        let map = snap::words_from_json(snap::field(value, "map")?, map_len)?;
-        let slots = snap::get_array(value, "slots")?;
-        let mut blocks: Vec<Option<Block>> = Vec::with_capacity(slots.len());
-        for (slot, entry) in slots.iter().enumerate() {
-            if matches!(entry, Json::Null) {
-                blocks.push(None);
-                continue;
-            }
-            let start = snap::get_u32(entry, "start")?;
-            let len = snap::get_usize(entry, "len")?;
-            let mut block = build_block(params, imem, start).ok_or_else(|| {
-                SnapError::new(format!(
-                    "block cache: slot {slot} entry {start:#010x} no longer translates"
-                ))
-            })?;
-            if block.instrs.len() != len {
-                return Err(SnapError::new(format!(
-                    "block cache: slot {slot} entry {start:#010x} rebuilt as {} words, snapshot recorded {len}",
-                    block.instrs.len()
-                )));
-            }
-            block.warm = snap::get_bool(entry, "warm")?;
-            block.execs = snap::get_u64(entry, "execs")?;
-            block.fused_execs = snap::get_u64(entry, "fused_execs")?;
-            blocks.push(Some(block));
-        }
-        for (idx, &m) in map.iter().enumerate() {
-            if m != MAP_NONE
-                && m != MAP_FALLBACK
-                && blocks.get(m as usize).is_none_or(|b| b.is_none())
-            {
-                return Err(SnapError::new(format!(
-                    "block cache: map word {idx} points at dead slot {m}"
-                )));
-            }
-        }
-        let free_len = snap::get_usize(value, "free_len")?;
-        let free = snap::words_from_json(snap::field(value, "free")?, free_len)?;
-        if free
-            .iter()
-            .any(|&s| blocks.get(s as usize).is_none_or(|b| b.is_some()))
-        {
-            return Err(SnapError::new("block cache: free list names a live slot"));
-        }
-        let mut stats = HashMap::new();
-        for entry in snap::get_array(value, "stats")? {
-            let pc = snap::get_u32(entry, "pc")?;
-            stats.insert(
-                pc,
-                PcStats {
-                    builds: snap::get_u64(entry, "builds")?,
-                    execs: snap::get_u64(entry, "execs")?,
-                    fused: snap::get_u64(entry, "fused")?,
-                },
-            );
-        }
-        Ok(BlockCache {
-            base,
-            map,
-            blocks,
-            free,
-            stats,
-        })
     }
 
     /// Folded + live statistics for blocks entered in `[start, end]`.
@@ -565,28 +431,27 @@ fn extend(data: u32, size: AccessSize, signed: bool) -> u32 {
 
 impl CoreEngine {
     /// Runs translated blocks from the current PC for up to `remaining`
-    /// cycles. Caller guarantees the quiescent-batch contract plus:
-    /// `busy == 0`, not parked in `wfi`, not halted, and no enabled
-    /// pending interrupt.
-    pub(crate) fn try_blocks(&mut self, bus: &mut dyn DataBus, remaining: u64) -> BlockOutcome {
-        let mut cache = self.blocks.take().expect("block cache attached");
-        let out = self.run_blocks::<false>(&mut cache, bus, &mut None, remaining);
-        self.blocks = Some(cache);
-        out
-    }
-
-    /// [`try_blocks`](Self::try_blocks) for a unit-active batch: the
-    /// coprocessor is stepped after every consumed cycle, in exactly the
-    /// per-cycle platform order (core work first, then the coprocessor's
-    /// port cycle).
-    pub(crate) fn try_blocks_costep(
+    /// cycles, building the cache on first use. Caller guarantees the
+    /// quiescent-batch contract plus: `busy == 0`, not parked in `wfi`,
+    /// not halted, and no enabled pending interrupt.
+    ///
+    /// With `COSTEP` (a unit-active batch) the coprocessor is stepped
+    /// after every consumed cycle, in exactly the per-cycle platform
+    /// order (core work first, then the coprocessor's port cycle);
+    /// otherwise `coproc` is left alone.
+    pub(crate) fn try_blocks<const COSTEP: bool>(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
         remaining: u64,
     ) -> BlockOutcome {
-        let mut cache = self.blocks.take().expect("block cache attached");
-        let out = self.run_blocks::<true>(&mut cache, bus, &mut Some(coproc), remaining);
+        let mut cache = self.blocks.take().unwrap_or_else(|| {
+            Box::new(BlockCache::new(
+                self.imem.base(),
+                self.imem.end() - self.imem.base(),
+            ))
+        });
+        let out = self.run_blocks::<COSTEP>(&mut cache, bus, coproc, remaining);
         self.blocks = Some(cache);
         out
     }
@@ -595,7 +460,7 @@ impl CoreEngine {
         &mut self,
         cache: &mut BlockCache,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         remaining: u64,
     ) -> BlockOutcome {
         let entry_cycle = self.cycle;
@@ -648,7 +513,7 @@ impl CoreEngine {
                 // coprocessor drains idle: the plain quiescent batch path
                 // is faster from here.
                 StepExit::Done => {
-                    if COSTEP && co.as_ref().is_some_and(|c| c.is_idle()) {
+                    if COSTEP && co.is_idle() {
                         break;
                     }
                     continue;
@@ -685,7 +550,7 @@ impl CoreEngine {
     /// per step. Returns how the dispatch ended, the number of fused
     /// macro-ops executed, and whether any step executed at all.
     ///
-    /// With `co` attached (a unit-active batch) every consumed cycle is
+    /// With `COSTEP` (a unit-active batch) every consumed cycle is
     /// replayed individually — bus clock first, the core's work for that
     /// cycle, then the coprocessor's step — so the shared-port
     /// arbitration the coprocessor sees is bit-identical to per-cycle
@@ -695,7 +560,7 @@ impl CoreEngine {
         &mut self,
         block: &Block,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         remaining: u64,
         entry_cycle: u64,
         lag: &mut u64,
@@ -723,11 +588,10 @@ impl CoreEngine {
             // dispatch replays them one at a time: the drain cycles give
             // the coprocessor the port cycles the core left idle.
             if COSTEP {
-                let c = co.as_mut().expect("co-stepped dispatch has a coprocessor");
                 for _ in 0..*pending {
                     bus.advance_cycles(1);
                     self.cycle += 1;
-                    c.step(&mut self.state, bus);
+                    co.step(&mut self.state, bus);
                 }
                 bus.advance_cycles(1);
                 self.cycle += 1;
@@ -1065,9 +929,7 @@ impl CoreEngine {
             // exactly where the per-cycle platform loop puts it (even
             // when the step trapped or raised attention).
             if COSTEP {
-                co.as_mut()
-                    .expect("co-stepped dispatch has a coprocessor")
-                    .step(&mut self.state, bus);
+                co.step(&mut self.state, bus);
             }
             if let Some(e) = exit {
                 return (e, fused_execs, any);
@@ -1084,13 +946,11 @@ impl CoreEngine {
     fn fused_mid_cycle<const COSTEP: bool>(
         &mut self,
         bus: &mut dyn DataBus,
-        co: &mut Option<&mut dyn Coprocessor>,
+        co: &mut dyn Coprocessor,
         lag: &mut u64,
     ) {
         if COSTEP {
-            co.as_mut()
-                .expect("co-stepped dispatch has a coprocessor")
-                .step(&mut self.state, bus);
+            co.step(&mut self.state, bus);
             bus.advance_cycles(1);
             self.cycle += 1;
         } else {

@@ -37,8 +37,8 @@ pub struct CoreCounters {
     pub stall_coproc: u64,
     /// Cycles parked in `wfi`.
     pub wfi_cycles: u64,
-    /// Basic-block dispatches served from the translation cache (block
-    /// cache enabled only; zero on the interpreter path).
+    /// Basic-block dispatches served from the translation cache (batched
+    /// execution only; zero on the per-cycle path).
     pub block_hits: u64,
     /// Basic blocks translated into the cache (first builds plus
     /// retranslations after invalidation).
@@ -96,17 +96,23 @@ impl CoreCounters {
         }
     }
 
-    /// Serializes every counter (stable [`named`](Self::named) order) for
-    /// a machine-state snapshot.
+    /// Serializes the architectural counters (stable
+    /// [`named`](Self::named) order) for a machine-state snapshot. The
+    /// block-cache bookkeeping trio is host data, not machine state: it
+    /// depends on how a run was chunked into batches, so it is left out.
     pub fn to_snap(&self) -> Json {
         let mut obj = Json::object();
         for (name, value) in self.named() {
-            obj.push(name, value);
+            if !matches!(name, "block_hits" | "block_builds" | "fused_ops") {
+                obj.push(name, value);
+            }
         }
         obj
     }
 
-    /// Rebuilds the counters from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds the counters from [`to_snap`](Self::to_snap) output. The
+    /// block-cache bookkeeping trio starts at zero, like the restored
+    /// engine's cache.
     ///
     /// # Errors
     ///
@@ -123,9 +129,7 @@ impl CoreCounters {
             stall_mret: snap::get_u64(value, "stall_mret")?,
             stall_coproc: snap::get_u64(value, "stall_coproc")?,
             wfi_cycles: snap::get_u64(value, "wfi_cycles")?,
-            block_hits: snap::get_u64(value, "block_hits")?,
-            block_builds: snap::get_u64(value, "block_builds")?,
-            fused_ops: snap::get_u64(value, "fused_ops")?,
+            ..CoreCounters::default()
         })
     }
 }
@@ -168,5 +172,21 @@ mod tests {
         assert_eq!(v.block_hits, 0);
         assert_eq!(v.block_builds, 0);
         assert_eq!(v.fused_ops, 0);
+    }
+
+    #[test]
+    fn snapshots_leave_out_the_bookkeeping_trio() {
+        let c = CoreCounters {
+            decode_hits: 7,
+            wfi_cycles: 9,
+            block_hits: 40,
+            block_builds: 5,
+            fused_ops: 11,
+            ..CoreCounters::default()
+        };
+        let doc = c.to_snap();
+        assert!(!doc.render().contains("block_") && !doc.render().contains("fused"));
+        let back = CoreCounters::from_snap(&doc).expect("restores");
+        assert_eq!(back, c.without_block_stats());
     }
 }

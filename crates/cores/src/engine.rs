@@ -283,7 +283,8 @@ pub struct CoreEngine {
     pub(crate) counters: CoreCounters,
     profiler: Option<Box<PcProfile>>,
     wfi_pc: u32,
-    /// Basic-block translation cache ([`set_block_cache`](Self::set_block_cache)).
+    /// Basic-block translation cache, built on the first batched dispatch
+    /// (see [`crate::blockcache`]).
     pub(crate) blocks: Option<Box<BlockCache>>,
 }
 
@@ -330,9 +331,7 @@ impl CoreEngine {
         for w in &mut self.decoded {
             *w = None;
         }
-        if let Some(cache) = &mut self.blocks {
-            cache.reset();
-        }
+        self.blocks = None;
         self.state.pc = program.base;
     }
 
@@ -399,33 +398,10 @@ impl CoreEngine {
         self.counters
     }
 
-    /// Attaches (or detaches) the basic-block translation cache. With the
-    /// cache on, batched [`run_until`](Self::run_until) executes
-    /// pre-decoded micro-op blocks per dispatch instead of stepping the
-    /// interpreter per cycle — architecturally and timing-wise
-    /// bit-identical (see [`crate::blockcache`]), just faster on the
-    /// host. Per-cycle [`step`](Self::step) always interprets.
-    pub fn set_block_cache(&mut self, on: bool) {
-        if on {
-            if self.blocks.is_none() {
-                self.blocks = Some(Box::new(BlockCache::new(
-                    self.imem.base(),
-                    self.imem.end() - self.imem.base(),
-                )));
-            }
-        } else {
-            self.blocks = None;
-        }
-    }
-
-    /// Whether the basic-block translation cache is attached.
-    pub fn block_cache_enabled(&self) -> bool {
-        self.blocks.is_some()
-    }
-
     /// Block-translation statistics for blocks *entered* at a PC in
     /// `[start, end]` (inclusive), including translations since killed by
-    /// invalidation. All zeros when the cache is off.
+    /// invalidation. All zeros until the first batched dispatch builds
+    /// the cache (and again after a program load or snapshot restore).
     pub fn block_stats_in(&self, start: u32, end: u32) -> BlockStats {
         self.blocks
             .as_ref()
@@ -820,8 +796,10 @@ impl CoreEngine {
     /// and the coprocessor is idle (guest-initiated changes are caught via
     /// [`DataBus::take_attention`] and the `custom` stop). Under that
     /// contract this is cycle-exact with calling [`step`](Self::step) in a
-    /// loop, but burns through multi-cycle stalls and `wfi` stretches in
-    /// bulk, advancing the bus clock via [`DataBus::advance_cycles`].
+    /// loop, but executes straight-line code as translated blocks (see
+    /// [`crate::blockcache`]) and burns through multi-cycle stalls and
+    /// `wfi` stretches in bulk, advancing the bus clock via
+    /// [`DataBus::advance_cycles`].
     ///
     /// Stops at the first of: an event matching `event_mask`, a custom
     /// (coprocessor) instruction executing, the bus raising attention, or
@@ -833,116 +811,7 @@ impl CoreEngine {
         event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
-        let start = self.cycle;
-        loop {
-            let used = self.cycle - start;
-            if self.halted || used >= max_cycles {
-                return BatchExit {
-                    cycles: used,
-                    event: None,
-                    reason: StopReason::Budget,
-                };
-            }
-            let remaining = max_cycles - used;
-
-            // Bulk-drain a multi-cycle instruction. The cycle where `busy`
-            // reaches zero may complete an `mret`, exactly as in `step`.
-            if self.busy > 0 {
-                let skip = u64::from(self.busy).min(remaining);
-                bus.advance_cycles(skip);
-                self.cycle += skip;
-                self.busy -= skip as u32;
-                self.state.csrs.mcycle = self.cycle as u32;
-                if self.busy == 0 && self.completing == Completing::Mret {
-                    self.completing = Completing::Plain;
-                    coproc.on_mret(&mut self.state);
-                    if event_mask & stop_events::MRET_RETIRED != 0 {
-                        return BatchExit {
-                            cycles: self.cycle - start,
-                            event: Some(CoreEvent::MretRetired),
-                            reason: StopReason::Event,
-                        };
-                    }
-                }
-                continue;
-            }
-
-            // `wfi` park: `mip` is constant for the whole batch, so with no
-            // pending-and-enabled interrupt the core sleeps out the budget.
-            if self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
-                bus.advance_cycles(remaining);
-                self.cycle += remaining;
-                self.counters.wfi_cycles += remaining;
-                let pc = self.wfi_pc;
-                self.attribute(pc, remaining);
-                self.state.csrs.mcycle = self.cycle as u32;
-                return BatchExit {
-                    cycles: max_cycles,
-                    event: None,
-                    reason: StopReason::Budget,
-                };
-            }
-
-            // Translated-block fast path: with the cache attached and the
-            // core able to issue straight-line code (no drain, no park, no
-            // takeable interrupt — `mip` is constant for the whole batch),
-            // execute whole pre-decoded blocks per dispatch.
-            if self.blocks.is_some()
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
-                match self.try_blocks(bus, remaining) {
-                    BlockOutcome::Ran { event, attention } => {
-                        if let Some(ev) = event {
-                            if event_bit(ev) & event_mask != 0 {
-                                return BatchExit {
-                                    cycles: self.cycle - start,
-                                    event: Some(ev),
-                                    reason: StopReason::Event,
-                                };
-                            }
-                        }
-                        if attention {
-                            return BatchExit {
-                                cycles: self.cycle - start,
-                                event,
-                                reason: StopReason::Attention,
-                            };
-                        }
-                        continue;
-                    }
-                    BlockOutcome::NotEngaged => {}
-                }
-            }
-
-            // One active cycle, identical to the per-cycle path.
-            bus.advance_cycles(1);
-            let out = self.step(bus, coproc);
-            let attention = bus.take_attention();
-            if let Some(ev) = out.event {
-                if event_bit(ev) & event_mask != 0 {
-                    return BatchExit {
-                        cycles: self.cycle - start,
-                        event: Some(ev),
-                        reason: StopReason::Event,
-                    };
-                }
-            }
-            if out.custom {
-                return BatchExit {
-                    cycles: self.cycle - start,
-                    event: out.event,
-                    reason: StopReason::CustomExecuted,
-                };
-            }
-            if attention {
-                return BatchExit {
-                    cycles: self.cycle - start,
-                    event: out.event,
-                    reason: StopReason::Attention,
-                };
-            }
-        }
+        self.run_batch::<false>(bus, coproc, event_mask, max_cycles)
     }
 
     /// Runs a *unit-active* batch: the coprocessor has background work
@@ -956,10 +825,25 @@ impl CoreEngine {
     /// the caller can re-enter the plain quiescent batch path.
     ///
     /// Same quiescence contract and stop conditions as
-    /// [`run_until`](Self::run_until), with one extra rule: every
-    /// consumed cycle *including the final one* has already taken its
-    /// coprocessor step — the caller must not step it again.
+    /// [`run_until`](Self::run_until), with two exceptions. A custom
+    /// instruction does not end the batch: its only side effects live in
+    /// the coprocessor and the core, and the coprocessor is stepped every
+    /// cycle here anyway. And every consumed cycle *including the final
+    /// one* has already taken its coprocessor step — the caller must not
+    /// step it again.
     pub fn run_costep(
+        &mut self,
+        bus: &mut dyn DataBus,
+        coproc: &mut dyn Coprocessor,
+        event_mask: u32,
+        max_cycles: u64,
+    ) -> BatchExit {
+        self.run_batch::<true>(bus, coproc, event_mask, max_cycles)
+    }
+
+    /// The batch loop behind [`run_until`](Self::run_until) and, with
+    /// `COSTEP`, [`run_costep`](Self::run_costep).
+    fn run_batch<const COSTEP: bool>(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
@@ -969,7 +853,7 @@ impl CoreEngine {
         let start = self.cycle;
         loop {
             let used = self.cycle - start;
-            if self.halted || used >= max_cycles || (used > 0 && coproc.is_idle()) {
+            if self.halted || used >= max_cycles || (COSTEP && used > 0 && coproc.is_idle()) {
                 return BatchExit {
                     cycles: used,
                     event: None,
@@ -978,113 +862,135 @@ impl CoreEngine {
             }
             let remaining = max_cycles - used;
 
-            // Translated-block fast path, with the coprocessor co-stepped
-            // cycle by cycle inside the dispatch (same gate as
-            // `run_until`).
-            if self.blocks.is_some()
-                && self.busy == 0
+            // Bulk skips, only while the coprocessor needs no per-cycle
+            // step.
+            if !COSTEP {
+                // Bulk-drain a multi-cycle instruction. The cycle where
+                // `busy` reaches zero may complete an `mret`, exactly as
+                // in `step`.
+                if self.busy > 0 {
+                    let skip = u64::from(self.busy).min(remaining);
+                    bus.advance_cycles(skip);
+                    self.cycle += skip;
+                    self.busy -= skip as u32;
+                    self.state.csrs.mcycle = self.cycle as u32;
+                    if self.busy == 0 && self.completing == Completing::Mret {
+                        self.completing = Completing::Plain;
+                        coproc.on_mret(&mut self.state);
+                        if event_mask & stop_events::MRET_RETIRED != 0 {
+                            return BatchExit {
+                                cycles: self.cycle - start,
+                                event: Some(CoreEvent::MretRetired),
+                                reason: StopReason::Event,
+                            };
+                        }
+                    }
+                    continue;
+                }
+
+                // `wfi` park: `mip` is constant for the whole batch, so
+                // with no pending-and-enabled interrupt the core sleeps
+                // out the budget.
+                if self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
+                    bus.advance_cycles(remaining);
+                    self.cycle += remaining;
+                    self.counters.wfi_cycles += remaining;
+                    let pc = self.wfi_pc;
+                    self.attribute(pc, remaining);
+                    self.state.csrs.mcycle = self.cycle as u32;
+                    return BatchExit {
+                        cycles: max_cycles,
+                        event: None,
+                        reason: StopReason::Budget,
+                    };
+                }
+            }
+
+            // Translated-block fast path: when the core can issue
+            // straight-line code (no drain, no park, no takeable interrupt
+            // — `mip` is constant for the whole batch), execute whole
+            // pre-decoded blocks per dispatch.
+            let mut ran = None;
+            if self.busy == 0
                 && !self.wfi_wait
                 && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
             {
-                match self.try_blocks_costep(bus, coproc, remaining) {
-                    BlockOutcome::Ran { event, attention } => {
-                        if let Some(ev) = event {
-                            if event_bit(ev) & event_mask != 0 {
-                                return BatchExit {
-                                    cycles: self.cycle - start,
-                                    event: Some(ev),
-                                    reason: StopReason::Event,
-                                };
-                            }
+                match self.try_blocks::<COSTEP>(bus, coproc, remaining) {
+                    BlockOutcome::Ran { event, attention } => ran = Some((event, attention)),
+                    BlockOutcome::NotEngaged if COSTEP => {
+                        self.skip_coproc_stall(bus, coproc, start + max_cycles);
+                        if self.cycle - start >= max_cycles {
+                            continue;
                         }
-                        if attention {
-                            return BatchExit {
-                                cycles: self.cycle - start,
-                                event,
-                                reason: StopReason::Attention,
-                            };
-                        }
-                        continue;
                     }
                     BlockOutcome::NotEngaged => {}
                 }
             }
 
-            // Coprocessor-stall fast-forward: a custom instruction or
-            // `mret` the coprocessor refuses pins the core at `pc`, and
-            // the interpreter burns one stall cycle per full step call.
-            // Replay those cycles in a tight loop — fetch count, stall
-            // counter, attribution and the coprocessor's step per cycle,
-            // exactly as `step` takes them — without the per-cycle gate
-            // checks and block lookups. Quiescence plus "nothing retires
-            // while stalled" keep every gate input constant, so checking
-            // the gates once before the loop is exact. (The stall state
-            // itself lives in the coprocessor and only moves in its
-            // `step`, so it is re-checked every cycle.)
-            if self.busy == 0
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
-                let pc = self.state.pc;
-                if pc & 3 == 0 && self.imem.contains(pc) {
-                    let idx = ((pc - self.imem.base()) / 4) as usize;
-                    // Only an already-decoded word qualifies (the first
-                    // stall cycle goes through `step`, which fills and
-                    // counts the decode exactly as stepwise does).
-                    if let Some(Some(instr)) = self.decoded.get(idx).copied() {
-                        loop {
-                            let stalled = match instr {
-                                Instr::Custom { op, .. } => coproc.custom_stall(op),
-                                Instr::Mret => coproc.mret_stall(),
-                                _ => false,
-                            };
-                            if !stalled || self.cycle - start >= max_cycles {
-                                break;
-                            }
-                            bus.advance_cycles(1);
-                            self.cycle += 1;
-                            self.state.csrs.mcycle = self.cycle as u32;
-                            let fetched = self.fetch(pc);
-                            debug_assert_eq!(fetched, instr);
-                            self.counters.stall_coproc += 1;
-                            self.attribute(pc, 1);
-                            coproc.step(&mut self.state, bus);
-                        }
-                        if self.cycle - start >= max_cycles {
-                            continue;
-                        }
+            let (event, custom, attention) = match ran {
+                Some((event, attention)) => (event, false, attention),
+                None => {
+                    // One active cycle in stepwise order: bus clock, core,
+                    // and in a co-stepped batch the coprocessor.
+                    bus.advance_cycles(1);
+                    let out = self.step(bus, coproc);
+                    if COSTEP {
+                        coproc.step(&mut self.state, bus);
                     }
+                    (out.event, out.custom, bus.take_attention())
                 }
-            }
+            };
+            let reason = match event {
+                Some(ev) if event_bit(ev) & event_mask != 0 => StopReason::Event,
+                _ if custom && !COSTEP => StopReason::CustomExecuted,
+                _ if attention => StopReason::Attention,
+                _ => continue,
+            };
+            return BatchExit {
+                cycles: self.cycle - start,
+                event,
+                reason,
+            };
+        }
+    }
 
-            // One cycle, stepwise order: bus clock, core, coprocessor.
+    /// Coprocessor-stall fast-forward for co-stepped batches, up to cycle
+    /// `end`: a custom instruction or `mret` the coprocessor refuses pins
+    /// the core at `pc`, and the interpreter burns one stall cycle per
+    /// full step call. Replay those cycles in a tight loop — fetch count,
+    /// stall counter, attribution and the coprocessor's step per cycle,
+    /// exactly as `step` takes them — without the per-cycle gate checks
+    /// and block lookups. Quiescence plus "nothing retires while stalled"
+    /// keep every gate input constant, so the caller checking the gates
+    /// once is exact. (The stall state itself lives in the coprocessor
+    /// and only moves in its `step`, so it is re-checked every cycle.)
+    fn skip_coproc_stall(&mut self, bus: &mut dyn DataBus, coproc: &mut dyn Coprocessor, end: u64) {
+        let pc = self.state.pc;
+        if pc & 3 != 0 || !self.imem.contains(pc) {
+            return;
+        }
+        // Only an already-decoded word qualifies (the first stall cycle
+        // goes through `step`, which fills and counts the decode exactly
+        // as stepwise does).
+        let idx = ((pc - self.imem.base()) / 4) as usize;
+        let Some(Some(instr)) = self.decoded.get(idx).copied() else {
+            return;
+        };
+        while self.cycle < end
+            && match instr {
+                Instr::Custom { op, .. } => coproc.custom_stall(op),
+                Instr::Mret => coproc.mret_stall(),
+                _ => false,
+            }
+        {
             bus.advance_cycles(1);
-            let out = self.step(bus, coproc);
+            self.cycle += 1;
+            self.state.csrs.mcycle = self.cycle as u32;
+            let fetched = self.fetch(pc);
+            debug_assert_eq!(fetched, instr);
+            self.counters.stall_coproc += 1;
+            self.attribute(pc, 1);
             coproc.step(&mut self.state, bus);
-            let attention = bus.take_attention();
-            if let Some(ev) = out.event {
-                if event_bit(ev) & event_mask != 0 {
-                    return BatchExit {
-                        cycles: self.cycle - start,
-                        event: Some(ev),
-                        reason: StopReason::Event,
-                    };
-                }
-            }
-            // Unlike `run_until`, a custom instruction does not end the
-            // batch: its only side effects live in the coprocessor and the
-            // core (no MMIO, no interrupt-line change — the batch horizons
-            // cannot move), and the coprocessor is already stepped every
-            // cycle here, which is the very thing the plain batch path
-            // must stop and hand back for. The idle check at the loop
-            // head still ends the batch once the unit drains.
-            if attention {
-                return BatchExit {
-                    cycles: self.cycle - start,
-                    event: out.event,
-                    reason: StopReason::Attention,
-                };
-            }
         }
     }
 
@@ -1097,13 +1003,15 @@ impl CoreEngine {
     /// snapshot: architectural state, instruction memory, pipeline
     /// timing state (`busy`/`completing`/`wfi`), cycle and retire
     /// counts, the branch predictor, the retire-trace ring, activity
-    /// counters, and the optional profiler and block cache.
+    /// counters, and the optional profiler.
     ///
-    /// The per-word decode cache and the block translations are
-    /// recorded as *layout* (which slots are filled), not contents:
-    /// both are deterministic functions of the instruction memory, and
-    /// [`restore_snap`](Self::restore_snap) rebuilds them bit-exactly
-    /// through non-counting paths.
+    /// The per-word decode cache is recorded as *layout* (which slots
+    /// are filled), not contents: it is a deterministic function of the
+    /// instruction memory, and [`restore_snap`](Self::restore_snap)
+    /// rebuilds it bit-exactly through a non-counting path. The block
+    /// translation cache is host bookkeeping whose contents depend on
+    /// how a run was split into batches, so it is left out together with
+    /// its counters (see [`CoreCounters::to_snap`]).
     pub fn to_snap(&self) -> Json {
         let mut bitmap = vec![0u32; self.decoded.len().div_ceil(32)];
         for (i, d) in self.decoded.iter().enumerate() {
@@ -1145,29 +1053,26 @@ impl CoreEngine {
                 "profile",
                 self.profiler.as_ref().map_or(Json::Null, |p| p.to_snap()),
             )
-            .with(
-                "blocks",
-                self.blocks.as_ref().map_or(Json::Null, |c| c.to_snap()),
-            )
     }
 
     /// Restores the engine from [`to_snap`](Self::to_snap) output, in
     /// place. The engine must have been constructed for the same core
     /// model and instruction-memory geometry; everything else —
-    /// including whether the profiler or block cache is attached — is
-    /// taken from the snapshot.
+    /// including whether the profiler is attached — is taken from the
+    /// snapshot.
     ///
-    /// Decode entries and block translations are rebuilt from the
-    /// restored instruction memory through non-counting paths, and the
-    /// activity counters are overwritten last, so a restored engine is
-    /// cycle-for-cycle and counter-for-counter identical to one that
-    /// never stopped. Every field is parsed before any is committed: on
+    /// Decode entries are rebuilt from the restored instruction memory
+    /// through a non-counting path, and the activity counters are
+    /// overwritten last, so a restored engine is cycle-for-cycle and
+    /// counter-for-counter identical to one that never stopped (the
+    /// block-cache bookkeeping counters aside: the translation cache
+    /// starts cold). Every field is parsed before any is committed: on
     /// error the engine is unchanged.
     ///
     /// # Errors
     ///
     /// Fails on malformed fields, a core-model or IMEM-geometry
-    /// mismatch, or a cached layout that no longer rebuilds from the
+    /// mismatch, or a decode layout that no longer rebuilds from the
     /// snapshotted instruction memory.
     pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
         let name = snap::get_str(value, "core")?;
@@ -1253,10 +1158,6 @@ impl CoreEngine {
             Json::Null => None,
             v => Some(Box::new(PcProfile::from_snap(v)?)),
         };
-        let blocks = match snap::field(value, "blocks")? {
-            Json::Null => None,
-            v => Some(Box::new(BlockCache::from_snap(v, &self.params, &imem)?)),
-        };
         let counters = CoreCounters::from_snap(snap::field(value, "counters")?)?;
         self.state = state;
         self.imem = imem;
@@ -1271,7 +1172,7 @@ impl CoreEngine {
         self.predictor = predictor;
         self.trace = trace;
         self.profiler = profiler;
-        self.blocks = blocks;
+        self.blocks = None;
         self.counters = counters;
         Ok(())
     }
@@ -1555,8 +1456,9 @@ mod tests {
         for r in [Reg::T0, Reg::T1, Reg::T2] {
             assert_eq!(fast.state.read_reg(r), slow.state.read_reg(r));
         }
-        // Issue-time attribution makes the activity counters path-exact.
-        assert_eq!(fast.counters(), slow.counters());
+        // Issue-time attribution makes the activity counters path-exact
+        // (the block-cache bookkeeping trio aside).
+        assert_eq!(fast.counters().without_block_stats(), slow.counters());
         assert!(slow.counters().stall_exec > 0, "div stalls recorded");
         assert!(slow.counters().stall_mem > 0, "load stalls recorded");
         assert!(slow.counters().wfi_cycles > 0, "wfi park recorded");
@@ -1616,19 +1518,18 @@ mod tests {
         a.finish().unwrap()
     }
 
-    /// Runs the torture program to halt, per-cycle or batched with the
-    /// block cache attached.
-    fn run_torture(params: TimingParams, blocks: bool) -> CoreEngine {
+    /// Runs the torture program to halt, per-cycle or batched through
+    /// the block cache.
+    fn run_torture(params: TimingParams, batched: bool) -> CoreEngine {
         let p = block_torture_program();
         let mut e = CoreEngine::new(params, 0, 0x1_0000);
         e.load_program(&p);
         e.set_profiling(true);
-        e.set_block_cache(blocks);
         let mut bus = SramBus {
             mem: Mem::new(0x2000_0000, 0x100),
         };
         let mut co = NullCoprocessor;
-        if blocks {
+        if batched {
             while !e.halted() {
                 let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
                 if exit.cycles == 0 && exit.reason == StopReason::Budget {
@@ -1703,80 +1604,82 @@ mod tests {
     /// Mid-run snapshot/restore is invisible: a restored engine finishes
     /// the torture program cycle-for-cycle, counter-for-counter and
     /// trace-for-trace identical to one that never stopped — per core
-    /// model, with and without the block cache, profiler attached.
+    /// model, profiler attached, with a cold block cache on the restored
+    /// side.
     #[test]
     fn snapshot_roundtrip_is_invisible_mid_run() {
         for params in [TimingParams::cv32e40p(), TimingParams::naxriscv()] {
-            for blocks in [false, true] {
-                let p = block_torture_program();
-                let mut a = CoreEngine::new(params, 0, 0x1_0000);
-                a.load_program(&p);
-                a.set_profiling(true);
-                a.set_block_cache(blocks);
-                let mut a_bus = SramBus {
-                    mem: Mem::new(0x2000_0000, 0x100),
-                };
-                let mut co = NullCoprocessor;
-                // Part-way through the run: mid-loop, caches warm.
-                while a.cycle() < 700 && !a.halted() {
-                    a.run_until(&mut a_bus, &mut co, stop_events::ALL, 700 - a.cycle());
-                }
-                let doc = a.to_snap();
-                let bus_doc = a_bus.mem.to_snap();
-                // Snapshotting twice yields byte-identical documents.
-                assert_eq!(
-                    doc.render(),
-                    a.to_snap().render(),
-                    "{}: unstable",
-                    params.name
-                );
-
-                let mut b = CoreEngine::new(params, 0, 0x1_0000);
-                b.restore_snap(&doc).expect("restore");
-                let mut b_bus = SramBus {
-                    mem: Mem::from_snap(&bus_doc).expect("bus restore"),
-                };
-                assert_eq!(b.cycle(), a.cycle());
-                assert_eq!(b.block_cache_enabled(), blocks);
-
-                let mut finish = |e: &mut CoreEngine, bus: &mut SramBus| {
-                    while !e.halted() {
-                        let exit = e.run_until(bus, &mut co, stop_events::ALL, 1_000);
-                        if exit.cycles == 0 && exit.reason == StopReason::Budget {
-                            break;
-                        }
-                    }
-                };
-                finish(&mut a, &mut a_bus);
-                finish(&mut b, &mut b_bus);
-                assert!(a.halted() && b.halted(), "{}: did not halt", params.name);
-                assert_eq!(b.cycle(), a.cycle(), "{}: cycles", params.name);
-                assert_eq!(b.retired(), a.retired(), "{}: retired", params.name);
-                assert_eq!(b.state.pc, a.state.pc, "{}: pc", params.name);
-                for n in 0..32 {
-                    let r = Reg::from_number(n);
-                    assert_eq!(
-                        b.state.read_reg(r),
-                        a.state.read_reg(r),
-                        "{}: x{n}",
-                        params.name
-                    );
-                }
-                assert_eq!(b.state.csrs, a.state.csrs, "{}: csrs", params.name);
-                assert_eq!(b.counters(), a.counters(), "{}: counters", params.name);
-                let at: Vec<_> = a.recent_pcs().collect();
-                let bt: Vec<_> = b.recent_pcs().collect();
-                assert_eq!(bt, at, "{}: trace", params.name);
-                assert_eq!(
-                    b.take_profile().unwrap(),
-                    a.take_profile().unwrap(),
-                    "{}: profile",
-                    params.name
-                );
-                // The final engine states serialize identically too.
-                assert_eq!(a.to_snap().render(), b.to_snap().render());
-                assert_eq!(a_bus.mem.to_snap().render(), b_bus.mem.to_snap().render());
+            let p = block_torture_program();
+            let mut a = CoreEngine::new(params, 0, 0x1_0000);
+            a.load_program(&p);
+            a.set_profiling(true);
+            let mut a_bus = SramBus {
+                mem: Mem::new(0x2000_0000, 0x100),
+            };
+            let mut co = NullCoprocessor;
+            // Part-way through the run: mid-loop, caches warm.
+            while a.cycle() < 700 && !a.halted() {
+                a.run_until(&mut a_bus, &mut co, stop_events::ALL, 700 - a.cycle());
             }
+            let doc = a.to_snap();
+            let bus_doc = a_bus.mem.to_snap();
+            // Snapshotting twice yields byte-identical documents.
+            assert_eq!(
+                doc.render(),
+                a.to_snap().render(),
+                "{}: unstable",
+                params.name
+            );
+
+            let mut b = CoreEngine::new(params, 0, 0x1_0000);
+            b.restore_snap(&doc).expect("restore");
+            let mut b_bus = SramBus {
+                mem: Mem::from_snap(&bus_doc).expect("bus restore"),
+            };
+            assert_eq!(b.cycle(), a.cycle());
+
+            let mut finish = |e: &mut CoreEngine, bus: &mut SramBus| {
+                while !e.halted() {
+                    let exit = e.run_until(bus, &mut co, stop_events::ALL, 1_000);
+                    if exit.cycles == 0 && exit.reason == StopReason::Budget {
+                        break;
+                    }
+                }
+            };
+            finish(&mut a, &mut a_bus);
+            finish(&mut b, &mut b_bus);
+            assert!(a.halted() && b.halted(), "{}: did not halt", params.name);
+            assert_eq!(b.cycle(), a.cycle(), "{}: cycles", params.name);
+            assert_eq!(b.retired(), a.retired(), "{}: retired", params.name);
+            assert_eq!(b.state.pc, a.state.pc, "{}: pc", params.name);
+            for n in 0..32 {
+                let r = Reg::from_number(n);
+                assert_eq!(
+                    b.state.read_reg(r),
+                    a.state.read_reg(r),
+                    "{}: x{n}",
+                    params.name
+                );
+            }
+            assert_eq!(b.state.csrs, a.state.csrs, "{}: csrs", params.name);
+            assert_eq!(
+                b.counters().without_block_stats(),
+                a.counters().without_block_stats(),
+                "{}: counters",
+                params.name
+            );
+            let at: Vec<_> = a.recent_pcs().collect();
+            let bt: Vec<_> = b.recent_pcs().collect();
+            assert_eq!(bt, at, "{}: trace", params.name);
+            assert_eq!(
+                b.take_profile().unwrap(),
+                a.take_profile().unwrap(),
+                "{}: profile",
+                params.name
+            );
+            // The final engine states serialize identically too.
+            assert_eq!(a.to_snap().render(), b.to_snap().render());
+            assert_eq!(a_bus.mem.to_snap().render(), b_bus.mem.to_snap().render());
         }
     }
 
@@ -1813,7 +1716,6 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        e.set_block_cache(true);
         let mut bus = SramBus {
             mem: Mem::new(0x2000_0000, 0x100),
         };
@@ -1866,7 +1768,6 @@ mod tests {
         };
         let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
         e.load_program(&p);
-        e.set_block_cache(true);
         let mut bus = SramBus {
             mem: Mem::new(0x2000_0000, 0x100),
         };
@@ -1874,6 +1775,7 @@ mod tests {
         for _ in 0..300 {
             e.step(&mut bus, &mut co);
         }
+        assert!(e.blocks.is_none(), "per-cycle stepping built a block cache");
         while !e.halted() {
             e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
         }

@@ -24,7 +24,6 @@
 pub mod blockcache;
 pub mod coproc;
 pub mod counters;
-pub mod cpu;
 pub mod csrs;
 pub mod engine;
 pub mod exec;
@@ -37,7 +36,6 @@ pub mod timing;
 
 pub use coproc::{Coprocessor, NullCoprocessor};
 pub use counters::CoreCounters;
-pub use cpu::{make_cpu, make_golden_cpu, CpuCore, Executed, GoldenCpu};
 pub use csrs::Csrs;
 pub use engine::{
     stop_events, BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, StepOutput, StopReason,

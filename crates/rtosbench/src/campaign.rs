@@ -30,11 +30,9 @@ use rtosunit::{
 };
 use rvsim_cores::{CoreCounters, CoreKind};
 use rvsim_isa::csr;
-use rvsim_snapshot as snap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a run's raw switch episodes are reduced to measured latencies.
@@ -194,26 +192,6 @@ impl WorkloadSpec {
     }
 }
 
-/// A shared post-boot machine snapshot: the boot prefix of a
-/// configuration cell, simulated once and forked by every run that
-/// starts from it. Cheap to clone (the parsed state sits behind an
-/// `Arc`), and `Send + Sync` so warm runs still fan out across workers.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// Unsealed [`System`] state payload (digest already verified).
-    state: Arc<Json>,
-    /// Cycles the snapshot has already simulated — the boot prefix a
-    /// warm-started run no longer pays.
-    boot_cycles: u64,
-}
-
-impl WarmStart {
-    /// The boot-prefix length this warm start eliminates, in cycles.
-    pub fn boot_cycles(&self) -> u64 {
-        self.boot_cycles
-    }
-}
-
 /// One run of the experiment matrix.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
@@ -233,11 +211,6 @@ pub struct RunSpec {
     /// Use the cycle-by-cycle reference loop instead of batched stepping
     /// (differential testing and throughput baselines).
     pub stepwise: bool,
-    /// Attach the basic-block translation cache to the core for batched
-    /// runs. Bit-identical simulated timing and artifacts — this only
-    /// accelerates host execution (the `fig9_blockcache` bench axis).
-    /// Inert for stepwise and SMP runs, which step per-cycle.
-    pub blocks: bool,
     /// Per-run SLO latency budget in cycles; falls back to the campaign's
     /// [`CampaignSpec::slo`] when `None`. Misses are counted exactly at
     /// harvest time and reported in the v3 telemetry artifact.
@@ -247,12 +220,6 @@ pub struct RunSpec {
     /// hart 0 and memory-pounding contention workers on the others, so
     /// the measured latencies include shared-bus arbitration delay.
     pub harts: usize,
-    /// Warm-start handle: restore this post-boot snapshot instead of
-    /// booting from cycle 0, then run only the remaining budget. The
-    /// round-trip contract makes the artifact byte-identical to a cold
-    /// boot. Built with [`RunSpec::boot_snapshot`] +
-    /// [`RunSpec::from_snapshot`].
-    pub warm: Option<WarmStart>,
 }
 
 impl RunSpec {
@@ -266,94 +233,9 @@ impl RunSpec {
             overrides: Vec::new(),
             filter: FilterPolicy::Standard,
             stepwise: false,
-            blocks: false,
             slo: None,
             harts: 1,
-            warm: None,
         }
-    }
-
-    /// Boots this run's system — overrides applied, image installed, no
-    /// external interrupts scheduled yet — for `boot_cycles` cycles and
-    /// returns the sealed snapshot document. Fork it into warm-started
-    /// runs with [`from_snapshot`](Self::from_snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Fails for analytic or SMP specs, on kernel build errors, or when
-    /// the guest halts inside the boot prefix.
-    pub fn boot_snapshot(&self, boot_cycles: u64) -> Result<Json, String> {
-        if self.harts > 1 {
-            return Err("warm start is single-hart only".into());
-        }
-        let image = match self.workload {
-            WorkloadSpec::Analytic { .. } => {
-                return Err("analytic runs have nothing to boot".into())
-            }
-            WorkloadSpec::Suite(w) => workloads::build(&w, self.preset),
-            WorkloadSpec::Custom { param, build, .. }
-            | WorkloadSpec::OpenLoop { param, build, .. } => build(param, self.preset),
-        }
-        .map_err(|e| format!("workload failed to build: {e:?}"))?;
-        let mut sys = System::new(self.core, self.preset);
-        for o in &self.overrides {
-            o.apply(&mut sys);
-        }
-        if self.blocks {
-            sys.set_block_cache(true);
-        }
-        image.install(&mut sys);
-        if self.stepwise {
-            sys.run_stepwise(boot_cycles);
-        } else {
-            sys.run(boot_cycles);
-        }
-        if sys.halted() {
-            return Err(format!(
-                "guest halted inside the {boot_cycles}-cycle boot prefix"
-            ));
-        }
-        Ok(sys.snapshot())
-    }
-
-    /// Derives a warm-started copy of this spec from a sealed post-boot
-    /// snapshot document (see [`boot_snapshot`](Self::boot_snapshot)).
-    /// The boot-prefix length is read from the snapshot itself.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a broken envelope or when the snapshot describes a
-    /// different core kind or preset than this spec.
-    pub fn from_snapshot(mut self, doc: &Json) -> Result<RunSpec, String> {
-        let state = snap::open(&doc.render()).map_err(|e| e.to_string())?;
-        let kind = snap::get_str(&state, "kind").map_err(|e| e.to_string())?;
-        if kind != self.core.name() {
-            return Err(format!(
-                "snapshot is for core `{kind}`, spec wants `{}`",
-                self.core.name()
-            ));
-        }
-        let preset = snap::get_str(&state, "preset").map_err(|e| e.to_string())?;
-        if preset != self.preset.tag() {
-            return Err(format!(
-                "snapshot is for preset `{preset}`, spec wants `{}`",
-                self.preset.tag()
-            ));
-        }
-        let platform = snap::field(&state, "platform").map_err(|e| e.to_string())?;
-        let boot_cycles = snap::get_u64(platform, "cycle").map_err(|e| e.to_string())?;
-        self.warm = Some(WarmStart {
-            state: Arc::new(state),
-            boot_cycles,
-        });
-        Ok(self)
-    }
-
-    /// Attaches the block translation cache for this run and returns
-    /// `self` (host-side speedup only; simulated results are unchanged).
-    pub fn with_blocks(mut self) -> RunSpec {
-        self.blocks = true;
-        self
     }
 
     /// Sets the hart count (SMP contention axis) and returns `self`.
@@ -1157,21 +1039,6 @@ enum IrqDrive {
 }
 
 impl IrqDrive {
-    /// Cycle of the earliest injection that will actually be scheduled,
-    /// if any — the warm-start boot prefix must end before it.
-    fn first(&self, run_cycles: u64) -> Option<u64> {
-        match self {
-            IrqDrive::Periodic(interval) => {
-                (*interval > 0 && *interval < run_cycles).then_some(*interval)
-            }
-            IrqDrive::Explicit(arrivals) => arrivals
-                .iter()
-                .copied()
-                .filter(|&at| at > 0 && at < run_cycles)
-                .min(),
-        }
-    }
-
     fn schedule(&self, sys: &mut System, run_cycles: u64) {
         match self {
             IrqDrive::Periodic(interval) => {
@@ -1239,46 +1106,14 @@ fn simulate(
     if spec.harts > 1 {
         return simulate_smp(spec, image, run_cycles, &drive, slo, deadline);
     }
-    let (mut sys, boot_cycles) = match &spec.warm {
-        Some(warm) => {
-            // The snapshot already contains overrides, block cache and
-            // the installed image — it *is* the cold run at this cycle.
-            // Injections inside the boot prefix would have fired during
-            // a cold boot but cannot fire here, so reject the overlap
-            // instead of silently diverging from the cold artifact.
-            if warm.boot_cycles >= run_cycles {
-                return Err(format!(
-                    "boot prefix ({} cycles) swallows the whole {run_cycles}-cycle budget",
-                    warm.boot_cycles
-                ));
-            }
-            if let Some(first) = drive.first(run_cycles) {
-                if first <= warm.boot_cycles {
-                    return Err(format!(
-                        "boot prefix ({} cycles) overlaps the first external \
-                         interrupt at cycle {first}",
-                        warm.boot_cycles
-                    ));
-                }
-            }
-            let sys = System::from_state_snap(&warm.state).map_err(|e| e.to_string())?;
-            (sys, warm.boot_cycles)
-        }
-        None => {
-            let mut sys = System::new(spec.core, spec.preset);
-            for o in &spec.overrides {
-                o.apply(&mut sys);
-            }
-            if spec.blocks {
-                sys.set_block_cache(true);
-            }
-            image.install(&mut sys);
-            (sys, 0)
-        }
-    };
+    let mut sys = System::new(spec.core, spec.preset);
+    for o in &spec.overrides {
+        o.apply(&mut sys);
+    }
+    image.install(&mut sys);
     drive.schedule(&mut sys, run_cycles);
     let stepwise = spec.stepwise;
-    run_with_deadline(run_cycles - boot_cycles, deadline, |chunk| {
+    run_with_deadline(run_cycles, deadline, |chunk| {
         if stepwise {
             sys.run_stepwise(chunk);
         } else {
@@ -1324,14 +1159,15 @@ fn simulate_smp(
 }
 
 /// An endless load/store walk over the hart's private DMEM bank: pure
-/// shared-bus pressure, no functional footprint outside its own bank.
+/// shared-bus pressure, no functional footprint outside its own bank —
+/// the program every hart but hart 0 runs on the SMP contention axis.
 ///
 /// The walk visits 8 addresses 4 KiB apart — the same cache set on both
 /// cached cores (CVA6: 64 sets × 16 B lines; NaxRiscv: 64 sets × 64 B
 /// lines) with more tags than either's 4 ways — so every iteration
 /// misses (and write-back evicts) instead of settling into the cache
 /// and going silent on the bus.
-fn contention_program() -> rvsim_isa::Program {
+pub fn contention_program() -> rvsim_isa::Program {
     use rvsim_isa::{Asm, Reg};
     let mut a = Asm::new(IMEM_BASE);
     a.li(Reg::T4, 4096);
@@ -1659,7 +1495,7 @@ mod tests {
         assert_eq!(a.retired, b.retired);
         assert_eq!(a.port, b.port);
         assert_eq!(a.trace_marks, b.trace_marks);
-        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counters.without_block_stats(), b.counters);
         assert_eq!(a.waterfall, b.waterfall);
     }
 
@@ -1695,56 +1531,6 @@ mod tests {
         assert!(rendered.contains("\"wait_cycles\""));
         // The single-core run's JSON is unchanged by the SMP axis.
         assert!(!rendered.contains("\"harts\": 1"));
-    }
-
-    #[test]
-    fn warm_start_reproduces_the_cold_artifact() {
-        let w = workloads::by_name("pingpong_semaphore").expect("exists");
-        let cold_spec = CampaignSpec::new("test_warm")
-            .with(RunSpec::new(
-                CoreKind::Cv32e40p,
-                Preset::Slt,
-                WorkloadSpec::Suite(w),
-            ))
-            .with(
-                RunSpec::new(CoreKind::Cva6, Preset::Vanilla, WorkloadSpec::Suite(w)).with_blocks(),
-            );
-        let cold = cold_spec.run(2);
-
-        let mut warm_spec = CampaignSpec::new("test_warm");
-        let mut saved = 0u64;
-        for run in cold_spec.runs.clone() {
-            let doc = run.boot_snapshot(12_345).expect("boot prefix simulates");
-            let warm = run.from_snapshot(&doc).expect("fork from snapshot");
-            saved += warm.warm.as_ref().expect("warm handle").boot_cycles();
-            warm_spec = warm_spec.with(warm);
-        }
-        assert_eq!(saved, 2 * 12_345, "boot prefix length self-reports");
-        let warm = warm_spec.run(2);
-        assert_eq!(
-            cold.to_json().render(),
-            warm.to_json().render(),
-            "warm-started campaign artifact must be byte-identical to cold boot"
-        );
-    }
-
-    #[test]
-    fn warm_start_rejects_an_overlapping_boot_prefix() {
-        let w = workloads::by_name("interrupt_latency").expect("exists");
-        assert!(w.ext_irq_interval > 0, "needs external interrupts");
-        let run = RunSpec::new(CoreKind::Cv32e40p, Preset::Slt, WorkloadSpec::Suite(w));
-        let doc = run
-            .boot_snapshot(w.ext_irq_interval + 500)
-            .expect("boot prefix simulates");
-        let warm = run.from_snapshot(&doc).expect("fork");
-        let c = CampaignSpec::new("test_warm_overlap").with(warm).run(1);
-        assert!(c.outcomes.is_empty());
-        assert_eq!(c.failures.len(), 1);
-        assert!(
-            c.failures[0].detail.contains("overlaps the first external"),
-            "unexpected failure detail: {}",
-            c.failures[0].detail
-        );
     }
 
     #[test]

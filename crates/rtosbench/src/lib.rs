@@ -25,7 +25,7 @@ pub mod workloads;
 
 pub use campaign::{
     Campaign, CampaignSpec, ConfigOverride, FailureKind, FilterPolicy, RunFailure, RunOutcome,
-    RunSpec, SimOutcome, WarmStart, WorkloadSpec,
+    RunSpec, SimOutcome, WorkloadSpec,
 };
 pub use perfdiff::{compare, DiffOptions, DiffReport, MetricDelta};
 pub use runner::{run_suite, run_workload, run_workload_with, Fig9Row, RunResult};

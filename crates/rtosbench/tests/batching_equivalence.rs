@@ -1,7 +1,8 @@
 //! Differential test for the batched execution path.
 //!
 //! `System::run` burns through quiescent stretches with the engine's
-//! `run_until`; `System::run_stepwise` is the cycle-by-cycle reference.
+//! batched `run_until`/`run_costep`, which execute translated blocks;
+//! `System::run_stepwise` is the cycle-by-cycle reference.
 //! The two must be cycle-exact: identical switch episodes (trigger, entry
 //! and `mret` timestamps), cycle counts, retirement counts and port
 //! occupancy, for every core model and unit preset — including the
@@ -65,7 +66,6 @@ fn run_one(
     workload: &str,
     stepwise: bool,
     faulted: bool,
-    blocks: bool,
 ) -> System {
     let w = workloads::by_name(workload).expect("workload exists");
     let image = workloads::build(&w, preset).expect("workload builds");
@@ -78,9 +78,6 @@ fn run_one(
     // too (asserted below), and enabling it must not perturb any of the
     // other equivalences.
     sys.set_profiling(true);
-    if blocks {
-        sys.set_block_cache(true);
-    }
     if w.ext_irq_interval > 0 {
         let mut at = w.ext_irq_interval;
         while at < w.run_cycles {
@@ -96,18 +93,10 @@ fn run_one(
     sys
 }
 
-fn assert_equivalent_inner(
-    core: CoreKind,
-    preset: Preset,
-    workload: &str,
-    faulted: bool,
-    blocks: bool,
-) {
-    // The block translation cache only ever accelerates the batched
-    // path; the stepwise reference always interprets per cycle.
-    let mut fast = run_one(core, preset, workload, false, faulted, blocks);
-    let mut slow = run_one(core, preset, workload, true, faulted, false);
-    let ctx = format!("{core:?}/{preset}/{workload}/faulted={faulted}/blocks={blocks}");
+fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, faulted: bool) {
+    let mut fast = run_one(core, preset, workload, false, faulted);
+    let mut slow = run_one(core, preset, workload, true, faulted);
+    let ctx = format!("{core:?}/{preset}/{workload}/faulted={faulted}");
     assert_eq!(
         fast.take_profile(),
         slow.take_profile(),
@@ -142,26 +131,18 @@ fn assert_equivalent_inner(
         slow.unit_stats(),
         "{ctx}: unit counters diverged"
     );
-    // With the block cache on, every architectural counter still matches
-    // the per-cycle reference exactly; only the fast path's own
-    // bookkeeping trio (block_hits/block_builds/fused_ops) is nonzero.
+    // Every architectural counter matches the per-cycle reference
+    // exactly; only the fast path's own bookkeeping trio
+    // (block_hits/block_builds/fused_ops) is nonzero.
     assert_eq!(
         fast.core.counters().without_block_stats(),
-        slow.core.counters().without_block_stats(),
+        slow.core.counters(),
         "{ctx}: core activity counters diverged"
     );
-    if blocks {
-        assert!(
-            fast.core.counters().block_hits > 0,
-            "{ctx}: block cache never engaged"
-        );
-    } else {
-        assert_eq!(
-            fast.core.counters(),
-            slow.core.counters(),
-            "{ctx}: block bookkeeping counters moved without the cache"
-        );
-    }
+    assert!(
+        fast.core.counters().block_hits > 0,
+        "{ctx}: block cache never engaged"
+    );
     assert_eq!(
         fast.faults_applied(),
         slow.faults_applied(),
@@ -173,7 +154,7 @@ fn assert_equivalent_inner(
 }
 
 fn assert_equivalent(core: CoreKind, preset: Preset, workload: &str) {
-    assert_equivalent_inner(core, preset, workload, false, false);
+    assert_equivalent_inner(core, preset, workload, false);
 }
 
 #[test]
@@ -214,57 +195,13 @@ fn batched_run_matches_stepwise_for_remaining_presets() {
 fn batched_run_matches_stepwise_with_a_fault_plan() {
     // Injection must not break the batching contract: the quiescent
     // horizon stops short of every planned fault, so batched and
-    // stepwise runs stay bit-identical *with faults firing*.
+    // stepwise runs stay bit-identical *with faults firing* — faults
+    // perturb registers, memory, IRQ lines and the cache while
+    // translated blocks are live.
     for core in CoreKind::ALL {
         for preset in [Preset::Vanilla, Preset::Slt] {
             for workload in ["delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, true, false);
-            }
-        }
-    }
-}
-
-#[test]
-fn blocks_enabled_run_matches_stepwise_across_the_latency_matrix() {
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Cv32rt, Preset::Slt, Preset::Split] {
-            for workload in ["roundrobin_yield", "delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, false, true);
-            }
-        }
-    }
-}
-
-#[test]
-fn blocks_enabled_run_matches_stepwise_for_remaining_presets() {
-    for preset in [
-        Preset::Sl,
-        Preset::T,
-        Preset::St,
-        Preset::Sdlo,
-        Preset::Sdlot,
-        Preset::SltHs,
-    ] {
-        assert_equivalent_inner(
-            CoreKind::Cv32e40p,
-            preset,
-            "pingpong_semaphore",
-            false,
-            true,
-        );
-        assert_equivalent_inner(CoreKind::NaxRiscv, preset, "priority_chain", false, true);
-    }
-}
-
-#[test]
-fn blocks_enabled_run_matches_stepwise_with_a_fault_plan() {
-    // Faults perturb registers, memory, IRQ lines and the cache while
-    // blocks are live; the quiescent horizon still stops short of every
-    // planned fault, so the translated path stays bit-identical too.
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt] {
-            for workload in ["delay_periodic", "interrupt_latency"] {
-                assert_equivalent_inner(core, preset, workload, true, true);
+                assert_equivalent_inner(core, preset, workload, true);
             }
         }
     }

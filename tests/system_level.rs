@@ -164,13 +164,13 @@ fn imem_flip_fault_invalidates_live_translated_blocks() {
     // A fault-injected instruction-memory bit flip lands in the middle of
     // a run while the block translation cache holds a live block covering
     // that word. The coherent imem-write path must kill the stale
-    // translation, so the blocks-enabled batched run stays bit-identical
-    // to the per-cycle interpreter seeing the same flip.
+    // translation, so the batched run stays bit-identical to the
+    // per-cycle interpreter seeing the same flip.
     let w = workloads::by_name("delay_periodic").expect("exists");
     let core = CoreKind::Cv32e40p;
     let preset = Preset::Slt;
 
-    // Scout run with the cache on and no fault: pick the hottest profiled
+    // Batched scout run with no fault: pick the hottest profiled
     // block that the cache actually translated — its entry word is
     // guaranteed to be covered by a live block again in the real runs.
     // Restrict to entries whose flipped word still decodes to a plain ALU
@@ -181,7 +181,6 @@ fn imem_flip_fault_invalidates_live_translated_blocks() {
         let mut sys = System::new(core, preset);
         image.install(&mut sys);
         sys.set_profiling(true);
-        sys.set_block_cache(true);
         sys.run(w.run_cycles);
         let profile = sys.take_profile().expect("profiling was enabled");
         let hot = sys.core.hot_blocks(&profile);
@@ -201,12 +200,11 @@ fn imem_flip_fault_invalidates_live_translated_blocks() {
             .start
     };
 
-    let run = |blocks: bool| {
+    let run = |batched: bool| {
         let image = workloads::build(&w, preset).expect("builds");
         let mut sys = System::new(core, preset);
         image.install(&mut sys);
         sys.set_profiling(true);
-        sys.set_block_cache(blocks);
         sys.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
             at_cycle: w.run_cycles / 2,
             kind: FaultKind::ImemFlip {
@@ -214,7 +212,7 @@ fn imem_flip_fault_invalidates_live_translated_blocks() {
                 bit: 7,
             },
         }]));
-        if blocks {
+        if batched {
             sys.run(w.run_cycles);
         } else {
             sys.run_stepwise(w.run_cycles);

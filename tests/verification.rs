@@ -13,7 +13,7 @@
 //! Seeds are fixed, so all gates are deterministic; failure messages
 //! name the seed for replay via the `checkfuzz` bin.
 
-use rtosunit_suite::bench::campaign::{CampaignSpec, RunSpec, WorkloadSpec};
+use rtosunit_suite::bench::campaign::{Campaign, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosunit_suite::bench::workloads;
 use rtosunit_suite::check::{
     episode_for_seed, run_episode, run_scenario, run_smp_scenario, scenario_for_seed,
@@ -143,77 +143,70 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-#[test]
-fn single_core_campaign_artifact_is_byte_identical_to_pre_smp_baseline() {
-    // Pinned on the commit immediately before the CpuCore/SMP refactor:
-    // the rendered campaign JSON for this fixed matrix hashed to the
-    // value below. Single-core users must see bit-for-bit identical
-    // measurements and artifacts after the refactor — a drift here means
-    // the SMP plumbing leaked into the classic path (e.g. an extra JSON
-    // key, a changed timing) and must be fixed, not re-pinned.
+/// The fixed single-core matrix both artifact pins run: every core with
+/// and without the unit on one suite workload, on the chosen path.
+fn pinned_matrix_campaign(stepwise: bool) -> Campaign {
     let w = workloads::by_name("pingpong_semaphore").expect("suite workload exists");
     let mut spec = CampaignSpec::new("smp_equiv");
     for core in CoreKind::ALL {
         for preset in [Preset::Vanilla, Preset::Slt] {
-            spec.runs
-                .push(RunSpec::new(core, preset, WorkloadSpec::Suite(w)));
+            let mut run = RunSpec::new(core, preset, WorkloadSpec::Suite(w));
+            run.stepwise = stepwise;
+            spec.runs.push(run);
         }
     }
-    let rendered = spec.run(4).to_json().render();
-    assert_eq!(rendered.len(), 35753, "artifact length drifted");
+    spec.run(4)
+}
+
+fn assert_matches_pre_smp_pin(campaign: &Campaign, path: &str) {
+    let rendered = campaign.to_json().render();
+    assert_eq!(rendered.len(), 35753, "{path}: artifact length drifted");
     assert_eq!(
         fnv1a(rendered.as_bytes()),
         0xa270_a007_f9dc_103d,
-        "artifact bytes drifted from the pre-refactor baseline"
+        "{path}: artifact bytes drifted from the pre-refactor baseline"
     );
+}
+
+#[test]
+fn single_core_campaign_artifact_is_byte_identical_to_pre_smp_baseline() {
+    // Pinned on the commit immediately before the SMP refactor: the
+    // rendered campaign JSON for this fixed matrix hashed to the value
+    // below. Single-core users must see bit-for-bit identical
+    // measurements and artifacts after the refactor — a drift here means
+    // the SMP plumbing leaked into the classic path (e.g. an extra JSON
+    // key, a changed timing) and must be fixed, not re-pinned. This test
+    // holds the cycle-by-cycle reference path to the pin; the batched
+    // fast path is held to it below.
+    let campaign = pinned_matrix_campaign(true);
+    for o in &campaign.outcomes {
+        let sim = o.sim.as_ref().expect("suite run simulates");
+        assert_eq!(
+            sim.counters.block_hits, 0,
+            "{}: reference path used blocks",
+            o.label
+        );
+    }
+    assert_matches_pre_smp_pin(&campaign, "stepwise");
 }
 
 #[test]
 fn block_cache_campaign_artifact_matches_the_pinned_baseline() {
-    // The same fixed matrix with the block translation cache enabled on
-    // every run must hash to the very same pre-refactor pin: the cache is
-    // host-side execution speed only, invisible in every measured cycle,
-    // every counter and every byte of the rendered artifact.
-    let w = workloads::by_name("pingpong_semaphore").expect("suite workload exists");
-    let mut spec = CampaignSpec::new("smp_equiv");
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt] {
-            spec.runs
-                .push(RunSpec::new(core, preset, WorkloadSpec::Suite(w)).with_blocks());
-        }
+    // Batched runs execute through the block translation cache, and the
+    // same fixed matrix must hash to the very same pre-refactor pin: the
+    // cache is host-side execution speed only, invisible in every
+    // measured cycle, every counter and every byte of the rendered
+    // artifact. The host-side counters prove the cache really served
+    // every run.
+    let campaign = pinned_matrix_campaign(false);
+    for o in &campaign.outcomes {
+        let sim = o.sim.as_ref().expect("suite run simulates");
+        assert!(
+            sim.counters.block_builds > 0,
+            "{}: no blocks built",
+            o.label
+        );
+        assert!(sim.counters.block_hits > 0, "{}: no block hits", o.label);
     }
-    let rendered = spec.run(4).to_json().render();
-    assert_eq!(rendered.len(), 35753, "artifact length drifted");
-    assert_eq!(
-        fnv1a(rendered.as_bytes()),
-        0xa270_a007_f9dc_103d,
-        "block-cache artifact drifted from the pre-refactor baseline"
-    );
-}
-
-#[test]
-fn warm_started_campaign_artifact_matches_the_pinned_baseline() {
-    // The same fixed matrix warm-started from per-cell boot snapshots:
-    // every run boots once to cycle 10 000, snapshots, and forks the
-    // measured run from the snapshot instead of re-simulating the boot
-    // prefix. The artifact must hash to the very same pre-refactor pin —
-    // warm start is an execution shortcut, not a measurement change, so
-    // every latency row, counter and byte stays identical.
-    let w = workloads::by_name("pingpong_semaphore").expect("suite workload exists");
-    let mut spec = CampaignSpec::new("smp_equiv");
-    for core in CoreKind::ALL {
-        for preset in [Preset::Vanilla, Preset::Slt] {
-            let run = RunSpec::new(core, preset, WorkloadSpec::Suite(w));
-            let boot = run.boot_snapshot(10_000).expect("boot prefix simulates");
-            spec.runs
-                .push(run.from_snapshot(&boot).expect("fork from boot snapshot"));
-        }
-    }
-    let rendered = spec.run(4).to_json().render();
-    assert_eq!(rendered.len(), 35753, "artifact length drifted");
-    assert_eq!(
-        fnv1a(rendered.as_bytes()),
-        0xa270_a007_f9dc_103d,
-        "warm-started artifact drifted from the cold-boot baseline"
-    );
+    assert_matches_pre_smp_pin(&campaign, "block cache");
 }
