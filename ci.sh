@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, build and the full test suite.
-# Mirrors .github/workflows/ci.yml so the same checks run locally.
+# The CI gate: formatting, lints, build, the full test suite and the
+# artifact smoke tests. The `check` job of .github/workflows/ci.yml runs
+# this script, so the gate is defined once and runs the same locally.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -28,7 +29,17 @@ test -s results/trace_dump_smp.json
 # failures hid behind the same fallback and the check was silently dead).
 if command -v python3 > /dev/null 2>&1; then HAVE_PY=1; else HAVE_PY=0; fi
 if [ "$HAVE_PY" = 1 ]; then
-  python3 -c "import json; json.load(open('results/trace_dump.json')); json.load(open('results/trace_dump_smp.json'))"
+  python3 -c "
+import json
+d = json.load(open('results/trace_dump.json'))
+names = {e.get('name') for e in d['traceEvents']}
+missing = {'irq_raised', 'isr_entry', 'save_done', 'sched_done', 'mret', 'cache'} - names
+assert not missing, missing
+d = json.load(open('results/trace_dump_smp.json'))
+tracks = {e['args']['name'] for e in d['traceEvents'] if e.get('name') == 'thread_name'}
+missing = {f'hart{h} {t}' for h in (0, 1) for t in ('episodes', 'phases', 'events')} - tracks
+assert not missing, missing
+"
 else
   echo "   (python3 unavailable — relying on the binary's self-validation)"
 fi

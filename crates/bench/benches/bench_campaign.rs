@@ -13,6 +13,7 @@
 //! reported ratios compare the least-disturbed run of every cell.
 
 use rtosbench::{workloads, Campaign, CampaignSpec};
+use rtosunit::Preset;
 use rtosunit_bench::harness::Bench;
 use rvsim_cores::CoreKind;
 
@@ -35,8 +36,12 @@ fn geomean_speedup(base: &Campaign, fast: &Campaign) -> f64 {
 }
 
 fn fig9_spec(stepwise: bool) -> CampaignSpec {
-    let presets = rtosunit_bench::latency_presets();
-    let mut spec = CampaignSpec::matrix("bench_fig9", &CoreKind::ALL, &presets, &workloads::ALL);
+    let mut spec = CampaignSpec::matrix(
+        "bench_fig9",
+        &CoreKind::ALL,
+        &Preset::LATENCY_SET,
+        &workloads::ALL,
+    );
     for run in &mut spec.runs {
         run.stepwise = stepwise;
     }

@@ -76,7 +76,6 @@ fn spec() -> CampaignSpec {
                 param: depth as u32,
                 build: thrash_kernel,
                 run_cycles: 500_000,
-                ext_irq_interval: 0,
             },
         );
         run.label = Some(format!("ctx_queue/depth_{depth}"));
@@ -101,7 +100,6 @@ fn spec() -> CampaignSpec {
                     param: n,
                     build: tick_kernel,
                     run_cycles: 400_000,
-                    ext_irq_interval: 0,
                 },
             );
             run.label = Some(format!("tick/{}/tasks_{n}", preset.label()));

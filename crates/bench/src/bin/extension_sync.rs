@@ -41,7 +41,6 @@ fn spec() -> CampaignSpec {
                     param: 0,
                     build: pingpong_kernel,
                     run_cycles: 400_000,
-                    ext_irq_interval: 0,
                 },
             );
             run.filter = FilterPolicy::All;

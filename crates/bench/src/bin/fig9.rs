@@ -9,52 +9,26 @@
 //! `--quick` restricts the matrix to one core (CI smoke; artifact
 //! `results/fig9_quick.json` so the full figure is never clobbered).
 
-use rtosbench::{report, workloads, Campaign, CampaignSpec, Fig9Row};
-use rtosunit::{trace, LatencyStats, Preset};
+use rtosbench::{report, workloads, CampaignSpec, Fig9Row};
+use rtosunit::{trace, Preset};
 use rvsim_cores::CoreKind;
-
-/// Pools a `(core, preset)` row from the campaign's per-workload
-/// outcomes, exactly as the sequential `run_suite` does.
-fn pool_row(campaign: &Campaign, core: CoreKind, preset: Preset) -> Fig9Row {
-    let mut pooled = Vec::new();
-    let mut per_workload = Vec::new();
-    for w in workloads::ALL {
-        let label = format!("{}/{}/{}", core.name(), preset.label(), w.name);
-        let sim = campaign
-            .find(&label)
-            .and_then(|o| o.sim.as_ref())
-            .expect("matrix covers every (core, preset, workload)");
-        if let Some(s) = sim.stats() {
-            per_workload.push((w.name, s));
-        }
-        pooled.extend_from_slice(&sim.latencies);
-    }
-    let stats = LatencyStats::from_latencies(&pooled).expect("suite produced no context switches");
-    Fig9Row {
-        core,
-        preset,
-        stats,
-        per_workload,
-    }
-}
 
 fn main() {
     let quick = rtosunit_bench::quick_arg("fig9");
-    let presets = rtosunit_bench::latency_presets();
     let cores: &[CoreKind] = if quick {
         &CoreKind::ALL[..1]
     } else {
         &CoreKind::ALL
     };
     let name = if quick { "fig9_quick" } else { "fig9" };
-    let campaign = CampaignSpec::matrix(name, cores, &presets, &workloads::ALL)
+    let campaign = CampaignSpec::matrix(name, cores, &Preset::LATENCY_SET, &workloads::ALL)
         .run(rtosunit_bench::default_workers());
 
     let mut out = String::new();
     for &core in cores {
-        let rows: Vec<_> = presets
-            .iter()
-            .map(|&p| pool_row(&campaign, core, p))
+        let rows: Vec<_> = Preset::LATENCY_SET
+            .into_iter()
+            .map(|p| Fig9Row::pool(&campaign, core, p))
             .collect();
         out.push_str(&report::fig9_table(core.name(), &rows));
         out.push('\n');

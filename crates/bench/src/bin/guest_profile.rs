@@ -19,15 +19,16 @@
 //! rate, fused macro-ops and retranslations. The SMP path steps
 //! per-cycle and builds no cache, so its tables omit them.
 //!
-//! With `--harts N` (N > 1) the workload runs on hart 0 of an
-//! [`SmpSystem`](rtosunit::SmpSystem) while the other harts pound the
-//! shared bus; every hart is profiled, and the folded output keeps one
-//! root per hart so the flamegraph shows per-hart attribution
-//! side by side.
+//! The run boots exactly as a campaign run does ([`campaign::boot`]),
+//! external-interrupt arrivals included. With `--harts N` (N > 1) the
+//! workload runs on hart 0 of an [`SmpSystem`](rtosunit::SmpSystem)
+//! while the other harts pound the shared bus; every hart is profiled,
+//! and the folded output keeps one root per hart so the flamegraph shows
+//! per-hart attribution side by side.
 
-use rtosbench::campaign::contention_program;
+use rtosbench::campaign::{self, Booted, RunSpec, WorkloadSpec};
 use rtosbench::workloads;
-use rtosunit::{Preset, SmpSystem, System};
+use rtosunit::{Preset, System};
 use rvsim_cores::{hot_block_report, hot_block_report_with_blocks, CoreKind, PcProfile};
 use std::process::ExitCode;
 
@@ -111,7 +112,7 @@ fn main() -> ExitCode {
         eprintln!("guest_profile: unknown workload `{workload}`");
         return usage();
     };
-    let image = workloads::build(&w, preset).expect("workload builds");
+    let spec = RunSpec::new(core, preset, WorkloadSpec::Suite(w)).with_harts(harts);
 
     let mut folded = String::new();
     let mut report = format!(
@@ -119,33 +120,21 @@ fn main() -> ExitCode {
         preset.label(),
         harts
     );
-    if harts == 1 {
-        let mut sys = System::new(core, preset);
-        image.install(&mut sys);
-        sys.set_profiling(true);
-        if w.ext_irq_interval > 0 {
-            let mut at = w.ext_irq_interval;
-            while at < w.run_cycles {
-                sys.schedule_external_irq(at);
-                at += w.ext_irq_interval;
+    match campaign::boot(&spec).expect("workload builds") {
+        Booted::Single(mut sys) => {
+            sys.set_profiling(true);
+            sys.run(w.run_cycles);
+            let profile = sys.take_profile().expect("profiling was enabled");
+            append_hart(&mut folded, &mut report, &mut sys, &profile, 0, true);
+        }
+        Booted::Smp(mut smp) => {
+            smp.set_profiling(true);
+            smp.run(w.run_cycles);
+            let profiles = smp.take_profiles();
+            for (h, profile) in profiles.iter().enumerate() {
+                let profile = profile.as_ref().expect("profiling was enabled");
+                append_hart(&mut folded, &mut report, smp.hart_mut(h), profile, h, false);
             }
-        }
-        sys.run(w.run_cycles);
-        let profile = sys.take_profile().expect("profiling was enabled");
-        append_hart(&mut folded, &mut report, &mut sys, &profile, 0, true);
-    } else {
-        let mut smp = SmpSystem::new(core, preset, harts);
-        image.install(smp.hart_mut(0));
-        let pounder = contention_program();
-        for h in 1..harts {
-            smp.load_program(h, &pounder);
-        }
-        smp.set_profiling(true);
-        smp.run(w.run_cycles);
-        let profiles = smp.take_profiles();
-        for (h, profile) in profiles.iter().enumerate() {
-            let profile = profile.as_ref().expect("profiling was enabled");
-            append_hart(&mut folded, &mut report, smp.hart_mut(h), profile, h, false);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfdiff <baseline.json> <current.json> [--tolerance 0.10]
-//!          [--no-throughput] [--relative] [--json]
+//!          [--no-throughput] [--relative]
 //! ```
 //!
 //! Exit status: 0 when the gate passes, 1 on a regression or a missing
@@ -10,8 +10,7 @@
 //! the diff to deterministic simulated-cycle metrics (the mode used
 //! against committed baselines); `--relative` normalises host-dependent
 //! throughput by each artifact's geometric mean so a uniformly slower
-//! CI machine doesn't trip the gate. `--json` replaces the table with a
-//! machine-readable `rtosunit-perfdiff-v1` report.
+//! CI machine doesn't trip the gate.
 
 use rtosbench::{compare, DiffOptions, Json};
 use std::process::ExitCode;
@@ -19,7 +18,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfdiff <baseline.json> <current.json> \
-         [--tolerance FRACTION] [--no-throughput] [--relative] [--json]"
+         [--tolerance FRACTION] [--no-throughput] [--relative]"
     );
     ExitCode::from(2)
 }
@@ -28,7 +27,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths = Vec::new();
     let mut opts = DiffOptions::default();
-    let mut as_json = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -44,7 +42,6 @@ fn main() -> ExitCode {
             }
             "--no-throughput" => opts.check_throughput = false,
             "--relative" => opts.relative = true,
-            "--json" => as_json = true,
             flag if flag.starts_with("--") => return usage(),
             path => paths.push(path.to_string()),
         }
@@ -69,11 +66,7 @@ fn main() -> ExitCode {
 
     match compare(&baseline, &current, &opts) {
         Ok(report) => {
-            if as_json {
-                print!("{}", report.to_json().render());
-            } else {
-                print!("{}", report.human());
-            }
+            print!("{}", report.human());
             if report.passed() {
                 ExitCode::SUCCESS
             } else {

@@ -48,12 +48,8 @@ fn main() {
     let mut sys = System::new(core, preset);
     image.install(&mut sys);
     sys.enable_tracing(TRACE_CAPACITY);
-    if workload.ext_irq_interval > 0 {
-        let mut at = workload.ext_irq_interval;
-        while at < RUN_CYCLES {
-            sys.schedule_external_irq(at);
-            at += workload.ext_irq_interval;
-        }
+    for at in workload.ext_irq_arrivals(RUN_CYCLES) {
+        sys.schedule_external_irq(at);
     }
     sys.run(RUN_CYCLES);
 

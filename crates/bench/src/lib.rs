@@ -7,8 +7,6 @@
 pub mod chrome_trace;
 pub mod harness;
 
-use rtosunit::Preset;
-
 /// Writes `content` to `results/<name>` (best effort) and echoes it to
 /// stdout, so figure data survives the run.
 pub fn emit(name: &str, content: &str) {
@@ -27,11 +25,6 @@ pub fn paper_note(lines: &[&str]) -> String {
         s.push_str(&format!("#   {l}\n"));
     }
     s
-}
-
-/// Presets of the latency evaluation in Fig. 9 order.
-pub fn latency_presets() -> Vec<Preset> {
-    Preset::LATENCY_SET.to_vec()
 }
 
 /// Parses the command line of a figure binary whose only option is

@@ -170,14 +170,6 @@ impl LatencyHistogram {
         Some(out)
     }
 
-    /// Exact number of samples strictly above `threshold`, computable
-    /// from buckets alone only when the threshold is a bucket boundary —
-    /// use [`SloCounter`] for arbitrary thresholds.
-    pub fn count_above_boundary(&self, threshold: u64) -> u64 {
-        let first = bucket_index(threshold) + 1;
-        self.counts[first.min(BUCKETS)..].iter().sum()
-    }
-
     /// Merges `other` into `self`: plain array addition plus min/max/total
     /// folds, so the operation is exactly associative and commutative and
     /// conserves the recorded count.
@@ -189,15 +181,6 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.total = self.total.wrapping_add(other.total);
-    }
-
-    /// Non-empty `(lower_bound, upper_bound, count)` buckets, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower(i), bucket_upper(i), c))
     }
 }
 

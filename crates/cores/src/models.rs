@@ -48,16 +48,6 @@ impl CoreKind {
         matches!(self, CoreKind::NaxRiscv)
     }
 
-    /// Backing-memory latency behind the cache/bus, in extra cycles per
-    /// access (0 = single-cycle SRAM).
-    pub fn memory_latency(self) -> u32 {
-        match self {
-            CoreKind::Cv32e40p => 0,
-            CoreKind::Cva6 => 0,
-            CoreKind::NaxRiscv => 0,
-        }
-    }
-
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         self.timing().name

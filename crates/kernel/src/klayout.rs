@@ -26,13 +26,6 @@ pub const CV32RT_FRAME_BYTES: u32 = 128;
 /// Frame offset of the first hardware-written (snapshot) word.
 pub const CV32RT_HW_BLOCK_OFF: u32 = 64;
 
-/// CV32RT frame offset of software-saved context word `w`
-/// (`w` indexes the 13 low registers, then `mstatus`, `mepc`).
-pub fn cv32rt_sw_off(slot: usize) -> i32 {
-    debug_assert!(slot < 16);
-    (slot as i32) * 4
-}
-
 /// TCB field offsets (bytes).
 pub mod tcb {
     /// Saved stack pointer (top of the saved context frame).

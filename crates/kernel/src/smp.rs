@@ -63,7 +63,6 @@ pub struct SmpKernelBuilder {
     probe: bool,
     sems: Vec<(String, u32)>,
     tasks: Vec<SmpTaskSpec>,
-    ext_irq: Option<(usize, String)>,
 }
 
 impl SmpKernelBuilder {
@@ -77,7 +76,6 @@ impl SmpKernelBuilder {
             probe: false,
             sems: Vec::new(),
             tasks: Vec::new(),
-            ext_irq: None,
         }
     }
 
@@ -130,13 +128,6 @@ impl SmpKernelBuilder {
         self
     }
 
-    /// Binds the external interrupt line of `hart` to `sem_give(name)`
-    /// inside that hart's ISR (deferred interrupt handling).
-    pub fn ext_irq_gives_on(&mut self, hart: usize, name: &str) -> &mut Self {
-        self.ext_irq = Some((hart, name.to_string()));
-        self
-    }
-
     /// Places every task and assembles one kernel image per hart.
     ///
     /// Placement walks tasks in declaration order and pins each to the
@@ -175,16 +166,11 @@ impl SmpKernelBuilder {
         }
 
         let mut harts = Vec::with_capacity(self.harts);
-        for (h, tasks) in per_hart.into_iter().enumerate() {
+        for tasks in per_hart {
             let mut k = KernelBuilder::new(self.preset);
             k.tick_period(self.tick_period).probe(self.probe).ipi(true);
             for (name, initial) in &self.sems {
                 k.semaphore(name, *initial);
-            }
-            if let Some((eh, name)) = &self.ext_irq {
-                if *eh == h {
-                    k.ext_irq_gives(name);
-                }
             }
             if tasks.is_empty() {
                 // Every image needs one user task; a hart left without

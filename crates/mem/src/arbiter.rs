@@ -235,11 +235,6 @@ impl BusArbiter {
         self.stats[master]
     }
 
-    /// Statistics for all masters, in hart order.
-    pub fn all_stats(&self) -> &[BusMasterStats] {
-        &self.stats
-    }
-
     /// Serializes the bus-timing state and per-master statistics for a
     /// machine-state snapshot.
     pub fn to_snap(&self) -> Json {

@@ -227,14 +227,6 @@ impl Cache {
         false
     }
 
-    /// Invalidates everything (no write-back; the simulator keeps data in
-    /// RAM synchronously, so this is purely a timing-state reset).
-    pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
-    }
-
     /// Serializes geometry, tag/valid/dirty/LRU state and counters for a
     /// machine-state snapshot.
     pub fn to_snap(&self) -> Json {

@@ -33,7 +33,7 @@ use rvsim_isa::csr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How a run's raw switch episodes are reduced to measured latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,15 +70,6 @@ impl FilterPolicy {
             FilterPolicy::All => records.to_vec(),
         }
     }
-
-    fn label(self) -> &'static str {
-        match self {
-            FilterPolicy::Standard => "standard",
-            FilterPolicy::WarmupOnly => "warmup_only",
-            FilterPolicy::WarmupTimerTicks => "warmup_timer_ticks",
-            FilterPolicy::All => "all",
-        }
-    }
 }
 
 /// A pre-boot platform/system reconfiguration (the ablation knobs).
@@ -109,15 +100,6 @@ impl ConfigOverride {
             ConfigOverride::TimerPeriod(p) => sys.set_timer_period(p),
         }
     }
-
-    fn to_json(self) -> Json {
-        match self {
-            ConfigOverride::CtxQueueDepth(d) => Json::object().with("ctx_queue_depth", d),
-            ConfigOverride::UnitArbitration(s) => Json::object().with("unit_shares_cache", s),
-            ConfigOverride::UnitListLen(l) => Json::object().with("unit_list_len", l),
-            ConfigOverride::TimerPeriod(p) => Json::object().with("timer_period", p),
-        }
-    }
 }
 
 /// The workload a [`RunSpec`] executes.
@@ -136,8 +118,6 @@ pub enum WorkloadSpec {
         build: fn(u32, Preset) -> Result<GuestImage, KernelError>,
         /// Cycle budget for the run.
         run_cycles: u64,
-        /// Interval of injected external interrupts (0 = none).
-        ext_irq_interval: u64,
     },
     /// A custom guest kernel driven by an *open-loop* external-interrupt
     /// arrival process: instead of a fixed interval, `arrivals` computes
@@ -188,6 +168,17 @@ impl WorkloadSpec {
             WorkloadSpec::Custom { param, .. }
             | WorkloadSpec::OpenLoop { param, .. }
             | WorkloadSpec::Analytic { param, .. } => *param,
+        }
+    }
+
+    /// The cycle budget of a simulated workload (0 for analytic ones).
+    fn run_cycles(&self) -> u64 {
+        match self {
+            WorkloadSpec::Suite(w) => w.run_cycles,
+            WorkloadSpec::Custom { run_cycles, .. } | WorkloadSpec::OpenLoop { run_cycles, .. } => {
+                *run_cycles
+            }
+            WorkloadSpec::Analytic { .. } => 0,
         }
     }
 }
@@ -369,18 +360,6 @@ pub struct CampaignSpec {
     pub slo: Option<u64>,
     /// Print a live progress line to stderr while the campaign runs.
     pub progress: bool,
-    /// Per-run host wall-time watchdog. When set, simulation proceeds in
-    /// chunks (cycle-exact with the unchunked run) and a run that blows
-    /// the budget fails as [`FailureKind::TimedOut`] instead of hanging
-    /// the whole campaign on one runaway guest.
-    pub wall_limit: Option<Duration>,
-    /// How many times a panicked or timed-out run is retried (with a
-    /// short exponential backoff) before its failure is recorded. Build
-    /// failures are deterministic and never retried.
-    pub retries: u32,
-    /// Directory to write one replayable JSON artifact per failed run
-    /// into (`<campaign>_run<index>.json`). `None` disables quarantine.
-    pub quarantine: Option<std::path::PathBuf>,
 }
 
 impl CampaignSpec {
@@ -392,28 +371,7 @@ impl CampaignSpec {
             telemetry: false,
             slo: None,
             progress: false,
-            wall_limit: None,
-            retries: 1,
-            quarantine: None,
         }
-    }
-
-    /// Sets the per-run host wall-time watchdog.
-    pub fn with_wall_limit(mut self, limit: Duration) -> CampaignSpec {
-        self.wall_limit = Some(limit);
-        self
-    }
-
-    /// Sets the retry budget for panicked / timed-out runs.
-    pub fn with_retries(mut self, retries: u32) -> CampaignSpec {
-        self.retries = retries;
-        self
-    }
-
-    /// Enables quarantine artifacts for failed runs under `dir`.
-    pub fn with_quarantine(mut self, dir: impl Into<std::path::PathBuf>) -> CampaignSpec {
-        self.quarantine = Some(dir.into());
-        self
     }
 
     /// Enables extended artifact telemetry (schema v3).
@@ -465,17 +423,14 @@ impl CampaignSpec {
     /// the result — including its JSON rendering — is identical for every
     /// worker count.
     ///
-    /// The executor is crash-tolerant: every run executes under
-    /// `catch_unwind`, so one panicking or runaway run costs exactly its
-    /// own result. The campaign always completes, carrying partial
-    /// results plus a [`Campaign::failures`] report (and, with
-    /// [`with_quarantine`](Self::with_quarantine), one replayable JSON
-    /// artifact per failure).
+    /// Every run executes under `catch_unwind`, so a panicking run costs
+    /// exactly its own result: the campaign always completes, carrying
+    /// the other outcomes plus a [`Campaign::failures`] report.
     pub fn run(&self, workers: usize) -> Campaign {
         let started = Instant::now();
         let n = self.runs.len();
         let workers = workers.clamp(1, n.max(1));
-        let mut slots: Vec<Option<Result<RunOutcome, RunFailure>>> = (0..n).map(|_| None).collect();
+        let mut results = Vec::with_capacity(n);
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
@@ -484,57 +439,39 @@ impl CampaignSpec {
                 let next = &next;
                 let runs = &self.runs;
                 let default_slo = self.slo;
-                let wall_limit = self.wall_limit;
-                let retries = self.retries;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= runs.len() {
                         break;
                     }
-                    let result =
-                        execute_with_recovery(i, &runs[i], default_slo, wall_limit, retries);
+                    let result = execute_isolated(i, &runs[i], default_slo);
                     if tx.send((i, result)).is_err() {
                         break;
                     }
                 });
             }
             drop(tx);
-            let mut done = 0usize;
             for (i, result) in rx {
-                done += 1;
                 if self.progress {
                     let label = match &result {
                         Ok(o) => o.label.clone(),
                         Err(f) => format!("{} FAILED ({})", f.label, f.kind.name()),
                     };
-                    progress_line(self.name, done, n, &label);
+                    progress_line(self.name, results.len() + 1, n, &label);
                 }
-                slots[i] = Some(result);
+                results.push((i, result));
             }
             if self.progress {
                 finish_progress();
             }
         });
+        results.sort_unstable_by_key(|&(i, _)| i);
         let mut outcomes = Vec::with_capacity(n);
         let mut failures = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(o)) => outcomes.push(o),
-                Some(Err(f)) => failures.push(f),
-                // Defensive: a worker died between claiming the index and
-                // delivering — the run is reported lost, not the campaign.
-                None => failures.push(RunFailure {
-                    index: i,
-                    label: self.runs[i].label(),
-                    kind: FailureKind::Lost,
-                    detail: "worker terminated without delivering this run".to_string(),
-                    attempts: 0,
-                }),
-            }
-        }
-        if let Some(dir) = &self.quarantine {
-            for f in &failures {
-                quarantine_failure(dir, self.name, self, f);
+        for (_, result) in results {
+            match result {
+                Ok(o) => outcomes.push(o),
+                Err(f) => failures.push(f),
             }
         }
         Campaign {
@@ -552,14 +489,10 @@ impl CampaignSpec {
 /// Why one campaign run produced no outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The guest kernel failed to build (deterministic — never retried).
+    /// The guest kernel failed to build.
     Build,
     /// The simulation panicked; caught by the worker's `catch_unwind`.
     Panicked,
-    /// The per-run wall-time watchdog expired (runaway guest).
-    TimedOut,
-    /// A worker died without delivering the claimed run.
-    Lost,
 }
 
 impl FailureKind {
@@ -568,13 +501,11 @@ impl FailureKind {
         match self {
             FailureKind::Build => "build",
             FailureKind::Panicked => "panicked",
-            FailureKind::TimedOut => "timed_out",
-            FailureKind::Lost => "lost",
         }
     }
 }
 
-/// One failed run: everything needed to report and replay it.
+/// One failed run.
 #[derive(Debug, Clone)]
 pub struct RunFailure {
     /// Index into [`CampaignSpec::runs`].
@@ -583,11 +514,8 @@ pub struct RunFailure {
     pub label: String,
     /// Failure class.
     pub kind: FailureKind,
-    /// Human-readable detail (panic message, timeout report, builder
-    /// error).
+    /// Human-readable detail (panic message or builder error).
     pub detail: String,
-    /// Execution attempts made (1 = failed first try, no retries left).
-    pub attempts: u32,
 }
 
 impl RunFailure {
@@ -598,50 +526,26 @@ impl RunFailure {
             .with("label", self.label.as_str())
             .with("kind", self.kind.name())
             .with("detail", self.detail.as_str())
-            .with("attempts", u64::from(self.attempts))
     }
 }
 
-/// Executes one run with panic isolation and bounded retry: panics and
-/// timeouts retry up to `retries` times with a short exponential
-/// backoff (transient host conditions — memory pressure, scheduler
-/// hiccups blowing a wall limit); build failures are deterministic and
-/// fail immediately.
-fn execute_with_recovery(
+/// Executes one run, turning a panic into a [`FailureKind::Panicked`]
+/// failure.
+fn execute_isolated(
     index: usize,
     spec: &RunSpec,
     default_slo: Option<u64>,
-    wall_limit: Option<Duration>,
-    retries: u32,
 ) -> Result<RunOutcome, RunFailure> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_run(index, spec, default_slo, wall_limit)
-        }));
-        let failure = match result {
-            Ok(Ok(outcome)) => return Ok(outcome),
-            Ok(Err(mut f)) => {
-                f.attempts = attempt;
-                f
-            }
-            Err(payload) => RunFailure {
+    catch_unwind(AssertUnwindSafe(|| execute_run(index, spec, default_slo))).unwrap_or_else(
+        |payload| {
+            Err(RunFailure {
                 index,
                 label: spec.label(),
                 kind: FailureKind::Panicked,
                 detail: panic_message(payload),
-                attempts: attempt,
-            },
-        };
-        let transient = matches!(failure.kind, FailureKind::Panicked | FailureKind::TimedOut);
-        if !transient || attempt > retries {
-            return Err(failure);
-        }
-        // Bounded backoff: 10ms, 20ms, 40ms, ... capped at 200ms.
-        let backoff = Duration::from_millis((10u64 << (attempt - 1).min(5)).min(200));
-        std::thread::sleep(backoff);
-    }
+            })
+        },
+    )
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -651,49 +555,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Writes one replayable quarantine artifact for a failed run:
-/// the failure report plus the full spec shape of the run (label, core,
-/// preset, workload, overrides), enough to rebuild and re-execute it.
-/// Write errors are reported to stderr, never escalated — quarantine is
-/// best-effort by design.
-fn quarantine_failure(dir: &std::path::Path, campaign: &str, spec: &CampaignSpec, f: &RunFailure) {
-    let run = &spec.runs[f.index];
-    let doc = Json::object()
-        .with("schema", "rtosunit-quarantine-v1")
-        .with("campaign", campaign)
-        .with("failure", f.to_json())
-        .with(
-            "run",
-            Json::object()
-                .with("label", run.label())
-                .with("core", run.core.name())
-                .with("preset", run.preset.label())
-                .with("workload", run.workload.name())
-                .with("param", run.workload.param())
-                .with("filter", run.filter.label())
-                .with("stepwise", run.stepwise)
-                .with("harts", run.harts)
-                .with(
-                    "overrides",
-                    run.overrides
-                        .iter()
-                        .map(|o| o.to_json())
-                        .collect::<Vec<_>>(),
-                ),
-        );
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{campaign}_run{}.json", f.index));
-        std::fs::write(path, doc.render())
-    };
-    if let Err(e) = write() {
-        eprintln!(
-            "[{campaign}] quarantine write failed for run {}: {e}",
-            f.index
-        );
     }
 }
 
@@ -961,56 +822,19 @@ fn execute_run(
     index: usize,
     spec: &RunSpec,
     default_slo: Option<u64>,
-    wall_limit: Option<Duration>,
 ) -> Result<RunOutcome, RunFailure> {
     let started = Instant::now();
-    let deadline = wall_limit.map(|l| started + l);
-    let slo = spec.slo.or(default_slo);
-    let fail = |kind: FailureKind, detail: String| RunFailure {
-        index,
-        label: spec.label(),
-        kind,
-        detail,
-        attempts: 0,
-    };
-    let built = |r: Result<GuestImage, KernelError>, what: &str| {
-        r.map_err(|e| fail(FailureKind::Build, format!("{what} failed to build: {e:?}")))
-    };
     let (sim, analytic) = match spec.workload {
         WorkloadSpec::Analytic { param, eval, .. } => {
             (None, Some(eval(param, spec.core, spec.preset)))
         }
-        WorkloadSpec::Suite(w) => {
-            let image = built(workloads::build(&w, spec.preset), "suite workload")?;
-            let drive = IrqDrive::Periodic(w.ext_irq_interval);
-            let sim = simulate(spec, &image, w.run_cycles, drive, slo, deadline)
-                .map_err(|d| fail(FailureKind::TimedOut, d))?;
-            (Some(sim), None)
-        }
-        WorkloadSpec::Custom {
-            param,
-            build,
-            run_cycles,
-            ext_irq_interval,
-            ..
-        } => {
-            let image = built(build(param, spec.preset), "custom workload")?;
-            let drive = IrqDrive::Periodic(ext_irq_interval);
-            let sim = simulate(spec, &image, run_cycles, drive, slo, deadline)
-                .map_err(|d| fail(FailureKind::TimedOut, d))?;
-            (Some(sim), None)
-        }
-        WorkloadSpec::OpenLoop {
-            param,
-            build,
-            run_cycles,
-            arrivals,
-            ..
-        } => {
-            let image = built(build(param, spec.preset), "open-loop workload")?;
-            let drive = IrqDrive::Explicit(arrivals(param, run_cycles));
-            let sim = simulate(spec, &image, run_cycles, drive, slo, deadline)
-                .map_err(|d| fail(FailureKind::TimedOut, d))?;
+        _ => {
+            let sim = simulate(spec, spec.slo.or(default_slo)).map_err(|e| RunFailure {
+                index,
+                label: spec.label(),
+                kind: FailureKind::Build,
+                detail: format!("workload `{}` failed to build: {e:?}", spec.workload.name()),
+            })?;
             (Some(sim), None)
         }
     };
@@ -1028,134 +852,107 @@ fn execute_run(
     })
 }
 
-/// How a run's external interrupts are injected.
-enum IrqDrive {
-    /// Fixed interval, first injection at `interval` (0 = none) — the
-    /// closed-loop suite/custom behaviour.
-    Periodic(u64),
-    /// Explicit arrival cycles (open-loop workloads); injections at or
-    /// past the cycle budget are dropped.
-    Explicit(Vec<u64>),
+/// A run's simulator after [`boot`], before its first cycle.
+pub enum Booted {
+    /// The classic single-core system (`harts == 1`).
+    Single(Box<System>),
+    /// `harts ≥ 2`: the measured image on hart 0, [`contention_program`]
+    /// on every other hart.
+    Smp(SmpSystem),
 }
 
-impl IrqDrive {
-    fn schedule(&self, sys: &mut System, run_cycles: u64) {
-        match self {
-            IrqDrive::Periodic(interval) => {
-                if *interval > 0 {
-                    let mut at = *interval;
-                    while at < run_cycles {
-                        sys.schedule_external_irq(at);
-                        at += interval;
-                    }
-                }
-            }
-            IrqDrive::Explicit(arrivals) => {
-                for &at in arrivals {
-                    if at > 0 && at < run_cycles {
-                        sys.schedule_external_irq(at);
-                    }
-                }
-            }
+/// Boots a simulated run: builds the guest image, applies the spec's
+/// [`ConfigOverride`]s, installs the image and schedules the workload's
+/// external-interrupt arrivals on the measured hart. Arrivals at cycle 0
+/// or at or past the cycle budget are dropped.
+///
+/// # Errors
+///
+/// Propagates the kernel builder's error.
+///
+/// # Panics
+///
+/// Panics on a [`WorkloadSpec::Analytic`] workload, which has no guest.
+pub fn boot(spec: &RunSpec) -> Result<Booted, KernelError> {
+    let run_cycles = spec.workload.run_cycles();
+    let (image, arrivals) = match spec.workload {
+        WorkloadSpec::Suite(w) => (
+            workloads::build(&w, spec.preset)?,
+            w.ext_irq_arrivals(run_cycles),
+        ),
+        WorkloadSpec::Custom { param, build, .. } => (build(param, spec.preset)?, Vec::new()),
+        WorkloadSpec::OpenLoop {
+            param,
+            build,
+            arrivals,
+            ..
+        } => (build(param, spec.preset)?, arrivals(param, run_cycles)),
+        WorkloadSpec::Analytic { name, .. } => {
+            panic!("analytic workload `{name}` has no guest to boot")
         }
-    }
-}
-
-/// Chunk size for wall-limited runs: small enough that a runaway guest
-/// is caught within milliseconds, large enough that the deadline checks
-/// are noise. Chunked execution is cycle-exact with the unchunked run —
-/// both `System::run` and `SmpSystem::run` are incremental.
-const WALL_CHECK_CHUNK: u64 = 65_536;
-
-/// Runs `step(chunk)` — which returns `true` once the guest has halted —
-/// until `run_cycles` are spent, the guest halts, or `deadline` passes
-/// (the error carries how far the run got).
-fn run_with_deadline(
-    run_cycles: u64,
-    deadline: Option<Instant>,
-    mut step: impl FnMut(u64) -> bool,
-) -> Result<(), String> {
-    let Some(deadline) = deadline else {
-        step(run_cycles);
-        return Ok(());
     };
-    let mut done = 0u64;
-    while done < run_cycles {
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "wall-time watchdog expired after {done} of {run_cycles} simulated cycles"
-            ));
+    let mut booted = if spec.harts == 1 {
+        Booted::Single(Box::new(System::new(spec.core, spec.preset)))
+    } else {
+        let mut smp = SmpSystem::new(spec.core, spec.preset, spec.harts);
+        let pounder = contention_program();
+        for h in 1..spec.harts {
+            smp.load_program(h, &pounder);
         }
-        let chunk = WALL_CHECK_CHUNK.min(run_cycles - done);
-        if step(chunk) {
-            break;
-        }
-        done += chunk;
-    }
-    Ok(())
-}
-
-fn simulate(
-    spec: &RunSpec,
-    image: &GuestImage,
-    run_cycles: u64,
-    drive: IrqDrive,
-    slo: Option<u64>,
-    deadline: Option<Instant>,
-) -> Result<SimOutcome, String> {
-    if spec.harts > 1 {
-        return simulate_smp(spec, image, run_cycles, &drive, slo, deadline);
-    }
-    let mut sys = System::new(spec.core, spec.preset);
-    for o in &spec.overrides {
-        o.apply(&mut sys);
-    }
-    image.install(&mut sys);
-    drive.schedule(&mut sys, run_cycles);
-    let stepwise = spec.stepwise;
-    run_with_deadline(run_cycles, deadline, |chunk| {
-        if stepwise {
-            sys.run_stepwise(chunk);
-        } else {
-            sys.run(chunk);
-        }
-        sys.halted()
-    })?;
-    Ok(harvest(&mut sys, spec, None, slo))
-}
-
-/// The SMP variant of [`simulate`]: the measured image boots on hart 0,
-/// every other hart runs a bare-metal load/store loop over its private
-/// DMEM bank — functionally invisible, but every access contends for the
-/// shared bus, stretching hart 0's switch latencies (the `fig_smp` axis).
-fn simulate_smp(
-    spec: &RunSpec,
-    image: &GuestImage,
-    run_cycles: u64,
-    drive: &IrqDrive,
-    slo: Option<u64>,
-    deadline: Option<Instant>,
-) -> Result<SimOutcome, String> {
-    let mut smp = SmpSystem::new(spec.core, spec.preset, spec.harts);
-    for o in &spec.overrides {
-        o.apply(smp.hart_mut(0));
-    }
-    image.install(smp.hart_mut(0));
-    let pounder = contention_program();
-    for h in 1..spec.harts {
-        smp.load_program(h, &pounder);
-    }
-    drive.schedule(smp.hart_mut(0), run_cycles);
-    run_with_deadline(run_cycles, deadline, |chunk| {
-        smp.run(chunk);
-        smp.halted()
-    })?;
-    let bus: Vec<BusMasterStats> = {
-        let shared = smp.shared();
-        let shared = shared.borrow();
-        (0..spec.harts).map(|h| shared.bus_stats(h)).collect()
+        Booted::Smp(smp)
     };
-    Ok(harvest(smp.hart_mut(0), spec, Some(bus), slo))
+    let sys: &mut System = match &mut booted {
+        Booted::Single(sys) => sys,
+        Booted::Smp(smp) => smp.hart_mut(0),
+    };
+    for o in &spec.overrides {
+        o.apply(sys);
+    }
+    image.install(sys);
+    for &at in arrivals.iter().filter(|&&at| at > 0 && at < run_cycles) {
+        sys.schedule_external_irq(at);
+    }
+    Ok(booted)
+}
+
+/// Boots `spec` ([`boot`]), runs its cycle budget — batched, or on the
+/// cycle-by-cycle reference loop when [`RunSpec::stepwise`] is set — and
+/// harvests the measured hart. `slo` is the latency budget counted into
+/// [`SimOutcome::metrics`].
+///
+/// An SMP run steps its harts in lockstep, ignoring
+/// [`RunSpec::stepwise`]. Every other hart runs the memory-pounding
+/// [`contention_program`], so hart 0's switch latencies include shared-bus
+/// arbitration delay (the `fig_smp` axis).
+///
+/// # Errors
+///
+/// Propagates the kernel builder's error.
+///
+/// # Panics
+///
+/// Panics on a [`WorkloadSpec::Analytic`] workload, like [`boot`].
+pub fn simulate(spec: &RunSpec, slo: Option<u64>) -> Result<SimOutcome, KernelError> {
+    let run_cycles = spec.workload.run_cycles();
+    Ok(match boot(spec)? {
+        Booted::Single(mut sys) => {
+            if spec.stepwise {
+                sys.run_stepwise(run_cycles);
+            } else {
+                sys.run(run_cycles);
+            }
+            harvest(&mut sys, spec, None, slo)
+        }
+        Booted::Smp(mut smp) => {
+            smp.run(run_cycles);
+            let bus: Vec<BusMasterStats> = {
+                let shared = smp.shared();
+                let shared = shared.borrow();
+                (0..spec.harts).map(|h| shared.bus_stats(h)).collect()
+            };
+            harvest(smp.hart_mut(0), spec, Some(bus), slo)
+        }
+    })
 }
 
 /// An endless load/store walk over the hart's private DMEM bank: pure
@@ -1290,27 +1087,6 @@ fn waterfall_json(episodes: &[EpisodeWaterfall]) -> Json {
         .with("phases", phases)
 }
 
-/// Renders the spec itself (shape, not results) — a debugging aid kept
-/// deterministic like everything else in this module.
-pub fn spec_to_json(spec: &CampaignSpec) -> Json {
-    Json::object().with("campaign", spec.name).with(
-        "runs",
-        spec.runs
-            .iter()
-            .map(|r| {
-                Json::object()
-                    .with("label", r.label())
-                    .with("filter", r.filter.label())
-                    .with("stepwise", r.stepwise)
-                    .with(
-                        "overrides",
-                        r.overrides.iter().map(|o| o.to_json()).collect::<Vec<_>>(),
-                    )
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1328,10 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn campaign_survives_panics_timeouts_and_build_failures() {
-        let qdir =
-            std::env::temp_dir().join(format!("rtosbench_quarantine_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&qdir);
+    fn campaign_survives_panics_and_build_failures() {
         let good = RunSpec::new(
             CoreKind::Cv32e40p,
             Preset::Vanilla,
@@ -1340,7 +1113,6 @@ mod tests {
                 param: 0,
                 build: tiny_kernel,
                 run_cycles: 50_000,
-                ext_irq_interval: 0,
             },
         );
         let panicking = RunSpec::new(
@@ -1352,20 +1124,6 @@ mod tests {
                 eval: |_, _, _| panic!("induced worker panic"),
             },
         );
-        // A runaway guest: a cycle budget that can never finish inside
-        // the wall limit. The watchdog must cut it, not hang the
-        // campaign.
-        let runaway = RunSpec::new(
-            CoreKind::Cv32e40p,
-            Preset::Vanilla,
-            WorkloadSpec::Custom {
-                name: "runaway",
-                param: 0,
-                build: tiny_kernel,
-                run_cycles: u64::MAX / 2,
-                ext_irq_interval: 0,
-            },
-        );
         let unbuildable = RunSpec::new(
             CoreKind::Cv32e40p,
             Preset::Vanilla,
@@ -1374,52 +1132,30 @@ mod tests {
                 param: 0,
                 build: empty_kernel,
                 run_cycles: 1_000,
-                ext_irq_interval: 0,
             },
         );
         let c = CampaignSpec::new("test_resilience")
             .with(good)
             .with(panicking)
-            .with(runaway)
             .with(unbuildable)
-            .with_wall_limit(Duration::from_millis(500))
-            .with_retries(1)
-            .with_quarantine(&qdir)
             .run(2);
         // The campaign completed with partial results: the good run's
         // outcome plus one reported failure per broken run.
         assert_eq!(c.outcomes.len(), 1);
         assert_eq!(c.outcomes[0].workload, "good");
         assert!(c.outcomes[0].sim.is_some());
-        assert_eq!(c.failures.len(), 3);
-        let by_label = |l: &str| {
-            c.failures
-                .iter()
-                .find(|f| f.label.contains(l))
-                .unwrap_or_else(|| panic!("no failure for {l}"))
-        };
-        let boom = by_label("boom");
+        assert_eq!(c.failures.len(), 2);
+        let boom = &c.failures[0];
         assert_eq!(boom.kind, FailureKind::Panicked);
         assert!(boom.detail.contains("induced worker panic"));
-        assert_eq!(boom.attempts, 2, "panics are retried once");
-        let runaway = by_label("runaway");
-        assert_eq!(runaway.kind, FailureKind::TimedOut);
-        assert!(runaway.detail.contains("wall-time watchdog"));
-        let nobuild = by_label("nobuild");
+        let nobuild = &c.failures[1];
         assert_eq!(nobuild.kind, FailureKind::Build);
-        assert_eq!(nobuild.attempts, 1, "build failures are never retried");
-        // The artifact reports the failures...
+        assert!(nobuild.detail.contains("nobuild"));
+        // The artifact reports the failures.
         let rendered = c.to_json().render();
         assert!(rendered.contains("\"failures\""));
-        assert!(rendered.contains("\"timed_out\""));
-        // ...and each failure left a replayable quarantine artifact.
-        for f in &c.failures {
-            let path = qdir.join(format!("test_resilience_run{}.json", f.index));
-            let body = std::fs::read_to_string(&path).expect("quarantine artifact exists");
-            assert!(body.contains("rtosunit-quarantine-v1"));
-            assert!(body.contains(f.kind.name()));
-        }
-        let _ = std::fs::remove_dir_all(&qdir);
+        assert!(rendered.contains("\"panicked\""));
+        assert!(rendered.contains("\"build\""));
     }
 
     fn tiny_spec() -> CampaignSpec {
@@ -1531,6 +1267,24 @@ mod tests {
         assert!(rendered.contains("\"wait_cycles\""));
         // The single-core run's JSON is unchanged by the SMP axis.
         assert!(!rendered.contains("\"harts\": 1"));
+    }
+
+    #[test]
+    fn smp_runs_receive_the_workloads_external_interrupts() {
+        let w = workloads::by_name("interrupt_latency").expect("exists");
+        let spec =
+            RunSpec::new(CoreKind::Cv32e40p, Preset::Slt, WorkloadSpec::Suite(w)).with_harts(2);
+        let Booted::Smp(mut smp) = boot(&spec).expect("workload builds") else {
+            panic!("a 2-hart spec boots an SmpSystem");
+        };
+        smp.run(w.run_cycles);
+        let external = smp
+            .hart_mut(0)
+            .records()
+            .iter()
+            .filter(|r| r.cause == csr::CAUSE_EXTERNAL)
+            .count();
+        assert_eq!(external, w.ext_irq_arrivals(w.run_cycles).len());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! RTOSBench-style workloads and the latency measurement runner (§6.1).
+//! RTOSBench-style workloads and the experiment campaigns that measure
+//! them (§6.1).
 //!
 //! The paper evaluates context-switch latency with "20 iterations of all
 //! tests provided by the RISC-V port of RTOSBench". This crate provides
-//! five workloads exercising the same kernel paths:
+//! seven workloads exercising the same kernel paths:
 //!
 //! | Workload | Kernel path exercised |
 //! |---|---|
@@ -11,10 +12,13 @@
 //! | `mutex_workload` | lock contention (also drives the power model, Fig. 13) |
 //! | `delay_periodic` | delay-list insertion/expiry on timer ticks |
 //! | `interrupt_latency` | deferred external-interrupt handling (§1) |
+//! | `queue_burst` | counting semaphores, repeated give-without-switch |
+//! | `priority_chain` | back-to-back preemptions through three priority levels |
 //!
-//! The [`runner`] executes a workload on a `(core, preset)` pair, collects
-//! the [`SwitchRecord`](rtosunit::SwitchRecord)s, and aggregates the
-//! mean/min/max/jitter rows of Fig. 9.
+//! Every simulated run goes through [`campaign`]: [`campaign::boot`] turns
+//! a [`RunSpec`] into a booted system, [`campaign::simulate`] runs it and
+//! collects the filtered [`SwitchRecord`](rtosunit::SwitchRecord)s, and
+//! [`Fig9Row::pool`] aggregates the mean/min/max/jitter rows of Fig. 9.
 
 pub mod campaign;
 pub mod perfdiff;
@@ -28,7 +32,7 @@ pub use campaign::{
     RunSpec, SimOutcome, WorkloadSpec,
 };
 pub use perfdiff::{compare, DiffOptions, DiffReport, MetricDelta};
-pub use runner::{run_suite, run_workload, run_workload_with, Fig9Row, RunResult};
+pub use runner::{run_workload, Fig9Row};
 pub use rvsim_snapshot::json;
 pub use rvsim_snapshot::Json;
 pub use workloads::{Workload, ALL as WORKLOADS};

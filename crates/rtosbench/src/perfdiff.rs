@@ -130,43 +130,6 @@ impl DiffReport {
         ));
         out
     }
-
-    /// Machine-readable report (`--json` output of the `perfdiff` bin).
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("schema", "rtosunit-perfdiff-v1")
-            .with("pass", self.passed())
-            .with("tolerance", self.tolerance)
-            .with(
-                "deltas",
-                self.deltas
-                    .iter()
-                    .map(|d| {
-                        Json::object()
-                            .with("run", d.run.as_str())
-                            .with("metric", d.metric.as_str())
-                            .with("baseline", d.baseline)
-                            .with("current", d.current)
-                            .with("worse", d.worse)
-                            .with("regression", d.regression)
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .with(
-                "missing",
-                self.missing
-                    .iter()
-                    .map(|m| Json::Str(m.clone()))
-                    .collect::<Vec<_>>(),
-            )
-            .with(
-                "added",
-                self.added
-                    .iter()
-                    .map(|a| Json::Str(a.clone()))
-                    .collect::<Vec<_>>(),
-            )
-    }
 }
 
 /// One extracted `(run, metric)` measurement.
@@ -574,8 +537,5 @@ mod tests {
         let human = r.human();
         assert!(human.contains("REGRESSION"));
         assert!(human.contains("verdict: FAIL"));
-        let j = r.to_json().render();
-        assert!(j.contains("\"pass\": false"));
-        assert!(Json::parse(&j).is_ok());
     }
 }

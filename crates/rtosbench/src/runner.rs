@@ -1,8 +1,8 @@
-//! Executes workloads and aggregates the Fig. 9 rows.
+//! Episode filtering, single-workload runs and the Fig. 9 rows.
 
+use crate::campaign::{self, Campaign, RunSpec, SimOutcome, WorkloadSpec};
 use crate::workloads::{self, Workload};
-use rtosunit::cv32rt::Cv32rtStats;
-use rtosunit::{LatencyStats, Preset, SwitchRecord, System, UnitStats};
+use rtosunit::{LatencyStats, Preset, SwitchRecord};
 use rvsim_cores::CoreKind;
 
 /// Switches skipped at the start of each run (cold contexts).
@@ -34,83 +34,18 @@ pub fn filter_episodes(core: CoreKind, records: &[SwitchRecord]) -> Vec<SwitchRe
         .collect()
 }
 
-/// Result of one `(core, preset, workload)` run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Core model.
-    pub core: CoreKind,
-    /// Unit configuration.
-    pub preset: Preset,
-    /// Workload name.
-    pub workload: &'static str,
-    /// Context-switch latencies after warm-up, in cycles.
-    pub latencies: Vec<u64>,
-    /// The filtered switch episodes behind `latencies` (for per-cause
-    /// breakdowns via [`rtosunit::trace`]).
-    pub records: Vec<SwitchRecord>,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub retired: u64,
-    /// RTOSUnit activity counters, if a unit was attached.
-    pub unit: Option<UnitStats>,
-    /// CV32RT activity counters, if the comparison unit was attached.
-    pub cv32rt: Option<Cv32rtStats>,
-    /// Data-port occupancy `(total, core, unit)` cycles.
-    pub port: (u64, u64, u64),
-}
-
-impl RunResult {
-    /// Latency statistics of this run.
-    pub fn stats(&self) -> Option<LatencyStats> {
-        LatencyStats::from_latencies(&self.latencies)
-    }
-}
-
-/// Runs one workload on one `(core, preset)` pair.
+/// Runs one suite workload on one `(core, preset)` pair through the
+/// campaign's run path ([`campaign::simulate`]) with standard filtering.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to build (a bug in the suite itself).
-pub fn run_workload(core: CoreKind, preset: Preset, workload: &Workload) -> RunResult {
-    run_workload_with(core, preset, workload, |_| {})
-}
-
-/// As [`run_workload`], with a hook to reconfigure the freshly built
-/// [`System`] before the guest boots (used by the ablation studies to
-/// change the ctxQueue depth or the arbitration level).
-pub fn run_workload_with(
-    core: CoreKind,
-    preset: Preset,
-    workload: &Workload,
-    configure: impl FnOnce(&mut System),
-) -> RunResult {
-    let image = workloads::build(workload, preset).expect("workload builds");
-    let mut sys = System::new(core, preset);
-    configure(&mut sys);
-    image.install(&mut sys);
-    if workload.ext_irq_interval > 0 {
-        let mut at = workload.ext_irq_interval;
-        while at < workload.run_cycles {
-            sys.schedule_external_irq(at);
-            at += workload.ext_irq_interval;
-        }
-    }
-    sys.run(workload.run_cycles);
-    let records = filter_episodes(core, sys.records());
-    let latencies: Vec<u64> = records.iter().map(SwitchRecord::latency).collect();
-    RunResult {
-        core,
-        preset,
-        workload: workload.name,
-        latencies,
-        records,
-        cycles: sys.platform.cycle(),
-        retired: sys.core.retired(),
-        unit: sys.unit_stats(),
-        cv32rt: sys.cv32rt_unit().map(|u| u.stats),
-        port: sys.platform.port_occupancy(),
-    }
+pub fn run_workload(core: CoreKind, preset: Preset, workload: &Workload) -> SimOutcome {
+    campaign::simulate(
+        &RunSpec::new(core, preset, WorkloadSpec::Suite(*workload)),
+        None,
+    )
+    .expect("workload builds")
 }
 
 /// One row of the Fig. 9 aggregation: all workloads pooled for a
@@ -128,6 +63,40 @@ pub struct Fig9Row {
 }
 
 impl Fig9Row {
+    /// Pools the latencies of every suite workload's run of
+    /// `(core, preset)` in `campaign`, as Fig. 9 does. The campaign must
+    /// hold the default-labelled single-hart run of each
+    /// [`workloads::ALL`] entry for the pair, e.g. from
+    /// [`CampaignSpec::matrix`](crate::campaign::CampaignSpec::matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a workload's run is missing or the suite measured no
+    /// context switches.
+    pub fn pool(campaign: &Campaign, core: CoreKind, preset: Preset) -> Fig9Row {
+        let mut pooled = Vec::new();
+        let mut per_workload = Vec::new();
+        for w in workloads::ALL {
+            let label = format!("{}/{}/{}", core.name(), preset.label(), w.name);
+            let sim = campaign
+                .find(&label)
+                .and_then(|o| o.sim.as_ref())
+                .unwrap_or_else(|| panic!("campaign has no simulated run `{label}`"));
+            if let Some(s) = sim.stats() {
+                per_workload.push((w.name, s));
+            }
+            pooled.extend_from_slice(&sim.latencies);
+        }
+        let stats =
+            LatencyStats::from_latencies(&pooled).expect("suite produced no context switches");
+        Fig9Row {
+            core,
+            preset,
+            stats,
+            per_workload,
+        }
+    }
+
     /// Mean latency (µ).
     pub fn mean(&self) -> f64 {
         self.stats.mean
@@ -136,27 +105,6 @@ impl Fig9Row {
     /// Jitter (Δ = max − min).
     pub fn jitter(&self) -> u64 {
         self.stats.jitter()
-    }
-}
-
-/// Runs the full suite for one `(core, preset)` pair and pools the
-/// latencies across workloads, as Fig. 9 does.
-pub fn run_suite(core: CoreKind, preset: Preset) -> Fig9Row {
-    let mut pooled = Vec::new();
-    let mut per_workload = Vec::new();
-    for w in workloads::ALL {
-        let r = run_workload(core, preset, &w);
-        if let Some(s) = r.stats() {
-            per_workload.push((w.name, s));
-        }
-        pooled.extend(r.latencies);
-    }
-    let stats = LatencyStats::from_latencies(&pooled).expect("suite produced no context switches");
-    Fig9Row {
-        core,
-        preset,
-        stats,
-        per_workload,
     }
 }
 

@@ -1,4 +1,4 @@
-//! The five RTOSBench-style workloads.
+//! The seven RTOSBench-style workloads.
 
 use freertos_lite::{GuestImage, KernelBuilder, KernelError};
 use rtosunit::Preset;
@@ -18,6 +18,21 @@ pub struct Workload {
     /// Interval of injected external interrupts (0 = none). Deliberately
     /// co-prime with the tick period so triggers drift across tick phases.
     pub ext_irq_interval: u64,
+}
+
+impl Workload {
+    /// The cycles at which this workload's external interrupts arrive
+    /// within a `run_cycles` budget: every `ext_irq_interval` cycles,
+    /// starting at one interval; none when the interval is 0.
+    pub fn ext_irq_arrivals(&self, run_cycles: u64) -> Vec<u64> {
+        if self.ext_irq_interval == 0 {
+            return Vec::new();
+        }
+        (1..)
+            .map(|k| k * self.ext_irq_interval)
+            .take_while(|&at| at < run_cycles)
+            .collect()
+    }
 }
 
 /// All workloads in suite order.
@@ -247,5 +262,24 @@ mod tests {
         for w in ALL {
             assert_eq!(w.ext_irq_interval > 0, w.name == "interrupt_latency");
         }
+    }
+
+    #[test]
+    fn ext_irq_arrivals_are_periodic_within_the_budget() {
+        let w = by_name("interrupt_latency").expect("exists");
+        let arrivals = w.ext_irq_arrivals(w.run_cycles);
+        assert_eq!(
+            arrivals.len() as u64,
+            (w.run_cycles - 1) / w.ext_irq_interval
+        );
+        assert_eq!(arrivals[0], w.ext_irq_interval);
+        assert!(arrivals
+            .windows(2)
+            .all(|p| p[1] - p[0] == w.ext_irq_interval));
+        assert!(*arrivals.last().expect("non-empty") < w.run_cycles);
+        assert!(by_name("delay_periodic")
+            .expect("exists")
+            .ext_irq_arrivals(400_000)
+            .is_empty());
     }
 }

@@ -10,6 +10,7 @@
 //! scheduling, CV32RT snapshots) where batching must correctly fall back
 //! to per-cycle stepping.
 
+use rtosbench::campaign::{self, Booted, RunSpec, WorkloadSpec};
 use rtosbench::workloads;
 use rtosunit::{Preset, System};
 use rvsim_cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
@@ -68,9 +69,10 @@ fn run_one(
     faulted: bool,
 ) -> System {
     let w = workloads::by_name(workload).expect("workload exists");
-    let image = workloads::build(&w, preset).expect("workload builds");
-    let mut sys = System::new(core, preset);
-    image.install(&mut sys);
+    let spec = RunSpec::new(core, preset, WorkloadSpec::Suite(w));
+    let Booted::Single(mut sys) = campaign::boot(&spec).expect("workload builds") else {
+        panic!("a single-hart spec boots a System");
+    };
     if faulted {
         sys.attach_fault_plan(tame_plan(w.run_cycles));
     }
@@ -78,19 +80,12 @@ fn run_one(
     // too (asserted below), and enabling it must not perturb any of the
     // other equivalences.
     sys.set_profiling(true);
-    if w.ext_irq_interval > 0 {
-        let mut at = w.ext_irq_interval;
-        while at < w.run_cycles {
-            sys.schedule_external_irq(at);
-            at += w.ext_irq_interval;
-        }
-    }
     if stepwise {
         sys.run_stepwise(w.run_cycles);
     } else {
         sys.run(w.run_cycles);
     }
-    sys
+    *sys
 }
 
 fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, faulted: bool) {

@@ -45,7 +45,6 @@ fn mixed_spec() -> CampaignSpec {
             param: 0,
             build: pingpong_kernel,
             run_cycles: 200_000,
-            ext_irq_interval: 0,
         },
     );
     custom.overrides.push(ConfigOverride::CtxQueueDepth(4));

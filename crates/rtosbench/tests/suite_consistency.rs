@@ -2,7 +2,7 @@
 //! pool the per-workload runs, and the newer workloads must exercise the
 //! kernel paths they claim to.
 
-use rtosbench::{run_workload, workloads, Fig9Row};
+use rtosbench::{run_workload, workloads, CampaignSpec, Fig9Row};
 use rtosunit::{LatencyStats, Preset};
 use rvsim_cores::CoreKind;
 
@@ -49,7 +49,8 @@ fn pooled_stats_match_manual_pooling() {
         pooled.extend(run_workload(core, preset, &w).latencies);
     }
     let manual = LatencyStats::from_latencies(&pooled).expect("latencies");
-    let row = rtosbench::run_suite(core, preset);
+    let campaign = CampaignSpec::matrix("pool", &[core], &[preset], &workloads::ALL).run(2);
+    let row = Fig9Row::pool(&campaign, core, preset);
     assert_eq!(row.stats.count, manual.count);
     assert_eq!(row.stats.min, manual.min);
     assert_eq!(row.stats.max, manual.max);
@@ -58,9 +59,12 @@ fn pooled_stats_match_manual_pooling() {
 
 #[test]
 fn report_tables_render_all_rows() {
-    let rows: Vec<Fig9Row> = [Preset::Vanilla, Preset::Slt]
+    let core = CoreKind::Cv32e40p;
+    let presets = [Preset::Vanilla, Preset::Slt];
+    let campaign = CampaignSpec::matrix("report", &[core], &presets, &workloads::ALL).run(2);
+    let rows: Vec<Fig9Row> = presets
         .into_iter()
-        .map(|p| rtosbench::run_suite(CoreKind::Cv32e40p, p))
+        .map(|p| Fig9Row::pool(&campaign, core, p))
         .collect();
     let table = rtosbench::report::fig9_table("CV32E40P", &rows);
     assert!(table.contains("(vanilla)"));

@@ -6,7 +6,7 @@
 //! where `core` is one of `cv32e40p` (default), `cva6`, `naxriscv`.
 
 use rtosunit_suite::asic::{area_report, fmax_report, power_report};
-use rtosunit_suite::bench::run_suite;
+use rtosunit_suite::bench::{workloads, CampaignSpec, Fig9Row};
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::unit::Preset;
 
@@ -22,8 +22,15 @@ fn main() {
         "{:<10} {:>8} {:>8} {:>9} {:>10} {:>9}",
         "config", "µ (cyc)", "Δ (cyc)", "area ovh", "fmax (MHz)", "power(mW)"
     );
+    let campaign = CampaignSpec::matrix(
+        "config_explorer",
+        &[kind],
+        &Preset::LATENCY_SET,
+        &workloads::ALL,
+    )
+    .run(1);
     for preset in Preset::LATENCY_SET {
-        let row = run_suite(kind, preset);
+        let row = Fig9Row::pool(&campaign, kind, preset);
         let area = area_report(kind, preset);
         let fmax = fmax_report(kind, preset);
         let power = power_report(kind, preset);
