@@ -8,6 +8,15 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== no test file is compiled out by a crate-level cfg gate"
+# A `#![cfg(...)]` on an integration-test file compiles the whole file
+# away whenever its condition is false, so its tests silently stop
+# running and even compiling. Every test file must build unconditionally.
+if grep -rln --include='*.rs' '^#!\[cfg(' tests crates/*/tests; then
+  echo "the test files above are gated by a crate-level #![cfg(...)]" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 

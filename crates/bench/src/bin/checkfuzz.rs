@@ -116,10 +116,7 @@ fn fuzz_one(seed: u64, blocks: bool, snap: bool) -> Option<String> {
         eprintln!("oracle FAIL {preset} core={core} seed={seed}: {violation}");
         let small = shrink_scenario(&spec);
         let v = run_scenario(&small).expect_err("shrunk scenario still fails");
-        let name = format!(
-            "oracle_{}_{core}_{seed}.json",
-            artifact::preset_name(preset)
-        );
+        let name = format!("oracle_{}_{core}_{seed}.json", preset.tag());
         write_artifact(&name, &artifact::oracle_to_json(&small, seed, &v));
         Some(name)
     }
@@ -278,7 +275,7 @@ fn cmd_travel(args: &[String]) -> i32 {
                 Ok(r) => println!(
                     "travel OK core={core} preset={} seed={seed}: {} checkpoints, \
                      {} rewinds verified, final cycle {}",
-                    artifact::preset_name(preset),
+                    preset.tag(),
                     r.checkpoints,
                     r.rewinds,
                     r.final_cycle
@@ -286,7 +283,7 @@ fn cmd_travel(args: &[String]) -> i32 {
                 Err(e) => {
                     eprintln!(
                         "travel FAIL core={core} preset={} seed={seed}: {e}",
-                        artifact::preset_name(preset)
+                        preset.tag()
                     );
                     failed = true;
                 }

@@ -19,8 +19,8 @@
 //!   save-at-`cycle` → restore → run `cycles`; byte-diffs the two final
 //!   sealed snapshots and exits non-zero on any mismatch.
 //!
-//! Cores are named `cv32e40p` / `cva6` / `naxriscv`; presets use their
-//! lowercase tags (`vanilla`, `slt`, ...); workloads are the suite names
+//! Cores and presets use their lowercase tags (`cv32e40p` / `cva6` /
+//! `naxriscv`; `vanilla`, `slt`, ...); workloads are the suite names
 //! (`pingpong_semaphore`, ...).
 
 use rtosbench::workloads;
@@ -30,12 +30,7 @@ use rvsim_snapshot as snap;
 use std::process::ExitCode;
 
 fn parse_core(s: &str) -> Result<CoreKind, String> {
-    match s {
-        "cv32e40p" => Ok(CoreKind::Cv32e40p),
-        "cva6" => Ok(CoreKind::Cva6),
-        "naxriscv" => Ok(CoreKind::NaxRiscv),
-        _ => Err(format!("unknown core `{s}` (cv32e40p|cva6|naxriscv)")),
-    }
+    CoreKind::from_tag(s).ok_or_else(|| format!("unknown core `{s}` (cv32e40p|cva6|naxriscv)"))
 }
 
 fn parse_preset(s: &str) -> Result<Preset, String> {

@@ -322,7 +322,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 mod tests {
     use super::*;
     use rtosunit::waterfall::decompose;
-    use rtosunit::{PhaseCode, SwitchRecord, TraceMark, TraceSink};
+    use rtosunit::{PhaseCode, SwitchRecord, TraceMark};
 
     fn sample() -> (EventTrace, Vec<EpisodeWaterfall>) {
         let mut t = EventTrace::new(64);

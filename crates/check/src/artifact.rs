@@ -20,56 +20,6 @@ use rvsim_isa::progen::{GenConfig, GenOp, ProgramSpec};
 /// Artifact format version (bump on incompatible `GenOp` changes).
 pub const VERSION: u64 = 1;
 
-fn core_name(core: CoreKind) -> &'static str {
-    match core {
-        CoreKind::Cv32e40p => "cv32e40p",
-        CoreKind::Cva6 => "cva6",
-        CoreKind::NaxRiscv => "naxriscv",
-    }
-}
-
-fn core_from_name(name: &str) -> Option<CoreKind> {
-    match name {
-        "cv32e40p" => Some(CoreKind::Cv32e40p),
-        "cva6" => Some(CoreKind::Cva6),
-        "naxriscv" => Some(CoreKind::NaxRiscv),
-        _ => None,
-    }
-}
-
-const PRESET_NAMES: [(Preset, &str); 13] = [
-    (Preset::Vanilla, "vanilla"),
-    (Preset::Cv32rt, "cv32rt"),
-    (Preset::S, "s"),
-    (Preset::Sl, "sl"),
-    (Preset::T, "t"),
-    (Preset::St, "st"),
-    (Preset::Slt, "slt"),
-    (Preset::Sd, "sd"),
-    (Preset::Sdt, "sdt"),
-    (Preset::Sdlo, "sdlo"),
-    (Preset::Sdlot, "sdlot"),
-    (Preset::Split, "split"),
-    (Preset::SltHs, "slths"),
-];
-
-/// Stable lower-case artifact name of a preset.
-pub fn preset_name(p: Preset) -> &'static str {
-    PRESET_NAMES
-        .iter()
-        .find(|(q, _)| *q == p)
-        .map(|(_, n)| *n)
-        .expect("every preset is named")
-}
-
-/// Inverse of [`preset_name`].
-pub fn preset_from_name(name: &str) -> Option<Preset> {
-    PRESET_NAMES
-        .iter()
-        .find(|(_, n)| *n == name)
-        .map(|(p, _)| *p)
-}
-
 /// Serializes a failing lockstep episode (plus the mismatch it produced
 /// and the seed it came from) to JSON.
 pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Json {
@@ -88,7 +38,7 @@ pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Jso
     Json::object()
         .with("kind", Json::Str("lockstep".into()))
         .with("version", Json::UInt(VERSION))
-        .with("core", Json::Str(core_name(ep.core).into()))
+        .with("core", Json::Str(ep.core.tag().into()))
         .with("seed", Json::UInt(seed))
         .with(
             "fault",
@@ -150,7 +100,7 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
     if j.get("kind")?.as_str()? != "lockstep" || get_u64(j, "version")? != VERSION {
         return None;
     }
-    let core = core_from_name(j.get("core")?.as_str()?)?;
+    let core = CoreKind::from_tag(j.get("core")?.as_str()?)?;
     let fault = match j.get("fault") {
         Some(Json::Str(name)) => Some(Fault::from_name(name)?),
         _ => None,
@@ -250,8 +200,8 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
     Json::object()
         .with("kind", Json::Str("oracle".into()))
         .with("version", Json::UInt(VERSION))
-        .with("core", Json::Str(core_name(spec.core).into()))
-        .with("preset", Json::Str(preset_name(spec.preset).into()))
+        .with("core", Json::Str(spec.core.tag().into()))
+        .with("preset", Json::Str(spec.preset.tag().into()))
         .with("seed", Json::UInt(seed))
         .with("tick_period", Json::UInt(u64::from(spec.tick_period)))
         .with("max_cycles", Json::UInt(spec.max_cycles))
@@ -320,8 +270,8 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
         .map(Json::as_u64)
         .collect::<Option<Vec<u64>>>()?;
     Some(ScenarioSpec {
-        core: core_from_name(j.get("core")?.as_str()?)?,
-        preset: preset_from_name(j.get("preset")?.as_str()?)?,
+        core: CoreKind::from_tag(j.get("core")?.as_str()?)?,
+        preset: Preset::from_tag(j.get("preset")?.as_str()?)?,
         tick_period: get_u64(j, "tick_period")? as u32,
         tasks,
         sems,
@@ -391,13 +341,5 @@ mod tests {
         let parsed = Json::parse(&text).expect("rendered artifact parses");
         let back = oracle_from_json(&parsed).expect("artifact decodes");
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn preset_names_roundtrip() {
-        for (p, _) in PRESET_NAMES {
-            assert_eq!(preset_from_name(preset_name(p)), Some(p));
-        }
-        assert_eq!(preset_from_name("bogus"), None);
     }
 }

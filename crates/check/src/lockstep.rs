@@ -20,12 +20,12 @@
 //! With [`EpisodeSpec::blocks`] set the engine instead runs through
 //! batched [`run_until`](rvsim_cores::CoreEngine::run_until) calls — same
 //! program, same golden model, but the block translation cache (the
-//! simulator's fast path) does the executing. State is diffed at
-//! every batch boundary and event, so a block that retires a wrong value,
-//! mis-orders a trap or survives an imem write diverges within one chunk.
-//! Interrupt lines rise at batch granularity (`at_retire` is a lower
-//! bound there), which keeps episodes deterministic while letting blocks
-//! chain freely inside a batch.
+//! simulator's fast path) does the executing. State is diffed after
+//! every batch that retired an instruction or raised an event, so a
+//! block that retires a wrong value, mis-orders a trap or survives an
+//! imem write diverges within one batch. Interrupt lines rise at batch
+//! granularity (`at_retire` is a lower bound there), which keeps episodes
+//! deterministic while letting blocks chain freely inside a batch.
 //!
 //! With [`EpisodeSpec::snap`] set the engine is additionally round-tripped
 //! through the snapshot codec ([`CoreEngine::to_snap`] →
@@ -36,11 +36,10 @@
 //! from the golden model and is caught by the ordinary lockstep diff.
 
 use crate::coproc::{ScratchCoproc, ScratchUnit};
-use rvsim_cores::engine::{BusResponse, DataBus};
-use rvsim_cores::{make_engine, stop_events, CoreEvent, CoreKind, GoldenCore, GoldenStep};
+use rvsim_cores::{make_engine, stop_events, CoreEvent, CoreKind, GoldenCore, GoldenStep, SramBus};
 use rvsim_isa::progen::{generate, GenConfig, ProgramSpec};
 use rvsim_isa::{csr, Reg, Rng64};
-use rvsim_mem::{AccessSize, Mem};
+use rvsim_mem::Mem;
 
 /// Instruction-memory window used by every episode.
 pub const IMEM_BASE: u32 = 0;
@@ -156,34 +155,6 @@ pub struct EpisodeStats {
     /// Mid-episode snapshot round-trips performed (zero unless the
     /// episode ran with [`EpisodeSpec::snap`]).
     pub snap_roundtrips: u64,
-}
-
-/// The engine-side data bus: flat SRAM, one extra cycle per load (enough
-/// to exercise multi-cycle drains without a cache model).
-struct SramBus {
-    mem: Mem,
-}
-
-impl DataBus for SramBus {
-    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-        match write {
-            Some(v) => {
-                self.mem.write(addr, size, v);
-                BusResponse {
-                    data: 0,
-                    extra_latency: 0,
-                }
-            }
-            None => BusResponse {
-                data: self.mem.read(addr, size),
-                extra_latency: 1,
-            },
-        }
-    }
-
-    fn unit_access(&mut self, _addr: u32, _write: Option<u32>) -> Option<u32> {
-        None
-    }
 }
 
 const CSR_FIELDS: [(&str, u16); 6] = [
@@ -335,9 +306,7 @@ fn build_rig(ep: &EpisodeSpec) -> Rig {
 
     Rig {
         engine,
-        bus: SramBus {
-            mem: Mem::new(data_base, data_len),
-        },
+        bus: SramBus::new(data_base, data_len),
         coproc: ScratchCoproc(ScratchUnit::new()),
         golden,
         golden_unit: ScratchUnit::new(),
@@ -347,144 +316,17 @@ fn build_rig(ep: &EpisodeSpec) -> Rig {
 }
 
 /// Runs one lockstep episode to completion, returning stats on agreement
-/// or the first divergence. Per-cycle by default; with
-/// [`EpisodeSpec::blocks`] set the engine runs through the batched block
-/// translation cache path instead.
+/// or the first divergence. The engine advances one cycle per
+/// [`CoreEngine::step`](rvsim_cores::CoreEngine::step), or with
+/// [`EpisodeSpec::blocks`] set by `BATCH`-cycle `run_until` calls through
+/// the block translation cache. After each advance the golden core
+/// catches up by the retire delta, trap causes are checked on both sides,
+/// and the full state is diffed whenever the advance retired an
+/// instruction or raised an event.
 pub fn run_episode(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
-    if ep.blocks {
-        run_episode_batched(ep)
-    } else {
-        run_episode_cycle(ep)
-    }
-}
-
-/// The per-cycle reference driver: golden catch-up and full state diff at
-/// every retire boundary.
-fn run_episode_cycle(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
-    let Rig {
-        mut engine,
-        mut bus,
-        mut coproc,
-        mut golden,
-        mut golden_unit,
-        data_base,
-        data_len,
-    } = build_rig(ep);
-
-    let mut stats = EpisodeStats::default();
-    let mut snap_plan = SnapPlan::new(ep);
-    let mut mip: u32 = 0;
-    let mut next_irq = 0usize;
-
-    loop {
-        if engine.retired() >= ep.max_retires || engine.cycle() >= ep.max_cycles {
-            break;
-        }
-        // Raise planned lines that are due at this retire count.
-        while let Some(ev) = ep.irqs.get(next_irq) {
-            if engine.retired() >= ev.at_retire {
-                mip |= ev.mask;
-                next_irq += 1;
-            } else {
-                break;
-            }
-        }
-        // A parked core with nothing pending never wakes: jump the plan
-        // forward, or end the episode once it is exhausted.
-        if engine.waiting_for_interrupt() && mip & engine.state.csrs.mie == 0 {
-            match ep.irqs.get(next_irq) {
-                Some(ev) => {
-                    mip |= ev.mask;
-                    next_irq += 1;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        engine.state.csrs.mip = mip;
-        let before = engine.retired();
-        let out = engine.step(&mut bus, &mut coproc);
-        let retires = engine.retired() - before;
-
-        // Mirror the engine's view of the lines onto the golden core for
-        // exactly the instructions that retired this cycle.
-        golden.mip = mip;
-        for _ in 0..retires {
-            step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)?;
-        }
-
-        match out.event {
-            Some(CoreEvent::InterruptEntered { cause }) => {
-                stats.interrupts += 1;
-                match golden.take_interrupt() {
-                    Some(gc) if gc == cause => {}
-                    other => {
-                        return Err(Mismatch {
-                            field: "interrupt cause".into(),
-                            engine: cause,
-                            golden: other.unwrap_or(0),
-                            retired: engine.retired(),
-                            cycle: engine.cycle(),
-                        });
-                    }
-                }
-                mip = 0;
-                golden.mip = 0;
-            }
-            Some(CoreEvent::ExceptionEntered { cause }) => {
-                stats.exceptions += 1;
-                match step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)? {
-                    GoldenStep::Trap(gc) if gc == cause => {}
-                    other => {
-                        return Err(Mismatch {
-                            field: format!("exception cause ({other:?} on golden side)"),
-                            engine: cause,
-                            golden: golden.mcause,
-                            retired: engine.retired(),
-                            cycle: engine.cycle(),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        if retires > 0 || out.event.is_some() {
-            diff_state(&engine, &golden)?;
-        }
-        snap_plan.maybe_roundtrip(&mut engine, &mut bus, ep.core, &mut stats)?;
-        if engine.halted() {
-            stats.halted = true;
-            break;
-        }
-    }
-
-    stats.retired = engine.retired();
-    stats.cycles = engine.cycle();
-    if golden.retired() != engine.retired() {
-        return Err(Mismatch {
-            field: "retire count".into(),
-            engine: engine.retired() as u32,
-            golden: golden.retired() as u32,
-            retired: engine.retired(),
-            cycle: engine.cycle(),
-        });
-    }
-    diff_memory(&engine, &bus, &golden, data_base, data_len)?;
-    Ok(stats)
-}
-
-/// The batched driver: the engine runs in `CHUNK`-cycle `run_until`
-/// batches through the block translation cache; the golden core
-/// catches up by the batch's retire delta and the full state is diffed at
-/// every batch boundary. Events surface on the batch's final cycle, so
-/// interrupt and exception causes are checked exactly as in the per-cycle
-/// driver.
-fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
     // Big enough for blocks to chain several times per batch, small
     // enough that a planned interrupt line is never starved for long.
-    const CHUNK: u64 = 64;
+    const BATCH: u64 = 64;
 
     let Rig {
         mut engine,
@@ -506,8 +348,8 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             break;
         }
         // Raise planned lines that are due at this retire count. Inside a
-        // batch the count runs ahead unobserved, so a line rises at the
-        // first batch boundary at or after its `at_retire`.
+        // batch the count runs ahead unobserved, so with blocks a line
+        // rises at the first batch boundary at or after its `at_retire`.
         while let Some(ev) = ep.irqs.get(next_irq) {
             if engine.retired() >= ev.at_retire {
                 mip |= ev.mask;
@@ -529,20 +371,28 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             }
         }
 
-        // `mip` is constant for the whole batch — exactly the `run_until`
-        // batching contract.
+        // `mip` is constant for the whole advance — exactly the
+        // `run_until` batching contract.
         engine.state.csrs.mip = mip;
         let before = engine.retired();
-        let budget = CHUNK.min(ep.max_cycles - engine.cycle());
-        let exit = engine.run_until(&mut bus, &mut coproc, stop_events::ALL, budget);
+        let event = if ep.blocks {
+            let budget = BATCH.min(ep.max_cycles - engine.cycle());
+            engine
+                .run_until(&mut bus, &mut coproc, stop_events::ALL, budget)
+                .event
+        } else {
+            engine.step(&mut bus, &mut coproc).event
+        };
         let retires = engine.retired() - before;
 
+        // Mirror the engine's view of the lines onto the golden core for
+        // exactly the instructions that retired in this advance.
         golden.mip = mip;
         for _ in 0..retires {
-            step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)?;
+            step_golden(&mut golden, &mut golden_unit, ep.fault);
         }
 
-        match exit.event {
+        match event {
             Some(CoreEvent::InterruptEntered { cause }) => {
                 stats.interrupts += 1;
                 match golden.take_interrupt() {
@@ -562,7 +412,7 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             }
             Some(CoreEvent::ExceptionEntered { cause }) => {
                 stats.exceptions += 1;
-                match step_golden(&mut golden, &mut golden_unit, ep.fault, &mut stats)? {
+                match step_golden(&mut golden, &mut golden_unit, ep.fault) {
                     GoldenStep::Trap(gc) if gc == cause => {}
                     other => {
                         return Err(Mismatch {
@@ -578,7 +428,9 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             _ => {}
         }
 
-        diff_state(&engine, &golden)?;
+        if retires > 0 || event.is_some() {
+            diff_state(&engine, &golden)?;
+        }
         snap_plan.maybe_roundtrip(&mut engine, &mut bus, ep.core, &mut stats)?;
         if engine.halted() {
             stats.halted = true;
@@ -602,14 +454,12 @@ fn run_episode_batched(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
     Ok(stats)
 }
 
-/// Steps the golden core once, applying the injected fault and asserting
-/// that a step demanded for a retire really retires.
+/// Steps the golden core once, applying the injected fault.
 fn step_golden(
     golden: &mut GoldenCore,
     unit: &mut ScratchUnit,
     fault: Option<Fault>,
-    stats: &mut EpisodeStats,
-) -> Result<GoldenStep, Mismatch> {
+) -> GoldenStep {
     let fault_target = match fault {
         Some(Fault::GoldenSltuFlip) => sltu_rd_at(golden),
         None => None,
@@ -622,8 +472,7 @@ fn step_golden(
             golden.write_reg(rd, v ^ 1);
         }
     }
-    let _ = stats;
-    Ok(step)
+    step
 }
 
 /// If the golden core's next instruction is `sltu`/`sltiu` with a real

@@ -506,7 +506,6 @@ mod tests {
     use super::*;
     use crate::scenario::TaskScript;
     use rtosunit::Preset;
-    use rtosunit::TraceSink;
     use rvsim_cores::CoreKind;
 
     fn two_task_spec() -> ScenarioSpec {

@@ -1,52 +1,17 @@
-//! Scheduler-oracle smoke sweep: every ISR variant survives randomized
-//! syscall/interrupt schedules, checked event-by-event against the
-//! host-side kernel model. Seeds are fixed (deterministic); cores rotate
-//! per seed so all three timing engines are exercised. A failure names
-//! `(preset, core, seed)` for replay via `checkfuzz`. The full
-//! 1000-schedules-per-variant tier-1 gate runs from the root suite
+//! Sanity check that the scheduler oracle can fail: a real kernel trace
+//! replayed against a model with the wrong task priorities is rejected. The
+//! randomized oracle gates themselves (1 000 schedules per ISR variant,
+//! 500 multi-core schedules) run from the root suite
 //! (`tests/verification.rs`).
 
 use rvsim_check::{oracle, scenario_for_seed, trace_scenario, ORACLE_PRESETS};
 use rvsim_cores::CoreKind;
 
-const SCHEDULES_PER_VARIANT: u64 = 150;
-
-#[test]
-fn randomized_schedules_per_isr_variant() {
-    for preset in ORACLE_PRESETS {
-        let mut total = rvsim_check::OracleStats::default();
-        for seed in 0..SCHEDULES_PER_VARIANT {
-            let core = CoreKind::ALL[(seed % 3) as usize];
-            let spec = scenario_for_seed(core, preset, seed);
-            let stats = rvsim_check::run_scenario(&spec)
-                .unwrap_or_else(|v| panic!("{preset} core={core} seed={seed}: {v}"));
-            total.scheds += stats.scheds;
-            total.task_marks += stats.task_marks;
-            total.takes_ok += stats.takes_ok;
-            total.takes_blocked += stats.takes_blocked;
-            total.gives += stats.gives;
-            total.isr_gives += stats.isr_gives;
-            total.delays += stats.delays;
-            total.ticks += stats.ticks;
-        }
-        // The sweep is only meaningful if the schedules actually
-        // exercised the kernel: checked scheduling decisions and every
-        // probe kind observed (thresholds scaled to the seed count).
-        assert!(total.scheds > 1_500, "{preset}: scheds {}", total.scheds);
-        assert!(total.task_marks > 1_500, "{preset}: few marks");
-        assert!(total.takes_ok > 15, "{preset}: few takes");
-        assert!(total.takes_blocked > 15, "{preset}: few blocking takes");
-        assert!(total.gives > 15, "{preset}: few gives");
-        assert!(total.isr_gives > 1, "{preset}: few ISR gives");
-        assert!(total.delays > 15, "{preset}: few delays");
-    }
-}
-
 #[test]
 fn oracle_rejects_a_trace_checked_against_the_wrong_priorities() {
-    // Sanity that the gate above can fail at all: replay a real trace
-    // against a model whose task priorities are swapped. Some seeds never
-    // make the two tasks contend, so scan a few until the oracle objects.
+    // Replay a real trace against a model whose task priorities are
+    // swapped. Some seeds never make the two tasks contend, so scan a few
+    // until the oracle objects.
     let preset = ORACLE_PRESETS[0];
     for seed in 0..50 {
         let spec = scenario_for_seed(CoreKind::Cv32e40p, preset, seed);

@@ -4,25 +4,20 @@
 //! engine, the kernel, or the harness itself — so fixes stay covered
 //! deterministically after the nightly fuzz range moves past them.
 
+use rtosunit::Preset;
 use rvsim_check::faultcamp::{classify_fault_events, fault_plan_for, FaultOutcome};
-use rvsim_check::{episode_for_seed, run_episode, run_scenario, scenario_for_seed, ORACLE_PRESETS};
+use rvsim_check::{episode_for_seed, run_episode, run_scenario, scenario_for_seed};
 use rvsim_cores::CoreKind;
 use rvsim_isa::progen::GenConfig;
 
 const SEEDS: &str = include_str!("regression_seeds.txt");
 
-fn core_from_name(name: &str) -> CoreKind {
-    CoreKind::ALL
-        .into_iter()
-        .find(|c| c.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| panic!("unknown core {name:?}"))
+fn parse_core(tag: &str) -> CoreKind {
+    CoreKind::from_tag(tag).unwrap_or_else(|| panic!("unknown core {tag:?}"))
 }
 
-fn preset_from_lower(name: &str) -> rtosunit::Preset {
-    ORACLE_PRESETS
-        .into_iter()
-        .find(|p| rvsim_check::artifact::preset_name(*p) == name)
-        .unwrap_or_else(|| panic!("unknown oracle preset {name:?}"))
+fn parse_preset(tag: &str) -> Preset {
+    Preset::from_tag(tag).unwrap_or_else(|| panic!("unknown preset {tag:?}"))
 }
 
 #[test]
@@ -36,7 +31,7 @@ fn regression_seeds_stay_clean() {
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields.as_slice() {
             ["lockstep", core, seed] => {
-                let core = core_from_name(core);
+                let core = parse_core(core);
                 let seed: u64 = seed.parse().expect("seed");
                 let cfg = GenConfig {
                     len: 256,
@@ -48,7 +43,7 @@ fn regression_seeds_stay_clean() {
                 }
             }
             ["lockstep-snap", core, seed] => {
-                let core = core_from_name(core);
+                let core = parse_core(core);
                 let seed: u64 = seed.parse().expect("seed");
                 let cfg = GenConfig {
                     len: 256,
@@ -61,8 +56,8 @@ fn regression_seeds_stay_clean() {
                 }
             }
             ["oracle", preset, core, seed] => {
-                let preset = preset_from_lower(preset);
-                let core = core_from_name(core);
+                let preset = parse_preset(preset);
+                let core = parse_core(core);
                 let seed: u64 = seed.parse().expect("seed");
                 let spec = scenario_for_seed(core, preset, seed);
                 if let Err(v) = run_scenario(&spec) {
@@ -70,8 +65,8 @@ fn regression_seeds_stay_clean() {
                 }
             }
             ["faultcamp", preset, core, scenario_seed, fault_seed, outcome] => {
-                let preset = preset_from_lower(preset);
-                let core = core_from_name(core);
+                let preset = parse_preset(preset);
+                let core = parse_core(core);
                 let scenario_seed: u64 = scenario_seed.parse().expect("scenario seed");
                 let fault_seed: u64 = fault_seed.parse().expect("fault seed");
                 let expected = FaultOutcome::from_name(outcome)

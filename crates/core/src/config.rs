@@ -379,6 +379,14 @@ mod tests {
     }
 
     #[test]
+    fn tags_roundtrip() {
+        for p in Preset::ASIC_SET.into_iter().chain([Preset::SltHs]) {
+            assert_eq!(Preset::from_tag(p.tag()), Some(p));
+        }
+        assert_eq!(Preset::from_tag("bogus"), None);
+    }
+
+    #[test]
     fn latency_set_matches_fig9() {
         assert_eq!(Preset::LATENCY_SET.len(), 10);
         assert!(Preset::LATENCY_SET.contains(&Preset::Sdlo));

@@ -6,10 +6,9 @@
 //!
 //! * [`TraceEvent`] — the typed event vocabulary (interrupt edges, ISR
 //!   entry, guest phase marks, `mret`, cache and unit activity),
-//! * [`TraceSink`] — the recording interface the platform and system
-//!   drive,
-//! * [`EventTrace`] — a bounded ring-buffer sink (oldest events are
-//!   dropped first, with a drop counter so truncation is never silent),
+//! * [`EventTrace`] — the bounded ring buffer the platform and system
+//!   record into (oldest events are dropped first, with a drop counter so
+//!   truncation is never silent),
 //! * [`TraceMark`] / [`PhaseCode`] — the typed guest→host instrumentation
 //!   channel: the kernel writes encoded phase codes to the TRACE MMIO
 //!   register at ISR phase boundaries and the host decodes them back.
@@ -129,7 +128,7 @@ impl TraceMark {
     }
 }
 
-/// A typed simulation event. Stamped with its cycle by the sink.
+/// A typed simulation event, stamped with its cycle when recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An interrupt line rose (`mip` rising edge).
@@ -195,13 +194,6 @@ impl TraceEvent {
             TraceEvent::FaultDetected { .. } => "fault_detected",
         }
     }
-}
-
-/// Receives cycle-stamped events. The platform and system drive a sink
-/// when tracing is enabled; [`EventTrace`] is the standard implementation.
-pub trait TraceSink {
-    /// Records one event at `cycle`.
-    fn record(&mut self, cycle: u64, event: TraceEvent);
 }
 
 /// A bounded ring-buffered event trace: the most recent `capacity` events
@@ -358,8 +350,10 @@ fn trace_event_from_snap(value: &Json) -> Result<(u64, TraceEvent), SnapError> {
     Ok((cycle, event))
 }
 
-impl TraceSink for EventTrace {
-    fn record(&mut self, cycle: u64, event: TraceEvent) {
+impl EventTrace {
+    /// Records one event at `cycle`, dropping the oldest retained event
+    /// when the ring is full.
+    pub fn record(&mut self, cycle: u64, event: TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;

@@ -51,7 +51,7 @@ pub mod waterfall;
 
 pub use config::{ConfigError, Preset, RtosUnitConfig};
 pub use cv32rt::Cv32rtUnit;
-pub use events::{EventTrace, PhaseCode, TraceEvent, TraceMark, TraceSink};
+pub use events::{EventTrace, PhaseCode, TraceEvent, TraceMark};
 pub use hist::{LatencyHistogram, SloCounter, SwitchMetrics, REPORTED_PERCENTILES};
 pub use platform::{Mmio, Platform};
 pub use rvsim_mem::BusMasterStats;

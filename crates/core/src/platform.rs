@@ -14,7 +14,7 @@
 //!   also warm the cache for the core.
 
 use crate::ctxqueue::CtxQueue;
-use crate::events::{EventTrace, PhaseCode, TraceEvent, TraceMark, TraceSink};
+use crate::events::{EventTrace, PhaseCode, TraceEvent, TraceMark};
 use crate::layout::*;
 use crate::smp::SmpShared;
 use rvsim_cores::engine::{BusResponse, DataBus};

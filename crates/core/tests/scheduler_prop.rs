@@ -1,12 +1,13 @@
 //! Property tests: the hardware scheduler against an executable
 //! reference model of FreeRTOS's scheduling rules (Fig. 2 / Fig. 5).
+//! Each property runs over fixed `Rng64` seeds; a failure names the seed
+//! that reproduces it.
 
-#![cfg(feature = "proptest")]
-// Default-off: requires the external `proptest` crate (network). See the
-// crate's Cargo.toml for how to enable.
-
-use proptest::prelude::*;
 use rtosunit::HwScheduler;
+use rvsim_isa::Rng64;
+use std::collections::HashSet;
+
+const CASES: u64 = 2048;
 
 /// Straightforward reference model: explicit priority buckets.
 #[derive(Debug, Default, Clone)]
@@ -76,38 +77,50 @@ enum SchedOp {
     Tick,
 }
 
-fn arb_op() -> impl Strategy<Value = SchedOp> {
-    prop_oneof![
-        (0u8..32, 0u8..8).prop_map(|(id, p)| SchedOp::AddReady(id, p)),
-        (0u8..32, 0u8..8, 1u32..6).prop_map(|(id, p, t)| SchedOp::AddDelay(id, p, t)),
-        (0u8..32).prop_map(SchedOp::RmTask),
-        Just(SchedOp::PopRotate),
-        Just(SchedOp::Tick),
-    ]
+/// One operation, each kind equally likely: ids 0..32, priorities 0..8,
+/// delays 1..6 ticks.
+fn random_op(rng: &mut Rng64) -> SchedOp {
+    let id = rng.below(32) as u8;
+    let prio = rng.below(8) as u8;
+    match rng.below(5) {
+        0 => SchedOp::AddReady(id, prio),
+        1 => SchedOp::AddDelay(id, prio, 1 + rng.below(5) as u32),
+        2 => SchedOp::RmTask(id),
+        3 => SchedOp::PopRotate,
+        _ => SchedOp::Tick,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Between 1 and 30 `(id, priority)` ready insertions with ids 0..31.
+fn random_adds(rng: &mut Rng64) -> Vec<(u8, u8)> {
+    (0..1 + rng.below(30))
+        .map(|_| (rng.below(31) as u8, rng.below(8) as u8))
+        .collect()
+}
 
-    #[test]
-    fn hw_scheduler_matches_reference(ops in proptest::collection::vec(arb_op(), 1..60)) {
+#[test]
+fn hw_scheduler_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
         let mut hw = HwScheduler::new(31);
         let mut reference = RefSched::new();
         // Unique-id discipline as in the kernel: a task id is in at most
         // one list at a time. Track membership to skip invalid inserts.
         let mut present = [false; 32];
-        for op in ops {
+        for step in 0..1 + rng.below(59) {
+            let op = random_op(&mut rng);
+            let at = format!("seed {seed} step {step} ({op:?})");
             match op {
                 SchedOp::AddReady(id, prio) => {
                     if !present[id as usize] {
-                        prop_assert!(hw.add_ready(id, prio));
+                        assert!(hw.add_ready(id, prio), "{at}: ready list full");
                         reference.add_ready(id, prio);
                         present[id as usize] = true;
                     }
                 }
                 SchedOp::AddDelay(id, prio, t) => {
                     if !present[id as usize] {
-                        prop_assert!(hw.add_delay(id, prio, t));
+                        assert!(hw.add_delay(id, prio, t), "{at}: delay list full");
                         reference.add_delay(id, prio, t);
                         present[id as usize] = true;
                     }
@@ -118,60 +131,63 @@ proptest! {
                     present[id as usize] = false;
                 }
                 SchedOp::PopRotate => {
-                    prop_assert_eq!(hw.pop_rotate(), reference.pop_rotate());
+                    assert_eq!(hw.pop_rotate(), reference.pop_rotate(), "{at}");
                 }
                 SchedOp::Tick => {
                     let mut got = hw.tick();
                     let mut want = reference.tick();
                     got.sort_unstable();
                     want.sort_unstable();
-                    prop_assert_eq!(got, want, "tick woke different tasks");
+                    assert_eq!(got, want, "{at}: tick woke different tasks");
                 }
             }
             let (r, d) = reference.counts();
-            prop_assert_eq!(hw.ready_len(), r);
-            prop_assert_eq!(hw.delay_len(), d);
+            assert_eq!(hw.ready_len(), r, "{at}: ready length");
+            assert_eq!(hw.delay_len(), d, "{at}: delay length");
             // Head must always agree after every operation.
             let hw_head = hw.head().map(|(id, _)| id);
-            let ref_head = {
-                let mut clone = reference.clone();
-                clone.pop_rotate()
-            };
-            prop_assert_eq!(hw_head, ref_head, "heads diverged");
+            let ref_head = reference.clone().pop_rotate();
+            assert_eq!(hw_head, ref_head, "{at}: heads diverged");
         }
     }
+}
 
-    #[test]
-    fn ready_snapshot_is_always_sorted_and_stable(
-        adds in proptest::collection::vec((0u8..31, 0u8..8), 1..31)
-    ) {
+#[test]
+fn ready_snapshot_is_always_sorted_and_stable() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
         let mut hw = HwScheduler::new(31);
-        let mut inserted = std::collections::HashSet::new();
-        for (id, prio) in adds {
+        let mut inserted = HashSet::new();
+        for (id, prio) in random_adds(&mut rng) {
             if inserted.insert(id) {
                 hw.add_ready(id, prio);
             }
         }
         let snap = hw.ready_snapshot();
         for w in snap.windows(2) {
-            prop_assert!(
+            assert!(
                 w[0].prio > w[1].prio || (w[0].prio == w[1].prio && w[0].seq < w[1].seq),
-                "order violated: {:?}",
-                snap
+                "seed {seed}: order violated: {snap:?}"
             );
         }
     }
+}
 
-    #[test]
-    fn sort_busy_is_bounded_by_list_length(
-        adds in proptest::collection::vec((0u8..31, 0u8..8), 1..31)
-    ) {
+#[test]
+fn sort_busy_is_bounded_by_list_length() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
         let mut hw = HwScheduler::new(31);
-        let mut seen = std::collections::HashSet::new();
-        for (id, prio) in adds {
+        let mut seen = HashSet::new();
+        for (id, prio) in random_adds(&mut rng) {
             if seen.insert(id) {
                 hw.add_ready(id, prio);
-                prop_assert!(hw.sort_busy() as usize <= hw.ready_len().max(hw.delay_len()));
+                assert!(
+                    hw.sort_busy() as usize <= hw.ready_len().max(hw.delay_len()),
+                    "seed {seed}: sort_busy {} after {} insertions",
+                    hw.sort_busy(),
+                    hw.ready_len()
+                );
             }
         }
     }

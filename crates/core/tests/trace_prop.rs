@@ -1,123 +1,131 @@
 //! Property tests for the switch-episode analyses: per-cause statistics,
 //! ISR overhead, timeline rendering and waterfall reconstruction must
 //! tolerate overlapping, out-of-order and past-horizon records without
-//! panicking or losing cycles.
+//! panicking or losing cycles. Each property runs over fixed `Rng64`
+//! seeds; a failure names the seed that reproduces it.
 
-#![cfg(feature = "proptest")]
-// Default-off: requires the external `proptest` crate (network). See the
-// crate's Cargo.toml for how to enable.
-
-use proptest::prelude::*;
 use rtosunit::waterfall;
 use rtosunit::{trace, PhaseCode, SwitchRecord, TraceMark};
-use rvsim_isa::csr;
+use rvsim_isa::{csr, Rng64};
 
-/// Well-formed episodes (`trigger <= entry <= mret`, as the simulator
-/// guarantees) at arbitrary positions — including far past any analysis
-/// horizon — so consecutive records may overlap arbitrarily.
-fn arb_record() -> impl Strategy<Value = SwitchRecord> {
-    (
-        0u64..2_000_000,
-        0u64..500,
-        1u64..5_000,
-        prop_oneof![
-            Just(csr::CAUSE_TIMER),
-            Just(csr::CAUSE_SOFTWARE),
-            Just(csr::CAUSE_EXTERNAL),
-            Just(0xdead_u32),
-        ],
-    )
-        .prop_map(|(trigger, entry_delay, isr_len, cause)| SwitchRecord {
-            trigger_cycle: trigger,
-            entry_cycle: trigger + entry_delay,
-            mret_cycle: trigger + entry_delay + isr_len,
-            cause,
+const CASES: u64 = 2048;
+
+/// Between 0 and 49 well-formed episodes (`trigger <= entry <= mret`, as
+/// the simulator guarantees) at arbitrary positions — including far past
+/// any analysis horizon — so consecutive records may overlap arbitrarily.
+fn random_records(rng: &mut Rng64) -> Vec<SwitchRecord> {
+    (0..rng.below(50))
+        .map(|_| {
+            let trigger = rng.below(2_000_000);
+            let entry = trigger + rng.below(500);
+            SwitchRecord {
+                trigger_cycle: trigger,
+                entry_cycle: entry,
+                mret_cycle: entry + 1 + rng.below(4_999),
+                cause: *rng.pick(&[
+                    csr::CAUSE_TIMER,
+                    csr::CAUSE_SOFTWARE,
+                    csr::CAUSE_EXTERNAL,
+                    0xdead,
+                ]),
+            }
         })
+        .collect()
 }
 
-/// Trace marks anywhere on the timeline: kernel phase codes mixed with
-/// plain benchmark marks, unsorted and with duplicates.
-fn arb_marks() -> impl Strategy<Value = Vec<TraceMark>> {
-    proptest::collection::vec(
-        (
-            0u64..2_200_000,
-            prop_oneof![
-                Just(PhaseCode::SaveDone.encode()),
-                Just(PhaseCode::SchedDone.encode()),
-                0u32..100,
-            ],
-        )
-            .prop_map(|(cycle, code)| TraceMark { cycle, code }),
-        0..40,
-    )
+/// Between 0 and 39 trace marks anywhere on the timeline: kernel phase
+/// codes mixed with plain benchmark marks, unsorted and with duplicates.
+fn random_marks(rng: &mut Rng64) -> Vec<TraceMark> {
+    (0..rng.below(40))
+        .map(|_| TraceMark {
+            cycle: rng.below(2_200_000),
+            code: match rng.below(3) {
+                0 => PhaseCode::SaveDone.encode(),
+                1 => PhaseCode::SchedDone.encode(),
+                _ => rng.below(100) as u32,
+            },
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn per_cause_stats_are_internally_consistent(
-        records in proptest::collection::vec(arb_record(), 0..50)
-    ) {
+#[test]
+fn per_cause_stats_are_internally_consistent() {
+    for seed in 0..CASES {
+        let records = random_records(&mut Rng64::new(seed));
         let stats = trace::per_cause_stats(&records);
         let known = records
             .iter()
             .filter(|r| trace::cause_name(r.cause) != "unknown")
             .count();
-        prop_assert_eq!(stats.iter().map(|(_, s)| s.count).sum::<usize>(), known);
+        let counted: usize = stats.iter().map(|(_, s)| s.count).sum();
+        assert_eq!(counted, known, "seed {seed}: episodes lost or invented");
         for (name, s) in stats {
-            prop_assert!(s.count > 0, "{} listed with no episodes", name);
-            prop_assert!(s.min <= s.max);
-            prop_assert!(s.mean >= s.min as f64 && s.mean <= s.max as f64);
-            prop_assert_eq!(s.jitter(), s.max - s.min);
+            assert!(s.count > 0, "seed {seed}: {name} listed with no episodes");
+            assert!(s.min <= s.max, "seed {seed}: {name}: {s:?}");
+            assert!(
+                s.mean >= s.min as f64 && s.mean <= s.max as f64,
+                "seed {seed}: {name}: {s:?}"
+            );
+            assert_eq!(s.jitter(), s.max - s.min, "seed {seed}: {name}");
         }
     }
+}
 
-    #[test]
-    fn isr_overhead_is_finite_and_non_negative(
-        records in proptest::collection::vec(arb_record(), 0..50),
-        total in 1u64..3_000_000,
-    ) {
+#[test]
+fn isr_overhead_is_finite_and_non_negative() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let records = random_records(&mut rng);
+        let total = 1 + rng.below(2_999_999);
         let ov = trace::isr_overhead(&records, total);
-        prop_assert!(ov.is_finite());
-        prop_assert!(ov >= 0.0);
-        prop_assert_eq!(trace::isr_overhead(&records, 0), 0.0);
+        assert!(ov.is_finite() && ov >= 0.0, "seed {seed}: overhead {ov}");
+        assert_eq!(trace::isr_overhead(&records, 0), 0.0, "seed {seed}");
     }
+}
 
-    #[test]
-    fn timeline_never_panics_and_keeps_its_width(
-        records in proptest::collection::vec(arb_record(), 0..50),
-        total in 1u64..1_000_000,
-        width in 1usize..200,
-    ) {
+#[test]
+fn timeline_never_panics_and_keeps_its_width() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let records = random_records(&mut rng);
         // Records can lie entirely past `total` — the regression case.
+        let total = 1 + rng.below(999_999);
+        let width = 1 + rng.index(199);
         let t = trace::render_timeline(&records, total, width);
-        prop_assert_eq!(t.chars().count(), width);
-        prop_assert!(t.chars().all(|c| matches!(c, '.' | '#' | '^')));
+        assert_eq!(t.chars().count(), width, "seed {seed}: {t:?}");
+        assert!(
+            t.chars().all(|c| matches!(c, '.' | '#' | '^')),
+            "seed {seed}: {t:?}"
+        );
     }
+}
 
-    #[test]
-    fn waterfall_partitions_every_episode(
-        records in proptest::collection::vec(arb_record(), 0..50),
-        marks in arb_marks(),
-    ) {
+#[test]
+fn waterfall_partitions_every_episode() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let records = random_records(&mut rng);
+        let marks = random_marks(&mut rng);
         let episodes = waterfall::decompose(&records, &marks);
-        prop_assert_eq!(episodes.len(), records.len());
+        assert_eq!(episodes.len(), records.len(), "seed {seed}");
         for e in &episodes {
-            prop_assert_eq!(
+            assert_eq!(
                 e.phases.iter().sum::<u64>(),
                 e.record.latency(),
-                "phases must sum to the latency: {:?}", e
+                "seed {seed}: phases must sum to the latency: {e:?}"
             );
             let b = e.boundaries();
-            prop_assert!(b.windows(2).all(|p| p[0] <= p[1]), "boundaries {:?}", b);
-            prop_assert_eq!(b[0], e.record.trigger_cycle);
-            prop_assert_eq!(b[4], e.record.mret_cycle);
+            assert!(
+                b.windows(2).all(|p| p[0] <= p[1]),
+                "seed {seed}: boundaries {b:?}"
+            );
+            assert_eq!(b[0], e.record.trigger_cycle, "seed {seed}: {e:?}");
+            assert_eq!(b[4], e.record.mret_cycle, "seed {seed}: {e:?}");
         }
         // Aggregation must cover all phases present.
-        let stats = waterfall::phase_stats(&episodes);
         if !episodes.is_empty() {
-            prop_assert_eq!(stats.len(), waterfall::PHASE_COUNT);
+            let stats = waterfall::phase_stats(&episodes);
+            assert_eq!(stats.len(), waterfall::PHASE_COUNT, "seed {seed}");
         }
     }
 }

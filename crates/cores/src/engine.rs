@@ -1178,46 +1178,57 @@ impl CoreEngine {
     }
 }
 
+/// A cache-less test bus: flat SRAM with one extra cycle per load (enough
+/// to exercise multi-cycle drains) and no RTOSUnit port. Engine tests,
+/// the kernel list-code differential and the golden-model lockstep
+/// harness run engines on it.
+pub struct SramBus {
+    /// The backing data memory.
+    pub mem: Mem,
+}
+
+impl SramBus {
+    /// A bus over `size` bytes of zeroed SRAM at `base`.
+    pub fn new(base: u32, size: u32) -> SramBus {
+        SramBus {
+            mem: Mem::new(base, size),
+        }
+    }
+}
+
+impl DataBus for SramBus {
+    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
+        match write {
+            Some(v) => {
+                self.mem.write(addr, size, v);
+                BusResponse {
+                    data: 0,
+                    extra_latency: 0,
+                }
+            }
+            None => BusResponse {
+                data: self.mem.read(addr, size),
+                extra_latency: 1,
+            },
+        }
+    }
+
+    fn unit_access(&mut self, _addr: u32, _write: Option<u32>) -> Option<u32> {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coproc::NullCoprocessor;
     use rvsim_isa::{Asm, Reg};
 
-    /// A trivial single-cycle SRAM bus for engine unit tests.
-    struct SramBus {
-        mem: Mem,
-    }
-
-    impl DataBus for SramBus {
-        fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-            match write {
-                Some(v) => {
-                    self.mem.write(addr, size, v);
-                    BusResponse {
-                        data: 0,
-                        extra_latency: 0,
-                    }
-                }
-                None => BusResponse {
-                    data: self.mem.read(addr, size),
-                    extra_latency: 1,
-                },
-            }
-        }
-
-        fn unit_access(&mut self, _addr: u32, _write: Option<u32>) -> Option<u32> {
-            None
-        }
-    }
-
     fn run_to_halt(asm: Asm) -> (CoreEngine, SramBus) {
         let prog = asm.finish().expect("assembly");
         let mut engine = CoreEngine::new(TimingParams::cv32e40p(), 0x0, 0x1_0000);
         engine.load_program(&prog);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x1_0000),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x1_0000);
         let mut co = NullCoprocessor;
         engine.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
         assert!(engine.halted(), "program did not halt");
@@ -1295,9 +1306,7 @@ mod tests {
         let run = |params: TimingParams| {
             let mut e = CoreEngine::new(params, 0, 0x1_0000);
             e.load_program(&p);
-            let mut bus = SramBus {
-                mem: Mem::new(0x2000_0000, 0x100),
-            };
+            let mut bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
             e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
             e.cycle()
@@ -1320,9 +1329,7 @@ mod tests {
         let p = prog.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
         assert!(
@@ -1342,9 +1349,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         for _ in 0..100 {
             e.step(&mut bus, &mut co);
@@ -1369,9 +1374,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         e.run_with(&mut bus, &mut co, 100, |_, _| {});
         assert!(e.halted());
@@ -1430,18 +1433,14 @@ mod tests {
         let mut slow = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         slow.load_program(&p);
         slow.set_profiling(true);
-        let mut slow_bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut slow_bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         let slow_cycles = slow.run_with(&mut slow_bus, &mut co, 5_000, |_, _| {});
 
         let mut fast = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         fast.load_program(&p);
         fast.set_profiling(true);
-        let mut fast_bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut fast_bus = SramBus::new(0x2000_0000, 0x100);
         let exit = fast.run_until(&mut fast_bus, &mut co, stop_events::ALL, 5_000);
 
         // Both park in wfi with identical architectural outcomes: the
@@ -1525,9 +1524,7 @@ mod tests {
         let mut e = CoreEngine::new(params, 0, 0x1_0000);
         e.load_program(&p);
         e.set_profiling(true);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         if batched {
             while !e.halted() {
@@ -1613,9 +1610,7 @@ mod tests {
             let mut a = CoreEngine::new(params, 0, 0x1_0000);
             a.load_program(&p);
             a.set_profiling(true);
-            let mut a_bus = SramBus {
-                mem: Mem::new(0x2000_0000, 0x100),
-            };
+            let mut a_bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
             // Part-way through the run: mid-loop, caches warm.
             while a.cycle() < 700 && !a.halted() {
@@ -1716,9 +1711,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
         assert!(e.halted());
@@ -1758,9 +1751,7 @@ mod tests {
         let slow = {
             let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
             e.load_program(&p);
-            let mut bus = SramBus {
-                mem: Mem::new(0x2000_0000, 0x100),
-            };
+            let mut bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
             e.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
             assert!(e.halted());
@@ -1768,9 +1759,7 @@ mod tests {
         };
         let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         for _ in 0..300 {
             e.step(&mut bus, &mut co);
@@ -1806,9 +1795,7 @@ mod tests {
             let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
             e.load_program(&p);
             e.set_profiling(profiled);
-            let mut bus = SramBus {
-                mem: Mem::new(0x2000_0000, 0x100),
-            };
+            let mut bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
             e.run_with(&mut bus, &mut co, 50_000, |_, _| {});
             assert!(e.halted());
@@ -1840,9 +1827,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         // No interrupt pending: spins to the budget.
         let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
@@ -1884,9 +1869,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
-        let mut bus = SramBus {
-            mem: Mem::new(0x2000_0000, 0x100),
-        };
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         let mut entered = None;
         for _ in 0..50 {

@@ -58,6 +58,21 @@ impl CoreKind {
     pub fn from_name(name: &str) -> Option<CoreKind> {
         CoreKind::ALL.into_iter().find(|k| k.name() == name)
     }
+
+    /// A stable lowercase identifier, e.g. `"cva6"` — used by replay
+    /// artifacts, the regression seed corpus and CLI argument parsing.
+    pub fn tag(self) -> &'static str {
+        match self {
+            CoreKind::Cv32e40p => "cv32e40p",
+            CoreKind::Cva6 => "cva6",
+            CoreKind::NaxRiscv => "naxriscv",
+        }
+    }
+
+    /// Inverse of [`tag`](Self::tag).
+    pub fn from_tag(tag: &str) -> Option<CoreKind> {
+        CoreKind::ALL.into_iter().find(|k| k.tag() == tag)
+    }
 }
 
 impl fmt::Display for CoreKind {
@@ -99,5 +114,13 @@ mod tests {
     fn names_match_paper() {
         let names: Vec<_> = CoreKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, ["CV32E40P", "CVA6", "NaxRiscv"]);
+    }
+
+    #[test]
+    fn tags_roundtrip() {
+        for k in CoreKind::ALL {
+            assert_eq!(CoreKind::from_tag(k.tag()), Some(k));
+        }
+        assert_eq!(CoreKind::from_tag("CVA6"), None);
     }
 }

@@ -2,43 +2,14 @@
 //! byte/half memory semantics, predictor behaviour, and coprocessor
 //! stall interactions.
 
-use rvsim_cores::engine::{BusResponse, DataBus};
 use rvsim_cores::{
-    make_engine, ArchState, Bank, Coprocessor, CoreEvent, CoreKind, NullCoprocessor,
+    make_engine, ArchState, Bank, Coprocessor, CoreEvent, CoreKind, DataBus, NullCoprocessor,
+    SramBus,
 };
 use rvsim_isa::{csr, Asm, CustomOp, Reg};
-use rvsim_mem::{AccessSize, Mem};
-
-struct SramBus {
-    mem: Mem,
-}
-
-impl DataBus for SramBus {
-    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-        match write {
-            Some(v) => {
-                self.mem.write(addr, size, v);
-                BusResponse {
-                    data: 0,
-                    extra_latency: 0,
-                }
-            }
-            None => BusResponse {
-                data: self.mem.read(addr, size),
-                extra_latency: 1,
-            },
-        }
-    }
-
-    fn unit_access(&mut self, _addr: u32, _write: Option<u32>) -> Option<u32> {
-        None
-    }
-}
 
 fn bus() -> SramBus {
-    SramBus {
-        mem: Mem::new(0x2000_0000, 0x1000),
-    }
+    SramBus::new(0x2000_0000, 0x1000)
 }
 
 fn run(asm: Asm, kind: CoreKind) -> rvsim_cores::CoreEngine {

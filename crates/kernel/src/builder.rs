@@ -249,7 +249,6 @@ pub struct KernelBuilder {
     probe: bool,
     ipi: bool,
     protect: bool,
-    protect_kill: bool,
 }
 
 impl KernelBuilder {
@@ -266,26 +265,18 @@ impl KernelBuilder {
             probe: false,
             ipi: false,
             protect: false,
-            protect_kill: true,
         }
     }
 
     /// Enables kernel self-protection ([`crate::protect`]): stack
     /// canaries checked on every switch, the tick watchdog the idle loop
     /// must pet, and the TCB checksum self-check. Real extra kernel work
-    /// — perturbs latency, so it defaults off.
+    /// — perturbs latency, so it defaults off. A clobbered canary kills
+    /// the corrupted task and reschedules on software-scheduled presets;
+    /// hardware-scheduled presets halt, since their ready lists cannot be
+    /// edited from software.
     pub fn protect(&mut self, on: bool) -> &mut Self {
         self.protect = on;
-        self
-    }
-
-    /// Degradation policy for a clobbered canary (with
-    /// [`protect`](Self::protect) on): `true` (the default) kills the
-    /// corrupted task and reschedules; `false` halts. Hardware-scheduled
-    /// presets always halt — their ready lists cannot be edited from
-    /// software.
-    pub fn protect_kill(&mut self, kill: bool) -> &mut Self {
-        self.protect_kill = kill;
         self
     }
 
@@ -488,7 +479,7 @@ impl KernelBuilder {
                 ipi: self.ipi,
                 protect: self.protect.then_some(ProtectSpec {
                     n_tasks: n,
-                    kill: self.protect_kill && !self.preset.has_sched(),
+                    kill: !self.preset.has_sched(),
                 }),
             },
         );

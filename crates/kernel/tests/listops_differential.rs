@@ -1,47 +1,16 @@
 //! Differential tests for the kernel's inline list operations: random
 //! operation sequences are emitted as real RV32 code, executed on the
 //! CV32E40P engine, and the resulting in-memory lists are compared
-//! against a host-side reference model.
-
-#![cfg(feature = "proptest")]
-// Default-off: requires the external `proptest` crate (network). See the
-// crate's Cargo.toml for how to enable.
+//! against a host-side reference model. Sequences come from fixed
+//! `Rng64` seeds; a failure names the seed that reproduces it.
 
 use freertos_lite::emit::{self, LabelGen};
 use freertos_lite::klayout::{sem, tcb, KernelLayout, NUM_PRIOS};
-use proptest::prelude::*;
-use rvsim_cores::engine::{BusResponse, DataBus};
-use rvsim_cores::{make_engine, CoreKind, NullCoprocessor};
-use rvsim_isa::{Asm, Reg};
-use rvsim_mem::{AccessSize, Mem};
+use rvsim_cores::{make_engine, CoreKind, NullCoprocessor, SramBus};
+use rvsim_isa::{Asm, Reg, Rng64};
 
 const N_TASKS: usize = 8;
-
-struct SramBus {
-    mem: Mem,
-}
-
-impl DataBus for SramBus {
-    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-        match write {
-            Some(v) => {
-                self.mem.write(addr, size, v);
-                BusResponse {
-                    data: 0,
-                    extra_latency: 0,
-                }
-            }
-            None => BusResponse {
-                data: self.mem.read(addr, size),
-                extra_latency: 1,
-            },
-        }
-    }
-
-    fn unit_access(&mut self, _addr: u32, _write: Option<u32>) -> Option<u32> {
-        None
-    }
-}
+const CASES: u64 = 1024;
 
 /// Host-side reference of the kernel's list state.
 #[derive(Debug, Clone, Default)]
@@ -122,16 +91,19 @@ enum ListOp {
     EventPop,
 }
 
-fn arb_op() -> impl Strategy<Value = ListOp> {
-    prop_oneof![
-        (0..N_TASKS).prop_map(ListOp::PushBack),
-        (0..N_TASKS).prop_map(ListOp::Remove),
-        Just(ListOp::SchedSelect),
-        (0..N_TASKS, 1u32..6).prop_map(|(t, d)| ListOp::DelayInsert(t, d)),
-        Just(ListOp::DelayTick),
-        (0..N_TASKS).prop_map(ListOp::EventInsert),
-        Just(ListOp::EventPop),
-    ]
+/// One operation, each kind equally likely: tasks 0..N_TASKS, delays
+/// 1..6 ticks.
+fn random_op(rng: &mut Rng64) -> ListOp {
+    let t = rng.index(N_TASKS);
+    match rng.below(7) {
+        0 => ListOp::PushBack(t),
+        1 => ListOp::Remove(t),
+        2 => ListOp::SchedSelect,
+        3 => ListOp::DelayInsert(t, 1 + rng.below(5) as u32),
+        4 => ListOp::DelayTick,
+        5 => ListOp::EventInsert(t),
+        _ => ListOp::EventPop,
+    }
 }
 
 /// Where is task `t` right now? (At most one list at a time.)
@@ -143,8 +115,10 @@ enum Where {
     Waiting,
 }
 
+/// Emits the valid subset of `ops` as guest code, runs it, and compares
+/// the guest's lists with the reference model's.
 #[allow(clippy::needless_range_loop)]
-fn run_sequence(prios: &[u8; N_TASKS], ops: &[ListOp]) -> Result<(), TestCaseError> {
+fn run_sequence(seed: u64, prios: &[u8; N_TASKS], ops: &[ListOp]) {
     let layout = KernelLayout::new(N_TASKS, 1);
     let mut reference = RefState {
         ready: vec![Vec::new(); NUM_PRIOS],
@@ -219,14 +193,12 @@ fn run_sequence(prios: &[u8; N_TASKS], ops: &[ListOp]) -> Result<(), TestCaseErr
     }
     a.ebreak();
     if emitted == 0 {
-        return Ok(());
+        return;
     }
     let prog = a.finish().expect("sequence assembles");
 
     // Prepare guest memory: TCBs only (lists start empty).
-    let mut bus = SramBus {
-        mem: Mem::new(rtosunit::layout::DMEM_BASE, 0x1_0000),
-    };
+    let mut bus = SramBus::new(rtosunit::layout::DMEM_BASE, 0x1_0000);
     for t in 0..N_TASKS {
         let addr = layout.tcb_addr(t);
         bus.mem
@@ -238,60 +210,57 @@ fn run_sequence(prios: &[u8; N_TASKS], ops: &[ListOp]) -> Result<(), TestCaseErr
     let mut engine = make_engine(CoreKind::Cv32e40p, 0, 0x4_0000);
     engine.load_program(&prog);
     engine.run_with(&mut bus, &mut NullCoprocessor, 10_000_000, |_, _| {});
-    prop_assert!(engine.halted(), "guest list code did not halt");
+    assert!(engine.halted(), "seed {seed}: guest list code did not halt");
 
     // Reconstruct the guest's lists from memory and compare.
-    let read_chain = |head: u32| -> Result<Vec<usize>, TestCaseError> {
+    let mem = &bus.mem;
+    let read_chain = |head: u32| -> Vec<usize> {
         let mut out = Vec::new();
         let mut cur = head;
         while cur != 0 {
-            let id = bus.mem.read_word(cur.wrapping_add(tcb::ID as u32)) as usize;
-            out.push(id);
-            cur = bus.mem.read_word(cur.wrapping_add(tcb::NEXT as u32));
-            prop_assert!(out.len() <= N_TASKS, "cycle in a guest list");
+            out.push(mem.read_word(cur.wrapping_add(tcb::ID as u32)) as usize);
+            cur = mem.read_word(cur.wrapping_add(tcb::NEXT as u32));
+            assert!(out.len() <= N_TASKS, "seed {seed}: cycle in a guest list");
         }
-        Ok(out)
+        out
     };
     for p in 0..NUM_PRIOS {
-        let head = bus.mem.read_word(KernelLayout::ready_head_addr(p));
-        let got = read_chain(head)?;
-        prop_assert_eq!(
-            &got,
-            &reference.ready[p],
-            "ready[{}] diverged (guest vs reference)",
-            p
+        let got = read_chain(mem.read_word(KernelLayout::ready_head_addr(p)));
+        assert_eq!(
+            got, reference.ready[p],
+            "seed {seed}: ready[{p}] diverged (guest vs reference)"
         );
         // Tail pointer must match the last element.
-        let tail = bus.mem.read_word(KernelLayout::READY_TAIL + (p as u32) * 4);
-        let want_tail = reference.ready[p]
-            .last()
-            .map(|&t| layout.tcb_addr(t))
-            .unwrap_or_default();
-        if !reference.ready[p].is_empty() {
-            prop_assert_eq!(tail, want_tail, "ready tail[{}] diverged", p);
+        if let Some(&last) = reference.ready[p].last() {
+            let tail = mem.read_word(KernelLayout::READY_TAIL + (p as u32) * 4);
+            assert_eq!(
+                tail,
+                layout.tcb_addr(last),
+                "seed {seed}: ready tail[{p}] diverged"
+            );
         }
     }
-    let delay_got = read_chain(bus.mem.read_word(KernelLayout::DELAY_HEAD))?;
+    let delay_got = read_chain(mem.read_word(KernelLayout::DELAY_HEAD));
     let delay_want: Vec<usize> = reference.delay.iter().map(|&(t, _)| t).collect();
-    prop_assert_eq!(delay_got, delay_want, "delay list diverged");
-    let wait_got = read_chain(
-        bus.mem
-            .read_word(layout.sem_addr(0).wrapping_add(sem::WAIT_HEAD as u32)),
-    )?;
-    prop_assert_eq!(wait_got, reference.waiters.clone(), "event list diverged");
-    let tick = bus.mem.read_word(KernelLayout::TICK_COUNT);
-    prop_assert_eq!(tick, reference.tick, "tick counter diverged");
-    Ok(())
+    assert_eq!(delay_got, delay_want, "seed {seed}: delay list diverged");
+    let wait_got =
+        read_chain(mem.read_word(layout.sem_addr(0).wrapping_add(sem::WAIT_HEAD as u32)));
+    assert_eq!(
+        wait_got, reference.waiters,
+        "seed {seed}: event list diverged"
+    );
+    let tick = mem.read_word(KernelLayout::TICK_COUNT);
+    assert_eq!(tick, reference.tick, "seed {seed}: tick counter diverged");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn emitted_list_code_matches_reference(
-        prios in proptest::array::uniform8(0u8..8),
-        ops in proptest::collection::vec(arb_op(), 1..40),
-    ) {
-        run_sequence(&prios, &ops)?;
+#[test]
+fn emitted_list_code_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let prios: [u8; N_TASKS] = std::array::from_fn(|_| rng.below(8) as u8);
+        let ops: Vec<ListOp> = (0..1 + rng.below(39))
+            .map(|_| random_op(&mut rng))
+            .collect();
+        run_sequence(seed, &prios, &ops);
     }
 }

@@ -1,13 +1,12 @@
 //! Property tests for the cache model against a reference residency
-//! simulator, plus arbiter accounting invariants.
+//! simulator, plus arbiter accounting invariants. Each property runs over
+//! fixed `Rng64` seeds; a failure names the seed that reproduces it.
 
-#![cfg(feature = "proptest")]
-// Default-off: requires the external `proptest` crate (network). See the
-// crate's Cargo.toml for how to enable.
-
-use proptest::prelude::*;
+use rvsim_isa::Rng64;
 use rvsim_mem::{Arbiter, Cache, CacheConfig, WritePolicy};
 use std::collections::HashMap;
+
+const CASES: u64 = 2048;
 
 /// Reference model: per-set LRU lists of line addresses.
 #[derive(Debug)]
@@ -61,86 +60,113 @@ impl RefCache {
     }
 }
 
-fn arb_cfg() -> impl Strategy<Value = CacheConfig> {
-    (
-        prop_oneof![Just(2u32), Just(4), Just(8)],
-        1u32..4,
-        prop_oneof![Just(4u32), Just(8), Just(16)],
-        prop_oneof![
-            Just(WritePolicy::WriteThrough),
-            Just(WritePolicy::WriteBack)
-        ],
-    )
-        .prop_map(|(sets, ways, line_words, policy)| CacheConfig {
-            sets,
-            ways,
-            line_words,
-            policy,
-            hit_latency: 1,
-            miss_penalty: 10,
-        })
+/// A small cache (2–8 sets, 1–3 ways, 4–16-word lines, either policy),
+/// so short access streams already force evictions.
+fn random_cfg(rng: &mut Rng64) -> CacheConfig {
+    CacheConfig {
+        sets: *rng.pick(&[2, 4, 8]),
+        ways: 1 + rng.below(3) as u32,
+        line_words: *rng.pick(&[4, 8, 16]),
+        policy: *rng.pick(&[WritePolicy::WriteThrough, WritePolicy::WriteBack]),
+        hit_latency: 1,
+        miss_penalty: 10,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A word-aligned address in a 4 KiB window.
+fn random_addr(rng: &mut Rng64) -> u32 {
+    rng.below(4096) as u32 & !3
+}
 
-    #[test]
-    fn cache_matches_reference_residency(
-        cfg in arb_cfg(),
-        accesses in proptest::collection::vec((0u32..4096, any::<bool>()), 1..200),
-    ) {
+/// Between 1 and `max - 1` `(address, is_write)` accesses.
+fn random_accesses(rng: &mut Rng64, max: u64) -> Vec<(u32, bool)> {
+    (0..1 + rng.below(max - 1))
+        .map(|_| (random_addr(rng), rng.chance(50)))
+        .collect()
+}
+
+#[test]
+fn cache_matches_reference_residency() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let cfg = random_cfg(&mut rng);
         let mut cache = Cache::new(cfg);
         let mut reference = RefCache::new(cfg);
-        for (addr, write) in accesses {
-            let addr = addr & !3;
+        for (addr, write) in random_accesses(&mut rng, 200) {
             let out = cache.access(addr, write);
             let (hit, wb) = reference.access(addr, write);
-            prop_assert_eq!(out.hit, hit, "hit/miss diverged at {:#x}", addr);
-            prop_assert_eq!(out.writeback, wb, "writeback diverged at {:#x}", addr);
-            prop_assert_eq!(cache.probe(addr), reference.resident(addr));
+            assert_eq!(out.hit, hit, "seed {seed}: hit/miss diverged at {addr:#x}");
+            assert_eq!(
+                out.writeback, wb,
+                "seed {seed}: writeback diverged at {addr:#x}"
+            );
+            assert_eq!(
+                cache.probe(addr),
+                reference.resident(addr),
+                "seed {seed}: residency diverged at {addr:#x}"
+            );
         }
     }
+}
 
-    #[test]
-    fn invalidate_always_clears_residency(
-        cfg in arb_cfg(),
-        warm in proptest::collection::vec(0u32..4096, 1..50),
-        victim in 0u32..4096,
-    ) {
-        let mut cache = Cache::new(cfg);
-        for a in warm {
-            cache.access(a & !3, false);
+#[test]
+fn invalidate_always_clears_residency() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let mut cache = Cache::new(random_cfg(&mut rng));
+        for _ in 0..1 + rng.below(49) {
+            cache.access(random_addr(&mut rng), false);
         }
-        cache.invalidate_line(victim & !3);
-        prop_assert!(!cache.probe(victim & !3));
+        let victim = random_addr(&mut rng);
+        cache.invalidate_line(victim);
+        assert!(
+            !cache.probe(victim),
+            "seed {seed}: {victim:#x} still resident"
+        );
     }
+}
 
-    #[test]
-    fn latency_is_consistent_with_hit_flag(
-        cfg in arb_cfg(),
-        accesses in proptest::collection::vec((0u32..4096, any::<bool>()), 1..100),
-    ) {
+#[test]
+fn latency_is_consistent_with_hit_flag() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let cfg = random_cfg(&mut rng);
         let mut cache = Cache::new(cfg);
-        for (addr, write) in accesses {
-            let out = cache.access(addr & !3, write);
+        for (addr, write) in random_accesses(&mut rng, 100) {
+            let out = cache.access(addr, write);
             if out.hit {
-                prop_assert_eq!(out.latency, cfg.hit_latency);
+                assert_eq!(
+                    out.latency, cfg.hit_latency,
+                    "seed {seed}: hit at {addr:#x}"
+                );
             } else if !(write && cfg.policy == WritePolicy::WriteThrough) {
-                prop_assert!(out.latency >= cfg.hit_latency + cfg.miss_penalty);
+                assert!(
+                    out.latency >= cfg.hit_latency + cfg.miss_penalty,
+                    "seed {seed}: miss at {addr:#x} took {} cycles",
+                    out.latency
+                );
             }
             if out.writeback {
-                prop_assert!(out.bus_cycles >= cfg.line_words);
+                assert!(
+                    out.bus_cycles >= cfg.line_words,
+                    "seed {seed}: writeback at {addr:#x} moved {} bus cycles",
+                    out.bus_cycles
+                );
             }
         }
     }
+}
 
-    #[test]
-    fn arbiter_occupancy_adds_up(pattern in proptest::collection::vec(0u8..3, 1..300)) {
+#[test]
+fn arbiter_occupancy_adds_up() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let cycles = 1 + rng.below(299);
         let mut arb = Arbiter::new();
         let mut core = 0u64;
         let mut unit = 0u64;
-        for p in &pattern {
-            match p {
+        for _ in 0..cycles {
+            match rng.below(3) {
                 0 => {}
                 1 => {
                     arb.core_request();
@@ -154,10 +180,8 @@ proptest! {
             }
             arb.end_cycle();
         }
-        let (total, c, u) = arb.occupancy();
-        prop_assert_eq!(total, pattern.len() as u64);
-        prop_assert_eq!(c, core);
-        prop_assert_eq!(u, unit);
-        prop_assert!(arb.idle_fraction() >= 0.0 && arb.idle_fraction() <= 1.0);
+        assert_eq!(arb.occupancy(), (cycles, core, unit), "seed {seed}");
+        let idle = arb.idle_fraction();
+        assert!((0.0..=1.0).contains(&idle), "seed {seed}: idle {idle}");
     }
 }

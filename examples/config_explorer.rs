@@ -11,11 +11,9 @@ use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::unit::Preset;
 
 fn main() {
-    let kind = match std::env::args().nth(1).as_deref() {
-        None | Some("cv32e40p") => CoreKind::Cv32e40p,
-        Some("cva6") => CoreKind::Cva6,
-        Some("naxriscv") => CoreKind::NaxRiscv,
-        Some(other) => panic!("unknown core `{other}`"),
+    let kind = match std::env::args().nth(1) {
+        None => CoreKind::Cv32e40p,
+        Some(tag) => CoreKind::from_tag(&tag).unwrap_or_else(|| panic!("unknown core `{tag}`")),
     };
     println!("# {kind}: configuration trade-offs (paper §6.4)\n");
     println!(
