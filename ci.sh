@@ -20,6 +20,11 @@ fi
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "== cargo doc (an intra-doc link that resolves to nothing fails)"
+# Code docs must link to items that exist and are public, as
+# tests/doc_paths.rs demands of the markdown docs.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -117,7 +117,8 @@ fn verification_section() -> Json {
     section
 }
 
-/// Aggregates every SMP run's per-hart [`BusMasterStats`] into one
+/// Aggregates every SMP run's per-hart
+/// [`BusMasterStats`](rvsim_mem::BusMasterStats) into one
 /// contention summary: grants and wait cycles summed per hart index,
 /// worst-case single wait across the whole campaign.
 fn bus_section(campaign: &rtosbench::Campaign) -> Json {

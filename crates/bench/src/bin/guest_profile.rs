@@ -5,7 +5,7 @@
 //! guest_profile [WORKLOAD] [--core NAME] [--preset LABEL] [--harts N]
 //! ```
 //!
-//! Runs the workload with the [`PcProfile`](rvsim_cores::PcProfile)
+//! Runs the workload with the [`PcProfile`]
 //! enabled (attribution is issue-time exact — batched and stepwise runs
 //! produce bit-identical profiles), then emits:
 //!

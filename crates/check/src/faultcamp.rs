@@ -27,8 +27,10 @@
 
 use crate::oracle;
 use crate::scenario::{self, ScenarioSpec};
+use crate::shrink::ddmin;
 use freertos_lite::klayout::{canary_addr, tcb, KernelLayout, NUM_PRIOS};
 use freertos_lite::KernelBuilder;
+use rtosbench::campaign::panic_message;
 use rtosunit::events::{DETECT_CANARY, DETECT_CHECKSUM, DETECT_WATCHDOG};
 use rtosunit::{EventTrace, System, TraceEvent};
 use rvsim_cores::{CoreKind, FaultEvent, FaultPlan, FaultTargets};
@@ -185,16 +187,6 @@ fn first_divergence(reference: &[(u64, u32)], got: &[(u64, u32)]) -> Option<Stri
         ));
     }
     None
-}
-
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Classifies one faulted run against a precomputed reference signature
@@ -435,34 +427,7 @@ pub fn shrink_fault_events(
         classify_with_reference(spec, reference, cand.to_vec()).outcome == target
     };
     assert!(still(events), "shrink input must classify as {target:?}");
-    let mut cur = events.to_vec();
-    let mut chunk = (cur.len() / 2).max(1);
-    loop {
-        let mut reduced = false;
-        let mut start = 0;
-        while start < cur.len() {
-            let end = (start + chunk).min(cur.len());
-            let mut cand = cur.clone();
-            cand.drain(start..end);
-            if cand.is_empty() && target != FaultOutcome::Masked {
-                start = end;
-                continue;
-            }
-            if still(&cand) {
-                cur = cand;
-                reduced = true;
-            } else {
-                start = end;
-            }
-        }
-        if chunk == 1 && !reduced {
-            break;
-        }
-        if !reduced {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-    cur
+    ddmin(events.to_vec(), target == FaultOutcome::Masked, still)
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 //! deterministic while letting blocks chain freely inside a batch.
 //!
 //! With [`EpisodeSpec::snap`] set the engine is additionally round-tripped
-//! through the snapshot codec ([`CoreEngine::to_snap`] →
+//! through the snapshot codec
+//! ([`CoreEngine::to_snap`](rvsim_cores::CoreEngine::to_snap) →
 //! [`restore_snap`](rvsim_cores::CoreEngine::restore_snap) into a fresh
 //! engine, which then replaces the original) at pseudo-random retire
 //! points. The round-trip must be invisible: any micro-architectural
@@ -36,7 +37,7 @@
 //! from the golden model and is caught by the ordinary lockstep diff.
 
 use crate::coproc::{ScratchCoproc, ScratchUnit};
-use rvsim_cores::{make_engine, stop_events, CoreEvent, CoreKind, GoldenCore, GoldenStep, SramBus};
+use rvsim_cores::{make_engine, CoreEvent, CoreKind, GoldenCore, GoldenStep, SramBus};
 use rvsim_isa::progen::{generate, GenConfig, ProgramSpec};
 use rvsim_isa::{csr, Reg, Rng64};
 use rvsim_mem::Mem;
@@ -377,9 +378,7 @@ pub fn run_episode(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
         let before = engine.retired();
         let event = if ep.blocks {
             let budget = BATCH.min(ep.max_cycles - engine.cycle());
-            engine
-                .run_until(&mut bus, &mut coproc, stop_events::ALL, budget)
-                .event
+            engine.run_until(&mut bus, &mut coproc, budget).event
         } else {
             engine.step(&mut bus, &mut coproc).event
         };

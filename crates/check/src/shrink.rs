@@ -13,6 +13,9 @@
 //! external interrupts can be removed independently (task ids are
 //! positional, scripts reference only semaphores), so
 //! [`shrink_scenario`] applies the same strategy across those three axes.
+//! Fault plans shrink the same way
+//! ([`shrink_fault_events`](crate::shrink_fault_events)); all three call
+//! the one `ddmin` loop.
 
 use crate::lockstep::{run_episode, EpisodeSpec};
 use crate::scenario::{run_scenario, ScenarioSpec};
@@ -43,40 +46,13 @@ pub fn shrink_episode(ep: &EpisodeSpec) -> EpisodeSpec {
         run_episode(cand).is_err()
     };
 
-    let mut cur = ep.clone();
-
     // ddmin over the program items.
-    let mut chunk = (cur.spec.ops.len() / 2).max(1);
-    loop {
-        let mut reduced = false;
-        let mut start = 0;
-        while start < cur.spec.ops.len() {
-            let end = (start + chunk).min(cur.spec.ops.len());
-            let mut ops = cur.spec.ops.clone();
-            ops.drain(start..end);
-            if ops.is_empty() {
-                start = end;
-                continue;
-            }
-            let cand = EpisodeSpec {
-                spec: ProgramSpec::from_parts(cur.spec.cfg, ops),
-                ..cur.clone()
-            };
-            if fails(&cand) {
-                cur = cand;
-                reduced = true;
-                // The next chunk slid into `start`; retry the same window.
-            } else {
-                start = end;
-            }
-        }
-        if chunk == 1 && !reduced {
-            break;
-        }
-        if !reduced {
-            chunk = (chunk / 2).max(1);
-        }
-    }
+    let with_ops = |ops: &[_]| EpisodeSpec {
+        spec: ProgramSpec::from_parts(ep.spec.cfg, ops.to_vec()),
+        ..ep.clone()
+    };
+    let ops = ddmin(ep.spec.ops.clone(), false, |ops| fails(&with_ops(ops)));
+    let mut cur = with_ops(&ops);
 
     // Drop interrupt events that are not needed for the failure.
     let mut i = 0;
@@ -138,32 +114,12 @@ pub fn shrink_scenario_with(
     // ddmin over each task's script (scripts may not become empty: the
     // oracle needs at least one mark per loop iteration).
     for t in 0..cur.tasks.len() {
-        let mut chunk = (cur.tasks[t].script.len() / 2).max(1);
-        loop {
-            let mut reduced = false;
-            let mut start = 0;
-            while start < cur.tasks[t].script.len() {
-                let end = (start + chunk).min(cur.tasks[t].script.len());
-                let mut cand = cur.clone();
-                cand.tasks[t].script.drain(start..end);
-                if cand.tasks[t].script.is_empty() {
-                    start = end;
-                    continue;
-                }
-                if fails(&cand) {
-                    cur = cand;
-                    reduced = true;
-                } else {
-                    start = end;
-                }
-            }
-            if chunk == 1 && !reduced {
-                break;
-            }
-            if !reduced {
-                chunk = (chunk / 2).max(1);
-            }
-        }
+        let script = ddmin(cur.tasks[t].script.clone(), false, |script| {
+            let mut cand = cur.clone();
+            cand.tasks[t].script = script.to_vec();
+            fails(&cand)
+        });
+        cur.tasks[t].script = script;
     }
 
     // Drop external interrupts.
@@ -182,6 +138,40 @@ pub fn shrink_scenario_with(
     }
 
     cur
+}
+
+/// Plain ddmin over a deletion-closed list: delete a chunk whenever the
+/// rest still `fails`, and halve the chunk once a full pass deletes
+/// nothing, down to single items. The empty list is a candidate only
+/// with `allow_empty`. Returns the (locally) minimal list.
+pub(crate) fn ddmin<T: Clone>(
+    mut items: Vec<T>,
+    allow_empty: bool,
+    mut fails: impl FnMut(&[T]) -> bool,
+) -> Vec<T> {
+    let mut chunk = (items.len() / 2).max(1);
+    loop {
+        let mut reduced = false;
+        let mut start = 0;
+        while start < items.len() {
+            let end = (start + chunk).min(items.len());
+            let mut cand = items.clone();
+            cand.drain(start..end);
+            if (allow_empty || !cand.is_empty()) && fails(&cand) {
+                items = cand;
+                reduced = true;
+                // The next chunk slid into `start`; retry the same window.
+            } else {
+                start = end;
+            }
+        }
+        if !reduced {
+            if chunk == 1 {
+                return items;
+            }
+            chunk /= 2;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -247,7 +247,7 @@ pub struct SwitchMetrics {
     /// End-to-end switch latency (trigger → `mret`).
     pub latency: LatencyHistogram,
     /// Per-phase histograms, indexed like
-    /// [`PHASE_NAMES`](crate::waterfall::PHASE_NAMES).
+    /// [`PHASE_NAMES`].
     pub phases: [LatencyHistogram; PHASE_COUNT],
     /// Exact SLO accounting, when a budget is configured.
     pub slo: Option<SloCounter>,

@@ -3,7 +3,7 @@
 //!
 //! ## Topology
 //!
-//! Each hart keeps its own [`Platform`] — private instruction memory, a
+//! Each hart keeps its own [`Platform`](crate::Platform) — private instruction memory, a
 //! private functional data-memory bank, per-hart caches and a per-hart
 //! RTOSUnit on its dedicated SRAM ports. What the harts *share* is the
 //! **timing** of the downstream memory bus: every core-side DMEM
@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 /// State shared by all harts of an [`SmpSystem`]: the bus arbiter and the
 /// IPI mailboxes. Lives behind `Rc<RefCell<..>>` so each hart's
-/// [`Platform`] can reach it from inside a bus access.
+/// [`Platform`](crate::Platform) can reach it from inside a bus access.
 #[derive(Debug)]
 pub struct SmpShared {
     /// Shared-bus arbiter; master index = hart id.

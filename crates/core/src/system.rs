@@ -9,8 +9,8 @@ use crate::platform::Platform;
 use crate::stats::{LatencyStats, SwitchRecord};
 use crate::unit::{RtosUnit, UnitStats};
 use rvsim_cores::{
-    make_engine, stop_events, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind,
-    FaultPlan, NullCoprocessor,
+    make_engine, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind, FaultPlan,
+    NullCoprocessor,
 };
 use rvsim_isa::{csr, Program};
 use rvsim_snapshot::{self as snap, Json, SnapError};
@@ -468,19 +468,11 @@ impl System {
             let exit = if costep {
                 // Unit-active batch: the engine co-steps the coprocessor
                 // every consumed cycle, including the exit cycle.
-                self.core.run_costep(
-                    &mut self.platform,
-                    self.unit.as_coproc(),
-                    stop_events::ALL,
-                    budget,
-                )
+                self.core
+                    .run_costep(&mut self.platform, self.unit.as_coproc(), budget)
             } else {
-                self.core.run_until(
-                    &mut self.platform,
-                    self.unit.as_coproc(),
-                    stop_events::ALL,
-                    budget,
-                )
+                self.core
+                    .run_until(&mut self.platform, self.unit.as_coproc(), budget)
             };
             self.track_episode(exit.event, self.platform.cycle());
             // The exit cycle's unit step: a no-op unless the final cycle

@@ -378,8 +378,9 @@ impl RtosUnit {
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, an invalid configuration, or cursors
-    /// beyond the context size.
+    /// Fails on malformed fields, an invalid configuration, cursors
+    /// beyond the context size, or an active store or restore FSM whose
+    /// cursor is past the last context word.
     pub fn from_snap(value: &Json) -> Result<RtosUnit, SnapError> {
         let c = snap::field(value, "cfg")?;
         let cfg = RtosUnitConfig {
@@ -454,6 +455,20 @@ impl RtosUnit {
             }
             Ok(w)
         };
+        // An active store or restore FSM moves its cursor's context word
+        // on the next step, so the cursor must name one.
+        let fsm = |active: &str, cursor: &str| -> Result<(bool, usize), SnapError> {
+            let on = snap::get_bool(value, active)?;
+            let w = bounded(cursor)?;
+            if on && w >= CTX_WORDS {
+                return Err(SnapError::new(format!(
+                    "unit: `{active}` with `{cursor}` {w} past the context"
+                )));
+            }
+            Ok((on, w))
+        };
+        let (store_active, store_word) = fsm("store_active", "store_word")?;
+        let (restore_active, restore_word) = fsm("restore_active", "restore_word")?;
         let words = snap::words_from_json(snap::field(value, "preload_buf")?, CTX_WORDS)?;
         let mut preload_buf = [0u32; CTX_WORDS];
         preload_buf.copy_from_slice(&words);
@@ -465,15 +480,15 @@ impl RtosUnit {
             current_id: snap::get_u8(value, "current_id")?,
             pending_next: opt_id("pending_next")?,
             in_isr: snap::get_bool(value, "in_isr")?,
-            store_active: snap::get_bool(value, "store_active")?,
+            store_active,
             store_draining: snap::get_bool(value, "store_draining")?,
-            store_word: bounded("store_word")?,
+            store_word,
             store_mask: snap::get_u32(value, "store_mask")?,
             restore_mode,
             restore_pending: snap::get_bool(value, "restore_pending")?,
-            restore_active: snap::get_bool(value, "restore_active")?,
+            restore_active,
             restore_draining: snap::get_bool(value, "restore_draining")?,
-            restore_word: bounded("restore_word")?,
+            restore_word,
             restore_id: snap::get_u8(value, "restore_id")?,
             preload_buf,
             preload_id: opt_id("preload_id")?,

@@ -10,23 +10,19 @@
 //!
 //! **Timing-replay contract.** Architectural execution is split from
 //! timing annotation, but the annotation is replayed *exactly*: every
-//! cycle, retirement, trace entry, counter increment, profile attribution
-//! and predictor update lands precisely where the per-cycle interpreter
-//! puts it. The batching differential tests assert bit-identical results
-//! against per-cycle stepping. Key replay rules:
+//! cycle, retirement, trace entry, simulated counter increment, profile
+//! attribution and predictor update lands precisely where the per-cycle
+//! interpreter puts it. The batching differential tests assert
+//! bit-identical results against per-cycle stepping. Key replay rules:
 //!
-//! * Pairing is decided greedily from the block entry, exactly as the
-//!   interpreter's memoryless per-step pairing does; a block is trimmed
-//!   so its cut never splits a pair the interpreter would have issued.
+//! * Pairing is decided greedily from the block entry by the
+//!   interpreter's own pairing rule (`CoreEngine::pairs`), exactly as its
+//!   memoryless per-step pairing does; a block is trimmed so its cut
+//!   never splits a pair the interpreter would have issued.
 //! * Fusion only merges two steps the interpreter would have executed as
 //!   *unpaired singles*, and replays both constituents' cycles, trace
 //!   entries and attributions individually — fusion is a host-side
 //!   speedup, never a guest-visible timing change.
-//! * The per-word `decoded` cache is shared, not shadowed: dispatch
-//!   counts hits/misses against it and fills it with the block's stored
-//!   instructions (including the interpreter's silent dual-issue
-//!   peek-fills), so interleaving block and interpreter execution never
-//!   decodes a word through two disagreeing paths.
 //!
 //! **Block lifecycle.** The cache itself is built on the engine's first
 //! batched dispatch, so an engine that only steps per cycle never
@@ -46,7 +42,9 @@
 //! survive invalidation so retranslation shows up in the profiler.
 //!
 //! The cache is host bookkeeping, not machine state: snapshots leave it
-//! out, and a restored engine starts cold.
+//! out, and a restored engine starts cold. Blocks decode IMEM directly
+//! and never touch the interpreter's per-word decode cache, which is
+//! host bookkeeping of the same kind.
 
 use crate::coproc::Coprocessor;
 use crate::counters::CoreCounters;
@@ -67,14 +65,13 @@ const MAX_WORDS: usize = 64;
 /// `step()` call (or, for fused macro-ops, two consecutive calls).
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// One instruction. `peeks` replays the interpreter's dual-issue
-    /// lookahead (a silent decode-cache fill of the next word).
-    Single { uop: Uop, peeks: bool },
+    /// One instruction.
+    Single(Uop),
     /// A dual-issue pair: both retire in one cycle.
     Pair { first: Uop, second: Uop },
     /// A fused macro-op pair: two instructions, two interpreter steps,
-    /// one dispatch. `peeks` covers the *second* constituent's lookahead.
-    Fused { uop: Uop, peeks: bool },
+    /// one dispatch.
+    Fused(Uop),
 }
 
 /// A translated basic block.
@@ -82,12 +79,8 @@ enum Step {
 struct Block {
     start: u32,
     steps: Vec<Step>,
-    /// Decoded instruction per covered word (for decode-cache fills).
-    instrs: Vec<Instr>,
-    /// Every covered word is known present in the per-word decode cache
-    /// (set after the first complete pass; IMEM writes that could clear a
-    /// covered slot also kill the block, so the flag never goes stale).
-    warm: bool,
+    /// Instruction words covered, from `start`.
+    words: u32,
     /// Dispatches of this translation.
     execs: u64,
     /// Fused macro-op executions inside this translation.
@@ -96,7 +89,7 @@ struct Block {
 
 impl Block {
     fn covers(&self, addr: u32) -> bool {
-        addr >= self.start && addr < self.start + 4 * self.instrs.len() as u32
+        addr >= self.start && addr < self.start + 4 * self.words
     }
 }
 
@@ -239,11 +232,6 @@ impl BlockCache {
     }
 }
 
-fn raw_hazard(a: &Instr, b: &Instr) -> bool {
-    a.rd()
-        .is_some_and(|rd| b.sources().iter().flatten().any(|s| *s == rd))
-}
-
 /// Translates the basic block entered at `start`, or `None` when the
 /// first word has no block representation (system op, undecodable word,
 /// outside IMEM).
@@ -302,10 +290,7 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     if params.dual_issue {
         let mut i = 0;
         while i + 1 < n {
-            if CoreEngine::is_simple(&instrs[i])
-                && CoreEngine::is_simple(&instrs[i + 1])
-                && !raw_hazard(&instrs[i], &instrs[i + 1])
-            {
+            if CoreEngine::pairs(&instrs[i], || Some(instrs[i + 1])) {
                 pair_first[i] = true;
                 i += 2;
             } else {
@@ -320,11 +305,11 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
         // trailing op does not pair with the dropped one.)
         if !terminated && n > 0 && !(n >= 2 && pair_first[n - 2]) {
             let next_pc = start.wrapping_add(4 * n as u32);
-            let tail_pairs = CoreEngine::is_simple(&instrs[n - 1])
-                && imem.contains(next_pc)
-                && decode(imem.read_word(next_pc)).is_ok_and(|next| {
-                    CoreEngine::is_simple(&next) && !raw_hazard(&instrs[n - 1], &next)
-                });
+            let tail_pairs = CoreEngine::pairs(&instrs[n - 1], || {
+                imem.contains(next_pc)
+                    .then(|| imem.read_word(next_pc))
+                    .and_then(|word| decode(word).ok())
+            });
             if tail_pairs {
                 instrs.pop();
                 pair_first.pop();
@@ -353,26 +338,21 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
         }
         if i + 1 < n && !pair_first[i + 1] {
             if let Some(fused) = fuse(&instrs[i], &instrs[i + 1], pc_i) {
-                // The second constituent peeks ahead exactly when the
-                // interpreter would: dual issue, simple, unpaired.
-                let peeks = params.dual_issue && CoreEngine::is_simple(&instrs[i + 1]);
-                steps.push(Step::Fused { uop: fused, peeks });
+                steps.push(Step::Fused(fused));
                 i += 2;
                 continue;
             }
         }
-        steps.push(Step::Single {
-            uop: lower(&instrs[i], pc_i).expect("scanned op lowers"),
-            peeks: params.dual_issue && CoreEngine::is_simple(&instrs[i]),
-        });
+        steps.push(Step::Single(
+            lower(&instrs[i], pc_i).expect("scanned op lowers"),
+        ));
         i += 1;
     }
 
     Some(Block {
         start,
         steps,
-        instrs,
-        warm: false,
+        words: n as u32,
         execs: 0,
         fused_execs: 0,
     })
@@ -502,9 +482,6 @@ impl CoreEngine {
                 let block = cache.blocks[slot as usize].as_mut().expect("live slot");
                 block.execs += 1;
                 block.fused_execs += fused;
-                // A complete pass fetched every covered word (a barrier
-                // exit comes from the terminal step, so it is one too).
-                block.warm |= matches!(exit, StepExit::Done | StepExit::Barrier);
             }
             self.counters.fused_ops += fused;
             engaged |= any;
@@ -567,8 +544,6 @@ impl CoreEngine {
         pending: &mut u32,
     ) -> (StepExit, u64, bool) {
         let p = self.params;
-        let warm = block.warm;
-        let base_idx = ((block.start - self.imem.base()) / 4) as usize;
         let mut widx = 0usize;
         let mut fused_execs = 0u64;
         let mut any = false;
@@ -576,7 +551,7 @@ impl CoreEngine {
         for step in &block.steps {
             let wpc = block.start.wrapping_add(4 * widx as u32);
             let issue: u64 = match step {
-                Step::Fused { .. } => 2,
+                Step::Fused(_) => 2,
                 _ => 1,
             };
             if (self.cycle - entry_cycle) + u64::from(*pending) + issue > remaining {
@@ -605,41 +580,27 @@ impl CoreEngine {
 
             let exit: Option<StepExit> = 'exec: {
                 match step {
-                    Step::Single { uop, peeks } => {
-                        let instr = block.instrs[widx];
-                        self.count_fetch(warm, base_idx + widx, instr);
+                    Step::Single(uop) => {
                         match *uop {
                             Uop::AluRR { op, rd, rs1, rs2 } => {
                                 let v = alu(op, self.state.read_reg(rs1), self.state.read_reg(rs2));
                                 self.state.write_reg(rd, v);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                let next = wpc.wrapping_add(4);
-                                if *peeks {
-                                    self.peek_fill(block, base_idx, widx + 1, next);
-                                }
-                                self.state.pc = next;
+                                self.state.pc = wpc.wrapping_add(4);
                             }
                             Uop::AluRI { op, rd, rs1, imm } => {
                                 let v = alu(op, self.state.read_reg(rs1), imm);
                                 self.state.write_reg(rd, v);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                let next = wpc.wrapping_add(4);
-                                if *peeks {
-                                    self.peek_fill(block, base_idx, widx + 1, next);
-                                }
-                                self.state.pc = next;
+                                self.state.pc = wpc.wrapping_add(4);
                             }
                             Uop::MovImm { rd, value } => {
                                 self.state.write_reg(rd, value);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                let next = wpc.wrapping_add(4);
-                                if *peeks {
-                                    self.peek_fill(block, base_idx, widx + 1, next);
-                                }
-                                self.state.pc = next;
+                                self.state.pc = wpc.wrapping_add(4);
                             }
                             Uop::MulDiv { op, rd, rs1, rs2 } => {
                                 let v =
@@ -805,16 +766,11 @@ impl CoreEngine {
                         widx += 1;
                     }
                     Step::Pair { first, second } => {
-                        // fetch + execute the first, peek-fill discovers the
-                        // pair, fetch (always a hit) + execute the second —
-                        // all in this one cycle, exactly like the
+                        // Both retire in this one cycle, exactly like the
                         // interpreter's `continue`d issue loop.
-                        self.count_fetch(warm, base_idx + widx, block.instrs[widx]);
                         self.exec_simple(first);
                         self.retire_trace(wpc);
-                        self.fill_decoded(warm, base_idx + widx + 1, block.instrs[widx + 1]);
                         self.counters.issued_pairs += 1;
-                        self.count_fetch(warm, base_idx + widx + 1, block.instrs[widx + 1]);
                         self.exec_simple(second);
                         let second_pc = wpc.wrapping_add(4);
                         self.retire_trace(second_pc);
@@ -822,7 +778,7 @@ impl CoreEngine {
                         self.state.pc = wpc.wrapping_add(8);
                         widx += 2;
                     }
-                    Step::Fused { uop, peeks } => {
+                    Step::Fused(uop) => {
                         match *uop {
                             Uop::LoadImm {
                                 rd_hi,
@@ -830,29 +786,15 @@ impl CoreEngine {
                                 rd,
                                 value,
                             } => {
-                                self.count_fetch(warm, base_idx + widx, block.instrs[widx]);
                                 self.state.write_reg(rd_hi, hi);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                if p.dual_issue {
-                                    // The first constituent's lookahead.
-                                    self.fill_decoded(
-                                        warm,
-                                        base_idx + widx + 1,
-                                        block.instrs[widx + 1],
-                                    );
-                                }
                                 self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                self.count_fetch(warm, base_idx + widx + 1, block.instrs[widx + 1]);
                                 self.state.write_reg(rd, value);
                                 let second_pc = wpc.wrapping_add(4);
                                 self.retire_trace(second_pc);
                                 self.attribute(second_pc, 1);
-                                let next = wpc.wrapping_add(8);
-                                if *peeks {
-                                    self.peek_fill(block, base_idx, widx + 2, next);
-                                }
-                                self.state.pc = next;
+                                self.state.pc = wpc.wrapping_add(8);
                             }
                             Uop::AuipcJalr {
                                 rd1,
@@ -861,19 +803,10 @@ impl CoreEngine {
                                 link_value,
                                 target,
                             } => {
-                                self.count_fetch(warm, base_idx + widx, block.instrs[widx]);
                                 self.state.write_reg(rd1, pcrel);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                if p.dual_issue {
-                                    self.fill_decoded(
-                                        warm,
-                                        base_idx + widx + 1,
-                                        block.instrs[widx + 1],
-                                    );
-                                }
                                 self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                self.count_fetch(warm, base_idx + widx + 1, block.instrs[widx + 1]);
                                 self.state.write_reg(link, link_value);
                                 let second_pc = wpc.wrapping_add(4);
                                 self.retire_trace(second_pc);
@@ -891,7 +824,6 @@ impl CoreEngine {
                                 taken_pc,
                                 fall_pc,
                             } => {
-                                self.count_fetch(warm, base_idx + widx, block.instrs[widx]);
                                 let b = match src2 {
                                     UopSrc::Reg(r) => self.state.read_reg(r),
                                     UopSrc::Imm(v) => v,
@@ -900,15 +832,7 @@ impl CoreEngine {
                                 self.state.write_reg(rd, cmp);
                                 self.retire_trace(wpc);
                                 self.attribute(wpc, 1);
-                                if p.dual_issue {
-                                    self.fill_decoded(
-                                        warm,
-                                        base_idx + widx + 1,
-                                        block.instrs[widx + 1],
-                                    );
-                                }
                                 self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                self.count_fetch(warm, base_idx + widx + 1, block.instrs[widx + 1]);
                                 let taken = (cmp != 0) == branch_if_nonzero;
                                 let second_pc = wpc.wrapping_add(4);
                                 self.retire_trace(second_pc);
@@ -997,46 +921,6 @@ impl CoreEngine {
     fn retire_trace(&mut self, pc: u32) {
         self.retired += 1;
         self.trace.push((self.cycle, pc));
-    }
-
-    /// One fetch against the shared per-word decode cache, with the
-    /// interpreter's hit/miss accounting; misses fill from the block's
-    /// stored decode (identical to decoding the IMEM word, which cannot
-    /// have changed while the block is live).
-    #[inline]
-    fn count_fetch(&mut self, warm: bool, idx: usize, instr: Instr) {
-        if warm {
-            // The slot is provably filled — count the hit without
-            // touching the decode array.
-            self.counters.decode_hits += 1;
-        } else if self.decoded[idx].is_some() {
-            self.counters.decode_hits += 1;
-        } else {
-            self.counters.decode_misses += 1;
-            self.decoded[idx] = Some(instr);
-        }
-    }
-
-    /// A silent decode-cache fill (the interpreter's `peek`).
-    #[inline]
-    fn fill_decoded(&mut self, warm: bool, idx: usize, instr: Instr) {
-        if !warm && self.decoded[idx].is_none() {
-            self.decoded[idx] = Some(instr);
-        }
-    }
-
-    /// Replays the dual-issue lookahead of an unpaired simple op: an
-    /// in-block fill from the stored decode, or — past the block's end —
-    /// a real `peek` against the current IMEM bytes (the next word is
-    /// not covered by this block, so it may legitimately differ from
-    /// anything seen at translation time).
-    #[inline]
-    fn peek_fill(&mut self, block: &Block, base_idx: usize, next_widx: usize, next_pc: u32) {
-        if next_widx < block.instrs.len() {
-            self.fill_decoded(block.warm, base_idx + next_widx, block.instrs[next_widx]);
-        } else {
-            self.peek(next_pc);
-        }
     }
 
     #[inline]

@@ -15,9 +15,11 @@ use rvsim_snapshot::{self as snap, Json, SnapError};
 /// Snapshot of one engine's activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {
-    /// Fetches served from the decoded-instruction cache.
+    /// Interpreted fetches served from the per-word decode cache (host
+    /// bookkeeping: block dispatch does not fetch through it).
     pub decode_hits: u64,
-    /// Fetches that had to decode the IMEM word.
+    /// Interpreted fetches that had to decode the IMEM word (host
+    /// bookkeeping, like `decode_hits`).
     pub decode_misses: u64,
     /// Superscalar pairs issued (second instruction was free).
     pub issued_pairs: u64,
@@ -37,17 +39,32 @@ pub struct CoreCounters {
     pub stall_coproc: u64,
     /// Cycles parked in `wfi`.
     pub wfi_cycles: u64,
-    /// Basic-block dispatches served from the translation cache (batched
-    /// execution only; zero on the per-cycle path).
+    /// Basic-block dispatches served from the translation cache (host
+    /// bookkeeping; zero on the per-cycle path).
     pub block_hits: u64,
-    /// Basic blocks translated into the cache (first builds plus
-    /// retranslations after invalidation).
+    /// Basic blocks translated into the cache, first builds plus
+    /// retranslations after invalidation (host bookkeeping).
     pub block_builds: u64,
-    /// Fused macro-op executions (each retires two guest instructions).
+    /// Fused macro-op executions, each retiring two guest instructions
+    /// (host bookkeeping).
     pub fused_ops: u64,
 }
 
 impl CoreCounters {
+    /// The fields that count host-cache work — the per-word decode cache
+    /// and the block translation cache — rather than the simulated
+    /// machine. They depend on which execution path ran and where a run
+    /// was split into batches, so equivalence tests compare through
+    /// [`without_host_stats`](Self::without_host_stats) and snapshots
+    /// leave them out.
+    pub const HOST_STATS: [&'static str; 5] = [
+        "decode_hits",
+        "decode_misses",
+        "block_hits",
+        "block_builds",
+        "fused_ops",
+    ];
+
     /// Total stall cycles across all causes (excluding `wfi` parking).
     pub fn total_stalls(&self) -> u64 {
         self.stall_exec
@@ -58,52 +75,52 @@ impl CoreCounters {
             + self.stall_coproc
     }
 
-    /// `(name, value)` pairs in a stable order, for machine-readable
-    /// artifacts.
-    pub fn named(&self) -> [(&'static str, u64); 13] {
+    /// Every field by name, in the stable [`named`](Self::named) order.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 13] {
         [
-            ("decode_hits", self.decode_hits),
-            ("decode_misses", self.decode_misses),
-            ("issued_pairs", self.issued_pairs),
-            ("stall_exec", self.stall_exec),
-            ("stall_mem", self.stall_mem),
-            ("stall_control", self.stall_control),
-            ("stall_irq_entry", self.stall_irq_entry),
-            ("stall_mret", self.stall_mret),
-            ("stall_coproc", self.stall_coproc),
-            ("wfi_cycles", self.wfi_cycles),
-            ("block_hits", self.block_hits),
-            ("block_builds", self.block_builds),
-            ("fused_ops", self.fused_ops),
+            ("decode_hits", &mut self.decode_hits),
+            ("decode_misses", &mut self.decode_misses),
+            ("issued_pairs", &mut self.issued_pairs),
+            ("stall_exec", &mut self.stall_exec),
+            ("stall_mem", &mut self.stall_mem),
+            ("stall_control", &mut self.stall_control),
+            ("stall_irq_entry", &mut self.stall_irq_entry),
+            ("stall_mret", &mut self.stall_mret),
+            ("stall_coproc", &mut self.stall_coproc),
+            ("wfi_cycles", &mut self.wfi_cycles),
+            ("block_hits", &mut self.block_hits),
+            ("block_builds", &mut self.block_builds),
+            ("fused_ops", &mut self.fused_ops),
         ]
     }
 
-    /// This snapshot with the block-cache bookkeeping fields zeroed.
-    ///
-    /// The block cache changes *how* the engine executes, never *what*
-    /// it executes: every architectural counter (decode cache, pairing,
-    /// stall attribution, `wfi` parking) must match the interpreter
-    /// exactly. The bookkeeping trio (`block_hits`, `block_builds`,
-    /// `fused_ops`) records fast-path machinery that the interpreter by
-    /// definition never exercises, so equivalence tests compare through
-    /// this view.
-    pub fn without_block_stats(&self) -> CoreCounters {
-        CoreCounters {
-            block_hits: 0,
-            block_builds: 0,
-            fused_ops: 0,
-            ..*self
-        }
+    /// `(name, value)` pairs in a stable order, for machine-readable
+    /// artifacts.
+    pub fn named(&self) -> [(&'static str, u64); 13] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, value)| (name, *value))
     }
 
-    /// Serializes the architectural counters (stable
-    /// [`named`](Self::named) order) for a machine-state snapshot. The
-    /// block-cache bookkeeping trio is host data, not machine state: it
-    /// depends on how a run was chunked into batches, so it is left out.
+    /// This snapshot with the [`HOST_STATS`](Self::HOST_STATS) fields
+    /// zeroed: the view in which every execution path, and a restored
+    /// engine, must agree.
+    pub fn without_host_stats(&self) -> CoreCounters {
+        let mut view = *self;
+        for (name, value) in view.fields_mut() {
+            if Self::HOST_STATS.contains(&name) {
+                *value = 0;
+            }
+        }
+        view
+    }
+
+    /// Serializes the machine-state counters (stable
+    /// [`named`](Self::named) order) for a snapshot, leaving out the
+    /// [`HOST_STATS`](Self::HOST_STATS) fields.
     pub fn to_snap(&self) -> Json {
         let mut obj = Json::object();
         for (name, value) in self.named() {
-            if !matches!(name, "block_hits" | "block_builds" | "fused_ops") {
+            if !Self::HOST_STATS.contains(&name) {
                 obj.push(name, value);
             }
         }
@@ -111,26 +128,19 @@ impl CoreCounters {
     }
 
     /// Rebuilds the counters from [`to_snap`](Self::to_snap) output. The
-    /// block-cache bookkeeping trio starts at zero, like the restored
-    /// engine's cache.
+    /// host fields start at zero, like the restored engine's caches.
     ///
     /// # Errors
     ///
     /// Fails on missing or non-integer fields.
     pub fn from_snap(value: &Json) -> Result<CoreCounters, SnapError> {
-        Ok(CoreCounters {
-            decode_hits: snap::get_u64(value, "decode_hits")?,
-            decode_misses: snap::get_u64(value, "decode_misses")?,
-            issued_pairs: snap::get_u64(value, "issued_pairs")?,
-            stall_exec: snap::get_u64(value, "stall_exec")?,
-            stall_mem: snap::get_u64(value, "stall_mem")?,
-            stall_control: snap::get_u64(value, "stall_control")?,
-            stall_irq_entry: snap::get_u64(value, "stall_irq_entry")?,
-            stall_mret: snap::get_u64(value, "stall_mret")?,
-            stall_coproc: snap::get_u64(value, "stall_coproc")?,
-            wfi_cycles: snap::get_u64(value, "wfi_cycles")?,
-            ..CoreCounters::default()
-        })
+        let mut counters = CoreCounters::default();
+        for (name, slot) in counters.fields_mut() {
+            if !Self::HOST_STATS.contains(&name) {
+                *slot = snap::get_u64(value, name)?;
+            }
+        }
+        Ok(counters)
     }
 }
 
@@ -157,36 +167,44 @@ mod tests {
     }
 
     #[test]
-    fn without_block_stats_zeroes_only_the_bookkeeping_trio() {
+    fn without_host_stats_zeroes_only_the_host_fields() {
         let c = CoreCounters {
             decode_hits: 7,
+            decode_misses: 2,
             issued_pairs: 3,
+            stall_mem: 4,
             block_hits: 40,
             block_builds: 5,
             fused_ops: 11,
             ..CoreCounters::default()
         };
-        let v = c.without_block_stats();
-        assert_eq!(v.decode_hits, 7);
-        assert_eq!(v.issued_pairs, 3);
-        assert_eq!(v.block_hits, 0);
-        assert_eq!(v.block_builds, 0);
-        assert_eq!(v.fused_ops, 0);
+        let v = c.without_host_stats();
+        assert_eq!(
+            v,
+            CoreCounters {
+                issued_pairs: 3,
+                stall_mem: 4,
+                ..CoreCounters::default()
+            }
+        );
     }
 
     #[test]
-    fn snapshots_leave_out_the_bookkeeping_trio() {
+    fn snapshots_leave_out_the_host_fields() {
         let c = CoreCounters {
             decode_hits: 7,
+            decode_misses: 2,
             wfi_cycles: 9,
             block_hits: 40,
             block_builds: 5,
             fused_ops: 11,
             ..CoreCounters::default()
         };
-        let doc = c.to_snap();
-        assert!(!doc.render().contains("block_") && !doc.render().contains("fused"));
-        let back = CoreCounters::from_snap(&doc).expect("restores");
-        assert_eq!(back, c.without_block_stats());
+        let text = c.to_snap().render();
+        for name in CoreCounters::HOST_STATS {
+            assert!(!text.contains(name), "{name} reached the snapshot");
+        }
+        let back = CoreCounters::from_snap(&c.to_snap()).expect("restores");
+        assert_eq!(back, c.without_host_stats());
     }
 }

@@ -118,33 +118,10 @@ pub struct StepOutput {
     pub custom: bool,
 }
 
-/// Bit mask of [`CoreEvent`]s that stop [`CoreEngine::run_until`].
-pub mod stop_events {
-    /// Stop when an interrupt is taken.
-    pub const INTERRUPT_ENTERED: u32 = 1 << 0;
-    /// Stop when `mret` retires.
-    pub const MRET_RETIRED: u32 = 1 << 1;
-    /// Stop when the guest halts.
-    pub const HALTED: u32 = 1 << 2;
-    /// Stop when a synchronous exception traps.
-    pub const EXCEPTION_ENTERED: u32 = 1 << 3;
-    /// Stop on every event.
-    pub const ALL: u32 = INTERRUPT_ENTERED | MRET_RETIRED | HALTED | EXCEPTION_ENTERED;
-}
-
-pub(crate) fn event_bit(ev: CoreEvent) -> u32 {
-    match ev {
-        CoreEvent::InterruptEntered { .. } => stop_events::INTERRUPT_ENTERED,
-        CoreEvent::ExceptionEntered { .. } => stop_events::EXCEPTION_ENTERED,
-        CoreEvent::MretRetired => stop_events::MRET_RETIRED,
-        CoreEvent::Halted => stop_events::HALTED,
-    }
-}
-
 /// Why [`CoreEngine::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// An event matching the stop mask fired on the final cycle.
+    /// A [`CoreEvent`] fired on the final cycle.
     Event,
     /// A coprocessor custom instruction executed on the final cycle.
     CustomExecuted,
@@ -328,9 +305,7 @@ impl CoreEngine {
     /// PC to its entry point (`program.base`).
     pub fn load_program(&mut self, program: &Program) {
         self.imem.load_words(program.base, &program.words);
-        for w in &mut self.decoded {
-            *w = None;
-        }
+        self.decoded.fill(None);
         self.blocks = None;
         self.state.pc = program.base;
     }
@@ -393,7 +368,8 @@ impl CoreEngine {
 
     /// Snapshot of the activity counters. Stall cycles are attributed at
     /// issue time, so the snapshot is identical whether the engine ran
-    /// per-cycle or through batched [`run_until`](Self::run_until).
+    /// per-cycle or through batched [`run_until`](Self::run_until), in
+    /// every field but [`CoreCounters::HOST_STATS`].
     pub fn counters(&self) -> CoreCounters {
         self.counters
     }
@@ -451,6 +427,9 @@ impl CoreEngine {
         }
     }
 
+    /// The interpreter's fetch through the per-word decode cache,
+    /// counting hits and misses. Block dispatch never comes here, so the
+    /// two counters describe interpreted fetches only.
     fn fetch(&mut self, pc: u32) -> Instr {
         let idx = ((pc - self.imem.base()) / 4) as usize;
         if let Some(Some(i)) = self.decoded.get(idx) {
@@ -483,11 +462,25 @@ impl CoreEngine {
         })
     }
 
-    pub(crate) fn is_simple(instr: &Instr) -> bool {
-        matches!(
-            instr,
-            Instr::OpImm { .. } | Instr::Op { .. } | Instr::Lui { .. } | Instr::Auipc { .. }
-        )
+    /// The dual-issue pairing rule, shared by the interpreter and the
+    /// block builder: the instruction after `first` issues in the same
+    /// cycle when both are simple ALU ops and it reads no register
+    /// `first` writes. `next` yields that instruction (`None` when it
+    /// does not decode) and is called only when `first` could lead a pair.
+    pub(crate) fn pairs(first: &Instr, next: impl FnOnce() -> Option<Instr>) -> bool {
+        let simple = |i: &Instr| {
+            matches!(
+                i,
+                Instr::OpImm { .. } | Instr::Op { .. } | Instr::Lui { .. } | Instr::Auipc { .. }
+            )
+        };
+        simple(first)
+            && next().is_some_and(|second| {
+                simple(&second)
+                    && !first
+                        .rd()
+                        .is_some_and(|rd| second.sources().iter().flatten().any(|s| *s == rd))
+            })
     }
 
     pub(crate) fn predict_taken(&mut self, pc: u32, actual: bool) -> bool {
@@ -733,17 +726,10 @@ impl CoreEngine {
 
             // Superscalar pairing: one extra independent simple ALU
             // instruction may retire in the same cycle.
-            if p.dual_issue && !paired && latency == 1 && Self::is_simple(&instr) {
-                if let Some(next) = self.peek(self.state.pc) {
-                    let raw_hazard = instr
-                        .rd()
-                        .is_some_and(|rd| next.sources().iter().flatten().any(|s| *s == rd));
-                    if Self::is_simple(&next) && !raw_hazard {
-                        paired = true;
-                        self.counters.issued_pairs += 1;
-                        continue;
-                    }
-                }
+            if p.dual_issue && !paired && Self::pairs(&instr, || self.peek(self.state.pc)) {
+                paired = true;
+                self.counters.issued_pairs += 1;
+                continue;
             }
 
             self.busy = latency.saturating_sub(1);
@@ -801,17 +787,16 @@ impl CoreEngine {
     /// `wfi` stretches in bulk, advancing the bus clock via
     /// [`DataBus::advance_cycles`].
     ///
-    /// Stops at the first of: an event matching `event_mask`, a custom
-    /// (coprocessor) instruction executing, the bus raising attention, or
-    /// the budget running out.
+    /// Stops at the first of: a [`CoreEvent`], a custom (coprocessor)
+    /// instruction executing, the bus raising attention, or the budget
+    /// running out.
     pub fn run_until(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
-        event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
-        self.run_batch::<false>(bus, coproc, event_mask, max_cycles)
+        self.run_batch::<false>(bus, coproc, max_cycles)
     }
 
     /// Runs a *unit-active* batch: the coprocessor has background work
@@ -835,10 +820,9 @@ impl CoreEngine {
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
-        event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
-        self.run_batch::<true>(bus, coproc, event_mask, max_cycles)
+        self.run_batch::<true>(bus, coproc, max_cycles)
     }
 
     /// The batch loop behind [`run_until`](Self::run_until) and, with
@@ -847,7 +831,6 @@ impl CoreEngine {
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
-        event_mask: u32,
         max_cycles: u64,
     ) -> BatchExit {
         let start = self.cycle;
@@ -877,13 +860,11 @@ impl CoreEngine {
                     if self.busy == 0 && self.completing == Completing::Mret {
                         self.completing = Completing::Plain;
                         coproc.on_mret(&mut self.state);
-                        if event_mask & stop_events::MRET_RETIRED != 0 {
-                            return BatchExit {
-                                cycles: self.cycle - start,
-                                event: Some(CoreEvent::MretRetired),
-                                reason: StopReason::Event,
-                            };
-                        }
+                        return BatchExit {
+                            cycles: self.cycle - start,
+                            event: Some(CoreEvent::MretRetired),
+                            reason: StopReason::Event,
+                        };
                     }
                     continue;
                 }
@@ -941,10 +922,10 @@ impl CoreEngine {
                 }
             };
             let reason = match event {
-                Some(ev) if event_bit(ev) & event_mask != 0 => StopReason::Event,
-                _ if custom && !COSTEP => StopReason::CustomExecuted,
-                _ if attention => StopReason::Attention,
-                _ => continue,
+                Some(_) => StopReason::Event,
+                None if custom && !COSTEP => StopReason::CustomExecuted,
+                None if attention => StopReason::Attention,
+                None => continue,
             };
             return BatchExit {
                 cycles: self.cycle - start,
@@ -957,23 +938,19 @@ impl CoreEngine {
     /// Coprocessor-stall fast-forward for co-stepped batches, up to cycle
     /// `end`: a custom instruction or `mret` the coprocessor refuses pins
     /// the core at `pc`, and the interpreter burns one stall cycle per
-    /// full step call. Replay those cycles in a tight loop — fetch count,
-    /// stall counter, attribution and the coprocessor's step per cycle,
-    /// exactly as `step` takes them — without the per-cycle gate checks
-    /// and block lookups. Quiescence plus "nothing retires while stalled"
+    /// full step call. Replay those cycles in a tight loop — stall
+    /// counter, attribution and the coprocessor's step per cycle, exactly
+    /// as `step` takes them — without the per-cycle gate checks and
+    /// block lookups. Quiescence plus "nothing retires while stalled"
     /// keep every gate input constant, so the caller checking the gates
     /// once is exact. (The stall state itself lives in the coprocessor
     /// and only moves in its `step`, so it is re-checked every cycle.)
     fn skip_coproc_stall(&mut self, bus: &mut dyn DataBus, coproc: &mut dyn Coprocessor, end: u64) {
         let pc = self.state.pc;
-        if pc & 3 != 0 || !self.imem.contains(pc) {
+        if pc & 3 != 0 {
             return;
         }
-        // Only an already-decoded word qualifies (the first stall cycle
-        // goes through `step`, which fills and counts the decode exactly
-        // as stepwise does).
-        let idx = ((pc - self.imem.base()) / 4) as usize;
-        let Some(Some(instr)) = self.decoded.get(idx).copied() else {
+        let Some(instr) = self.peek(pc) else {
             return;
         };
         while self.cycle < end
@@ -986,8 +963,6 @@ impl CoreEngine {
             bus.advance_cycles(1);
             self.cycle += 1;
             self.state.csrs.mcycle = self.cycle as u32;
-            let fetched = self.fetch(pc);
-            debug_assert_eq!(fetched, instr);
             self.counters.stall_coproc += 1;
             self.attribute(pc, 1);
             coproc.step(&mut self.state, bus);
@@ -1005,20 +980,12 @@ impl CoreEngine {
     /// counts, the branch predictor, the retire-trace ring, activity
     /// counters, and the optional profiler.
     ///
-    /// The per-word decode cache is recorded as *layout* (which slots
-    /// are filled), not contents: it is a deterministic function of the
-    /// instruction memory, and [`restore_snap`](Self::restore_snap)
-    /// rebuilds it bit-exactly through a non-counting path. The block
-    /// translation cache is host bookkeeping whose contents depend on
-    /// how a run was split into batches, so it is left out together with
-    /// its counters (see [`CoreCounters::to_snap`]).
+    /// The per-word decode cache and the block translation cache are
+    /// host bookkeeping, not machine state: their contents depend on
+    /// which execution path ran and where a run was split into batches,
+    /// so both are left out together with their counters (see
+    /// [`CoreCounters::HOST_STATS`]).
     pub fn to_snap(&self) -> Json {
-        let mut bitmap = vec![0u32; self.decoded.len().div_ceil(32)];
-        for (i, d) in self.decoded.iter().enumerate() {
-            if d.is_some() {
-                bitmap[i / 32] |= 1 << (i % 32);
-            }
-        }
         let predictor: Vec<u32> = self.predictor.iter().map(|&v| u32::from(v)).collect();
         let cycles: Vec<u64> = self.trace.buf.iter().map(|&(c, _)| c).collect();
         let pcs: Vec<u32> = self.trace.buf.iter().map(|&(_, p)| p).collect();
@@ -1032,7 +999,6 @@ impl CoreEngine {
             .with("core", self.params.name)
             .with("state", self.state.to_snap())
             .with("imem", self.imem.to_snap())
-            .with("decoded", snap::words_to_json(&bitmap))
             .with("busy", self.busy)
             .with(
                 "completing",
@@ -1061,19 +1027,16 @@ impl CoreEngine {
     /// including whether the profiler is attached — is taken from the
     /// snapshot.
     ///
-    /// Decode entries are rebuilt from the restored instruction memory
-    /// through a non-counting path, and the activity counters are
-    /// overwritten last, so a restored engine is cycle-for-cycle and
-    /// counter-for-counter identical to one that never stopped (the
-    /// block-cache bookkeeping counters aside: the translation cache
-    /// starts cold). Every field is parsed before any is committed: on
-    /// error the engine is unchanged.
+    /// Both host caches start cold, and their counters at zero, so a
+    /// restored engine is cycle-for-cycle and counter-for-counter
+    /// identical to one that never stopped in every field but
+    /// [`CoreCounters::HOST_STATS`]. Every field is parsed before any is
+    /// committed: on error the engine is unchanged.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, a core-model or IMEM-geometry
-    /// mismatch, or a decode layout that no longer rebuilds from the
-    /// snapshotted instruction memory.
+    /// Fails on malformed fields or a core-model or IMEM-geometry
+    /// mismatch.
     pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
         let name = snap::get_str(value, "core")?;
         if name != self.params.name {
@@ -1093,20 +1056,6 @@ impl CoreEngine {
             )));
         }
         let state = ArchState::from_snap(snap::field(value, "state")?)?;
-        let bitmap = snap::words_from_json(
-            snap::field(value, "decoded")?,
-            self.decoded.len().div_ceil(32),
-        )?;
-        let mut decoded: Vec<Option<Instr>> = vec![None; self.decoded.len()];
-        for (idx, slot) in decoded.iter_mut().enumerate() {
-            if bitmap[idx / 32] & (1 << (idx % 32)) != 0 {
-                let addr = imem.base() + 4 * idx as u32;
-                let instr = decode(imem.read_word(addr)).map_err(|e| {
-                    SnapError::new(format!("engine: decode slot {idx} ({addr:#010x}): {e}"))
-                })?;
-                *slot = Some(instr);
-            }
-        }
         let busy = snap::get_u32(value, "busy")?;
         let completing = match snap::get_str(value, "completing")? {
             "plain" => Completing::Plain,
@@ -1161,7 +1110,7 @@ impl CoreEngine {
         let counters = CoreCounters::from_snap(snap::field(value, "counters")?)?;
         self.state = state;
         self.imem = imem;
-        self.decoded = decoded;
+        self.decoded.fill(None);
         self.busy = busy;
         self.completing = completing;
         self.wfi_wait = wfi_wait;
@@ -1441,7 +1390,7 @@ mod tests {
         fast.load_program(&p);
         fast.set_profiling(true);
         let mut fast_bus = SramBus::new(0x2000_0000, 0x100);
-        let exit = fast.run_until(&mut fast_bus, &mut co, stop_events::ALL, 5_000);
+        let exit = fast.run_until(&mut fast_bus, &mut co, 5_000);
 
         // Both park in wfi with identical architectural outcomes: the
         // batched run consumes the full budget (wfi bulk-skip) just like
@@ -1456,8 +1405,11 @@ mod tests {
             assert_eq!(fast.state.read_reg(r), slow.state.read_reg(r));
         }
         // Issue-time attribution makes the activity counters path-exact
-        // (the block-cache bookkeeping trio aside).
-        assert_eq!(fast.counters().without_block_stats(), slow.counters());
+        // (the host-cache counters aside).
+        assert_eq!(
+            fast.counters().without_host_stats(),
+            slow.counters().without_host_stats()
+        );
         assert!(slow.counters().stall_exec > 0, "div stalls recorded");
         assert!(slow.counters().stall_mem > 0, "load stalls recorded");
         assert!(slow.counters().wfi_cycles > 0, "wfi park recorded");
@@ -1528,7 +1480,7 @@ mod tests {
         let mut co = NullCoprocessor;
         if batched {
             while !e.halted() {
-                let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+                let exit = e.run_until(&mut bus, &mut co, 1_000);
                 if exit.cycles == 0 && exit.reason == StopReason::Budget {
                     break;
                 }
@@ -1568,11 +1520,11 @@ mod tests {
                 );
             }
             assert_eq!(fast.state.read_reg(Reg::A0), 77);
-            // Architectural counters (decode cache, pairing, stalls) are
-            // bit-identical; only the block bookkeeping trio differs.
+            // Simulated counters (pairing, stalls) are bit-identical;
+            // only the host-cache counters differ.
             assert_eq!(
-                fast.counters().without_block_stats(),
-                slow.counters(),
+                fast.counters().without_host_stats(),
+                slow.counters().without_host_stats(),
                 "{}: counters",
                 params.name
             );
@@ -1601,7 +1553,7 @@ mod tests {
     /// Mid-run snapshot/restore is invisible: a restored engine finishes
     /// the torture program cycle-for-cycle, counter-for-counter and
     /// trace-for-trace identical to one that never stopped — per core
-    /// model, profiler attached, with a cold block cache on the restored
+    /// model, profiler attached, with cold host caches on the restored
     /// side.
     #[test]
     fn snapshot_roundtrip_is_invisible_mid_run() {
@@ -1614,7 +1566,7 @@ mod tests {
             let mut co = NullCoprocessor;
             // Part-way through the run: mid-loop, caches warm.
             while a.cycle() < 700 && !a.halted() {
-                a.run_until(&mut a_bus, &mut co, stop_events::ALL, 700 - a.cycle());
+                a.run_until(&mut a_bus, &mut co, 700 - a.cycle());
             }
             let doc = a.to_snap();
             let bus_doc = a_bus.mem.to_snap();
@@ -1635,7 +1587,7 @@ mod tests {
 
             let mut finish = |e: &mut CoreEngine, bus: &mut SramBus| {
                 while !e.halted() {
-                    let exit = e.run_until(bus, &mut co, stop_events::ALL, 1_000);
+                    let exit = e.run_until(bus, &mut co, 1_000);
                     if exit.cycles == 0 && exit.reason == StopReason::Budget {
                         break;
                     }
@@ -1658,8 +1610,8 @@ mod tests {
             }
             assert_eq!(b.state.csrs, a.state.csrs, "{}: csrs", params.name);
             assert_eq!(
-                b.counters().without_block_stats(),
-                a.counters().without_block_stats(),
+                b.counters().without_host_stats(),
+                a.counters().without_host_stats(),
                 "{}: counters",
                 params.name
             );
@@ -1713,7 +1665,7 @@ mod tests {
         e.load_program(&p);
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
-        e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+        e.run_until(&mut bus, &mut co, 1_000);
         assert!(e.halted());
         assert_eq!(e.state.read_reg(Reg::A0), 1);
         assert!(e.counters().block_hits > 0, "block path never engaged");
@@ -1727,7 +1679,7 @@ mod tests {
         e.halted = false;
         e.state.pc = 0;
         e.state.write_reg(Reg::A0, 0);
-        e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
+        e.run_until(&mut bus, &mut co, 1_000);
         assert!(e.halted());
         assert_eq!(
             e.state.read_reg(Reg::A0),
@@ -1739,40 +1691,6 @@ mod tests {
         let stats = e.block_stats_in(0, 0);
         assert_eq!(stats.builds, 2, "rewrite must force a retranslation");
         assert_eq!(stats.execs, 2);
-    }
-
-    #[test]
-    fn decode_cache_is_shared_between_block_and_interpreter_paths() {
-        // Run the torture program (a) pure interpreter and (b) 300 cycles
-        // interpreted, then batched with blocks: identical decode-cache
-        // counters prove both paths probe one shared per-word cache
-        // rather than the block cache shadowing it.
-        let p = block_torture_program();
-        let slow = {
-            let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
-            e.load_program(&p);
-            let mut bus = SramBus::new(0x2000_0000, 0x100);
-            let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
-            assert!(e.halted());
-            e
-        };
-        let mut e = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
-        e.load_program(&p);
-        let mut bus = SramBus::new(0x2000_0000, 0x100);
-        let mut co = NullCoprocessor;
-        for _ in 0..300 {
-            e.step(&mut bus, &mut co);
-        }
-        assert!(e.blocks.is_none(), "per-cycle stepping built a block cache");
-        while !e.halted() {
-            e.run_until(&mut bus, &mut co, stop_events::ALL, 1_000);
-        }
-        assert_eq!(e.cycle(), slow.cycle());
-        assert_eq!(e.retired(), slow.retired());
-        assert_eq!(e.counters().without_block_stats(), slow.counters());
-        assert!(e.counters().decode_hits > 0);
-        assert!(e.counters().block_hits > 0);
     }
 
     #[test]
@@ -1812,7 +1730,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_on_masked_events_only() {
+    fn run_until_stops_on_core_events() {
         use rvsim_isa::csr;
         let mut a = Asm::new(0);
         a.la(Reg::T0, "handler");
@@ -1830,13 +1748,13 @@ mod tests {
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
         // No interrupt pending: spins to the budget.
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
+        let exit = e.run_until(&mut bus, &mut co, 200);
         assert_eq!(exit.reason, StopReason::Budget);
         assert_eq!(exit.cycles, 200);
         // Raise MTIP: next batch must stop at the entry event, then run to
         // the halt inside the handler.
         e.state.csrs.mip = csr::MIP_MTIP;
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
+        let exit = e.run_until(&mut bus, &mut co, 200);
         assert_eq!(exit.reason, StopReason::Event);
         assert_eq!(
             exit.event,
@@ -1844,7 +1762,7 @@ mod tests {
                 cause: csr::CAUSE_TIMER
             })
         );
-        let exit = e.run_until(&mut bus, &mut co, stop_events::ALL, 200);
+        let exit = e.run_until(&mut bus, &mut co, 200);
         assert_eq!(exit.reason, StopReason::Event);
         assert_eq!(exit.event, Some(CoreEvent::Halted));
         assert!(e.halted());

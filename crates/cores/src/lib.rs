@@ -38,8 +38,7 @@ pub use coproc::{Coprocessor, NullCoprocessor};
 pub use counters::CoreCounters;
 pub use csrs::Csrs;
 pub use engine::{
-    stop_events, BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, SramBus, StepOutput,
-    StopReason,
+    BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, SramBus, StepOutput, StopReason,
 };
 pub use fault::{fault_code_name, FaultEvent, FaultKind, FaultPlan, FaultTargets};
 pub use golden::{GoldenCore, GoldenStep};

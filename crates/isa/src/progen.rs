@@ -212,7 +212,8 @@ pub enum GenOp {
     /// `jalr rd, s10, off` — lands `delta` items from the landing pad;
     /// `misalign` adds 2 to exercise the fetch-misaligned trap.
     Jalr { rd: Reg, delta: i32, misalign: bool },
-    /// CSR read-modify-write on a [`WRITE_CSRS`] target.
+    /// CSR read-modify-write on one of the generator's write targets
+    /// (`mscratch`, `mcause`, `mie`, `mstatus`, `mip`, `mcycle`).
     Csr {
         op: CsrOp,
         csr: u16,

@@ -9,11 +9,13 @@
 //! * **Stack canaries** — [`CANARY_MAGIC`] is planted at the base word of
 //!   every task stack at build time; the protected ISR re-checks all of
 //!   them on every context switch.
-//! * **Guest watchdog** — every timer tick bumps the [`WATCHDOG`] counter;
+//! * **Guest watchdog** — every timer tick bumps the
+//!   [`WATCHDOG`](crate::klayout::KernelLayout::WATCHDOG) counter;
 //!   the idle loop pets it back to zero. Crossing [`WATCHDOG_LIMIT`]
 //!   means idle was starved: the system is wedged or a task ran away.
 //! * **TCB checksum** — the static TCB fields (id, priority) are folded
-//!   into an XOR checksum at build time ([`tcb_checksum`]); the ISR
+//!   into an XOR checksum at build time
+//!   ([`tcb_checksum`](crate::klayout::tcb_checksum)); the ISR
 //!   recomputes and compares it each switch.
 //!
 //! Every detection announces itself with a fault-detection mark

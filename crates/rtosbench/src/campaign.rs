@@ -548,7 +548,9 @@ fn execute_isolated(
     )
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic (`catch_unwind` payload), for failure
+/// records.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1231,7 +1233,10 @@ mod tests {
         assert_eq!(a.retired, b.retired);
         assert_eq!(a.port, b.port);
         assert_eq!(a.trace_marks, b.trace_marks);
-        assert_eq!(a.counters.without_block_stats(), b.counters);
+        assert_eq!(
+            a.counters.without_host_stats(),
+            b.counters.without_host_stats()
+        );
         assert_eq!(a.waterfall, b.waterfall);
     }
 

@@ -11,7 +11,7 @@
 //! queueing delay lands in the measured distribution where it belongs.
 //!
 //! Everything is a plain `fn` (no captured state), so the spec slots into
-//! [`WorkloadSpec::OpenLoop`](crate::campaign::WorkloadSpec::OpenLoop)
+//! [`WorkloadSpec::OpenLoop`]
 //! and stays `Send + Sync` for the campaign executor — and fully
 //! deterministic: the arrival list is a pure function of
 //! `(mean_gap, run_cycles)` via the in-tree [`Rng64`].

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! {
-//!   "schema": "rtosunit-snapshot-v1",
+//!   "schema": "rtosunit-snapshot-v2",
 //!   "digest": "0x<fnv1a-64 of the rendered state>",
 //!   "state": { ... }
 //! }
@@ -30,7 +30,7 @@
 //! sorted key order. Under those rules `Json::parse(render(x)) == x`, so
 //! digests computed at seal time and verify time always agree.
 //!
-//! Word-array payloads (memories, decode bitmaps, profile bins) use the
+//! Word-array payloads (memories, predictor tables, profile bins) use the
 //! run-length codec ([`words_to_json`]/[`words_from_json`]): a flat
 //! `[len0, val0, len1, val1, ...]` array — mostly-zero 64 KiB memories
 //! collapse to a handful of runs.
@@ -39,8 +39,8 @@ pub mod json;
 
 pub use json::{Json, JsonParseError};
 
-/// Schema tag of version 1 snapshot artifacts.
-pub const SCHEMA: &str = "rtosunit-snapshot-v1";
+/// Schema tag of version 2 snapshot artifacts.
+pub const SCHEMA: &str = "rtosunit-snapshot-v2";
 
 /// FNV-1a 64-bit offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -14,6 +14,7 @@ use rtosunit_suite::check::{smp_scenario_for_seed, smp_scenario_system};
 use rtosunit_suite::cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rtosunit_suite::isa::Reg;
 use rtosunit_suite::snapshot;
+use rtosunit_suite::unit::layout::CTX_WORDS;
 use rtosunit_suite::unit::{Preset, SmpSystem, System};
 
 /// The two ways the simulator executes; the snapshot codec must be
@@ -228,4 +229,43 @@ fn tampered_and_truncated_snapshots_are_rejected() {
         snapshot::open(&wrong).is_err(),
         "wrong-schema snapshot accepted"
     );
+}
+
+/// The value under `key` in a snapshot object, for mutation tests.
+fn field_mut<'a>(obj: &'a mut snapshot::Json, key: &str) -> &'a mut snapshot::Json {
+    match obj {
+        snapshot::Json::Object(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no `{key}` field")),
+        _ => panic!("`{key}`: not an object"),
+    }
+}
+
+#[test]
+fn restore_rejects_an_active_unit_fsm_past_the_context() {
+    // An active store or restore FSM moves its cursor's context word on
+    // the next step. A cursor past the last word would index out of the
+    // context on resume, so restore must refuse it up front.
+    let mut sys = single_hart_system(CoreKind::Cva6, Preset::Sdlot, false);
+    sys.run(20_000);
+    let state = sys.state_snap();
+    assert!(
+        System::from_state_snap(&state).is_ok(),
+        "pristine state rejected"
+    );
+    for (active, cursor) in [
+        ("store_active", "store_word"),
+        ("restore_active", "restore_word"),
+    ] {
+        let mut bad = state.clone();
+        let unit = field_mut(field_mut(&mut bad, "unit"), "state");
+        *field_mut(unit, active) = snapshot::Json::Bool(true);
+        *field_mut(unit, cursor) = snapshot::Json::UInt(CTX_WORDS as u64);
+        assert!(
+            System::from_state_snap(&bad).is_err(),
+            "active `{active}` with `{cursor}` {CTX_WORDS} accepted"
+        );
+    }
 }

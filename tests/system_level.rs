@@ -236,8 +236,8 @@ fn imem_flip_fault_invalidates_live_translated_blocks() {
     );
     assert_eq!(fast.core.retired(), slow.core.retired(), "retires diverged");
     assert_eq!(
-        fast.core.counters().without_block_stats(),
-        slow.core.counters().without_block_stats(),
+        fast.core.counters().without_host_stats(),
+        slow.core.counters().without_host_stats(),
         "activity counters diverged"
     );
     assert!(fast.core.counters().block_hits > 0, "cache never engaged");
