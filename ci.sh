@@ -31,6 +31,13 @@ cargo build --release
 echo "== cargo test (workspace)"
 cargo test -q --release --workspace
 
+echo "== perfbench builds and passes its smoke test"
+# perfbench is a package of its own that drives the crates through their
+# public APIs; nothing else builds it, so an API change would break the
+# benchmark unnoticed. Its test runs `--smoke` and checks the metric
+# names against BENCHMARK.json.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== trace_dump smoke test (emits + validates results/trace_dump*.json)"
 # The binary re-parses its own Chrome trace-event output and asserts the
 # irq/entry/phase/mret/cache event vocabulary is present (panics if not),

@@ -4,7 +4,7 @@
 //!
 //! * `snap save <core> <preset> <workload> <cycle> <out.json>` — boot the
 //!   suite workload on `(core, preset)`, run to the given cycle, and
-//!   write the sealed `rtosunit-snapshot-v2` document.
+//!   write the sealed snapshot document (schema [`snap::SCHEMA`]).
 //! * `snap info <in.json>` — verify the envelope (schema + FNV-1a digest)
 //!   and print the snapshot's self-description.
 //! * `snap resume <in.json> <cycles>` — restore and run a further budget;

@@ -30,8 +30,8 @@
 //! With [`EpisodeSpec::snap`] set the engine is additionally round-tripped
 //! through the snapshot codec
 //! ([`CoreEngine::to_snap`](rvsim_cores::CoreEngine::to_snap) →
-//! [`restore_snap`](rvsim_cores::CoreEngine::restore_snap) into a fresh
-//! engine, which then replaces the original) at pseudo-random retire
+//! [`CoreEngine::from_snap`](rvsim_cores::CoreEngine::from_snap), a
+//! fresh engine that then replaces the original) at pseudo-random retire
 //! points. The round-trip must be invisible: any micro-architectural
 //! state the codec fails to carry desynchronises the swapped-in engine
 //! from the golden model and is caught by the ordinary lockstep diff.
@@ -256,9 +256,7 @@ impl SnapPlan {
                 engine,
             ));
         }
-        let mut fresh = make_engine(core, IMEM_BASE, IMEM_SIZE);
-        fresh
-            .restore_snap(&doc)
+        let fresh = rvsim_cores::CoreEngine::from_snap(core.timing(), IMEM_BASE, IMEM_SIZE, &doc)
             .map_err(|e| fail(format!("snapshot restore: {e}"), engine))?;
         if fresh.to_snap().render() != doc.render() {
             return Err(fail(

@@ -93,7 +93,7 @@ impl CtxQueue {
         Json::object()
             .with("capacity", self.capacity)
             .with("inflight_len", inflight.len())
-            .with("inflight", snap::longs_to_json(&inflight))
+            .with("inflight", snap::runs_to_json(&inflight))
             .with("issued", self.issued)
             .with("full_stalls", self.full_stalls)
     }
@@ -115,7 +115,7 @@ impl CtxQueue {
                 "ctxqueue: {len} in flight exceeds capacity {capacity}"
             )));
         }
-        let inflight = snap::longs_from_json(snap::field(value, "inflight")?, len)?;
+        let inflight = snap::runs_from_json(snap::field(value, "inflight")?, len)?;
         Ok(CtxQueue {
             capacity,
             inflight: inflight.into_iter().collect(),

@@ -96,11 +96,11 @@ impl Cv32rtUnit {
     pub fn to_snap(&self) -> Json {
         Json::object()
             .with("bypass_invalidate", self.bypass_invalidate)
-            .with("buf", snap::words_to_json(&self.buf))
+            .with("buf", snap::runs_to_json(&self.buf))
             .with("frame_base", self.frame_base)
             .with("remaining", self.remaining)
             .with("lines_len", self.invalidated_lines.len())
-            .with("lines", snap::words_to_json(&self.invalidated_lines))
+            .with("lines", snap::runs_to_json(&self.invalidated_lines))
             .with("interrupts", self.stats.interrupts)
             .with("snapshot_words", self.stats.snapshot_words)
             .with("invalidations", self.stats.invalidations)
@@ -118,7 +118,7 @@ impl Cv32rtUnit {
                 "cv32rt: drain cursor {remaining} beyond the snapshot buffer"
             )));
         }
-        let words = snap::words_from_json(snap::field(value, "buf")?, 16)?;
+        let words = snap::runs_from_json(snap::field(value, "buf")?, 16)?;
         let mut buf = [0u32; 16];
         buf.copy_from_slice(&words);
         let lines_len = snap::get_usize(value, "lines_len")?;
@@ -127,7 +127,7 @@ impl Cv32rtUnit {
             buf,
             frame_base: snap::get_u32(value, "frame_base")?,
             remaining,
-            invalidated_lines: snap::words_from_json(snap::field(value, "lines")?, lines_len)?,
+            invalidated_lines: snap::runs_from_json(snap::field(value, "lines")?, lines_len)?,
             stats: Cv32rtStats {
                 interrupts: snap::get_u64(value, "interrupts")?,
                 snapshot_words: snap::get_u64(value, "snapshot_words")?,

@@ -119,13 +119,14 @@ impl Mmio {
         }
     }
 
-    /// Serializes the device block for a machine-state snapshot.
+    /// Serializes the device block for a machine-state snapshot. Trace
+    /// marks are one flat `[cycle, code, ...]` array.
     pub fn to_snap(&self) -> Json {
-        let marks: Vec<Json> = self
-            .trace_marks
-            .iter()
-            .map(|m| Json::object().with("cycle", m.cycle).with("code", m.code))
-            .collect();
+        let marks = snap::rows_to_json(
+            self.trace_marks
+                .iter()
+                .map(|m| [m.cycle, u64::from(m.code)]),
+        );
         Json::object()
             .with("mtime", self.mtime)
             .with("mtimecmp", self.mtimecmp)
@@ -137,7 +138,7 @@ impl Mmio {
             .with("attention", self.attention)
             .with("trace_marks", marks)
             .with("console_len", self.console.len())
-            .with("console", snap::words_to_json(&self.console))
+            .with("console", snap::runs_to_json(&self.console))
     }
 
     /// Rebuilds the device block from [`to_snap`](Self::to_snap) output.
@@ -146,13 +147,14 @@ impl Mmio {
     ///
     /// Fails on malformed fields.
     pub fn from_snap(value: &Json) -> Result<Mmio, SnapError> {
-        let mut trace_marks = Vec::new();
-        for m in snap::get_array(value, "trace_marks")? {
-            trace_marks.push(TraceMark {
-                cycle: snap::get_u64(m, "cycle")?,
-                code: snap::get_u32(m, "code")?,
-            });
-        }
+        let trace_marks = snap::rows_from_json(snap::field(value, "trace_marks")?, "trace_marks")?
+            .into_iter()
+            .map(|[cycle, code]| {
+                let code = u32::try_from(code)
+                    .map_err(|_| SnapError::new("trace_marks: code exceeds u32 range"))?;
+                Ok(TraceMark { cycle, code })
+            })
+            .collect::<Result<_, SnapError>>()?;
         let console_len = snap::get_usize(value, "console_len")?;
         Ok(Mmio {
             mtime: snap::get_u32(value, "mtime")?,
@@ -164,7 +166,7 @@ impl Mmio {
             halted: snap::get_bool(value, "halted")?,
             attention: snap::get_bool(value, "attention")?,
             trace_marks,
-            console: snap::words_from_json(snap::field(value, "console")?, console_len)?,
+            console: snap::runs_from_json(snap::field(value, "console")?, console_len)?,
         })
     }
 
@@ -399,47 +401,63 @@ impl Platform {
             .with("bus_error_armed", self.bus_error_armed)
     }
 
-    /// Restores the platform in place from [`to_snap`](Self::to_snap)
-    /// output. The SMP attachment (if any) is left untouched. Every field
-    /// is parsed before anything is committed, so a failed restore leaves
-    /// the platform unchanged.
+    /// Builds the platform for `kind` from [`to_snap`](Self::to_snap)
+    /// output, allocating DMEM once, from the document. The result has no
+    /// SMP attachment; [`System::restore_snap`](crate::System::restore_snap)
+    /// moves the live one over.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields or nested component errors.
-    pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
+    /// Fails on malformed fields, nested component errors, a DMEM
+    /// geometry other than the memory map's, or a data cache whose
+    /// presence or configuration differs from `kind`'s.
+    pub fn from_snap(kind: CoreKind, value: &Json) -> Result<Platform, SnapError> {
         let dmem = Mem::from_snap(snap::field(value, "dmem")?)?;
-        let dcache = match snap::field(value, "dcache")? {
-            Json::Null => None,
-            v => Some(Cache::from_snap(v)?),
+        if (dmem.base(), dmem.end()) != (DMEM_BASE, DMEM_BASE + DMEM_SIZE) {
+            return Err(SnapError::new(format!(
+                "platform: dmem {:#010x}..{:#010x} is not the memory map's",
+                dmem.base(),
+                dmem.end()
+            )));
+        }
+        let dcache = match (snap::field(value, "dcache")?, kind.dcache()) {
+            (Json::Null, None) => None,
+            (Json::Null, Some(_)) | (_, None) => {
+                return Err(SnapError::new(format!(
+                    "platform: data-cache presence disagrees with core `{kind}`"
+                )))
+            }
+            (v, Some(cfg)) => Some(Cache::from_snap(v, cfg)?),
         };
         let ctx_queue = match snap::field(value, "ctx_queue")? {
             Json::Null => None,
             v => Some(CtxQueue::from_snap(v)?),
         };
-        let arb = Arbiter::from_snap(snap::field(value, "arb")?)?;
-        let mmio = Mmio::from_snap(snap::field(value, "mmio")?)?;
         let trace = match snap::field(value, "trace")? {
             Json::Null => None,
             v => Some(EventTrace::from_snap(v)?),
         };
-        let unit_shares_cache = snap::get_bool(value, "unit_shares_cache")?;
-        let bus_busy = snap::get_u32(value, "bus_busy")?;
-        let core_used_this_cycle = snap::get_bool(value, "core_used_this_cycle")?;
-        let cycle = snap::get_u64(value, "cycle")?;
-        let bus_error_armed = snap::get_bool(value, "bus_error_armed")?;
-        self.dmem = dmem;
-        self.dcache = dcache;
-        self.unit_shares_cache = unit_shares_cache;
-        self.ctx_queue = ctx_queue;
-        self.arb = arb;
-        self.bus_busy = bus_busy;
-        self.core_used_this_cycle = core_used_this_cycle;
-        self.cycle = cycle;
-        self.mmio = mmio;
-        self.trace = trace;
-        self.bus_error_armed = bus_error_armed;
-        Ok(())
+        Ok(Platform {
+            dmem,
+            dcache,
+            unit_shares_cache: snap::get_bool(value, "unit_shares_cache")?,
+            ctx_queue,
+            arb: Arbiter::from_snap(snap::field(value, "arb")?)?,
+            bus_busy: snap::get_u32(value, "bus_busy")?,
+            core_used_this_cycle: snap::get_bool(value, "core_used_this_cycle")?,
+            cycle: snap::get_u64(value, "cycle")?,
+            mmio: Mmio::from_snap(snap::field(value, "mmio")?)?,
+            trace,
+            smp: None,
+            bus_error_armed: snap::get_bool(value, "bus_error_armed")?,
+        })
+    }
+
+    /// Moves `live`'s SMP attachment onto this platform. The attachment
+    /// is wiring, not state, so a platform built from a snapshot takes
+    /// it over from the one it replaces.
+    pub(crate) fn take_smp_link(&mut self, live: &mut Platform) {
+        self.smp = live.smp.take();
     }
 }
 

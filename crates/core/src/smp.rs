@@ -114,15 +114,15 @@ impl SmpShared {
                 let codes: Vec<u32> = mb.iter().copied().collect();
                 Json::object()
                     .with("len", codes.len())
-                    .with("codes", snap::words_to_json(&codes))
+                    .with("codes", snap::runs_to_json(&codes))
             })
             .collect();
         Json::object()
             .with("harts", self.harts())
             .with("bus", self.bus.to_snap())
             .with("mailboxes", mailboxes)
-            .with("sends", snap::longs_to_json(&self.sends))
-            .with("recvs", snap::longs_to_json(&self.recvs))
+            .with("sends", snap::runs_to_json(&self.sends))
+            .with("recvs", snap::runs_to_json(&self.recvs))
     }
 
     /// Rebuilds the shared state from [`to_snap`](Self::to_snap) output.
@@ -146,7 +146,7 @@ impl SmpShared {
         let mut mailboxes = Vec::with_capacity(harts);
         for mb in boxes {
             let len = snap::get_usize(mb, "len")?;
-            let codes = snap::words_from_json(snap::field(mb, "codes")?, len)?;
+            let codes = snap::runs_from_json(snap::field(mb, "codes")?, len)?;
             mailboxes.push(codes.into_iter().collect());
         }
         let bus = BusArbiter::from_snap(snap::field(value, "bus")?)?;
@@ -156,8 +156,8 @@ impl SmpShared {
         Ok(SmpShared {
             bus,
             mailboxes,
-            sends: snap::longs_from_json(snap::field(value, "sends")?, harts)?,
-            recvs: snap::longs_from_json(snap::field(value, "recvs")?, harts)?,
+            sends: snap::runs_from_json(snap::field(value, "sends")?, harts)?,
+            recvs: snap::runs_from_json(snap::field(value, "recvs")?, harts)?,
         })
     }
 }
@@ -258,14 +258,15 @@ impl SmpSystem {
         )
     }
 
-    /// Rebuilds a composition from a sealed snapshot document. Wiring
-    /// (the per-hart `Rc` links to the shared state) is re-established by
-    /// construction; only state is read from the snapshot.
+    /// Rebuilds a composition from a sealed snapshot document. Each hart
+    /// is built once from its own payload; wiring (the per-hart `Rc`
+    /// links to the shared state) is attached afterwards, since only
+    /// state is read from the snapshot.
     ///
     /// # Errors
     ///
-    /// Fails on a broken envelope, hart-count disagreements, or any
-    /// malformed per-hart state.
+    /// Fails on a broken envelope, hart-count disagreements, harts of
+    /// different kinds or presets, or any malformed per-hart state.
     pub fn from_snapshot(doc: &Json) -> Result<SmpSystem, SnapError> {
         let state = snap::open(&doc.render())?;
         let n = snap::get_usize(&state, "harts")?;
@@ -280,20 +281,21 @@ impl SmpSystem {
         if shared.harts() != n {
             return Err(SnapError::new("smp: shared state hart count disagrees"));
         }
-        // Hart 0's payload self-describes kind and preset; `restore_snap`
-        // re-validates them per hart, so a mixed snapshot is rejected.
-        let kind_name = snap::get_str(&systems[0], "kind")?;
-        let kind = CoreKind::from_name(kind_name)
-            .ok_or_else(|| SnapError::new(format!("smp: unknown core kind `{kind_name}`")))?;
-        let preset_tag = snap::get_str(&systems[0], "preset")?;
-        let preset = Preset::from_tag(preset_tag)
-            .ok_or_else(|| SnapError::new(format!("smp: unknown preset `{preset_tag}`")))?;
-        let mut smp = SmpSystem::new(kind, preset, n);
+        let shared = Rc::new(RefCell::new(shared));
+        let mut harts: Vec<System> = Vec::with_capacity(n);
         for (hart, sys_state) in systems.iter().enumerate() {
-            smp.harts[hart].restore_snap(sys_state)?;
+            let mut sys = System::from_state_snap(sys_state)?;
+            if let Some(first) = harts.first() {
+                if (sys.kind(), sys.preset()) != (first.kind(), first.preset()) {
+                    return Err(SnapError::new(format!(
+                        "smp: hart {hart} is not the same core and preset as hart 0"
+                    )));
+                }
+            }
+            sys.attach_smp(hart, Rc::clone(&shared));
+            harts.push(sys);
         }
-        *smp.shared.borrow_mut() = shared;
-        Ok(smp)
+        Ok(SmpSystem { harts, shared })
     }
 
     /// Runs in lockstep until hart 0 halts or `max_cycles` elapse.

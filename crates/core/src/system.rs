@@ -499,19 +499,18 @@ impl System {
         snap::seal(self.state_snap())
     }
 
-    /// The unsealed state payload of [`snapshot`](Self::snapshot).
+    /// The unsealed state payload of [`snapshot`](Self::snapshot). The
+    /// episode records are one flat `[trigger, entry, mret, cause, ...]`
+    /// array.
     pub fn state_snap(&self) -> Json {
-        let records: Vec<Json> = self
-            .records
-            .iter()
-            .map(|r| {
-                Json::object()
-                    .with("trigger", r.trigger_cycle)
-                    .with("entry", r.entry_cycle)
-                    .with("mret", r.mret_cycle)
-                    .with("cause", r.cause)
-            })
-            .collect();
+        let records = snap::rows_to_json(self.records.iter().map(|r| {
+            [
+                r.trigger_cycle,
+                r.entry_cycle,
+                r.mret_cycle,
+                u64::from(r.cause),
+            ]
+        }));
         let triggers: Vec<Json> = self
             .pending_triggers
             .iter()
@@ -547,7 +546,7 @@ impl System {
             .with("pending_triggers", triggers)
             .with("open_episode", open)
             .with("ext_len", self.ext_schedule.len())
-            .with("ext_schedule", snap::longs_to_json(&self.ext_schedule))
+            .with("ext_schedule", snap::runs_to_json(&self.ext_schedule))
             .with(
                 "fault_plan",
                 self.fault_plan.as_ref().map_or(Json::Null, |p| p.to_snap()),
@@ -567,7 +566,9 @@ impl System {
         Self::from_state_snap(&state)
     }
 
-    /// Rebuilds a system from an **unsealed** state payload.
+    /// Rebuilds a system from an **unsealed** state payload. Each
+    /// component is built once, from the document, so a rewind allocates
+    /// IMEM and DMEM once each and parses each payload once.
     ///
     /// # Errors
     ///
@@ -579,35 +580,6 @@ impl System {
         let preset_tag = snap::get_str(state, "preset")?;
         let preset = Preset::from_tag(preset_tag)
             .ok_or_else(|| SnapError::new(format!("system: unknown preset `{preset_tag}`")))?;
-        let mut sys = System::new(kind, preset);
-        sys.restore_snap(state)?;
-        Ok(sys)
-    }
-
-    /// Restores this system in place from a state payload. The snapshot
-    /// must describe the same core kind and preset this system was built
-    /// for. The SMP attachment (if any) is left untouched — per-hart
-    /// shared-bus state is restored by the composition.
-    ///
-    /// # Errors
-    ///
-    /// Fails on kind/preset mismatch or malformed state; the system is
-    /// left unchanged on error.
-    pub fn restore_snap(&mut self, state: &Json) -> Result<(), SnapError> {
-        let kind_name = snap::get_str(state, "kind")?;
-        if kind_name != self.kind.name() {
-            return Err(SnapError::new(format!(
-                "system: snapshot is for core `{kind_name}`, this system is `{}`",
-                self.kind.name()
-            )));
-        }
-        let preset_tag = snap::get_str(state, "preset")?;
-        if preset_tag != self.preset.tag() {
-            return Err(SnapError::new(format!(
-                "system: snapshot is for preset `{preset_tag}`, this system is `{}`",
-                self.preset.tag()
-            )));
-        }
 
         let unit_doc = snap::field(state, "unit")?;
         let unit = match snap::get_str(unit_doc, "model")? {
@@ -616,7 +588,7 @@ impl System {
             "cv32rt" => UnitBox::Cv32rt(Cv32rtUnit::from_snap(snap::field(unit_doc, "state")?)?),
             m => return Err(SnapError::new(format!("system: unknown unit model `{m}`"))),
         };
-        match (&unit, self.preset) {
+        match (&unit, preset) {
             (UnitBox::None(_), Preset::Vanilla) | (UnitBox::Cv32rt(_), Preset::Cv32rt) => {}
             (UnitBox::Rtos(_), p) if RtosUnitConfig::from_preset(p).is_some() => {}
             _ => {
@@ -626,15 +598,18 @@ impl System {
             }
         }
 
-        let mut records = Vec::new();
-        for r in snap::get_array(state, "records")? {
-            records.push(SwitchRecord {
-                trigger_cycle: snap::get_u64(r, "trigger")?,
-                entry_cycle: snap::get_u64(r, "entry")?,
-                mret_cycle: snap::get_u64(r, "mret")?,
-                cause: snap::get_u32(r, "cause")?,
-            });
-        }
+        let records = snap::rows_from_json(snap::field(state, "records")?, "records")?
+            .into_iter()
+            .map(|[trigger_cycle, entry_cycle, mret_cycle, cause]| {
+                Ok(SwitchRecord {
+                    trigger_cycle,
+                    entry_cycle,
+                    mret_cycle,
+                    cause: u32::try_from(cause)
+                        .map_err(|_| SnapError::new("records: cause exceeds u32 range"))?,
+                })
+            })
+            .collect::<Result<_, SnapError>>()?;
         let triggers_doc = snap::get_array(state, "pending_triggers")?;
         if triggers_doc.len() != 3 {
             return Err(SnapError::new("system: pending_triggers must have 3 slots"));
@@ -658,37 +633,60 @@ impl System {
             )),
         };
         let ext_len = snap::get_usize(state, "ext_len")?;
-        let ext_schedule = snap::longs_from_json(snap::field(state, "ext_schedule")?, ext_len)?;
+        let ext_schedule = snap::runs_from_json(snap::field(state, "ext_schedule")?, ext_len)?;
         let fault_plan = match snap::field(state, "fault_plan")? {
             Json::Null => None,
             v => Some(FaultPlan::from_snap(v)?),
         };
-        let prev_mask = snap::get_u32(state, "prev_mask")?;
+        let mut core = CoreEngine::from_snap(
+            kind.timing(),
+            IMEM_BASE,
+            IMEM_SIZE,
+            snap::field(state, "core")?,
+        )?;
+        let platform = Platform::from_snap(kind, snap::field(state, "platform")?)?;
+        // mhartid is wiring, not snapshot state: pin it to the platform.
+        core.state.csrs.mhartid = platform.hart_id() as u32;
+        Ok(System {
+            core,
+            platform,
+            unit,
+            kind,
+            preset,
+            records,
+            prev_mask: snap::get_u32(state, "prev_mask")?,
+            pending_triggers,
+            open_episode,
+            ext_schedule,
+            fault_plan,
+        })
+    }
 
-        // Stage the two restore-in-place components on scratch copies so
-        // a failure below this point cannot leave `self` half-written.
-        let mut core = make_engine(self.kind, IMEM_BASE, IMEM_SIZE);
-        core.restore_snap(snap::field(state, "core")?)?;
-        let mut platform = Platform::new(self.kind, DEFAULT_TICK_PERIOD);
-        platform.restore_snap(snap::field(state, "platform")?)?;
-
-        // Commit. The platform's SMP attachment survives by restoring the
-        // staged platform's state *into* the live one field-by-field —
-        // `Platform::restore_snap` already does exactly that, so run it
-        // against `self.platform` now that it is known to succeed.
-        self.platform
-            .restore_snap(snap::field(state, "platform")?)
-            .expect("platform restore succeeded on the staged copy");
-        self.core = core;
-        self.unit = unit;
-        self.records = records;
-        self.prev_mask = prev_mask;
-        self.pending_triggers = pending_triggers;
-        self.open_episode = open_episode;
-        self.ext_schedule = ext_schedule;
-        self.fault_plan = fault_plan;
-        // mhartid is wiring, not snapshot state: keep the live value.
-        self.core.state.csrs.mhartid = self.platform.hart_id() as u32;
+    /// Restores this system in place from a state payload. The snapshot
+    /// must describe the same core kind and preset this system was built
+    /// for. The SMP attachment (if any) is kept — per-hart shared-bus
+    /// state is restored by the composition.
+    ///
+    /// # Errors
+    ///
+    /// Fails on kind/preset mismatch or malformed state; the system is
+    /// left unchanged on error.
+    pub fn restore_snap(&mut self, state: &Json) -> Result<(), SnapError> {
+        // Build the whole system on the side, so a failure cannot leave
+        // `self` half-written; then commit it with the live wiring.
+        let mut staged = System::from_state_snap(state)?;
+        if (staged.kind, staged.preset) != (self.kind, self.preset) {
+            return Err(SnapError::new(format!(
+                "system: snapshot is of {}/{}, this system is {}/{}",
+                staged.kind.name(),
+                staged.preset.tag(),
+                self.kind.name(),
+                self.preset.tag()
+            )));
+        }
+        staged.platform.take_smp_link(&mut self.platform);
+        staged.core.state.csrs.mhartid = staged.platform.hart_id() as u32;
+        *self = staged;
         Ok(())
     }
 

@@ -341,7 +341,7 @@ impl RtosUnit {
             .with("restore_draining", self.restore_draining)
             .with("restore_word", self.restore_word)
             .with("restore_id", u32::from(self.restore_id))
-            .with("preload_buf", snap::words_to_json(&self.preload_buf))
+            .with("preload_buf", snap::runs_to_json(&self.preload_buf))
             .with(
                 "preload_id",
                 match self.preload_id {
@@ -469,7 +469,7 @@ impl RtosUnit {
         };
         let (store_active, store_word) = fsm("store_active", "store_word")?;
         let (restore_active, restore_word) = fsm("restore_active", "restore_word")?;
-        let words = snap::words_from_json(snap::field(value, "preload_buf")?, CTX_WORDS)?;
+        let words = snap::runs_from_json(snap::field(value, "preload_buf")?, CTX_WORDS)?;
         let mut preload_buf = [0u32; CTX_WORDS];
         preload_buf.copy_from_slice(&words);
         let st = snap::field(value, "stats")?;

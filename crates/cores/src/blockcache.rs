@@ -101,8 +101,10 @@ struct PcStats {
     fused: u64,
 }
 
-const MAP_NONE: u32 = u32::MAX;
-const MAP_FALLBACK: u32 = u32::MAX - 1;
+/// Map entry of a word no block is entered at. Zero, so a fresh map is
+/// a zeroed allocation, written only where blocks are entered.
+const MAP_NONE: u32 = 0;
+const MAP_FALLBACK: u32 = u32::MAX;
 
 /// The per-engine translation cache: an entry-PC → block map over the
 /// instruction memory, slots for live translations, and folded statistics
@@ -111,8 +113,8 @@ const MAP_FALLBACK: u32 = u32::MAX - 1;
 pub struct BlockCache {
     base: u32,
     /// Per word: `MAP_NONE`, `MAP_FALLBACK` (translation attempted and
-    /// refused — a system op or undecodable word leads the block), or a
-    /// slot index for a live block *entered* at this word.
+    /// refused — a system op or undecodable word leads the block), or
+    /// one plus the slot index of a live block *entered* at this word.
     map: Vec<u32>,
     blocks: Vec<Option<Block>>,
     free: Vec<u32>,
@@ -160,7 +162,7 @@ impl BlockCache {
                             (self.blocks.len() - 1) as u32
                         }
                     };
-                    self.map[idx] = slot;
+                    self.map[idx] = slot + 1;
                     Some(slot)
                 }
                 None => {
@@ -168,7 +170,7 @@ impl BlockCache {
                     None
                 }
             },
-            slot => Some(slot),
+            entry => Some(entry - 1),
         }
     }
 
@@ -206,9 +208,7 @@ impl BlockCache {
         for slot in 0..self.blocks.len() as u32 {
             self.kill_slot(slot);
         }
-        for m in &mut self.map {
-            *m = MAP_NONE;
-        }
+        self.map.fill(MAP_NONE);
     }
 
     /// Folded + live statistics for blocks entered in `[start, end]`.

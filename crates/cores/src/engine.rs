@@ -240,6 +240,9 @@ impl RetireRing {
     }
 }
 
+/// Two-bit branch-predictor counters per engine, indexed by PC.
+const PREDICTOR_ENTRIES: usize = 256;
+
 /// A cycle-stepped RV32IM_Zicsr core. Construct via
 /// [`make_engine`](crate::models::make_engine) or [`CoreEngine::new`].
 pub struct CoreEngine {
@@ -248,6 +251,9 @@ pub struct CoreEngine {
     /// Architectural state (register banks, CSRs, PC).
     pub state: ArchState,
     pub(crate) imem: Mem,
+    /// Per-word decode cache of the interpreter, indexed from the IMEM
+    /// base. It starts empty and grows to the highest word fetched, so it
+    /// spans executed code, not the whole instruction memory.
     pub(crate) decoded: Vec<Option<Instr>>,
     pub(crate) busy: u32,
     completing: Completing,
@@ -285,14 +291,14 @@ impl CoreEngine {
             params,
             state: ArchState::new(imem_base),
             imem: Mem::new(imem_base, imem_size),
-            decoded: vec![None; imem_size.div_ceil(4) as usize],
+            decoded: Vec::new(),
             busy: 0,
             completing: Completing::Plain,
             wfi_wait: false,
             halted: false,
             cycle: 0,
             retired: 0,
-            predictor: vec![1; 256],
+            predictor: vec![1; PREDICTOR_ENTRIES],
             trace: RetireRing::new(64),
             counters: CoreCounters::default(),
             profiler: None,
@@ -305,7 +311,7 @@ impl CoreEngine {
     /// PC to its entry point (`program.base`).
     pub fn load_program(&mut self, program: &Program) {
         self.imem.load_words(program.base, &program.words);
-        self.decoded.fill(None);
+        self.decoded.clear();
         self.blocks = None;
         self.state.pc = program.base;
     }
@@ -445,8 +451,16 @@ impl CoreEngine {
             }
             panic!("{e} at pc {pc:#010x}; recent instructions:\n{dump}")
         });
-        self.decoded[idx] = Some(instr);
+        self.remember_decoded(idx, instr);
         instr
+    }
+
+    /// Caches the decode of IMEM word `idx`, growing the table to it.
+    fn remember_decoded(&mut self, idx: usize, instr: Instr) {
+        if idx >= self.decoded.len() {
+            self.decoded.resize(idx + 1, None);
+        }
+        self.decoded[idx] = Some(instr);
     }
 
     pub(crate) fn peek(&mut self, pc: u32) -> Option<Instr> {
@@ -457,9 +471,9 @@ impl CoreEngine {
         if let Some(Some(i)) = self.decoded.get(idx) {
             return Some(*i);
         }
-        decode(self.imem.read_word(pc)).ok().inspect(|i| {
-            self.decoded[idx] = Some(*i);
-        })
+        decode(self.imem.read_word(pc))
+            .ok()
+            .inspect(|&i| self.remember_decoded(idx, i))
     }
 
     /// The dual-issue pairing rule, shared by the interpreter and the
@@ -993,8 +1007,8 @@ impl CoreEngine {
             .with("depth", self.trace.buf.len())
             .with("head", self.trace.head)
             .with("len", self.trace.len)
-            .with("cycles", snap::longs_to_json(&cycles))
-            .with("pcs", snap::words_to_json(&pcs));
+            .with("cycles", snap::runs_to_json(&cycles))
+            .with("pcs", snap::runs_to_json(&pcs));
         Json::object()
             .with("core", self.params.name)
             .with("state", self.state.to_snap())
@@ -1012,7 +1026,7 @@ impl CoreEngine {
             .with("halted", self.halted)
             .with("cycle", self.cycle)
             .with("retired", self.retired)
-            .with("predictor", snap::words_to_json(&predictor))
+            .with("predictor", snap::runs_to_json(&predictor))
             .with("trace", trace)
             .with("counters", self.counters.to_snap())
             .with(
@@ -1021,36 +1035,39 @@ impl CoreEngine {
             )
     }
 
-    /// Restores the engine from [`to_snap`](Self::to_snap) output, in
-    /// place. The engine must have been constructed for the same core
-    /// model and instruction-memory geometry; everything else —
-    /// including whether the profiler is attached — is taken from the
-    /// snapshot.
+    /// Builds an engine from [`to_snap`](Self::to_snap) output. The
+    /// snapshot must be of the core model `params` describes and of an
+    /// instruction memory at `imem_base` of `imem_size` bytes; everything
+    /// else — including whether the profiler is attached — is taken from
+    /// the snapshot. IMEM is allocated once, from the document.
     ///
     /// Both host caches start cold, and their counters at zero, so a
     /// restored engine is cycle-for-cycle and counter-for-counter
     /// identical to one that never stopped in every field but
-    /// [`CoreCounters::HOST_STATS`]. Every field is parsed before any is
-    /// committed: on error the engine is unchanged.
+    /// [`CoreCounters::HOST_STATS`].
     ///
     /// # Errors
     ///
     /// Fails on malformed fields or a core-model or IMEM-geometry
     /// mismatch.
-    pub fn restore_snap(&mut self, value: &Json) -> Result<(), SnapError> {
+    pub fn from_snap(
+        params: TimingParams,
+        imem_base: u32,
+        imem_size: u32,
+        value: &Json,
+    ) -> Result<CoreEngine, SnapError> {
         let name = snap::get_str(value, "core")?;
-        if name != self.params.name {
+        if name != params.name {
             return Err(SnapError::new(format!(
                 "engine: snapshot of core `{name}` cannot restore a `{}` engine",
-                self.params.name
+                params.name
             )));
         }
         let imem = Mem::from_snap(snap::field(value, "imem")?)?;
-        if imem.base() != self.imem.base() || imem.end() != self.imem.end() {
+        let imem_end = u64::from(imem_base) + u64::from(imem_size.div_ceil(4)) * 4;
+        if imem.base() != imem_base || u64::from(imem.end()) != imem_end {
             return Err(SnapError::new(format!(
-                "engine: imem geometry {:#010x}..{:#010x} does not match snapshot {:#010x}..{:#010x}",
-                self.imem.base(),
-                self.imem.end(),
+                "engine: imem geometry {imem_base:#010x}..{imem_end:#010x} does not match snapshot {:#010x}..{:#010x}",
                 imem.base(),
                 imem.end()
             )));
@@ -1072,7 +1089,7 @@ impl CoreEngine {
         let cycle = snap::get_u64(value, "cycle")?;
         let retired = snap::get_u64(value, "retired")?;
         let predictor_words =
-            snap::words_from_json(snap::field(value, "predictor")?, self.predictor.len())?;
+            snap::runs_from_json::<u32>(snap::field(value, "predictor")?, PREDICTOR_ENTRIES)?;
         let mut predictor = Vec::with_capacity(predictor_words.len());
         for w in predictor_words {
             if w > 3 {
@@ -1091,8 +1108,8 @@ impl CoreEngine {
                 "engine: retire ring head {head}/len {len} out of range for depth {depth}"
             )));
         }
-        let cycles = snap::longs_from_json(snap::field(trace_v, "cycles")?, depth)?;
-        let pcs = snap::words_from_json(snap::field(trace_v, "pcs")?, depth)?;
+        let cycles = snap::runs_from_json(snap::field(trace_v, "cycles")?, depth)?;
+        let pcs = snap::runs_from_json(snap::field(trace_v, "pcs")?, depth)?;
         let trace = RetireRing {
             buf: cycles
                 .iter()
@@ -1108,22 +1125,24 @@ impl CoreEngine {
             v => Some(Box::new(PcProfile::from_snap(v)?)),
         };
         let counters = CoreCounters::from_snap(snap::field(value, "counters")?)?;
-        self.state = state;
-        self.imem = imem;
-        self.decoded.fill(None);
-        self.busy = busy;
-        self.completing = completing;
-        self.wfi_wait = wfi_wait;
-        self.wfi_pc = wfi_pc;
-        self.halted = halted;
-        self.cycle = cycle;
-        self.retired = retired;
-        self.predictor = predictor;
-        self.trace = trace;
-        self.profiler = profiler;
-        self.blocks = None;
-        self.counters = counters;
-        Ok(())
+        Ok(CoreEngine {
+            params,
+            state,
+            imem,
+            decoded: Vec::new(),
+            busy,
+            completing,
+            wfi_wait,
+            halted,
+            cycle,
+            retired,
+            predictor,
+            trace,
+            counters,
+            profiler,
+            wfi_pc,
+            blocks: None,
+        })
     }
 }
 
@@ -1354,6 +1373,32 @@ mod tests {
         // Outside IMEM: must be a no-op, not a panic or bogus index.
         e.invalidate_decoded(0x2000_0000);
         e.invalidate_decoded(0);
+        // Inside IMEM but past the decoded words: a no-op as well.
+        e.invalidate_decoded(0x10fc);
+        assert!(e.decoded.is_empty());
+    }
+
+    #[test]
+    fn decode_table_spans_executed_code_only() {
+        // A fresh engine holds no per-word table; running grows it to the
+        // highest word fetched, and a load or restore empties it again.
+        let mut a = Asm::new(0);
+        a.addi(Reg::A0, Reg::A0, 1);
+        a.addi(Reg::A0, Reg::A0, 2);
+        a.ebreak();
+        let p = a.finish().unwrap();
+        let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
+        assert!(e.decoded.is_empty() && e.decoded.capacity() == 0);
+        e.load_program(&p);
+        let mut bus = SramBus::new(0x2000_0000, 0x100);
+        e.run_with(&mut bus, &mut NullCoprocessor, 100, |_, _| {});
+        assert!(e.halted());
+        assert_eq!(e.decoded.len(), 3, "table covers the three fetched words");
+        assert_eq!(e.counters().decode_misses, 3);
+        let restored = CoreEngine::from_snap(e.params, 0, 0x1_0000, &e.to_snap()).unwrap();
+        assert!(restored.decoded.is_empty());
+        e.load_program(&p);
+        assert!(e.decoded.is_empty());
     }
 
     #[test]
@@ -1578,8 +1623,7 @@ mod tests {
                 params.name
             );
 
-            let mut b = CoreEngine::new(params, 0, 0x1_0000);
-            b.restore_snap(&doc).expect("restore");
+            let mut b = CoreEngine::from_snap(params, 0, 0x1_0000, &doc).expect("restore");
             let mut b_bus = SramBus {
                 mem: Mem::from_snap(&bus_doc).expect("bus restore"),
             };
@@ -1630,18 +1674,29 @@ mod tests {
         }
     }
 
-    /// A restore with the wrong core model or mangled fields must fail
-    /// without touching the engine.
+    /// A restore with the wrong core model, IMEM geometry or mangled
+    /// fields must fail.
     #[test]
     fn snapshot_restore_rejects_mismatches() {
         let p = block_torture_program();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
         let doc = e.to_snap();
-        let mut other = CoreEngine::new(TimingParams::naxriscv(), 0, 0x1_0000);
-        assert!(other.restore_snap(&doc).is_err(), "wrong core accepted");
-        let mut small = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x8000);
-        assert!(small.restore_snap(&doc).is_err(), "wrong imem accepted");
+        let restore =
+            |params, base, size, doc: &Json| CoreEngine::from_snap(params, base, size, doc);
+        assert!(restore(TimingParams::cv32e40p(), 0, 0x1_0000, &doc).is_ok());
+        assert!(
+            restore(TimingParams::naxriscv(), 0, 0x1_0000, &doc).is_err(),
+            "wrong core accepted"
+        );
+        assert!(
+            restore(TimingParams::cv32e40p(), 0, 0x8000, &doc).is_err(),
+            "wrong imem size accepted"
+        );
+        assert!(
+            restore(TimingParams::cv32e40p(), 0x1000, 0x1_0000, &doc).is_err(),
+            "wrong imem base accepted"
+        );
         let mut mangled = doc.clone();
         if let Json::Object(pairs) = &mut mangled {
             for (k, v) in pairs.iter_mut() {
@@ -1650,9 +1705,10 @@ mod tests {
                 }
             }
         }
-        assert!(e.restore_snap(&mangled).is_err(), "bad field accepted");
-        // The failed restores left the engine usable.
-        assert_eq!(e.cycle(), 0);
+        assert!(
+            restore(TimingParams::cv32e40p(), 0, 0x1_0000, &mangled).is_err(),
+            "bad field accepted"
+        );
     }
 
     #[test]

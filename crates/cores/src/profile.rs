@@ -83,7 +83,7 @@ impl PcProfile {
         Json::object()
             .with("base", self.base)
             .with("len", self.bins.len())
-            .with("bins", snap::longs_to_json(&self.bins))
+            .with("bins", snap::runs_to_json(&self.bins))
             .with("other", self.other)
     }
 
@@ -96,7 +96,7 @@ impl PcProfile {
         let len = snap::get_usize(value, "len")?;
         Ok(PcProfile {
             base: snap::get_u32(value, "base")?,
-            bins: snap::longs_from_json(snap::field(value, "bins")?, len)?,
+            bins: snap::runs_from_json(snap::field(value, "bins")?, len)?,
             other: snap::get_u64(value, "other")?,
         })
     }

@@ -128,8 +128,8 @@ impl ArchState {
     /// and the PC for a machine-state snapshot.
     pub fn to_snap(&self) -> Json {
         Json::object()
-            .with("bank_app", snap::words_to_json(&self.banks[0]))
-            .with("bank_isr", snap::words_to_json(&self.banks[1]))
+            .with("bank_app", snap::runs_to_json(&self.banks[0]))
+            .with("bank_isr", snap::runs_to_json(&self.banks[1]))
             .with(
                 "active",
                 match self.active {
@@ -149,8 +149,8 @@ impl ArchState {
     ///
     /// Fails on missing fields or an unknown bank selector.
     pub fn from_snap(value: &Json) -> Result<ArchState, SnapError> {
-        let app = snap::words_from_json(snap::field(value, "bank_app")?, 32)?;
-        let isr = snap::words_from_json(snap::field(value, "bank_isr")?, 32)?;
+        let app = snap::runs_from_json(snap::field(value, "bank_app")?, 32)?;
+        let isr = snap::runs_from_json(snap::field(value, "bank_isr")?, 32)?;
         let active = match snap::get_str(value, "active")? {
             "app" => Bank::App,
             "isr" => Bank::Isr,

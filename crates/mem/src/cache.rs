@@ -256,19 +256,22 @@ impl Cache {
             .with("lines", Json::Array(lines))
     }
 
-    /// Rebuilds a cache from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds a cache of configuration `cfg` from
+    /// [`to_snap`](Self::to_snap) output. The configuration is wiring
+    /// that comes from the core, not from the document: a document whose
+    /// geometry, policy or latencies differ from `cfg` is rejected.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields, an unknown policy, or a line-array length
-    /// mismatch.
-    pub fn from_snap(value: &Json) -> Result<Cache, SnapError> {
+    /// Fails on missing fields, an unknown policy, a configuration other
+    /// than `cfg`, or a line-array length mismatch.
+    pub fn from_snap(value: &Json, cfg: CacheConfig) -> Result<Cache, SnapError> {
         let policy = match snap::get_str(value, "policy")? {
             "write_through" => WritePolicy::WriteThrough,
             "write_back" => WritePolicy::WriteBack,
             other => return Err(SnapError::new(format!("cache: unknown policy `{other}`"))),
         };
-        let cfg = CacheConfig {
+        let stored = CacheConfig {
             sets: snap::get_u32(value, "sets")?,
             ways: snap::get_u32(value, "ways")?,
             line_words: snap::get_u32(value, "line_words")?,
@@ -276,6 +279,11 @@ impl Cache {
             hit_latency: snap::get_u32(value, "hit_latency")?,
             miss_penalty: snap::get_u32(value, "miss_penalty")?,
         };
+        if stored != cfg {
+            return Err(SnapError::new(format!(
+                "cache: snapshot configuration {stored:?} is not the core's {cfg:?}"
+            )));
+        }
         let mut cache = Cache::new(cfg);
         let flat = snap::get_array(value, "lines")?;
         if flat.len() != cache.lines.len() * 4 {
@@ -388,6 +396,40 @@ mod tests {
         assert!(c.probe(0x00));
         assert!(!c.probe(0x20));
         assert!(c.probe(0x40));
+    }
+
+    #[test]
+    fn snapshots_restore_only_onto_their_own_configuration() {
+        let mut c = tiny(WritePolicy::WriteBack);
+        c.access(0x40, true);
+        let doc = c.to_snap();
+        let back = Cache::from_snap(&doc, *c.config()).expect("round trip");
+        assert!(back.probe(0x40));
+        assert_eq!(back.to_snap(), doc);
+        for other in [
+            CacheConfig {
+                sets: 4,
+                ..*c.config()
+            },
+            CacheConfig {
+                ways: 1,
+                ..*c.config()
+            },
+            CacheConfig {
+                line_words: 8,
+                ..*c.config()
+            },
+            CacheConfig {
+                policy: WritePolicy::WriteThrough,
+                ..*c.config()
+            },
+            CacheConfig {
+                miss_penalty: 11,
+                ..*c.config()
+            },
+        ] {
+            assert!(Cache::from_snap(&doc, other).is_err(), "{other:?} accepted");
+        }
     }
 
     #[test]

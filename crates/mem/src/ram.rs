@@ -162,18 +162,27 @@ impl Mem {
         Json::object()
             .with("base", self.base)
             .with("len_words", self.words.len())
-            .with("words", snap::words_to_json(&self.words))
+            .with("words", snap::runs_to_json(&self.words))
     }
 
     /// Rebuilds a RAM from [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields or a contents/length mismatch.
+    /// Fails on missing fields, a contents/length mismatch, or a geometry
+    /// that is not word-aligned or does not fit the 32-bit address space.
     pub fn from_snap(value: &Json) -> Result<Mem, SnapError> {
         let base = snap::get_u32(value, "base")?;
-        let len = snap::get_usize(value, "len_words")?;
-        let words = snap::words_from_json(snap::field(value, "words")?, len)?;
+        let len = snap::get_u64(value, "len_words")?;
+        let end = len
+            .checked_mul(4)
+            .and_then(|bytes| bytes.checked_add(u64::from(base)));
+        if base % 4 != 0 || end.is_none_or(|end| end >= 1 << 32) {
+            return Err(SnapError::new(format!(
+                "mem: {len} words at {base:#010x} do not fit the address space"
+            )));
+        }
+        let words = snap::runs_from_json(snap::field(value, "words")?, len as usize)?;
         Ok(Mem { base, words })
     }
 }
@@ -208,6 +217,30 @@ mod tests {
         m.load_words(0x104, &[1, 2, 3]);
         assert_eq!(m.read_word(0x104), 1);
         assert_eq!(m.read_word(0x10c), 3);
+    }
+
+    #[test]
+    fn snapshots_round_trip_and_reject_impossible_geometry() {
+        let mut m = Mem::new(0x100, 64);
+        m.write_word(0x108, 9);
+        let doc = m.to_snap();
+        let back = Mem::from_snap(&doc).expect("round trip");
+        assert_eq!((back.base(), back.end()), (0x100, 0x140));
+        assert_eq!(back.read_word(0x108), 9);
+        let with = |base: u64, len: u64| {
+            Json::object()
+                .with("base", base)
+                .with("len_words", len)
+                .with("words", snap::runs_to_json(&[0u32; 0]))
+        };
+        assert!(Mem::from_snap(&with(0x102, 0)).is_err(), "misaligned base");
+        assert!(Mem::from_snap(&with(0xffff_fff0, 4)).is_err(), "end wraps");
+        for base in [0, 4] {
+            assert!(
+                Mem::from_snap(&with(base, u64::MAX)).is_err(),
+                "length overflows"
+            );
+        }
     }
 
     #[test]

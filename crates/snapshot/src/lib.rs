@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! {
-//!   "schema": "rtosunit-snapshot-v2",
+//!   "schema": "rtosunit-snapshot-v3",
 //!   "digest": "0x<fnv1a-64 of the rendered state>",
 //!   "state": { ... }
 //! }
@@ -31,16 +31,18 @@
 //! digests computed at seal time and verify time always agree.
 //!
 //! Word-array payloads (memories, predictor tables, profile bins) use the
-//! run-length codec ([`words_to_json`]/[`words_from_json`]): a flat
+//! run-length codec ([`runs_to_json`]/[`runs_from_json`]): a flat
 //! `[len0, val0, len1, val1, ...]` array — mostly-zero 64 KiB memories
-//! collapse to a handful of runs.
+//! collapse to a handful of runs. Lists that grow with a run use
+//! [`rows_to_json`]/[`rows_from_json`]: one flat array of fixed-width
+//! integer rows.
 
 pub mod json;
 
 pub use json::{Json, JsonParseError};
 
-/// Schema tag of version 2 snapshot artifacts.
-pub const SCHEMA: &str = "rtosunit-snapshot-v2";
+/// Schema tag of version 3 snapshot artifacts.
+pub const SCHEMA: &str = "rtosunit-snapshot-v3";
 
 /// FNV-1a 64-bit offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -217,110 +219,144 @@ pub fn get_array<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], SnapError
         .ok_or_else(|| SnapError::new(format!("{key}: expected array")))
 }
 
-/// Encodes a `u32` word array as a run-length JSON array:
+/// An element type of the run-length codec: `u32` words (memories,
+/// predictor tables) or `u64` values (profile bins, cycle lists).
+pub trait RunValue: Copy + Default + PartialEq + Into<u64> + TryFrom<u64> {}
+
+impl RunValue for u32 {}
+impl RunValue for u64 {}
+
+/// Values compared at once while a run is long (zeroed memory).
+const RUN_CHUNK: usize = 16;
+
+/// One past the last index of the run of values equal to `values[start]`.
+fn run_end<T: RunValue>(values: &[T], start: usize) -> usize {
+    let val = values[start];
+    let mut end = start + 1;
+    while let Some(chunk) = values.get(end..end + RUN_CHUNK) {
+        if !chunk.iter().fold(true, |same, &v| same & (v == val)) {
+            break;
+        }
+        end += RUN_CHUNK;
+    }
+    end + values[end..].iter().take_while(|&&v| v == val).count()
+}
+
+/// Encodes an array as a run-length JSON array:
 /// `[len0, val0, len1, val1, ...]`. Mostly-uniform payloads (zeroed
-/// memories, cold decode bitmaps) collapse to a few runs.
-pub fn words_to_json(words: &[u32]) -> Json {
+/// memories) collapse to a few runs.
+pub fn runs_to_json<T: RunValue>(values: &[T]) -> Json {
     let mut runs = Vec::new();
-    let mut i = 0;
-    while i < words.len() {
-        let val = words[i];
-        let mut len = 1u64;
-        while i + (len as usize) < words.len() && words[i + len as usize] == val {
-            len += 1;
-        }
-        runs.push(Json::UInt(len));
-        runs.push(Json::UInt(u64::from(val)));
-        i += len as usize;
+    let mut start = 0;
+    while start < values.len() {
+        let end = run_end(values, start);
+        runs.push(Json::UInt((end - start) as u64));
+        runs.push(Json::UInt(values[start].into()));
+        start = end;
     }
     Json::Array(runs)
 }
 
-/// Decodes a run-length `u32` word array produced by [`words_to_json`],
-/// checking the total length against `expect_len`.
+/// One `(len, value)` run of a [`runs_to_json`] array.
+fn run_at<T: RunValue>(pair: &[Json]) -> Result<(usize, T), SnapError> {
+    let len = pair[0]
+        .as_u64()
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or_else(|| SnapError::new("runs: run length not an unsigned integer"))?;
+    let val = pair[1]
+        .as_u64()
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| SnapError::new("runs: run value out of range"))?;
+    Ok((len, val))
+}
+
+/// Decodes a run-length array produced by [`runs_to_json`], checking the
+/// total length against `expect_len`. The lengths are summed before
+/// anything is allocated; the result starts zeroed and only non-zero runs
+/// are written, so decoding costs the runs, not the values.
 ///
 /// # Errors
 ///
-/// Fails on malformed runs or a length mismatch.
-pub fn words_from_json(value: &Json, expect_len: usize) -> Result<Vec<u32>, SnapError> {
+/// Fails on malformed runs, a value out of `T`'s range, or run lengths
+/// that do not add up to `expect_len`.
+pub fn runs_from_json<T: RunValue>(value: &Json, expect_len: usize) -> Result<Vec<T>, SnapError> {
     let runs = value
         .as_array()
-        .ok_or_else(|| SnapError::new("words: expected run-length array"))?;
+        .ok_or_else(|| SnapError::new("runs: expected run-length array"))?;
     if runs.len() % 2 != 0 {
-        return Err(SnapError::new("words: odd run-length array"));
+        return Err(SnapError::new("runs: odd run-length array"));
     }
-    let mut words = Vec::with_capacity(expect_len);
+    let mut total = 0usize;
     for pair in runs.chunks_exact(2) {
-        let len = pair[0]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("words: run length not an integer"))?;
-        let val = pair[1]
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| SnapError::new("words: run value not a u32"))?;
-        if words.len() + len as usize > expect_len {
-            return Err(SnapError::new("words: runs exceed expected length"));
-        }
-        words.extend(std::iter::repeat_n(val, len as usize));
+        let (len, _) = run_at::<T>(pair)?;
+        total = total
+            .checked_add(len)
+            .filter(|&t| t <= expect_len)
+            .ok_or_else(|| SnapError::new("runs: runs exceed expected length"))?;
     }
-    if words.len() != expect_len {
+    if total != expect_len {
         return Err(SnapError::new(format!(
-            "words: decoded {} words, expected {expect_len}",
-            words.len()
+            "runs: decoded {total} values, expected {expect_len}"
         )));
     }
-    Ok(words)
-}
-
-/// Encodes a `u64` array as a run-length JSON array (profiler bins).
-pub fn longs_to_json(values: &[u64]) -> Json {
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let val = values[i];
-        let mut len = 1u64;
-        while i + (len as usize) < values.len() && values[i + len as usize] == val {
-            len += 1;
-        }
-        runs.push(Json::UInt(len));
-        runs.push(Json::UInt(val));
-        i += len as usize;
-    }
-    Json::Array(runs)
-}
-
-/// Decodes a run-length `u64` array produced by [`longs_to_json`].
-///
-/// # Errors
-///
-/// Fails on malformed runs or a length mismatch.
-pub fn longs_from_json(value: &Json, expect_len: usize) -> Result<Vec<u64>, SnapError> {
-    let runs = value
-        .as_array()
-        .ok_or_else(|| SnapError::new("longs: expected run-length array"))?;
-    if runs.len() % 2 != 0 {
-        return Err(SnapError::new("longs: odd run-length array"));
-    }
-    let mut values = Vec::with_capacity(expect_len);
-    for pair in runs.chunks_exact(2) {
-        let len = pair[0]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("longs: run length not an integer"))?;
-        let val = pair[1]
-            .as_u64()
-            .ok_or_else(|| SnapError::new("longs: run value not a u64"))?;
-        if values.len() + len as usize > expect_len {
-            return Err(SnapError::new("longs: runs exceed expected length"));
-        }
-        values.extend(std::iter::repeat_n(val, len as usize));
-    }
-    if values.len() != expect_len {
+    if expect_len
+        .checked_mul(std::mem::size_of::<T>())
+        .is_none_or(|b| b > isize::MAX as usize)
+    {
         return Err(SnapError::new(format!(
-            "longs: decoded {} values, expected {expect_len}",
-            values.len()
+            "runs: {expect_len} values cannot be allocated"
         )));
+    }
+    let mut values = vec![T::default(); expect_len];
+    let mut start = 0;
+    for pair in runs.chunks_exact(2) {
+        let (len, val) = run_at::<T>(pair)?;
+        if val != T::default() {
+            values[start..start + len].fill(val);
+        }
+        start += len;
     }
     Ok(values)
+}
+
+/// Encodes fixed-width rows as one flat array, `N` integers per row:
+/// lists that grow with a run (switch records, trace marks) cost one
+/// value per field, not one object per row.
+pub fn rows_to_json<const N: usize>(rows: impl IntoIterator<Item = [u64; N]>) -> Json {
+    Json::Array(rows.into_iter().flatten().map(Json::UInt).collect())
+}
+
+/// Decodes a flat array written by [`rows_to_json`]; `what` names the
+/// list in errors.
+///
+/// # Errors
+///
+/// Fails when the value is not an array, its length is not a multiple of
+/// `N`, or an entry is not an unsigned integer.
+pub fn rows_from_json<const N: usize>(
+    value: &Json,
+    what: &str,
+) -> Result<Vec<[u64; N]>, SnapError> {
+    let flat = value
+        .as_array()
+        .ok_or_else(|| SnapError::new(format!("{what}: expected array")))?;
+    if flat.len() % N != 0 {
+        return Err(SnapError::new(format!(
+            "{what}: {} values is not a whole number of {N}-field rows",
+            flat.len()
+        )));
+    }
+    flat.chunks_exact(N)
+        .map(|chunk| {
+            let mut row = [0; N];
+            for (field, v) in row.iter_mut().zip(chunk) {
+                *field = v
+                    .as_u64()
+                    .ok_or_else(|| SnapError::new(format!("{what}: expected unsigned integer")))?;
+            }
+            Ok(row)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -331,7 +367,7 @@ mod tests {
         Json::object()
             .with("cycle", 12345u64)
             .with("pc", 0x8000_0000u32)
-            .with("mem", words_to_json(&[0, 0, 0, 7, 7, 1, 0, 0]))
+            .with("mem", runs_to_json(&[0u32, 0, 0, 7, 7, 1, 0, 0]))
     }
 
     #[test]
@@ -379,14 +415,63 @@ mod tests {
     #[test]
     fn rle_round_trips_and_checks_length() {
         let words: Vec<u32> = (0..256).map(|i| if i % 17 == 0 { i } else { 0 }).collect();
-        let json = words_to_json(&words);
-        assert_eq!(words_from_json(&json, 256).expect("round trip"), words);
-        assert!(words_from_json(&json, 255).is_err());
-        assert!(words_from_json(&json, 257).is_err());
+        let json = runs_to_json(&words);
+        assert_eq!(
+            runs_from_json::<u32>(&json, 256).expect("round trip"),
+            words
+        );
+        assert!(runs_from_json::<u32>(&json, 255).is_err());
+        assert!(runs_from_json::<u32>(&json, 257).is_err());
 
         let longs: Vec<u64> = vec![u64::MAX, u64::MAX, 0, 1];
-        let json = longs_to_json(&longs);
-        assert_eq!(longs_from_json(&json, 4).expect("round trip"), longs);
+        let json = runs_to_json(&longs);
+        assert_eq!(runs_from_json::<u64>(&json, 4).expect("round trip"), longs);
+        assert!(
+            runs_from_json::<u32>(&json, 4).is_err(),
+            "u64 value accepted as u32"
+        );
+    }
+
+    #[test]
+    fn rle_runs_are_maximal_across_chunk_boundaries() {
+        // Runs of every length around the chunk width, in both element
+        // types: each encodes as exactly one (len, value) pair.
+        for len in 1..3 * RUN_CHUNK + 2 {
+            let mut words = vec![5u32; len];
+            words.push(6);
+            let json = runs_to_json(&words);
+            let expected: Vec<Json> = [len as u64, 5, 1, 6].map(Json::UInt).into();
+            assert_eq!(json, Json::Array(expected), "run of {len}");
+            assert_eq!(runs_from_json::<u32>(&json, len + 1), Ok(words));
+            let longs = vec![0u64; len];
+            assert_eq!(
+                runs_to_json(&longs),
+                Json::Array(vec![Json::UInt(len as u64), Json::UInt(0)])
+            );
+        }
+        assert_eq!(runs_to_json::<u32>(&[]), Json::Array(Vec::new()));
+    }
+
+    #[test]
+    fn rle_run_lengths_that_overflow_are_errors() {
+        // The second run's length overflows the running total; both
+        // decoders must reject it instead of panicking.
+        let runs = Json::Array([1, 7, u64::MAX, 0].map(Json::UInt).into());
+        assert!(runs_from_json::<u32>(&runs, 4).is_err());
+        assert!(runs_from_json::<u64>(&runs, 4).is_err());
+        // A consistent claim too large to allocate is an error as well.
+        let huge = Json::Array([u64::MAX / 2, 0].map(Json::UInt).into());
+        assert!(runs_from_json::<u32>(&huge, (u64::MAX / 2) as usize).is_err());
+    }
+
+    #[test]
+    fn rows_round_trip_and_reject_ragged_lists() {
+        let rows = vec![[1u64, 2, 3], [4, 5, u64::MAX]];
+        let json = rows_to_json(rows.iter().copied());
+        assert_eq!(rows_from_json::<3>(&json, "rows"), Ok(rows));
+        assert!(rows_from_json::<4>(&json, "rows").is_err(), "ragged list");
+        let negative = Json::Array(vec![Json::Int(-1), Json::UInt(0)]);
+        assert!(rows_from_json::<2>(&negative, "rows").is_err());
     }
 
     #[test]

@@ -269,3 +269,90 @@ fn restore_rejects_an_active_unit_fsm_past_the_context() {
         );
     }
 }
+
+/// The items of a snapshot array, for mutation tests.
+fn items_mut(value: &mut snapshot::Json) -> &mut Vec<snapshot::Json> {
+    match value {
+        snapshot::Json::Array(items) => items,
+        _ => panic!("not an array"),
+    }
+}
+
+#[test]
+fn restore_rejects_a_data_cache_that_is_not_the_cores() {
+    // The data-cache configuration is wiring that comes from the core
+    // kind. A document with another geometry, or without the cache the
+    // core has, must be refused rather than reach the cache constructor's
+    // asserts.
+    let mut sys = single_hart_system(CoreKind::Cva6, Preset::Slt, false);
+    sys.run(20_000);
+    let state = sys.state_snap();
+    assert!(
+        System::from_state_snap(&state).is_ok(),
+        "pristine state rejected"
+    );
+    for (key, value) in [("sets", 3), ("ways", 0), ("line_words", 6)] {
+        let mut bad = state.clone();
+        let dcache = field_mut(field_mut(&mut bad, "platform"), "dcache");
+        *field_mut(dcache, key) = snapshot::Json::UInt(value);
+        assert!(
+            System::from_state_snap(&bad).is_err(),
+            "data cache with `{key}` {value} accepted"
+        );
+    }
+    let mut missing = state.clone();
+    *field_mut(field_mut(&mut missing, "platform"), "dcache") = snapshot::Json::Null;
+    assert!(
+        System::from_state_snap(&missing).is_err(),
+        "CVA6 state without its data cache accepted"
+    );
+}
+
+#[test]
+fn a_failed_restore_leaves_the_system_untouched() {
+    // Documents that pass the identity checks but hold a malformed
+    // payload: the engine parses before the platform fails, so a restore
+    // that committed piecewise would show here.
+    let mut source = single_hart_system(CoreKind::Cva6, Preset::Slt, false);
+    source.run(10_000);
+    let state = source.state_snap();
+    assert!(!source.records().is_empty(), "no episode to corrupt");
+    let mut live = single_hart_system(CoreKind::Cva6, Preset::Slt, false);
+    live.run(20_000);
+    let before = live.state_snap().render();
+
+    type Mutation = fn(&mut snapshot::Json);
+    let mutations: [(&str, Mutation); 4] = [
+        ("a DMEM run longer than DMEM", |s| {
+            let dmem = field_mut(field_mut(s, "platform"), "dmem");
+            let len = match field_mut(dmem, "len_words") {
+                snapshot::Json::UInt(len) => *len,
+                other => panic!("len_words is {other:?}"),
+            };
+            items_mut(field_mut(dmem, "words"))[0] = snapshot::Json::UInt(len + 1);
+        }),
+        ("a trace-mark list of odd length", |s| {
+            let mmio = field_mut(field_mut(s, "platform"), "mmio");
+            items_mut(field_mut(mmio, "trace_marks")).push(snapshot::Json::UInt(1));
+        }),
+        ("a record list that is not whole records", |s| {
+            items_mut(field_mut(s, "records")).pop();
+        }),
+        ("a record cause beyond u32", |s| {
+            items_mut(field_mut(s, "records"))[3] = snapshot::Json::UInt(u64::MAX);
+        }),
+    ];
+    for (what, mutate) in mutations {
+        let mut bad = state.clone();
+        mutate(&mut bad);
+        assert!(live.restore_snap(&bad).is_err(), "{what} accepted");
+        assert_eq!(
+            live.state_snap().render(),
+            before,
+            "a failed restore with {what} changed the system"
+        );
+    }
+    // The pristine document still restores, and does replace the state.
+    live.restore_snap(&state).expect("pristine state restores");
+    assert_eq!(live.state_snap().render(), state.render());
+}
