@@ -31,6 +31,14 @@ cargo build --release
 echo "== cargo test (workspace)"
 cargo test -q --release --workspace
 
+echo "== lockstep harness selftest"
+# The interpreter and block dispatch share one executor, so the
+# golden-model lockstep is the only independent check of instruction
+# semantics. Prove the harness still catches an injected executor bug:
+# a flipped `sltu` in the golden model must be caught, shrunk, written
+# as a replay artifact and reproduced from disk.
+cargo run -q --release -p rtosunit-bench --bin checkfuzz -- selftest > /dev/null
+
 echo "== perfbench builds and passes its smoke test"
 # perfbench is a package of its own that drives the crates through their
 # public APIs; nothing else builds it, so an API change would break the

@@ -1,60 +1,54 @@
 //! Basic-block translation cache: pre-decoded micro-op superblocks.
 //!
-//! The interpreter pays a fetch → decode-cache probe → `execute` match →
-//! latency match per instruction, plus one virtual `DataBus` call per
-//! cycle. This module pre-decodes straight-line guest code into dense
-//! [`Uop`] buffers once (operands inlined, register indices resolved,
-//! branch targets pre-computed, dual-issue pairs and fusible macro-op
-//! pairs resolved statically) and executes whole blocks per dispatch,
-//! batching the bus clock into one `advance_cycles` call per block chain.
+//! The interpreter pays a fetch → micro-op cache probe → gate checks per
+//! instruction, plus one virtual `DataBus` call per cycle. This module
+//! pre-decodes straight-line guest code into dense [`Uop`] buffers once
+//! (dual-issue pairs and fusible macro-op pairs resolved statically) and
+//! dispatches whole blocks, batching the bus clock into one
+//! `advance_cycles` call per block chain.
 //!
-//! **Timing-replay contract.** Architectural execution is split from
-//! timing annotation, but the annotation is replayed *exactly*: every
-//! cycle, retirement, trace entry, simulated counter increment, profile
-//! attribution and predictor update lands precisely where the per-cycle
-//! interpreter puts it. The batching differential tests assert
-//! bit-identical results against per-cycle stepping. Key replay rules:
+//! **One executor.** Every micro-op, in a block or not, issues through
+//! `CoreEngine::issue`, so a block step changes nothing a per-cycle step
+//! would not: cycles, retirements, trace entries, counters, profile
+//! attribution and predictor updates are the executor's, and only *when*
+//! ops issue is decided here. Dispatch spends each step's drain
+//! and issue cycles exactly where the interpreter would (owing the bus
+//! clock `lag` cycles until the next data access) and polls bus attention
+//! after every data access. Two rules keep the grouping invisible:
 //!
 //! * Pairing is decided greedily from the block entry by the
 //!   interpreter's own pairing rule (`CoreEngine::pairs`), exactly as its
 //!   memoryless per-step pairing does; a block is trimmed so its cut
 //!   never splits a pair the interpreter would have issued.
-//! * Fusion only merges two steps the interpreter would have executed as
-//!   *unpaired singles*, and replays both constituents' cycles, trace
-//!   entries and attributions individually — fusion is a host-side
-//!   speedup, never a guest-visible timing change.
+//! * Fusion only merges two steps the interpreter would have issued as
+//!   *unpaired singles*, and issues both constituents one cycle apart —
+//!   fusion saves a dispatch on the host, never a guest cycle.
 //!
 //! **Block lifecycle.** The cache itself is built on the engine's first
 //! batched dispatch, so an engine that only steps per cycle never
-//! allocates one. Blocks are built lazily at the executed PC,
-//! terminate at control flow, at a CSR access that could write the
-//! interrupt-gate CSRs (`mstatus`/`mie` — translated as a terminal
-//! *barrier* micro-op: the write may unmask a pending interrupt, so the
-//! dispatcher stops chaining and returns to the caller's interrupt-gate
-//! check; all other CSR accesses execute mid-block), or before any other
-//! system-level instruction
-//! (`mret`/`wfi`/`ecall`/`ebreak`/`fence`/custom — those run on the
-//! interpreter path), and chain to successor blocks inside one dispatch
-//! while the batch budget and quiescence conditions hold. Any
-//! instruction-memory rewrite ([`CoreEngine::invalidate_decoded`],
-//! fault-injected IMEM flips) kills every block covering the word, and
-//! `fence.i` flushes the whole cache; per-entry-PC execution statistics
-//! survive invalidation so retranslation shows up in the profiler.
+//! allocates one. Blocks are built lazily at the executed PC and end at
+//! control flow, before any system op (`mret`/`wfi`/`ecall`/`ebreak`/
+//! `fence`/custom — the interpreter issues those), and at a CSR access
+//! that could write the interrupt-gate CSRs (`mstatus`/`mie`): the write
+//! may unmask a pending interrupt, so dispatch chains into the next block
+//! only while no interrupt is takeable. Any instruction-memory rewrite
+//! ([`CoreEngine::invalidate_decoded`], fault-injected IMEM flips) kills
+//! every block covering the word, and `fence.i` flushes the whole cache;
+//! per-entry-PC execution statistics survive invalidation so
+//! retranslation shows up in the profiler.
 //!
 //! The cache is host bookkeeping, not machine state: snapshots leave it
 //! out, and a restored engine starts cold. Blocks decode IMEM directly
-//! and never touch the interpreter's per-word decode cache, which is
+//! and never touch the interpreter's per-word micro-op cache, which is
 //! host bookkeeping of the same kind.
 
 use crate::coproc::Coprocessor;
 use crate::counters::CoreCounters;
 use crate::engine::{BlockStats, CoreEngine, CoreEvent, DataBus};
-use crate::exec::{alu, branch_taken, muldiv};
 use crate::timing::TimingParams;
-use rvsim_isa::instr::LoadOp;
-use rvsim_isa::uop::{fuse, lower, Uop, UopSrc};
-use rvsim_isa::{csr, decode, CsrOp, Instr, Reg};
-use rvsim_mem::{AccessSize, Mem};
+use rvsim_isa::uop::{fuses, lower, Uop};
+use rvsim_isa::{csr, decode, CsrOp, Instr};
+use rvsim_mem::Mem;
 use std::collections::HashMap;
 
 /// Longest block, in instruction words. Long enough to cover real ISR
@@ -68,10 +62,10 @@ enum Step {
     /// One instruction.
     Single(Uop),
     /// A dual-issue pair: both retire in one cycle.
-    Pair { first: Uop, second: Uop },
-    /// A fused macro-op pair: two instructions, two interpreter steps,
-    /// one dispatch.
-    Fused(Uop),
+    Pair(Uop, Uop),
+    /// A fused macro-op pair: two instructions issued one cycle apart,
+    /// two interpreter steps, one dispatch.
+    Fused(Uop, Uop),
 }
 
 /// A translated basic block.
@@ -237,33 +231,34 @@ impl BlockCache {
 /// outside IMEM).
 fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     // 1. Scan straight-line code.
-    let mut instrs: Vec<Instr> = Vec::new();
+    let mut code: Vec<(Instr, Uop)> = Vec::new();
     let mut terminated = false;
     let mut pc = start;
-    loop {
-        if !imem.contains(pc) {
-            break;
-        }
-        let Ok(i) = decode(imem.read_word(pc)) else {
+    while imem.contains(pc) {
+        let Ok(instr) = decode(imem.read_word(pc)) else {
             break;
         };
-        if lower(&i, pc).is_none() {
-            break; // system-level op: interpreter path
+        let uop = lower(&instr, pc);
+        if matches!(
+            uop,
+            Uop::Mret | Uop::Wfi | Uop::Halt | Uop::Fence | Uop::Custom { .. }
+        ) {
+            break; // system op: the interpreter issues it
         }
-        instrs.push(i);
-        if i.is_control_flow() {
+        code.push((instr, uop));
+        if instr.is_control_flow() {
             terminated = true;
             break;
         }
         // A CSR access that could write the interrupt-gate CSRs
-        // (`mstatus`/`mie`) is a barrier: the write may unmask a pending
-        // interrupt, so the block ends here and the dispatcher returns to
-        // the caller's gate check before any further issue. Every other
-        // CSR access — reads, and writes to non-gate CSRs such as
-        // `mscratch`/`mepc`/`mcause` — stays mid-block.
-        if let Instr::Csr {
+        // (`mstatus`/`mie`) ends the block: the write may unmask a pending
+        // interrupt, which dispatch must let the caller take before any
+        // further issue. Every other CSR access — reads, and writes to
+        // non-gate CSRs such as `mscratch`/`mepc`/`mcause` — stays
+        // mid-block.
+        if let Uop::Csr {
             op, csr: addr, src, ..
-        } = i
+        } = uop
         {
             // The set/clear forms skip the write when the operand is
             // zero — statically known for `x0` sources and zero
@@ -277,7 +272,7 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
                 break;
             }
         }
-        if instrs.len() >= MAX_WORDS {
+        if code.len() >= MAX_WORDS {
             break;
         }
         pc = pc.wrapping_add(4);
@@ -285,12 +280,12 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
 
     // 2. Greedy pairing from the entry — ground truth for the
     // interpreter's memoryless per-step pairing.
-    let mut n = instrs.len();
+    let mut n = code.len();
     let mut pair_first = vec![false; n];
     if params.dual_issue {
         let mut i = 0;
         while i + 1 < n {
-            if CoreEngine::pairs(&instrs[i], || Some(instrs[i + 1])) {
+            if CoreEngine::pairs(&code[i].1, || Some(code[i + 1].1)) {
                 pair_first[i] = true;
                 i += 2;
             } else {
@@ -305,48 +300,41 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
         // trailing op does not pair with the dropped one.)
         if !terminated && n > 0 && !(n >= 2 && pair_first[n - 2]) {
             let next_pc = start.wrapping_add(4 * n as u32);
-            let tail_pairs = CoreEngine::pairs(&instrs[n - 1], || {
+            let tail_pairs = CoreEngine::pairs(&code[n - 1].1, || {
                 imem.contains(next_pc)
                     .then(|| imem.read_word(next_pc))
                     .and_then(|word| decode(word).ok())
+                    .map(|instr| lower(&instr, next_pc))
             });
             if tail_pairs {
-                instrs.pop();
+                code.pop();
                 pair_first.pop();
                 n -= 1;
             }
         }
     }
-    if instrs.is_empty() {
+    if code.is_empty() {
         return None;
     }
 
-    // 4. Lower to steps: pairs as decided, macro-op fusion only between
+    // 4. Group into steps: pairs as decided, macro-op fusion only between
     // two adjacent *unpaired single* steps (so fusing never steals a pair
-    // and the replayed timing is exactly two interpreter steps).
+    // and the issued timing is exactly two interpreter steps).
     let mut steps = Vec::with_capacity(n);
     let mut i = 0;
     while i < n {
-        let pc_i = start.wrapping_add(4 * i as u32);
-        if pair_first[i] {
-            steps.push(Step::Pair {
-                first: lower(&instrs[i], pc_i).expect("pairable op lowers"),
-                second: lower(&instrs[i + 1], pc_i.wrapping_add(4)).expect("pairable op lowers"),
-            });
-            i += 2;
+        let (instr, uop) = code[i];
+        let step = if pair_first[i] {
+            Step::Pair(uop, code[i + 1].1)
+        } else if i + 1 < n && !pair_first[i + 1] && fuses(&instr, &code[i + 1].0) {
+            Step::Fused(uop, code[i + 1].1)
+        } else {
+            i += 1;
+            steps.push(Step::Single(uop));
             continue;
-        }
-        if i + 1 < n && !pair_first[i + 1] {
-            if let Some(fused) = fuse(&instrs[i], &instrs[i + 1], pc_i) {
-                steps.push(Step::Fused(fused));
-                i += 2;
-                continue;
-            }
-        }
-        steps.push(Step::Single(
-            lower(&instrs[i], pc_i).expect("scanned op lowers"),
-        ));
-        i += 1;
+        };
+        steps.push(step);
+        i += 2;
     }
 
     Some(Block {
@@ -381,32 +369,6 @@ enum StepExit {
     Event(CoreEvent),
     /// The bus raised attention after a memory access.
     Attention,
-    /// The block's terminal CSR access wrote an interrupt-gate CSR.
-    /// Always the last step, so the pass was complete — but chaining must
-    /// stop: the write may have unmasked a pending interrupt, and only
-    /// the caller's gate check may decide whether the next instruction
-    /// issues.
-    Barrier,
-}
-
-fn load_shape(op: LoadOp) -> (AccessSize, bool) {
-    match op {
-        LoadOp::Lb => (AccessSize::Byte, true),
-        LoadOp::Lbu => (AccessSize::Byte, false),
-        LoadOp::Lh => (AccessSize::Half, true),
-        LoadOp::Lhu => (AccessSize::Half, false),
-        LoadOp::Lw => (AccessSize::Word, false),
-    }
-}
-
-fn extend(data: u32, size: AccessSize, signed: bool) -> u32 {
-    match (size, signed) {
-        (AccessSize::Byte, true) => data as u8 as i8 as i32 as u32,
-        (AccessSize::Byte, false) => data & 0xff,
-        (AccessSize::Half, true) => data as u16 as i16 as i32 as u32,
-        (AccessSize::Half, false) => data & 0xffff,
-        (AccessSize::Word, _) => data,
-    }
 }
 
 impl CoreEngine {
@@ -444,7 +406,7 @@ impl CoreEngine {
         remaining: u64,
     ) -> BlockOutcome {
         let entry_cycle = self.cycle;
-        let mut lag: u64 = 0; // bus cycles owed (flushed before any access)
+        let mut lag: u64 = 0; // bus cycles owed (paid before any access)
         let mut pending: u32 = 0; // trailing drain of the last issued op
         let mut engaged = false;
         let mut event = None;
@@ -466,36 +428,32 @@ impl CoreEngine {
                 break;
             };
             self.counters.block_hits += 1;
-            let (exit, fused, any) = {
-                let block = cache.blocks[slot as usize].as_ref().expect("live slot");
-                self.dispatch_block::<COSTEP>(
-                    block,
-                    bus,
-                    co,
-                    remaining,
-                    entry_cycle,
-                    &mut lag,
-                    &mut pending,
-                )
-            };
-            {
-                let block = cache.blocks[slot as usize].as_mut().expect("live slot");
-                block.execs += 1;
-                block.fused_execs += fused;
-            }
+            let block = cache.blocks[slot as usize].as_mut().expect("live slot");
+            let (exit, fused, any) = self.dispatch_block::<COSTEP>(
+                &block.steps,
+                bus,
+                co,
+                remaining,
+                entry_cycle,
+                &mut lag,
+                &mut pending,
+            );
+            block.execs += 1;
+            block.fused_execs += fused;
             self.counters.fused_ops += fused;
             engaged |= any;
             match exit {
-                // In a co-stepped batch, stop chaining once the
-                // coprocessor drains idle: the plain quiescent batch path
-                // is faster from here.
+                // Chain only while no interrupt is takeable (a gate-CSR
+                // write ending the block may have unmasked one, and only
+                // the caller may take it) and, in a co-stepped batch,
+                // until the coprocessor drains idle: the plain quiescent
+                // batch path is faster from there.
                 StepExit::Done => {
-                    if COSTEP && co.is_idle() {
+                    if (COSTEP && co.is_idle()) || self.takeable_interrupt().is_some() {
                         break;
                     }
-                    continue;
                 }
-                StepExit::Budget | StepExit::Barrier => break,
+                StepExit::Budget => break,
                 StepExit::Event(ev) => {
                     event = Some(ev);
                     break;
@@ -523,19 +481,19 @@ impl CoreEngine {
         BlockOutcome::Ran { event, attention }
     }
 
-    /// Executes one block's steps, replaying the interpreter's timing
-    /// per step. Returns how the dispatch ended, the number of fused
-    /// macro-ops executed, and whether any step executed at all.
+    /// Issues one block's steps at the cycles the interpreter would.
+    /// Returns how the dispatch ended, the number of fused macro-ops
+    /// executed, and whether any step executed at all.
     ///
-    /// With `COSTEP` (a unit-active batch) every consumed cycle is
-    /// replayed individually — bus clock first, the core's work for that
-    /// cycle, then the coprocessor's step — so the shared-port
-    /// arbitration the coprocessor sees is bit-identical to per-cycle
-    /// stepping; `lag` stays zero in that mode.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// With `COSTEP` (a unit-active batch) every consumed cycle is taken
+    /// individually — bus clock first, the core's work for that cycle,
+    /// then the coprocessor's step — so the shared-port arbitration the
+    /// coprocessor sees is bit-identical to per-cycle stepping; `lag`
+    /// stays zero in that mode.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch_block<const COSTEP: bool>(
         &mut self,
-        block: &Block,
+        steps: &[Step],
         bus: &mut dyn DataBus,
         co: &mut dyn Coprocessor,
         remaining: u64,
@@ -543,15 +501,12 @@ impl CoreEngine {
         lag: &mut u64,
         pending: &mut u32,
     ) -> (StepExit, u64, bool) {
-        let p = self.params;
-        let mut widx = 0usize;
         let mut fused_execs = 0u64;
         let mut any = false;
 
-        for step in &block.steps {
-            let wpc = block.start.wrapping_add(4 * widx as u32);
+        for step in steps {
             let issue: u64 = match step {
-                Step::Fused(_) => 2,
+                Step::Fused(..) => 2,
                 _ => 1,
             };
             if (self.cycle - entry_cycle) + u64::from(*pending) + issue > remaining {
@@ -560,7 +515,7 @@ impl CoreEngine {
             // Drain the previous op, then spend this op's issue cycle —
             // the same cycles the interpreter's busy-skip and
             // `advance_cycles(1)`+`step` would consume. Co-stepped
-            // dispatch replays them one at a time: the drain cycles give
+            // dispatch takes them one at a time: the drain cycles give
             // the coprocessor the port cycles the core left idle.
             if COSTEP {
                 for _ in 0..*pending {
@@ -575,279 +530,33 @@ impl CoreEngine {
                 self.cycle += spend;
                 *lag += spend;
             }
-            *pending = 0;
             any = true;
 
-            let exit: Option<StepExit> = 'exec: {
-                match step {
-                    Step::Single(uop) => {
-                        match *uop {
-                            Uop::AluRR { op, rd, rs1, rs2 } => {
-                                let v = alu(op, self.state.read_reg(rs1), self.state.read_reg(rs2));
-                                self.state.write_reg(rd, v);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.state.pc = wpc.wrapping_add(4);
-                            }
-                            Uop::AluRI { op, rd, rs1, imm } => {
-                                let v = alu(op, self.state.read_reg(rs1), imm);
-                                self.state.write_reg(rd, v);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.state.pc = wpc.wrapping_add(4);
-                            }
-                            Uop::MovImm { rd, value } => {
-                                self.state.write_reg(rd, value);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.state.pc = wpc.wrapping_add(4);
-                            }
-                            Uop::MulDiv { op, rd, rs1, rs2 } => {
-                                let v =
-                                    muldiv(op, self.state.read_reg(rs1), self.state.read_reg(rs2));
-                                self.state.write_reg(rd, v);
-                                self.retire_trace(wpc);
-                                let lat = match op {
-                                    rvsim_isa::MulDivOp::Mul
-                                    | rvsim_isa::MulDivOp::Mulh
-                                    | rvsim_isa::MulDivOp::Mulhsu
-                                    | rvsim_isa::MulDivOp::Mulhu => p.mul_latency,
-                                    _ => p.div_latency,
-                                };
-                                *pending = lat.saturating_sub(1);
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_exec += u64::from(*pending);
-                                self.state.pc = wpc.wrapping_add(4);
-                            }
-                            Uop::Load {
-                                op,
-                                rd,
-                                rs1,
-                                offset,
-                            } => {
-                                let addr = self.state.read_reg(rs1).wrapping_add(offset);
-                                let (size, signed) = load_shape(op);
-                                if addr % size.bytes() != 0 {
-                                    let ev =
-                                        self.block_trap(wpc, csr::CAUSE_MISALIGNED_LOAD, pending);
-                                    break 'exec Some(StepExit::Event(ev));
-                                }
-                                bus.advance_cycles(std::mem::take(lag));
-                                let resp = bus.core_access(addr, size, None);
-                                self.state.write_reg(rd, extend(resp.data, size, signed));
-                                self.retire_trace(wpc);
-                                *pending =
-                                    (p.load_base_latency + resp.extra_latency).saturating_sub(1);
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_mem += u64::from(*pending);
-                                self.state.pc = wpc.wrapping_add(4);
-                                if bus.take_attention() {
-                                    break 'exec Some(StepExit::Attention);
-                                }
-                            }
-                            Uop::Store {
-                                op,
-                                rs1,
-                                rs2,
-                                offset,
-                            } => {
-                                let addr = self.state.read_reg(rs1).wrapping_add(offset);
-                                let size = match op {
-                                    rvsim_isa::StoreOp::Sb => AccessSize::Byte,
-                                    rvsim_isa::StoreOp::Sh => AccessSize::Half,
-                                    rvsim_isa::StoreOp::Sw => AccessSize::Word,
-                                };
-                                if addr % size.bytes() != 0 {
-                                    let ev =
-                                        self.block_trap(wpc, csr::CAUSE_MISALIGNED_STORE, pending);
-                                    break 'exec Some(StepExit::Event(ev));
-                                }
-                                let value = self.state.read_reg(rs2);
-                                bus.advance_cycles(std::mem::take(lag));
-                                let resp = bus.core_access(addr, size, Some(value));
-                                self.retire_trace(wpc);
-                                *pending = (p.store_latency + resp.extra_latency).saturating_sub(1);
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_mem += u64::from(*pending);
-                                self.state.pc = wpc.wrapping_add(4);
-                                if bus.take_attention() {
-                                    break 'exec Some(StepExit::Attention);
-                                }
-                            }
-                            Uop::Branch {
-                                op,
-                                rs1,
-                                rs2,
-                                taken_pc,
-                                fall_pc,
-                            } => {
-                                let taken = branch_taken(
-                                    op,
-                                    self.state.read_reg(rs1),
-                                    self.state.read_reg(rs2),
-                                );
-                                self.retire_trace(wpc);
-                                *pending = self.branch_drain(wpc, taken);
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_control += u64::from(*pending);
-                                self.state.pc = if taken { taken_pc } else { fall_pc };
-                            }
-                            Uop::Jal {
-                                link,
-                                link_value,
-                                target,
-                            } => {
-                                self.state.write_reg(link, link_value);
-                                self.retire_trace(wpc);
-                                *pending = p.jump_penalty;
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_control += u64::from(*pending);
-                                self.state.pc = target;
-                            }
-                            Uop::Jalr {
-                                link,
-                                link_value,
-                                rs1,
-                                offset,
-                            } => {
-                                let target = self.state.read_reg(rs1).wrapping_add(offset) & !1;
-                                self.state.write_reg(link, link_value);
-                                self.retire_trace(wpc);
-                                *pending = p.jalr_penalty;
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_control += u64::from(*pending);
-                                self.state.pc = target;
-                            }
-                            Uop::Csr {
-                                op,
-                                rd,
-                                csr: addr,
-                                src,
-                            } => {
-                                // The interpreter syncs `mcycle` at every
-                                // step entry; a translated CSR read must
-                                // observe the same value.
-                                self.state.csrs.mcycle = self.cycle as u32;
-                                let old = self.state.csrs.read(addr);
-                                let operand = if op.is_immediate() {
-                                    u32::from(src)
-                                } else {
-                                    self.state.read_reg(Reg::from_number(src))
-                                };
-                                let new = match op {
-                                    CsrOp::Rw | CsrOp::Rwi => Some(operand),
-                                    CsrOp::Rs | CsrOp::Rsi => {
-                                        (operand != 0).then_some(old | operand)
-                                    }
-                                    CsrOp::Rc | CsrOp::Rci => {
-                                        (operand != 0).then_some(old & !operand)
-                                    }
-                                };
-                                if let Some(v) = new {
-                                    self.state.csrs.write(addr, v);
-                                }
-                                self.state.write_reg(rd, old);
-                                self.retire_trace(wpc);
-                                *pending = p.csr_latency.saturating_sub(1);
-                                self.attribute(wpc, 1 + u64::from(*pending));
-                                self.counters.stall_exec += u64::from(*pending);
-                                self.state.pc = wpc.wrapping_add(4);
-                                // An actual write to a gate CSR stops the
-                                // chain: only the caller's interrupt-gate
-                                // check may issue further instructions.
-                                // (The builder made any such access the
-                                // block's terminal step.)
-                                if new.is_some() && matches!(addr, csr::MSTATUS | csr::MIE) {
-                                    break 'exec Some(StepExit::Barrier);
-                                }
-                            }
-                            _ => unreachable!("fused uop in a Single step"),
-                        }
-                        widx += 1;
-                    }
-                    Step::Pair { first, second } => {
-                        // Both retire in this one cycle, exactly like the
-                        // interpreter's `continue`d issue loop.
-                        self.exec_simple(first);
-                        self.retire_trace(wpc);
-                        self.counters.issued_pairs += 1;
-                        self.exec_simple(second);
-                        let second_pc = wpc.wrapping_add(4);
-                        self.retire_trace(second_pc);
-                        self.attribute(second_pc, 1);
-                        self.state.pc = wpc.wrapping_add(8);
-                        widx += 2;
-                    }
-                    Step::Fused(uop) => {
-                        match *uop {
-                            Uop::LoadImm {
-                                rd_hi,
-                                hi,
-                                rd,
-                                value,
-                            } => {
-                                self.state.write_reg(rd_hi, hi);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                self.state.write_reg(rd, value);
-                                let second_pc = wpc.wrapping_add(4);
-                                self.retire_trace(second_pc);
-                                self.attribute(second_pc, 1);
-                                self.state.pc = wpc.wrapping_add(8);
-                            }
-                            Uop::AuipcJalr {
-                                rd1,
-                                pcrel,
-                                link,
-                                link_value,
-                                target,
-                            } => {
-                                self.state.write_reg(rd1, pcrel);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                self.state.write_reg(link, link_value);
-                                let second_pc = wpc.wrapping_add(4);
-                                self.retire_trace(second_pc);
-                                *pending = p.jalr_penalty;
-                                self.attribute(second_pc, 1 + u64::from(*pending));
-                                self.counters.stall_control += u64::from(*pending);
-                                self.state.pc = target;
-                            }
-                            Uop::CmpBranch {
-                                op,
-                                rd,
-                                rs1,
-                                src2,
-                                branch_if_nonzero,
-                                taken_pc,
-                                fall_pc,
-                            } => {
-                                let b = match src2 {
-                                    UopSrc::Reg(r) => self.state.read_reg(r),
-                                    UopSrc::Imm(v) => v,
-                                };
-                                let cmp = alu(op, self.state.read_reg(rs1), b);
-                                self.state.write_reg(rd, cmp);
-                                self.retire_trace(wpc);
-                                self.attribute(wpc, 1);
-                                self.fused_mid_cycle::<COSTEP>(bus, co, lag);
-                                let taken = (cmp != 0) == branch_if_nonzero;
-                                let second_pc = wpc.wrapping_add(4);
-                                self.retire_trace(second_pc);
-                                *pending = self.branch_drain(second_pc, taken);
-                                self.attribute(second_pc, 1 + u64::from(*pending));
-                                self.counters.stall_control += u64::from(*pending);
-                                self.state.pc = if taken { taken_pc } else { fall_pc };
-                            }
-                            _ => unreachable!("unfused uop in a Fused step"),
-                        }
-                        fused_execs += 1;
-                        widx += 2;
-                    }
+            // Straight-line steps leave `pc` at the next step's address.
+            let pc = self.state.pc;
+            let second_pc = pc.wrapping_add(4);
+            let issued = match step {
+                Step::Single(uop) => self.issue(*uop, pc, false, bus, co, lag),
+                Step::Pair(first, second) => {
+                    self.issue(*first, pc, true, bus, co, lag);
+                    self.issue(*second, second_pc, false, bus, co, lag)
                 }
-                None
+                Step::Fused(first, second) => {
+                    self.issue(*first, pc, false, bus, co, lag);
+                    self.fused_mid_cycle::<COSTEP>(bus, co, lag);
+                    fused_execs += 1;
+                    self.issue(*second, second_pc, false, bus, co, lag)
+                }
+            };
+            *pending = issued.drain;
+            let exit = match (issued.trap, step) {
+                (Some(ev), _) => Some(StepExit::Event(ev)),
+                (None, Step::Single(Uop::Load { .. } | Uop::Store { .. }))
+                    if bus.take_attention() =>
+                {
+                    Some(StepExit::Attention)
+                }
+                _ => None,
             };
             // The issue cycle's coprocessor step — after the core's work,
             // exactly where the per-cycle platform loop puts it (even
@@ -880,62 +589,6 @@ impl CoreEngine {
         } else {
             self.cycle += 1;
             *lag += 1;
-        }
-    }
-
-    /// Branch drain cycles: the interpreter's `control_latency` minus the
-    /// issue cycle, including the predictor update.
-    fn branch_drain(&mut self, pc: u32, taken: bool) -> u32 {
-        let p = self.params;
-        if p.has_predictor {
-            if self.predict_taken(pc, taken) == taken {
-                0
-            } else {
-                p.branch_penalty
-            }
-        } else if taken {
-            p.branch_penalty
-        } else {
-            0
-        }
-    }
-
-    /// Synchronous-exception entry from block mode: the issue cycle is
-    /// already consumed and counted, but nothing retires. The interpreter
-    /// pushes and immediately pops the trace entry, which drops the
-    /// oldest entry when the ring is full — replicated exactly.
-    fn block_trap(&mut self, pc: u32, cause: u32, pending: &mut u32) -> CoreEvent {
-        self.trace.drop_oldest_if_full();
-        let target = self.state.csrs.enter_trap(pc, cause);
-        self.state.pc = target;
-        let drain = self.params.irq_entry_latency.saturating_sub(1);
-        *pending = drain;
-        self.counters.stall_irq_entry += u64::from(drain);
-        self.attribute(target, 1 + u64::from(drain));
-        CoreEvent::ExceptionEntered { cause }
-    }
-
-    /// One retirement: bumps the retire counter and pushes the trace
-    /// entry at the current cycle, exactly as the interpreter does.
-    #[inline]
-    fn retire_trace(&mut self, pc: u32) {
-        self.retired += 1;
-        self.trace.push((self.cycle, pc));
-    }
-
-    #[inline]
-    fn exec_simple(&mut self, uop: &Uop) {
-        match *uop {
-            Uop::AluRR { op, rd, rs1, rs2 } => {
-                let v = alu(op, self.state.read_reg(rs1), self.state.read_reg(rs2));
-                self.state.write_reg(rd, v);
-            }
-            Uop::AluRI { op, rd, rs1, imm } => {
-                let v = alu(op, self.state.read_reg(rs1), imm);
-                self.state.write_reg(rd, v);
-            }
-            Uop::MovImm { rd, value } => self.state.write_reg(rd, value),
-            _ => unreachable!("pair constituents are simple ALU ops"),
         }
     }
 }

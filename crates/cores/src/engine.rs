@@ -1,20 +1,21 @@
 //! The cycle-stepped core engine.
 //!
 //! One [`CoreEngine::step`] call advances the core by exactly one cycle.
-//! Instructions are executed functionally at issue and then occupy the
-//! pipeline for their modelled latency; interrupts are taken at
-//! instruction boundaries; `mret` and `SWITCH_RF` honour coprocessor
-//! stalls (paper §4.2/§4.3). The engine owns the instruction memory
-//! (separate fetch port — the data port belongs to the [`DataBus`]).
+//! Instructions take effect at issue (through the one executor,
+//! `CoreEngine::issue`) and then occupy the pipeline for their modelled
+//! latency; interrupts are taken at instruction boundaries; `mret` and
+//! `SWITCH_RF` honour coprocessor stalls (paper §4.2/§4.3). The engine
+//! owns the instruction memory (separate fetch port — the data port
+//! belongs to the [`DataBus`]).
 
 use crate::blockcache::{BlockCache, BlockOutcome};
 use crate::coproc::Coprocessor;
 use crate::counters::CoreCounters;
-use crate::exec::{execute, MemRequest};
 use crate::profile::PcProfile;
 use crate::state::ArchState;
 use crate::timing::TimingParams;
-use rvsim_isa::{decode, disassemble, Instr, Program};
+use rvsim_isa::uop::lower;
+use rvsim_isa::{decode, disassemble, Instr, Program, Reg, Uop};
 use rvsim_mem::{AccessSize, Mem};
 use rvsim_snapshot::{self as snap, Json, SnapError};
 
@@ -215,23 +216,6 @@ impl RetireRing {
         }
     }
 
-    /// Un-records the newest entry (a retirement squashed by a trap).
-    #[inline]
-    pub(crate) fn pop_back(&mut self) {
-        debug_assert!(self.len > 0, "pop from an empty retire ring");
-        self.head = self.head.checked_sub(1).unwrap_or(self.buf.len() - 1);
-        self.len -= 1;
-    }
-
-    /// The net effect of the interpreter's push-then-pop-back when the
-    /// ring is full: the oldest entry is gone, nothing new is kept.
-    #[inline]
-    pub(crate) fn drop_oldest_if_full(&mut self) {
-        if self.len == self.buf.len() {
-            self.len -= 1;
-        }
-    }
-
     /// Entries oldest-first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         let depth = self.buf.len();
@@ -251,21 +235,21 @@ pub struct CoreEngine {
     /// Architectural state (register banks, CSRs, PC).
     pub state: ArchState,
     pub(crate) imem: Mem,
-    /// Per-word decode cache of the interpreter, indexed from the IMEM
+    /// Per-word micro-op cache of the interpreter, indexed from the IMEM
     /// base. It starts empty and grows to the highest word fetched, so it
     /// spans executed code, not the whole instruction memory.
-    pub(crate) decoded: Vec<Option<Instr>>,
+    pub(crate) decoded: Vec<Option<Uop>>,
     pub(crate) busy: u32,
     completing: Completing,
-    wfi_wait: bool,
-    halted: bool,
+    pub(crate) wfi_wait: bool,
+    pub(crate) halted: bool,
     pub(crate) cycle: u64,
     pub(crate) retired: u64,
     predictor: Vec<u8>,
     pub(crate) trace: RetireRing,
     pub(crate) counters: CoreCounters,
     profiler: Option<Box<PcProfile>>,
-    wfi_pc: u32,
+    pub(crate) wfi_pc: u32,
     /// Basic-block translation cache, built on the first batched dispatch
     /// (see [`crate::blockcache`]).
     pub(crate) blocks: Option<Box<BlockCache>>,
@@ -416,14 +400,20 @@ impl CoreEngine {
 
     /// Folds a profile into ranked basic blocks using this engine's own
     /// instruction decoder (see [`PcProfile::hot_blocks`]).
-    pub fn hot_blocks(&mut self, profile: &PcProfile) -> Vec<crate::profile::HotBlock> {
-        profile.hot_blocks(|pc| self.peek(pc))
+    pub fn hot_blocks(&self, profile: &PcProfile) -> Vec<crate::profile::HotBlock> {
+        profile.hot_blocks(|pc| self.instr_at(pc))
     }
 
     /// Renders a profile as folded-stack lines under `root` (see
     /// [`PcProfile::folded`]).
-    pub fn folded_profile(&mut self, profile: &PcProfile, root: &str) -> String {
-        profile.folded(root, |pc| self.peek(pc))
+    pub fn folded_profile(&self, profile: &PcProfile, root: &str) -> String {
+        profile.folded(root, |pc| self.instr_at(pc))
+    }
+
+    /// The instruction in IMEM at `pc`, decoded afresh (debug and
+    /// profile views; execution goes through the micro-op cache).
+    fn instr_at(&self, pc: u32) -> Option<Instr> {
+        self.imem_word(pc).and_then(|word| decode(word).ok())
     }
 
     #[inline]
@@ -433,14 +423,14 @@ impl CoreEngine {
         }
     }
 
-    /// The interpreter's fetch through the per-word decode cache,
+    /// The interpreter's fetch through the per-word micro-op cache,
     /// counting hits and misses. Block dispatch never comes here, so the
     /// two counters describe interpreted fetches only.
-    fn fetch(&mut self, pc: u32) -> Instr {
+    fn fetch(&mut self, pc: u32) -> Uop {
         let idx = ((pc - self.imem.base()) / 4) as usize;
-        if let Some(Some(i)) = self.decoded.get(idx) {
+        if let Some(Some(u)) = self.decoded.get(idx) {
             self.counters.decode_hits += 1;
-            return *i;
+            return *u;
         }
         self.counters.decode_misses += 1;
         let word = self.imem.read_word(pc);
@@ -451,50 +441,68 @@ impl CoreEngine {
             }
             panic!("{e} at pc {pc:#010x}; recent instructions:\n{dump}")
         });
-        self.remember_decoded(idx, instr);
-        instr
+        self.remember_decoded(idx, lower(&instr, pc))
     }
 
-    /// Caches the decode of IMEM word `idx`, growing the table to it.
-    fn remember_decoded(&mut self, idx: usize, instr: Instr) {
+    /// Caches the micro-op of IMEM word `idx`, growing the table to it.
+    fn remember_decoded(&mut self, idx: usize, uop: Uop) -> Uop {
         if idx >= self.decoded.len() {
             self.decoded.resize(idx + 1, None);
         }
-        self.decoded[idx] = Some(instr);
+        self.decoded[idx] = Some(uop);
+        uop
     }
 
-    pub(crate) fn peek(&mut self, pc: u32) -> Option<Instr> {
+    /// The micro-op at `pc` through the cache, without counting a fetch;
+    /// `None` outside IMEM or for an undecodable word.
+    fn peek(&mut self, pc: u32) -> Option<Uop> {
         if !self.imem.contains(pc) {
             return None;
         }
         let idx = ((pc - self.imem.base()) / 4) as usize;
-        if let Some(Some(i)) = self.decoded.get(idx) {
-            return Some(*i);
+        if let Some(Some(u)) = self.decoded.get(idx) {
+            return Some(*u);
         }
-        decode(self.imem.read_word(pc))
-            .ok()
-            .inspect(|&i| self.remember_decoded(idx, i))
+        let instr = decode(self.imem.read_word(pc)).ok()?;
+        Some(self.remember_decoded(idx, lower(&instr, pc)))
     }
 
     /// The dual-issue pairing rule, shared by the interpreter and the
-    /// block builder: the instruction after `first` issues in the same
-    /// cycle when both are simple ALU ops and it reads no register
-    /// `first` writes. `next` yields that instruction (`None` when it
-    /// does not decode) and is called only when `first` could lead a pair.
-    pub(crate) fn pairs(first: &Instr, next: impl FnOnce() -> Option<Instr>) -> bool {
-        let simple = |i: &Instr| {
-            matches!(
-                i,
-                Instr::OpImm { .. } | Instr::Op { .. } | Instr::Lui { .. } | Instr::Auipc { .. }
-            )
+    /// block builder: the op after `first` issues in the same cycle when
+    /// both are simple ALU ops and it reads no register `first` writes.
+    /// `next` yields that op (`None` when it does not decode) and is
+    /// called only when `first` could lead a pair.
+    pub(crate) fn pairs(first: &Uop, next: impl FnOnce() -> Option<Uop>) -> bool {
+        let rd = match *first {
+            Uop::AluRR { rd, .. } | Uop::AluRI { rd, .. } | Uop::MovImm { rd, .. } => rd,
+            _ => return false,
         };
-        simple(first)
-            && next().is_some_and(|second| {
-                simple(&second)
-                    && !first
-                        .rd()
-                        .is_some_and(|rd| second.sources().iter().flatten().any(|s| *s == rd))
-            })
+        let reads_rd = |r: Reg| rd != Reg::Zero && r == rd;
+        next().is_some_and(|second| match second {
+            Uop::AluRR { rs1, rs2, .. } => !reads_rd(rs1) && !reads_rd(rs2),
+            Uop::AluRI { rs1, .. } => !reads_rd(rs1),
+            Uop::MovImm { .. } => true,
+            _ => false,
+        })
+    }
+
+    /// Whether the coprocessor holds `uop` at issue this cycle: a custom
+    /// instruction or `mret` it refuses while its FSMs are busy.
+    fn coproc_stalls(uop: &Uop, coproc: &dyn Coprocessor) -> bool {
+        match *uop {
+            Uop::Custom { op, .. } => coproc.custom_stall(op),
+            Uop::Mret => coproc.mret_stall(),
+            _ => false,
+        }
+    }
+
+    /// The cause of the interrupt the core takes at its next instruction
+    /// boundary, if any: pending, enabled in `mie`, and globally enabled.
+    pub(crate) fn takeable_interrupt(&self) -> Option<u32> {
+        let csrs = &self.state.csrs;
+        csrs.mie_enabled()
+            .then(|| csrs.pending_interrupt())
+            .flatten()
     }
 
     pub(crate) fn predict_taken(&mut self, pc: u32, actual: bool) -> bool {
@@ -507,29 +515,6 @@ impl CoreEngine {
             *counter = counter.saturating_sub(1);
         }
         predicted
-    }
-
-    fn control_latency(&mut self, instr: &Instr, taken: bool, pc: u32) -> u32 {
-        let p = self.params;
-        match instr {
-            Instr::Branch { .. } => {
-                if p.has_predictor {
-                    let predicted = self.predict_taken(pc, taken);
-                    if predicted == taken {
-                        1
-                    } else {
-                        1 + p.branch_penalty
-                    }
-                } else if taken {
-                    1 + p.branch_penalty
-                } else {
-                    1
-                }
-            }
-            Instr::Jal { .. } => 1 + p.jump_penalty,
-            Instr::Jalr { .. } => 1 + p.jalr_penalty,
-            _ => 1,
-        }
     }
 
     /// Advances the core by one cycle.
@@ -570,19 +555,11 @@ impl CoreEngine {
         }
 
         // Take a pending interrupt at the instruction boundary.
-        if self.state.csrs.mie_enabled() {
-            if let Some(cause) = self.state.csrs.pending_interrupt() {
-                let target = self.state.csrs.enter_trap(self.state.pc, cause);
-                self.state.pc = target;
-                coproc.on_interrupt_entry(&mut self.state, cause);
-                self.busy = self.params.irq_entry_latency.saturating_sub(1);
-                self.counters.stall_irq_entry += u64::from(self.busy);
-                // The whole entry flush is charged to the handler's first
-                // instruction — ISR prologues show their true entry cost.
-                self.attribute(target, 1 + u64::from(self.busy));
-                out.event = Some(CoreEvent::InterruptEntered { cause });
-                return out;
-            }
+        if let Some(cause) = self.takeable_interrupt() {
+            self.busy = self.enter_handler(self.state.pc, cause);
+            coproc.on_interrupt_entry(&mut self.state, cause);
+            out.event = Some(CoreEvent::InterruptEntered { cause });
+            return out;
         }
 
         // Issue one instruction (two when the superscalar model pairs
@@ -595,194 +572,56 @@ impl CoreEngine {
             // fetching. Nothing retires; the entry cost matches interrupt
             // entry (same pipeline flush).
             if pc & 3 != 0 {
-                let target = self
-                    .state
-                    .csrs
-                    .enter_trap(pc, rvsim_isa::csr::CAUSE_MISALIGNED_FETCH);
-                self.state.pc = target;
-                self.busy = self.params.irq_entry_latency.saturating_sub(1);
-                self.counters.stall_irq_entry += u64::from(self.busy);
-                self.attribute(target, 1 + u64::from(self.busy));
-                out.event = Some(CoreEvent::ExceptionEntered {
-                    cause: rvsim_isa::csr::CAUSE_MISALIGNED_FETCH,
-                });
+                let cause = rvsim_isa::csr::CAUSE_MISALIGNED_FETCH;
+                self.busy = self.enter_handler(pc, cause);
+                out.event = Some(CoreEvent::ExceptionEntered { cause });
                 return out;
             }
 
-            let instr = self.fetch(pc);
-
-            // Coprocessor stalls gate issue.
-            if let Instr::Custom { op, .. } = instr {
-                if coproc.custom_stall(op) {
-                    self.counters.stall_coproc += 1;
-                    self.attribute(pc, 1);
-                    return out;
-                }
-            }
-            if matches!(instr, Instr::Mret) && coproc.mret_stall() {
+            let uop = self.fetch(pc);
+            if Self::coproc_stalls(&uop, coproc) {
                 self.counters.stall_coproc += 1;
                 self.attribute(pc, 1);
                 return out;
             }
 
-            let outcome = execute(&mut self.state, &instr, pc);
-            // `fence.i` orders fetch after writes: drop every block
-            // translation (the per-word decode cache is kept coherent by
-            // the IMEM write paths themselves).
-            if matches!(instr, Instr::Fence) {
-                if let Some(cache) = &mut self.blocks {
-                    cache.flush();
-                }
-            }
-            self.state.pc = outcome.next_pc;
-            self.retired += 1;
-            self.trace.push((self.cycle, pc));
-
-            let p = self.params;
-            let mut latency = match instr {
-                Instr::MulDiv { op, .. } => match op {
-                    rvsim_isa::MulDivOp::Mul
-                    | rvsim_isa::MulDivOp::Mulh
-                    | rvsim_isa::MulDivOp::Mulhsu
-                    | rvsim_isa::MulDivOp::Mulhu => p.mul_latency,
-                    _ => p.div_latency,
-                },
-                Instr::Csr { .. } => p.csr_latency,
-                Instr::Custom { .. } => p.custom_latency,
-                Instr::Load { .. } => p.load_base_latency,
-                Instr::Store { .. } => p.store_latency,
-                Instr::Mret => p.mret_latency,
-                _ => self.control_latency(&instr, outcome.taken_branch, pc),
-            };
-
-            // Address-misaligned accesses trap before touching the bus
-            // (the `Mem` backing store rejects them); the faulting
-            // instruction does not retire and writes nothing.
-            if let Some(req) = &outcome.mem {
-                let (addr, size, cause) = match *req {
-                    MemRequest::Load { addr, size, .. } => {
-                        (addr, size, rvsim_isa::csr::CAUSE_MISALIGNED_LOAD)
-                    }
-                    MemRequest::Store { addr, size, .. } => {
-                        (addr, size, rvsim_isa::csr::CAUSE_MISALIGNED_STORE)
-                    }
-                };
-                if addr % size.bytes() != 0 {
-                    self.retired -= 1;
-                    self.trace.pop_back();
-                    let target = self.state.csrs.enter_trap(pc, cause);
-                    self.state.pc = target;
-                    self.busy = self.params.irq_entry_latency.saturating_sub(1);
-                    self.counters.stall_irq_entry += u64::from(self.busy);
-                    self.attribute(target, 1 + u64::from(self.busy));
-                    out.event = Some(CoreEvent::ExceptionEntered { cause });
-                    return out;
-                }
-            }
-
-            match outcome.mem {
-                Some(MemRequest::Load {
-                    addr,
-                    size,
-                    signed,
-                    rd,
-                }) => {
-                    let resp = bus.core_access(addr, size, None);
-                    let value = match (size, signed) {
-                        (AccessSize::Byte, true) => resp.data as u8 as i8 as i32 as u32,
-                        (AccessSize::Byte, false) => resp.data & 0xff,
-                        (AccessSize::Half, true) => resp.data as u16 as i16 as i32 as u32,
-                        (AccessSize::Half, false) => resp.data & 0xffff,
-                        (AccessSize::Word, _) => resp.data,
-                    };
-                    self.state.write_reg(rd, value);
-                    latency += resp.extra_latency;
-                }
-                Some(MemRequest::Store { addr, size, value }) => {
-                    let resp = bus.core_access(addr, size, Some(value));
-                    latency += resp.extra_latency;
-                }
-                None => {}
-            }
-
-            if let Some((op, a, b, rd)) = outcome.custom {
-                let result = coproc.exec_custom(op, a, b, &mut self.state);
-                if op.writes_rd() {
-                    self.state.write_reg(rd, result);
-                }
-                out.custom = true;
-            }
-
-            if outcome.halt {
-                self.halted = true;
-                self.attribute(pc, 1);
-                out.event = Some(CoreEvent::Halted);
-                return out;
-            }
-            if outcome.is_wfi {
-                self.wfi_wait = true;
-                self.wfi_pc = pc;
-                self.attribute(pc, 1);
-                return out;
-            }
-            if outcome.is_mret {
-                self.busy = latency.saturating_sub(1);
-                self.counters.stall_mret += u64::from(self.busy);
-                self.attribute(pc, 1 + u64::from(self.busy));
-                if self.busy == 0 {
-                    coproc.on_mret(&mut self.state);
-                    out.event = Some(CoreEvent::MretRetired);
-                } else {
-                    self.completing = Completing::Mret;
-                }
-                return out;
-            }
-
             // Superscalar pairing: one extra independent simple ALU
             // instruction may retire in the same cycle.
-            if p.dual_issue && !paired && Self::pairs(&instr, || self.peek(self.state.pc)) {
+            let leads_pair = self.params.dual_issue
+                && !paired
+                && Self::pairs(&uop, || self.peek(pc.wrapping_add(4)));
+            let issued = self.issue(uop, pc, leads_pair, bus, coproc, &mut 0);
+            if leads_pair {
                 paired = true;
-                self.counters.issued_pairs += 1;
                 continue;
             }
-
-            self.busy = latency.saturating_sub(1);
-            // Issue-time stall attribution: the drain length is fully
-            // decided here, so the batched path (which bulk-skips the
-            // drain) ends up with identical counters. The profiler uses
-            // the same trick: the full `1 + busy` cost lands on the
-            // issuing PC now (on the *second* PC of a superscalar pair —
-            // the first `continue`d without consuming the cycle).
-            self.attribute(pc, 1 + u64::from(self.busy));
-            let stall = u64::from(self.busy);
-            if stall > 0 {
-                match instr {
-                    Instr::Load { .. } | Instr::Store { .. } => self.counters.stall_mem += stall,
-                    Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. } => {
-                        self.counters.stall_control += stall
-                    }
-                    _ => self.counters.stall_exec += stall,
+            self.busy = issued.drain;
+            out.event = issued.trap;
+            match uop {
+                Uop::Halt => out.event = Some(CoreEvent::Halted),
+                Uop::Mret if issued.drain == 0 => {
+                    coproc.on_mret(&mut self.state);
+                    out.event = Some(CoreEvent::MretRetired);
                 }
+                Uop::Mret => self.completing = Completing::Mret,
+                Uop::Custom { .. } => out.custom = true,
+                _ => {}
             }
             return out;
         }
     }
 
-    /// Runs until the guest halts or `max_cycles` elapse, collecting
-    /// events through `on_event`. Returns the number of cycles executed.
+    /// Runs until the guest halts or `max_cycles` elapse. Returns the
+    /// number of cycles executed.
     pub fn run_with(
         &mut self,
         bus: &mut dyn DataBus,
         coproc: &mut dyn Coprocessor,
         max_cycles: u64,
-        mut on_event: impl FnMut(u64, CoreEvent),
     ) -> u64 {
         let start = self.cycle;
         while !self.halted && self.cycle - start < max_cycles {
-            let out = self.step(bus, coproc);
-            if let Some(ev) = out.event {
-                on_event(self.cycle, ev);
-            }
+            self.step(bus, coproc);
         }
         self.cycle - start
     }
@@ -906,10 +745,7 @@ impl CoreEngine {
             // — `mip` is constant for the whole batch), execute whole
             // pre-decoded blocks per dispatch.
             let mut ran = None;
-            if self.busy == 0
-                && !self.wfi_wait
-                && !(self.state.csrs.mie_enabled() && self.state.csrs.pending_interrupt().is_some())
-            {
+            if self.busy == 0 && !self.wfi_wait && self.takeable_interrupt().is_none() {
                 match self.try_blocks::<COSTEP>(bus, coproc, remaining) {
                     BlockOutcome::Ran { event, attention } => ran = Some((event, attention)),
                     BlockOutcome::NotEngaged if COSTEP => {
@@ -964,16 +800,10 @@ impl CoreEngine {
         if pc & 3 != 0 {
             return;
         }
-        let Some(instr) = self.peek(pc) else {
+        let Some(uop) = self.peek(pc) else {
             return;
         };
-        while self.cycle < end
-            && match instr {
-                Instr::Custom { op, .. } => coproc.custom_stall(op),
-                Instr::Mret => coproc.mret_stall(),
-                _ => false,
-            }
-        {
+        while self.cycle < end && Self::coproc_stalls(&uop, coproc) {
             bus.advance_cycles(1);
             self.cycle += 1;
             self.state.csrs.mcycle = self.cycle as u32;
@@ -984,8 +814,8 @@ impl CoreEngine {
     }
 
     /// Disassembles the instruction at `pc` (debug aid).
-    pub fn disassemble_at(&mut self, pc: u32) -> Option<String> {
-        self.peek(pc).map(|i| disassemble(&i, pc))
+    pub fn disassemble_at(&self, pc: u32) -> Option<String> {
+        self.instr_at(pc).map(|i| disassemble(&i, pc))
     }
 
     /// Serializes the complete engine state for a machine-state
@@ -994,7 +824,7 @@ impl CoreEngine {
     /// counts, the branch predictor, the retire-trace ring, activity
     /// counters, and the optional profiler.
     ///
-    /// The per-word decode cache and the block translation cache are
+    /// The per-word micro-op cache and the block translation cache are
     /// host bookkeeping, not machine state: their contents depend on
     /// which execution path ran and where a run was split into batches,
     /// so both are left out together with their counters (see
@@ -1198,7 +1028,7 @@ mod tests {
         engine.load_program(&prog);
         let mut bus = SramBus::new(0x2000_0000, 0x1_0000);
         let mut co = NullCoprocessor;
-        engine.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
+        engine.run_with(&mut bus, &mut co, 1_000_000);
         assert!(engine.halted(), "program did not halt");
         (engine, bus)
     }
@@ -1276,7 +1106,7 @@ mod tests {
             e.load_program(&p);
             let mut bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 10_000);
             e.cycle()
         };
         let scalar = run(TimingParams::cv32e40p());
@@ -1299,7 +1129,7 @@ mod tests {
         e.load_program(&p);
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
-        e.run_with(&mut bus, &mut co, 10_000, |_, _| {});
+        e.run_with(&mut bus, &mut co, 10_000);
         assert!(
             e.cycle() >= 100,
             "RAW pair incorrectly dual-issued: {}",
@@ -1335,7 +1165,7 @@ mod tests {
 
     #[test]
     fn stale_decode_cannot_survive_imem_rewrite() {
-        // addi a0, a0, 1 ; ebreak — execute once so the decode caches.
+        // addi a0, a0, 1 ; ebreak — execute once so the micro-op caches.
         let mut a = Asm::new(0);
         a.addi(Reg::A0, Reg::A0, 1);
         a.ebreak();
@@ -1344,12 +1174,12 @@ mod tests {
         e.load_program(&p);
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
-        e.run_with(&mut bus, &mut co, 100, |_, _| {});
+        e.run_with(&mut bus, &mut co, 100);
         assert!(e.halted());
         assert_eq!(e.state.read_reg(Reg::A0), 1);
 
         // Rewrite word 0 to `addi a0, a0, 7` and rerun from pc 0. Without
-        // invalidation the stale cached decode (`addi a0, a0, 1`) would
+        // invalidation the stale cached micro-op (`addi a0, a0, 1`) would
         // execute instead of the new bytes.
         let mut b = Asm::new(0);
         b.addi(Reg::A0, Reg::A0, 7);
@@ -1358,12 +1188,12 @@ mod tests {
         e.halted = false;
         e.state.pc = 0;
         e.state.write_reg(Reg::A0, 0);
-        e.run_with(&mut bus, &mut co, 100, |_, _| {});
+        e.run_with(&mut bus, &mut co, 100);
         assert!(e.halted());
         assert_eq!(
             e.state.read_reg(Reg::A0),
             7,
-            "stale decoded Instr survived IMEM rewrite"
+            "stale cached micro-op survived IMEM rewrite"
         );
     }
 
@@ -1391,7 +1221,7 @@ mod tests {
         assert!(e.decoded.is_empty() && e.decoded.capacity() == 0);
         e.load_program(&p);
         let mut bus = SramBus::new(0x2000_0000, 0x100);
-        e.run_with(&mut bus, &mut NullCoprocessor, 100, |_, _| {});
+        e.run_with(&mut bus, &mut NullCoprocessor, 100);
         assert!(e.halted());
         assert_eq!(e.decoded.len(), 3, "table covers the three fetched words");
         assert_eq!(e.counters().decode_misses, 3);
@@ -1429,7 +1259,7 @@ mod tests {
         slow.set_profiling(true);
         let mut slow_bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
-        let slow_cycles = slow.run_with(&mut slow_bus, &mut co, 5_000, |_, _| {});
+        let slow_cycles = slow.run_with(&mut slow_bus, &mut co, 5_000);
 
         let mut fast = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         fast.load_program(&p);
@@ -1472,7 +1302,7 @@ mod tests {
         // div stall dominates.
         let mut ranked: Vec<(u32, u64)> = slow_profile.nonzero().collect();
         ranked.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        let mut name_of = |pc: u32| {
+        let name_of = |pc: u32| {
             slow.disassemble_at(pc)
                 .map(|d| d.split_whitespace().next().unwrap_or("").to_string())
         };
@@ -1482,8 +1312,12 @@ mod tests {
 
     /// A program with every block-relevant shape: fusible `lui+addi` and
     /// `auipc+jalr`, a fusible compare+branch, pairable ALU ops, loads,
-    /// stores, a div stall, a `fence`, calls and returns.
+    /// stores, a div stall, mid-block CSR accesses (`csrw mtvec`,
+    /// `csrw mscratch`, `csrr mcycle`), a gate-CSR barrier (`csrs mie`), a
+    /// `fence`, calls and returns, and — once the retire ring is full — a
+    /// misaligned load trapping into a handler that steps `mepc` past it.
     fn block_torture_program() -> rvsim_isa::Program {
+        use rvsim_isa::csr;
         let mut a = Asm::new(0);
         a.j("main");
         a.label("leaf");
@@ -1495,13 +1329,19 @@ mod tests {
         a.label("skip");
         a.ret();
         a.label("main");
+        a.la(Reg::T4, "handler");
+        a.csrw(csr::MTVEC, Reg::T4);
+        a.li(Reg::T5, csr::MIP_MSIP as i32);
         a.li(Reg::T0, 0x2000_0000u32 as i32);
         a.li(Reg::S0, 0x1234_5678); // fusible lui+addi
         a.li(Reg::T1, 30);
         a.label("loop");
         a.sw(Reg::T1, 0, Reg::T0);
+        a.csrw(csr::MSCRATCH, Reg::T1); // not a gate CSR: mid-block
         a.lw(Reg::T2, 0, Reg::T0);
+        a.csrr(Reg::A4, csr::MCYCLE); // reads the issue cycle
         a.div(Reg::T2, Reg::T2, Reg::T1);
+        a.csrrs(Reg::Zero, csr::MIE, Reg::T5); // gate CSR: ends the block
         a.call("leaf");
         let ap = a.here();
         a.auipc(Reg::T3, 0); // fusible auipc+jalr back to `leaf` (pc 4)
@@ -1510,38 +1350,51 @@ mod tests {
         a.bnez(Reg::T1, "loop");
         a.emit(Instr::Fence);
         a.li(Reg::A0, 77);
+        a.addi(Reg::T4, Reg::T0, 2);
+        a.lw(Reg::A5, 0, Reg::T4); // misaligned: traps, the handler skips it
+        a.addi(Reg::A5, Reg::A5, 5);
         a.ebreak();
+        a.label("handler");
+        a.csrr(Reg::T6, csr::MEPC);
+        a.addi(Reg::T6, Reg::T6, 4);
+        a.csrw(csr::MEPC, Reg::T6);
+        a.mret();
         a.finish().unwrap()
     }
 
     /// Runs the torture program to halt, per-cycle or batched through
-    /// the block cache.
-    fn run_torture(params: TimingParams, batched: bool) -> CoreEngine {
+    /// the block cache, with the engine's snapshot at every event.
+    fn run_torture(params: TimingParams, batched: bool) -> (CoreEngine, Vec<String>) {
         let p = block_torture_program();
         let mut e = CoreEngine::new(params, 0, 0x1_0000);
         e.load_program(&p);
         e.set_profiling(true);
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         let mut co = NullCoprocessor;
-        if batched {
-            while !e.halted() {
-                let exit = e.run_until(&mut bus, &mut co, 1_000);
-                if exit.cycles == 0 && exit.reason == StopReason::Budget {
-                    break;
-                }
+        let mut at_events = Vec::new();
+        while !e.halted() && e.cycle() < 1_000_000 {
+            let event = if batched {
+                e.run_until(&mut bus, &mut co, 1_000).event
+            } else {
+                e.step(&mut bus, &mut co).event
+            };
+            if event.is_some() {
+                at_events.push(e.to_snap().render());
             }
-        } else {
-            e.run_with(&mut bus, &mut co, 1_000_000, |_, _| {});
         }
         assert!(e.halted(), "torture program did not halt");
-        e
+        (e, at_events)
     }
 
     #[test]
     fn block_cache_matches_per_cycle_stepping() {
         for params in [TimingParams::cv32e40p(), TimingParams::naxriscv()] {
-            let mut slow = run_torture(params, false);
-            let mut fast = run_torture(params, true);
+            let (mut slow, slow_events) = run_torture(params, false);
+            let (mut fast, fast_events) = run_torture(params, true);
+            // Trap entry, `mret` and halt leave both engines in the same
+            // serialized state.
+            assert_eq!(slow_events.len(), 3, "{}: events", params.name);
+            assert!(fast_events == slow_events, "{}: event states", params.name);
             assert_eq!(fast.cycle(), slow.cycle(), "{}: cycles", params.name);
             assert_eq!(fast.retired(), slow.retired(), "{}: retired", params.name);
             assert_eq!(fast.state.pc, slow.state.pc);
@@ -1550,11 +1403,14 @@ mod tests {
                 Reg::T1,
                 Reg::T2,
                 Reg::T3,
+                Reg::T6,
                 Reg::S0,
                 Reg::S1,
                 Reg::A0,
                 Reg::A2,
                 Reg::A3,
+                Reg::A4,
+                Reg::A5,
                 Reg::Ra,
             ] {
                 assert_eq!(
@@ -1565,6 +1421,17 @@ mod tests {
                 );
             }
             assert_eq!(fast.state.read_reg(Reg::A0), 77);
+            // The CSR accesses took effect on both paths alike, and the
+            // misaligned load trapped into the handler, which skipped it.
+            assert_eq!(fast.state.csrs, slow.state.csrs, "{}: csrs", params.name);
+            assert_eq!(slow.state.csrs.mscratch, 1);
+            assert_eq!(slow.state.csrs.mie, rvsim_isa::csr::MIP_MSIP);
+            assert_eq!(
+                slow.state.csrs.mcause,
+                rvsim_isa::csr::CAUSE_MISALIGNED_LOAD
+            );
+            assert_eq!(slow.state.read_reg(Reg::A5), 5);
+            assert!(slow.state.read_reg(Reg::A4) > 0, "mcycle read");
             // Simulated counters (pairing, stalls) are bit-identical;
             // only the host-cache counters differ.
             assert_eq!(
@@ -1581,15 +1448,72 @@ mod tests {
             if params.dual_issue {
                 assert!(fc.issued_pairs > 0, "superscalar model never paired");
             }
-            // The retired-instruction trace and the PC profile replay
-            // identically through the block path.
+            // The retired-instruction trace and the PC profile match
+            // through the block path.
             let ft: Vec<_> = fast.recent_pcs().collect();
             let st: Vec<_> = slow.recent_pcs().collect();
             assert_eq!(ft, st, "{}: trace", params.name);
+            assert_eq!(st.len(), 64, "{}: the retire ring filled", params.name);
+            // Every serialized field agrees, the retire ring's slots past
+            // its length included.
+            assert_eq!(
+                fast.to_snap().render(),
+                slow.to_snap().render(),
+                "{}: snapshot",
+                params.name
+            );
             assert_eq!(
                 fast.take_profile().unwrap(),
                 slow.take_profile().unwrap(),
                 "{}: profile",
+                params.name
+            );
+        }
+    }
+
+    /// A misaligned load trapping inside a translated block leaves the
+    /// engine exactly as per-cycle stepping does: byte-identical
+    /// snapshots at the `ExceptionEntered` exit, on every core model.
+    #[test]
+    fn a_trap_inside_a_block_matches_per_cycle_stepping() {
+        let mut a = Asm::new(0);
+        a.li(Reg::T0, 0x2000_0002); // misaligned; lui+addi fuse on scalar cores
+        a.addi(Reg::A0, Reg::A0, 1); // NaxRiscv dual-issues these ALU ops
+        a.addi(Reg::A1, Reg::A1, 2);
+        a.lw(Reg::A2, 0, Reg::T0); // traps
+        a.ebreak();
+        let p = a.finish().unwrap();
+        let trapped = Some(CoreEvent::ExceptionEntered {
+            cause: rvsim_isa::csr::CAUSE_MISALIGNED_LOAD,
+        });
+        for params in [
+            TimingParams::cv32e40p(),
+            TimingParams::cva6(),
+            TimingParams::naxriscv(),
+        ] {
+            let fresh = || {
+                let mut e = CoreEngine::new(params, 0, 0x1_0000);
+                e.load_program(&p);
+                (e, SramBus::new(0x2000_0000, 0x100))
+            };
+            let (mut slow, mut slow_bus) = fresh();
+            while slow.step(&mut slow_bus, &mut NullCoprocessor).event != trapped {
+                assert!(slow.cycle() < 100, "{}: no trap per cycle", params.name);
+            }
+            let (mut fast, mut fast_bus) = fresh();
+            while fast
+                .run_until(&mut fast_bus, &mut NullCoprocessor, 100)
+                .event
+                != trapped
+            {
+                assert!(fast.cycle() < 100, "{}: no trap batched", params.name);
+            }
+            assert!(fast.counters().block_hits > 0, "{}: no block", params.name);
+            assert_eq!(fast.retired(), 4, "{}: the load retired", params.name);
+            assert_eq!(
+                fast.to_snap().render(),
+                slow.to_snap().render(),
+                "{}: snapshot",
                 params.name
             );
         }
@@ -1771,7 +1695,7 @@ mod tests {
             e.set_profiling(profiled);
             let mut bus = SramBus::new(0x2000_0000, 0x100);
             let mut co = NullCoprocessor;
-            e.run_with(&mut bus, &mut co, 50_000, |_, _| {});
+            e.run_with(&mut bus, &mut co, 50_000);
             assert!(e.halted());
             e
         };

@@ -4,11 +4,12 @@
 //! latencies, no caches, no dual issue, no register banks — used as the
 //! reference side of the differential lockstep harness (`rvsim-check`).
 //! Its execution semantics are written directly against the architecture
-//! model documented in `DESIGN.md` and do **not** reuse
-//! [`exec`](crate::exec), [`Csrs`](crate::csrs::Csrs) or
-//! [`ArchState`](crate::state::ArchState): a bug in the shared executor
-//! must show up as a divergence, not be faithfully reproduced on both
-//! sides. Only the instruction *decoder* is shared (`rvsim_isa::decode` is
+//! model documented in `DESIGN.md` and do **not** reuse the engine's one
+//! executor (`CoreEngine::issue`, which both the interpreter and block
+//! dispatch issue through), its micro-ops, [`Csrs`](crate::csrs::Csrs) or
+//! [`ArchState`](crate::state::ArchState): a bug in that executor must
+//! show up as a divergence, not be faithfully reproduced on both sides.
+//! Only the instruction *decoder* is shared (`rvsim_isa::decode` is
 //! itself covered by encode/decode round-trip tests).
 //!
 //! Timing-dependent architectural state is out of scope by construction:

@@ -9,11 +9,13 @@
 //! 3. **NaxRiscv** — superscalar out-of-order with register renaming,
 //!    speculation and a write-back cache.
 //!
-//! This crate models those cores at the *timing* level: a shared functional
-//! executor ([`exec`]) provides RV32IM_Zicsr semantics, and a cycle-stepped
-//! engine ([`engine::CoreEngine`]) charges per-instruction latencies,
-//! memory-port occupancy, branch/mispredict penalties and interrupt-entry
-//! flushes according to a per-core [`timing::TimingParams`]. The engine
+//! This crate models those cores at the *timing* level: a cycle-stepped
+//! engine ([`engine::CoreEngine`]) issues RV32IM_Zicsr micro-ops through
+//! one executor, `CoreEngine::issue`, which applies each op's semantics
+//! and charges its latency, memory-port occupancy, branch/mispredict
+//! penalty and profile attribution according to a per-core
+//! [`timing::TimingParams`]; the per-cycle interpreter and
+//! translated-block dispatch ([`blockcache`]) both drive it. The engine
 //! talks to an attached accelerator through the [`coproc::Coprocessor`]
 //! trait; the RTOSUnit itself lives in the `rtosunit` crate.
 //!
@@ -26,7 +28,7 @@ pub mod coproc;
 pub mod counters;
 pub mod csrs;
 pub mod engine;
-pub mod exec;
+mod exec;
 pub mod fault;
 pub mod golden;
 pub mod models;

@@ -17,7 +17,7 @@ fn run(asm: Asm, kind: CoreKind) -> rvsim_cores::CoreEngine {
     let mut e = make_engine(kind, 0, 0x1_0000);
     e.load_program(&prog);
     let mut b = bus();
-    e.run_with(&mut b, &mut NullCoprocessor, 1_000_000, |_, _| {});
+    e.run_with(&mut b, &mut NullCoprocessor, 1_000_000);
     assert!(e.halted(), "program did not halt");
     e
 }

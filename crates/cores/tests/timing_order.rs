@@ -114,7 +114,7 @@ fn cycles(kind: CoreKind, prog: &Program, case: &str) -> u64 {
     let mut e = make_engine(kind, 0, 0x2_0000);
     e.load_program(prog);
     let mut bus = SramBus::new(SCRATCH_BASE, SCRATCH_WORDS * 4);
-    e.run_with(&mut bus, &mut NullCoprocessor, 3_000_000, |_, _| {});
+    e.run_with(&mut bus, &mut NullCoprocessor, 3_000_000);
     assert!(e.halted(), "{case}: {kind} did not halt");
     e.cycle()
 }

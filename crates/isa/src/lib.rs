@@ -49,4 +49,4 @@ pub use instr::{AluOp, BranchOp, CsrOp, Instr, LoadOp, MulDivOp, StoreOp};
 pub use progen::{GenConfig, GenOp, ProgramSpec};
 pub use reg::Reg;
 pub use rng::Rng64;
-pub use uop::{Uop, UopSrc};
+pub use uop::Uop;

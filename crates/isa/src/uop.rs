@@ -1,37 +1,27 @@
-//! Micro-op representation for pre-decoded basic blocks.
+//! Micro-op representation: what a core executor issues.
 //!
-//! A [`Uop`] is an architectural micro-operation with everything a block
+//! A [`Uop`] is an architectural micro-operation with everything an
 //! executor wants resolved up front: register indices extracted from the
 //! encoding, immediates widened and folded, and every PC-relative value
 //! (branch targets, fall-through addresses, `auipc` results, link values)
 //! pre-computed from the micro-op's address. Timing is deliberately *not*
-//! part of the representation — a cycle model replays its own latencies
+//! part of the representation — a cycle model applies its own latencies
 //! from the op class, so the same `Uop` serves any engine.
 //!
-//! [`lower`] converts one [`Instr`] at a known PC; [`fuse`] detects the
+//! [`lower`] converts any [`Instr`] at a known PC; [`fuses`] detects the
 //! classic macro-op fusion pairs (`lui+addi`, `auipc+jalr`,
-//! `slt/sltu+beqz/bnez`) and emits a single fused micro-op whose
-//! architectural effect is exactly the two constituents in order.
+//! `slt/sltu+beqz/bnez`), which a block executor may dispatch together.
 
+use crate::custom::CustomOp;
 use crate::instr::{AluOp, BranchOp, CsrOp, Instr, LoadOp, MulDivOp, StoreOp};
 use crate::reg::Reg;
 
-/// Second operand of a fused compare: a register or an inlined immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UopSrc {
-    /// Read the register at execution time.
-    Reg(Reg),
-    /// Already-widened immediate.
-    Imm(u32),
-}
-
-/// One architectural micro-op. System-level instructions (`mret`, `wfi`,
-/// `ecall`/`ebreak`, fences, custom coprocessor ops) have no micro-op
-/// form: they terminate block construction and execute on the interpreter
-/// path. CSR accesses lower to [`Uop::Csr`]; one that could write the
+/// One architectural micro-op. Every instruction has one. The system
+/// ops (`mret`, `wfi`, `ecall`/`ebreak`, fences, custom coprocessor ops)
+/// end basic blocks, and so does a CSR access that could write the
 /// interrupt-gate CSRs (`mstatus`/`mie`, which can unmask a pending
-/// interrupt) must be a *barrier* — the block ends at the access and the
-/// executor returns to its interrupt-gate check.
+/// interrupt): the executor must return to its interrupt-gate check
+/// after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uop {
     /// `rd = op(rs1, rs2)`.
@@ -92,80 +82,36 @@ pub enum Uop {
         rs1: Reg,
         offset: u32,
     },
-    /// Fused `lui rd_hi, hi` + `addi rd, rd_hi, lo`: writes `rd_hi = hi`
-    /// then `rd = value` (`value = hi + lo`), preserving both
-    /// architectural writes in order.
-    LoadImm {
-        rd_hi: Reg,
-        hi: u32,
-        rd: Reg,
-        value: u32,
-    },
-    /// Fused `auipc rd1, hi` + `jalr link, lo(rd1)`: the target is static
-    /// (`(pc + hi + lo) & !1`). Writes `rd1 = pcrel` then `link =
-    /// link_value`, in order.
-    AuipcJalr {
-        rd1: Reg,
-        pcrel: u32,
-        link: Reg,
-        link_value: u32,
-        target: u32,
-    },
     /// CSR access: reads `csr` into `rd` and applies the op's
     /// read-modify-write. `src` is a register number for the register
     /// forms and the zero-extended 5-bit immediate for the `i` forms.
-    /// When the access could write an interrupt-gate CSR it must be the
-    /// last micro-op of its block (a barrier).
     Csr {
         op: CsrOp,
         rd: Reg,
         csr: u16,
         src: u8,
     },
-    /// Fused `slt/sltu rd, ...` + `beq/bne rd, x0, off`: computes the
-    /// comparison, writes `rd`, and branches on the result.
-    /// `branch_if_nonzero` is true for `bne` (branch when the comparison
-    /// held), false for `beq`.
-    CmpBranch {
-        op: AluOp,
+    /// `mret`: resume at `mepc`.
+    Mret,
+    /// `wfi`: park until an interrupt is pending.
+    Wfi,
+    /// `ecall`/`ebreak`: the guest stops the simulation.
+    Halt,
+    /// `fence`/`fence.i`: orders instruction fetch after earlier writes.
+    Fence,
+    /// An RTOSUnit instruction, forwarded to the coprocessor with the
+    /// values of `rs1` and `rs2`.
+    Custom {
+        op: CustomOp,
         rd: Reg,
         rs1: Reg,
-        src2: UopSrc,
-        branch_if_nonzero: bool,
-        taken_pc: u32,
-        fall_pc: u32,
+        rs2: Reg,
     },
 }
 
-impl Uop {
-    /// Whether this micro-op ends a basic block (changes control flow).
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            Uop::Branch { .. }
-                | Uop::Jal { .. }
-                | Uop::Jalr { .. }
-                | Uop::AuipcJalr { .. }
-                | Uop::CmpBranch { .. }
-        )
-    }
-
-    /// Number of guest instructions this micro-op retires (2 for fused).
-    pub fn instr_count(&self) -> u32 {
-        match self {
-            Uop::LoadImm { .. } | Uop::AuipcJalr { .. } | Uop::CmpBranch { .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
-/// Lowers one instruction at `pc` to a micro-op. Returns `None` for
-/// system-level instructions, which have no block representation. CSR
-/// accesses do lower, but a [`Uop::Csr`] that could write an
-/// interrupt-gate CSR is a barrier: block builders must terminate the
-/// block at it.
-pub fn lower(instr: &Instr, pc: u32) -> Option<Uop> {
-    Some(match *instr {
+/// Lowers the instruction at `pc` to its micro-op.
+pub fn lower(instr: &Instr, pc: u32) -> Uop {
+    match *instr {
         Instr::Lui { rd, imm } => Uop::MovImm { rd, value: imm },
         Instr::Auipc { rd, imm } => Uop::MovImm {
             rd,
@@ -225,99 +171,54 @@ pub fn lower(instr: &Instr, pc: u32) -> Option<Uop> {
         Instr::Op { op, rd, rs1, rs2 } => Uop::AluRR { op, rd, rs1, rs2 },
         Instr::MulDiv { op, rd, rs1, rs2 } => Uop::MulDiv { op, rd, rs1, rs2 },
         Instr::Csr { op, rd, csr, src } => Uop::Csr { op, rd, csr, src },
-        Instr::Mret
-        | Instr::Wfi
-        | Instr::Ecall
-        | Instr::Ebreak
-        | Instr::Fence
-        | Instr::Custom { .. } => return None,
-    })
+        Instr::Mret => Uop::Mret,
+        Instr::Wfi => Uop::Wfi,
+        Instr::Ecall | Instr::Ebreak => Uop::Halt,
+        Instr::Fence => Uop::Fence,
+        Instr::Custom { op, rd, rs1, rs2 } => Uop::Custom { op, rd, rs1, rs2 },
+    }
 }
 
-/// Detects a fusible macro-op pair: `first` at `pc`, `second` at `pc + 4`.
-/// Returns the fused micro-op, or `None` when the pair does not match one
-/// of the supported patterns:
+/// Whether `first` and the `second` instruction right after it form a
+/// fusible macro-op pair:
 ///
-/// * `lui rd_hi, hi` + `addi rd, rd_hi, lo` (immediate materialisation),
-/// * `auipc rd1, hi` + `jalr rd2, lo(rd1)` (PC-relative call),
+/// * `lui rd, hi` + `addi rd2, rd, lo` (immediate materialisation),
+/// * `auipc rd, hi` + `jalr rd2, lo(rd)` (PC-relative call),
 /// * `slt/sltu/slti/sltiu rd, ...` + `beq/bne rd, x0, off` (compare-and-
 ///   branch).
 ///
-/// The producing destination must not be `x0` (an `x0` write vanishes, so
-/// the consumer would read zero — not the produced value — and the fusion
-/// would be architecturally wrong).
-pub fn fuse(first: &Instr, second: &Instr, pc: u32) -> Option<Uop> {
+/// The producing destination must not be `x0`: an `x0` write vanishes, so
+/// the consumer would read zero, not the produced value.
+pub fn fuses(first: &Instr, second: &Instr) -> bool {
     match (*first, *second) {
         (
-            Instr::Lui { rd: rd_hi, imm: hi },
+            Instr::Lui { rd, .. },
             Instr::OpImm {
                 op: AluOp::Add,
-                rd,
                 rs1,
-                imm,
+                ..
             },
-        ) if rd_hi != Reg::Zero && rs1 == rd_hi => Some(Uop::LoadImm {
-            rd_hi,
-            hi,
-            rd,
-            value: hi.wrapping_add(imm as u32),
-        }),
+        )
+        | (Instr::Auipc { rd, .. }, Instr::Jalr { rs1, .. }) => rd != Reg::Zero && rs1 == rd,
         (
-            Instr::Auipc { rd: rd1, imm: hi },
-            Instr::Jalr {
-                rd: link,
-                rs1,
-                offset,
-            },
-        ) if rd1 != Reg::Zero && rs1 == rd1 => {
-            let pcrel = pc.wrapping_add(hi);
-            Some(Uop::AuipcJalr {
-                rd1,
-                pcrel,
-                link,
-                link_value: pc.wrapping_add(8),
-                target: pcrel.wrapping_add(offset as u32) & !1,
-            })
-        }
-        (cmp, branch) => {
-            let (op, rd, rs1, src2) = match cmp {
-                Instr::Op {
-                    op: op @ (AluOp::Slt | AluOp::Sltu),
-                    rd,
-                    rs1,
-                    rs2,
-                } => (op, rd, rs1, UopSrc::Reg(rs2)),
-                Instr::OpImm {
-                    op: op @ (AluOp::Slt | AluOp::Sltu),
-                    rd,
-                    rs1,
-                    imm,
-                } => (op, rd, rs1, UopSrc::Imm(imm as u32)),
-                _ => return None,
-            };
-            let (bop, brs1, brs2, offset) = match branch {
-                Instr::Branch {
-                    op: op @ (BranchOp::Eq | BranchOp::Ne),
-                    rs1,
-                    rs2,
-                    offset,
-                } => (op, rs1, rs2, offset),
-                _ => return None,
-            };
-            if rd == Reg::Zero || brs1 != rd || brs2 != Reg::Zero {
-                return None;
-            }
-            let branch_pc = pc.wrapping_add(4);
-            Some(Uop::CmpBranch {
-                op,
+            Instr::Op {
+                op: AluOp::Slt | AluOp::Sltu,
                 rd,
+                ..
+            }
+            | Instr::OpImm {
+                op: AluOp::Slt | AluOp::Sltu,
+                rd,
+                ..
+            },
+            Instr::Branch {
+                op: BranchOp::Eq | BranchOp::Ne,
                 rs1,
-                src2,
-                branch_if_nonzero: bop == BranchOp::Ne,
-                taken_pc: branch_pc.wrapping_add(offset as u32),
-                fall_pc: branch_pc.wrapping_add(4),
-            })
-        }
+                rs2,
+                ..
+            },
+        ) => rd != Reg::Zero && rs1 == rd && rs2 == Reg::Zero,
+        _ => false,
     }
 }
 
@@ -333,8 +234,7 @@ mod tests {
                 imm: 0x1000,
             },
             0x200,
-        )
-        .unwrap();
+        );
         assert_eq!(
             u,
             Uop::MovImm {
@@ -350,8 +250,7 @@ mod tests {
                 offset: -8,
             },
             0x100,
-        )
-        .unwrap();
+        );
         assert_eq!(
             u,
             Uop::Branch {
@@ -362,8 +261,30 @@ mod tests {
                 fall_pc: 0x104
             }
         );
-        assert!(lower(&Instr::Mret, 0).is_none());
-        assert!(lower(&Instr::Fence, 0).is_none());
+    }
+
+    #[test]
+    fn lowering_is_total_over_system_ops() {
+        assert_eq!(lower(&Instr::Mret, 0), Uop::Mret);
+        assert_eq!(lower(&Instr::Wfi, 0), Uop::Wfi);
+        assert_eq!(lower(&Instr::Ecall, 0), Uop::Halt);
+        assert_eq!(lower(&Instr::Ebreak, 0), Uop::Halt);
+        assert_eq!(lower(&Instr::Fence, 0), Uop::Fence);
+        let custom = Instr::Custom {
+            op: CustomOp::AddReady,
+            rd: Reg::Zero,
+            rs1: Reg::A0,
+            rs2: Reg::A1,
+        };
+        assert_eq!(
+            lower(&custom, 0),
+            Uop::Custom {
+                op: CustomOp::AddReady,
+                rd: Reg::Zero,
+                rs1: Reg::A0,
+                rs2: Reg::A1,
+            }
+        );
     }
 
     #[test]
@@ -372,89 +293,38 @@ mod tests {
             rd: Reg::T0,
             imm: 0x12345 << 12,
         };
-        let addi = Instr::OpImm {
+        let addi = |rd, rs1| Instr::OpImm {
             op: AluOp::Add,
-            rd: Reg::T0,
-            rs1: Reg::T0,
+            rd,
+            rs1,
             imm: 0x678,
         };
-        assert_eq!(
-            fuse(&lui, &addi, 0x40),
-            Some(Uop::LoadImm {
-                rd_hi: Reg::T0,
-                hi: 0x12345 << 12,
-                rd: Reg::T0,
-                value: (0x12345 << 12) + 0x678,
-            })
-        );
-        // Different destination register still fuses (both writes kept).
-        let addi2 = Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::T0,
-            imm: -4,
-        };
-        assert_eq!(
-            fuse(&lui, &addi2, 0x40),
-            Some(Uop::LoadImm {
-                rd_hi: Reg::T0,
-                hi: 0x12345 << 12,
-                rd: Reg::A0,
-                value: (0x12345u32 << 12).wrapping_sub(4),
-            })
-        );
+        assert!(fuses(&lui, &addi(Reg::T0, Reg::T0)));
+        // A different destination still fuses (both writes kept).
+        assert!(fuses(&lui, &addi(Reg::A0, Reg::T0)));
         // addi reading a different register: no fusion.
-        let unrelated = Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            imm: 1,
-        };
-        assert_eq!(fuse(&lui, &unrelated, 0x40), None);
+        assert!(!fuses(&lui, &addi(Reg::A0, Reg::A1)));
         // lui to x0 produces zero, not `hi`: must not fuse.
         let lui_x0 = Instr::Lui {
             rd: Reg::Zero,
             imm: 0x1000,
         };
-        assert_eq!(
-            fuse(
-                &lui_x0,
-                &Instr::OpImm {
-                    op: AluOp::Add,
-                    rd: Reg::A0,
-                    rs1: Reg::Zero,
-                    imm: 1
-                },
-                0
-            ),
-            None
-        );
+        assert!(!fuses(&lui_x0, &addi(Reg::A0, Reg::Zero)));
     }
 
     #[test]
-    fn fuses_auipc_jalr_with_static_target() {
+    fn fuses_auipc_jalr() {
         let auipc = Instr::Auipc {
             rd: Reg::T1,
             imm: 0x2000,
         };
-        let jalr = Instr::Jalr {
+        let jalr = |rs1| Instr::Jalr {
             rd: Reg::Ra,
-            rs1: Reg::T1,
+            rs1,
             offset: 0x31,
         };
-        let u = fuse(&auipc, &jalr, 0x100).unwrap();
-        assert_eq!(
-            u,
-            Uop::AuipcJalr {
-                rd1: Reg::T1,
-                pcrel: 0x2100,
-                link: Reg::Ra,
-                link_value: 0x108,
-                target: 0x2130, // low bit cleared
-            }
-        );
-        assert!(u.is_terminator());
-        assert_eq!(u.instr_count(), 2);
+        assert!(fuses(&auipc, &jalr(Reg::T1)));
+        assert!(!fuses(&auipc, &jalr(Reg::T2)));
     }
 
     #[test]
@@ -465,64 +335,25 @@ mod tests {
             rs1: Reg::A0,
             rs2: Reg::A1,
         };
-        let bnez = Instr::Branch {
-            op: BranchOp::Ne,
-            rs1: Reg::T2,
-            rs2: Reg::Zero,
+        let branch = |op, rs1, rs2| Instr::Branch {
+            op,
+            rs1,
+            rs2,
             offset: 0x20,
         };
-        assert_eq!(
-            fuse(&slt, &bnez, 0x400),
-            Some(Uop::CmpBranch {
-                op: AluOp::Slt,
-                rd: Reg::T2,
-                rs1: Reg::A0,
-                src2: UopSrc::Reg(Reg::A1),
-                branch_if_nonzero: true,
-                taken_pc: 0x424,
-                fall_pc: 0x408,
-            })
-        );
+        assert!(fuses(&slt, &branch(BranchOp::Ne, Reg::T2, Reg::Zero)));
         let sltiu = Instr::OpImm {
             op: AluOp::Sltu,
             rd: Reg::T2,
             rs1: Reg::A0,
             imm: 7,
         };
-        let beqz = Instr::Branch {
-            op: BranchOp::Eq,
-            rs1: Reg::T2,
-            rs2: Reg::Zero,
-            offset: -12,
-        };
-        let u = fuse(&sltiu, &beqz, 0x400).unwrap();
-        assert_eq!(
-            u,
-            Uop::CmpBranch {
-                op: AluOp::Sltu,
-                rd: Reg::T2,
-                rs1: Reg::A0,
-                src2: UopSrc::Imm(7),
-                branch_if_nonzero: false,
-                taken_pc: 0x3F8,
-                fall_pc: 0x408,
-            }
-        );
+        assert!(fuses(&sltiu, &branch(BranchOp::Eq, Reg::T2, Reg::Zero)));
         // Branch comparing against a non-zero register: no fusion.
-        let bne_reg = Instr::Branch {
-            op: BranchOp::Ne,
-            rs1: Reg::T2,
-            rs2: Reg::A3,
-            offset: 8,
-        };
-        assert_eq!(fuse(&slt, &bne_reg, 0), None);
+        assert!(!fuses(&slt, &branch(BranchOp::Ne, Reg::T2, Reg::A3)));
         // Branch reading a different register than the comparison wrote.
-        let bne_other = Instr::Branch {
-            op: BranchOp::Ne,
-            rs1: Reg::A4,
-            rs2: Reg::Zero,
-            offset: 8,
-        };
-        assert_eq!(fuse(&slt, &bne_other, 0), None);
+        assert!(!fuses(&slt, &branch(BranchOp::Ne, Reg::A4, Reg::Zero)));
+        // Only equality branches fuse.
+        assert!(!fuses(&slt, &branch(BranchOp::Lt, Reg::T2, Reg::Zero)));
     }
 }

@@ -209,7 +209,7 @@ fn run_sequence(seed: u64, prios: &[u8; N_TASKS], ops: &[ListOp]) {
 
     let mut engine = make_engine(CoreKind::Cv32e40p, 0, 0x4_0000);
     engine.load_program(&prog);
-    engine.run_with(&mut bus, &mut NullCoprocessor, 10_000_000, |_, _| {});
+    engine.run_with(&mut bus, &mut NullCoprocessor, 10_000_000);
     assert!(engine.halted(), "seed {seed}: guest list code did not halt");
 
     // Reconstruct the guest's lists from memory and compare.
