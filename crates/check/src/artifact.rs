@@ -16,6 +16,7 @@ use rtosbench::json::Json;
 use rtosunit::Preset;
 use rvsim_cores::CoreKind;
 use rvsim_isa::progen::{GenConfig, GenOp, ProgramSpec};
+use rvsim_snapshot as snap;
 
 /// Artifact format version (bump on incompatible `GenOp` changes).
 pub const VERSION: u64 = 1;
@@ -75,17 +76,6 @@ pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Jso
         )
 }
 
-fn get_u64(j: &Json, key: &str) -> Option<u64> {
-    j.get(key)?.as_u64()
-}
-
-fn get_bool(j: &Json, key: &str) -> Option<bool> {
-    match j.get(key)? {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
 fn num_i64(j: &Json) -> Option<i64> {
     match j {
         Json::Int(v) => Some(*v),
@@ -95,9 +85,10 @@ fn num_i64(j: &Json) -> Option<i64> {
 }
 
 /// Deserializes a lockstep artifact back into a runnable episode.
-/// Returns `None` for malformed or incompatible documents.
+/// Returns `None` for malformed or incompatible documents, including a
+/// field beyond its type's range.
 pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
-    if j.get("kind")?.as_str()? != "lockstep" || get_u64(j, "version")? != VERSION {
+    if j.get("kind")?.as_str()? != "lockstep" || snap::get_u64(j, "version").ok()? != VERSION {
         return None;
     }
     let core = CoreKind::from_tag(j.get("core")?.as_str()?)?;
@@ -107,13 +98,13 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
     };
     let g = j.get("gen")?;
     let cfg = GenConfig {
-        base: get_u64(g, "base")? as u32,
-        data_base: get_u64(g, "data_base")? as u32,
-        data_len: get_u64(g, "data_len")? as u32,
-        len: get_u64(g, "len")? as usize,
-        custom_ops: get_bool(g, "custom_ops")?,
-        misaligned: get_bool(g, "misaligned")?,
-        allow_wfi: get_bool(g, "allow_wfi")?,
+        base: snap::get_u32(g, "base").ok()?,
+        data_base: snap::get_u32(g, "data_base").ok()?,
+        data_len: snap::get_u32(g, "data_len").ok()?,
+        len: snap::get_usize(g, "len").ok()?,
+        custom_ops: snap::get_bool(g, "custom_ops").ok()?,
+        misaligned: snap::get_bool(g, "misaligned").ok()?,
+        allow_wfi: snap::get_bool(g, "allow_wfi").ok()?,
     };
     let ops = j
         .get("ops")?
@@ -133,7 +124,7 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
             match pair {
                 [a, b] => Some(IrqEvent {
                     at_retire: a.as_u64()?,
-                    mask: b.as_u64()? as u32,
+                    mask: u32::try_from(b.as_u64()?).ok()?,
                 }),
                 _ => None,
             }
@@ -143,14 +134,14 @@ pub fn lockstep_from_json(j: &Json) -> Option<EpisodeSpec> {
         core,
         spec: ProgramSpec::from_parts(cfg, ops),
         irqs,
-        max_retires: get_u64(j, "max_retires")?,
-        max_cycles: get_u64(j, "max_cycles")?,
+        max_retires: snap::get_u64(j, "max_retires").ok()?,
+        max_cycles: snap::get_u64(j, "max_cycles").ok()?,
         fault,
         // Absent in artifacts written before the block-cache mode existed;
         // those replayed per-cycle and still do.
-        blocks: get_bool(j, "blocks").unwrap_or(false),
+        blocks: snap::get_bool(j, "blocks").unwrap_or(false),
         // Likewise absent before snapshot stress existed.
-        snap: get_bool(j, "snap").unwrap_or(false),
+        snap: snap::get_bool(j, "snap").unwrap_or(false),
     })
 }
 
@@ -171,12 +162,12 @@ fn action_from_json(j: &Json) -> Option<Action> {
     match fields?[..] {
         [0, n] => Some(Action::Busy(u32::try_from(n).ok()?)),
         [1, n] => Some(Action::Delay(u32::try_from(n).ok()?)),
-        [2, s] => Some(Action::SemTake(s as usize)),
-        [3, s] => Some(Action::SemGive(s as usize)),
+        [2, s] => Some(Action::SemTake(usize::try_from(s).ok()?)),
+        [3, s] => Some(Action::SemGive(usize::try_from(s).ok()?)),
         [4] => Some(Action::Yield),
         [5, target, sem] => Some(Action::IpiGive {
-            target: target as usize,
-            sem: sem as usize,
+            target: usize::try_from(target).ok()?,
+            sem: usize::try_from(sem).ok()?,
         }),
         _ => None,
     }
@@ -235,9 +226,10 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
 }
 
 /// Deserializes an oracle artifact back into a runnable scenario.
-/// Returns `None` for malformed or incompatible documents.
+/// Returns `None` for malformed or incompatible documents, including a
+/// field beyond its type's range.
 pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
-    if j.get("kind")?.as_str()? != "oracle" || get_u64(j, "version")? != VERSION {
+    if j.get("kind")?.as_str()? != "oracle" || snap::get_u64(j, "version").ok()? != VERSION {
         return None;
     }
     let tasks = j
@@ -252,7 +244,7 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
                 .map(action_from_json)
                 .collect::<Option<Vec<Action>>>()?;
             Some(TaskScript {
-                prio: u8::try_from(get_u64(t, "prio")?).ok()?,
+                prio: snap::get_u8(t, "prio").ok()?,
                 script,
             })
         })
@@ -261,7 +253,7 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
         .get("sems")?
         .as_array()?
         .iter()
-        .map(|c| Some(c.as_u64()? as u32))
+        .map(|c| u32::try_from(c.as_u64()?).ok())
         .collect::<Option<Vec<u32>>>()?;
     let ext_irqs = j
         .get("ext_irqs")?
@@ -272,15 +264,15 @@ pub fn oracle_from_json(j: &Json) -> Option<ScenarioSpec> {
     Some(ScenarioSpec {
         core: CoreKind::from_tag(j.get("core")?.as_str()?)?,
         preset: Preset::from_tag(j.get("preset")?.as_str()?)?,
-        tick_period: get_u64(j, "tick_period")? as u32,
+        tick_period: snap::get_u32(j, "tick_period").ok()?,
         tasks,
         sems,
         ext_sem: match j.get("ext_sem") {
             Some(Json::Null) | None => None,
-            Some(v) => Some(v.as_u64()? as usize),
+            Some(v) => Some(usize::try_from(v.as_u64()?).ok()?),
         },
         ext_irqs,
-        max_cycles: get_u64(j, "max_cycles")?,
+        max_cycles: snap::get_u64(j, "max_cycles").ok()?,
     })
 }
 
@@ -314,6 +306,39 @@ mod tests {
         let parsed = Json::parse(&text).expect("rendered artifact parses");
         let back = lockstep_from_json(&parsed).expect("artifact decodes");
         assert_eq!(back, ep);
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected_not_truncated() {
+        use crate::scenario::scenario_for_seed;
+
+        // A value beyond its field's range must be refused, not
+        // truncated: `gen.base` = 2^32 would replay as base 0, and
+        // `tick_period` = 2^32 + 400 as 400.
+        let ep = episode_for_seed(CoreKind::Cva6, 7, GenConfig::default());
+        let mismatch = Mismatch {
+            field: "pc".into(),
+            engine: 0,
+            golden: 0,
+            retired: 0,
+            cycle: 0,
+        };
+        let text = lockstep_to_json(&ep, 7, &mismatch).render();
+        let base = format!("\"base\": {}", ep.spec.cfg.base);
+        let wide = text.replacen(&base, "\"base\": 4294967296", 1);
+        assert_ne!(wide, text, "mutation site present");
+        assert!(lockstep_from_json(&Json::parse(&wide).expect("parses")).is_none());
+
+        let spec = scenario_for_seed(CoreKind::Cv32e40p, rtosunit::Preset::Slt, 3);
+        let v = Violation {
+            cycle: 0,
+            message: String::new(),
+        };
+        let text = oracle_to_json(&spec, 3, &v).render();
+        let period = format!("\"tick_period\": {}", spec.tick_period);
+        let wide = text.replacen(&period, "\"tick_period\": 4294967696", 1);
+        assert_ne!(wide, text, "mutation site present");
+        assert!(oracle_from_json(&Json::parse(&wide).expect("parses")).is_none());
     }
 
     #[test]

@@ -265,8 +265,8 @@ impl SnapPlan {
             ));
         }
         *engine = fresh;
-        let bus_doc = bus.mem.to_snap();
-        bus.mem = Mem::from_snap(&bus_doc)
+        let (base, size) = (bus.mem.base(), bus.mem.end() - bus.mem.base());
+        bus.mem = Mem::from_snap(&bus.mem.to_snap(), base, size)
             .map_err(|e| fail(format!("bus snapshot restore: {e}"), engine))?;
         stats.snap_roundtrips += 1;
         self.next = engine.retired() + self.gap();

@@ -119,6 +119,18 @@ impl RtosUnitConfig {
         Ok(())
     }
 
+    /// This configuration with hardware lists of `list_len` slots — the
+    /// one check both the list-length override and snapshot restore go
+    /// through.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the length is zero or exceeds the context region.
+    pub fn with_list_len(self, list_len: usize) -> Result<RtosUnitConfig, ConfigError> {
+        let cfg = RtosUnitConfig { list_len, ..self };
+        cfg.validate().map(|()| cfg)
+    }
+
     /// The unit configuration of a named preset; `None` for presets
     /// without an RTOSUnit ([`Preset::Vanilla`] and [`Preset::Cv32rt`]).
     pub fn from_preset(p: Preset) -> Option<RtosUnitConfig> {

@@ -23,6 +23,10 @@ pub struct CtxQueue {
 }
 
 impl CtxQueue {
+    /// The depths the model supports; the depth override and snapshot
+    /// restore both check against it.
+    pub const DEPTHS: std::ops::Range<usize> = 1..32;
+
     /// Creates an empty queue with `capacity` entries.
     ///
     /// # Panics
@@ -32,7 +36,7 @@ impl CtxQueue {
     /// the paper's design — does not handle).
     pub fn new(capacity: usize) -> CtxQueue {
         assert!(
-            (1..32).contains(&capacity),
+            Self::DEPTHS.contains(&capacity),
             "ctxQueue depth must be in 1..32"
         );
         CtxQueue {
@@ -41,11 +45,6 @@ impl CtxQueue {
             issued: 0,
             full_stalls: 0,
         }
-    }
-
-    /// Queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn drain(&mut self, now: u64) {
@@ -86,14 +85,13 @@ impl CtxQueue {
         (self.issued, self.full_stalls)
     }
 
-    /// Serializes the queue (in-flight completion times and counters)
-    /// for a machine-state snapshot.
+    /// Serializes the queue (depth, in-flight completion times and
+    /// counters) for a machine-state snapshot. The depth is configuration
+    /// a campaign override can change, so the document keeps it.
     pub fn to_snap(&self) -> Json {
-        let inflight: Vec<u64> = self.inflight.iter().copied().collect();
         Json::object()
             .with("capacity", self.capacity)
-            .with("inflight_len", inflight.len())
-            .with("inflight", snap::runs_to_json(&inflight))
+            .with("inflight", snap::list_to_json(&self.inflight))
             .with("issued", self.issued)
             .with("full_stalls", self.full_stalls)
     }
@@ -102,23 +100,23 @@ impl CtxQueue {
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, an out-of-range capacity, or more
-    /// in-flight entries than the capacity allows.
+    /// Fails on malformed fields, a depth outside [`DEPTHS`](Self::DEPTHS),
+    /// or more in-flight entries than the depth allows.
     pub fn from_snap(value: &Json) -> Result<CtxQueue, SnapError> {
         let capacity = snap::get_usize(value, "capacity")?;
-        if !(1..32).contains(&capacity) {
+        if !Self::DEPTHS.contains(&capacity) {
             return Err(SnapError::new("ctxqueue: capacity out of 1..32"));
         }
-        let len = snap::get_usize(value, "inflight_len")?;
-        if len > capacity {
+        let inflight: Vec<u64> = snap::list_from_json(snap::field(value, "inflight")?, "inflight")?;
+        if inflight.len() > capacity {
             return Err(SnapError::new(format!(
-                "ctxqueue: {len} in flight exceeds capacity {capacity}"
+                "ctxqueue: {} in flight exceeds capacity {capacity}",
+                inflight.len()
             )));
         }
-        let inflight = snap::runs_from_json(snap::field(value, "inflight")?, len)?;
         Ok(CtxQueue {
             capacity,
-            inflight: inflight.into_iter().collect(),
+            inflight: inflight.into(),
             issued: snap::get_u64(value, "issued")?,
             full_stalls: snap::get_u64(value, "full_stalls")?,
         })

@@ -92,42 +92,48 @@ impl Cv32rtUnit {
     }
 
     /// Serializes the unit (snapshot buffer, drain cursor, invalidated
-    /// lines, counters) for a machine-state snapshot.
+    /// lines, counters) for a machine-state snapshot. Whether lines are
+    /// invalidated at all is the core kind's.
     pub fn to_snap(&self) -> Json {
         Json::object()
-            .with("bypass_invalidate", self.bypass_invalidate)
             .with("buf", snap::runs_to_json(&self.buf))
             .with("frame_base", self.frame_base)
             .with("remaining", self.remaining)
-            .with("lines_len", self.invalidated_lines.len())
-            .with("lines", snap::runs_to_json(&self.invalidated_lines))
+            .with("lines", snap::list_to_json(&self.invalidated_lines))
             .with("interrupts", self.stats.interrupts)
             .with("snapshot_words", self.stats.snapshot_words)
             .with("invalidations", self.stats.invalidations)
     }
 
-    /// Rebuilds the unit from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds the unit for `kind` from [`to_snap`](Self::to_snap)
+    /// output.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields or a drain cursor beyond the buffer.
-    pub fn from_snap(value: &Json) -> Result<Cv32rtUnit, SnapError> {
+    /// Fails on malformed fields, a drain cursor beyond the buffer, or
+    /// more invalidated lines than the drained words could invalidate.
+    pub fn from_snap(value: &Json, kind: CoreKind) -> Result<Cv32rtUnit, SnapError> {
         let remaining = snap::get_usize(value, "remaining")?;
-        if remaining > SNAPSHOT_REGS.len() {
+        let lines: Vec<u32> = snap::list_from_json(snap::field(value, "lines")?, "cv32rt lines")?;
+        // Each drained word invalidates at most one line, and only on the
+        // core whose cache the dedicated port bypasses.
+        let bypass_invalidate = kind.unit_shares_cache();
+        let drained = SNAPSHOT_REGS.len().checked_sub(remaining);
+        if drained.is_none_or(|d| lines.len() > if bypass_invalidate { d } else { 0 }) {
             return Err(SnapError::new(format!(
-                "cv32rt: drain cursor {remaining} beyond the snapshot buffer"
+                "cv32rt: drain cursor {remaining} with {} invalidated lines",
+                lines.len()
             )));
         }
         let words = snap::runs_from_json(snap::field(value, "buf")?, 16)?;
         let mut buf = [0u32; 16];
         buf.copy_from_slice(&words);
-        let lines_len = snap::get_usize(value, "lines_len")?;
         Ok(Cv32rtUnit {
-            bypass_invalidate: snap::get_bool(value, "bypass_invalidate")?,
+            bypass_invalidate,
             buf,
             frame_base: snap::get_u32(value, "frame_base")?,
             remaining,
-            invalidated_lines: snap::runs_from_json(snap::field(value, "lines")?, lines_len)?,
+            invalidated_lines: lines,
             stats: Cv32rtStats {
                 interrupts: snap::get_u64(value, "interrupts")?,
                 snapshot_words: snap::get_u64(value, "snapshot_words")?,

@@ -20,7 +20,7 @@ use crate::smp::SmpShared;
 use rvsim_cores::engine::{BusResponse, DataBus};
 use rvsim_cores::CoreKind;
 use rvsim_isa::csr;
-use rvsim_mem::{AccessSize, Arbiter, Cache, Mem};
+use rvsim_mem::{AccessSize, Arbiter, Cache, Mem, PortClient};
 use rvsim_snapshot::{self as snap, Json, SnapError};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -37,8 +37,9 @@ struct SmpLink {
 /// simulation conveniences (console, halt, trace markers).
 #[derive(Debug, Clone)]
 pub struct Mmio {
-    /// Machine time, incremented every cycle.
-    pub mtime: u32,
+    /// Machine time: the platform cycle, incremented every cycle (the
+    /// guest reads its low 32 bits).
+    pub mtime: u64,
     /// Timer compare value; MTIP is raised when `mtime - mtimecmp`
     /// (modular) is non-negative.
     pub mtimecmp: u32,
@@ -81,7 +82,7 @@ impl Mmio {
 
     fn timer_pending(&self) -> bool {
         // Modular comparison tolerates mtime wrap-around.
-        self.mtime.wrapping_sub(self.mtimecmp) as i32 >= 0
+        (self.mtime as u32).wrapping_sub(self.mtimecmp) as i32 >= 0
     }
 
     /// Cycles until MTIP first rises, or `None` when it is already
@@ -91,7 +92,7 @@ impl Mmio {
         if self.timer_pending() {
             None
         } else {
-            Some(u64::from(self.mtimecmp.wrapping_sub(self.mtime)))
+            Some(u64::from(self.mtimecmp.wrapping_sub(self.mtime as u32)))
         }
     }
 
@@ -112,7 +113,7 @@ impl Mmio {
 
     fn read(&self, addr: u32) -> u32 {
         match addr & !0x3 {
-            MMIO_MTIME => self.mtime,
+            MMIO_MTIME => self.mtime as u32,
             MMIO_MTIMECMP => self.mtimecmp,
             MMIO_MSIP => u32::from(self.msip),
             _ => 0,
@@ -120,7 +121,8 @@ impl Mmio {
     }
 
     /// Serializes the device block for a machine-state snapshot. Trace
-    /// marks are one flat `[cycle, code, ...]` array.
+    /// marks are one flat `[cycle, code, ...]` array, the console a plain
+    /// array. Whether the timer auto-resets is the preset's.
     pub fn to_snap(&self) -> Json {
         let marks = snap::rows_to_json(
             self.trace_marks
@@ -132,21 +134,20 @@ impl Mmio {
             .with("mtimecmp", self.mtimecmp)
             .with("msip", self.msip)
             .with("ext_pending", self.ext_pending)
-            .with("auto_timer_reset", self.auto_timer_reset)
             .with("timer_period", self.timer_period)
             .with("halted", self.halted)
             .with("attention", self.attention)
             .with("trace_marks", marks)
-            .with("console_len", self.console.len())
-            .with("console", snap::runs_to_json(&self.console))
+            .with("console", snap::list_to_json(&self.console))
     }
 
-    /// Rebuilds the device block from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds the device block from [`to_snap`](Self::to_snap) output,
+    /// with the caller's `auto_timer_reset`.
     ///
     /// # Errors
     ///
     /// Fails on malformed fields.
-    pub fn from_snap(value: &Json) -> Result<Mmio, SnapError> {
+    pub fn from_snap(value: &Json, auto_timer_reset: bool) -> Result<Mmio, SnapError> {
         let trace_marks = snap::rows_from_json(snap::field(value, "trace_marks")?, "trace_marks")?
             .into_iter()
             .map(|[cycle, code]| {
@@ -155,22 +156,21 @@ impl Mmio {
                 Ok(TraceMark { cycle, code })
             })
             .collect::<Result<_, SnapError>>()?;
-        let console_len = snap::get_usize(value, "console_len")?;
         Ok(Mmio {
-            mtime: snap::get_u32(value, "mtime")?,
+            mtime: snap::get_u64(value, "mtime")?,
             mtimecmp: snap::get_u32(value, "mtimecmp")?,
             msip: snap::get_bool(value, "msip")?,
             ext_pending: snap::get_bool(value, "ext_pending")?,
-            auto_timer_reset: snap::get_bool(value, "auto_timer_reset")?,
+            auto_timer_reset,
             timer_period: snap::get_u32(value, "timer_period")?,
             halted: snap::get_bool(value, "halted")?,
             attention: snap::get_bool(value, "attention")?,
             trace_marks,
-            console: snap::runs_from_json(snap::field(value, "console")?, console_len)?,
+            console: snap::list_from_json(snap::field(value, "console")?, "console")?,
         })
     }
 
-    fn write(&mut self, addr: u32, value: u32, cycle: u64) {
+    fn write(&mut self, addr: u32, value: u32) {
         match addr & !0x3 {
             MMIO_MTIMECMP => {
                 self.mtimecmp = value;
@@ -189,7 +189,10 @@ impl Mmio {
                 self.halted = true;
                 self.attention = true;
             }
-            MMIO_TRACE => self.trace_marks.push(TraceMark { cycle, code: value }),
+            MMIO_TRACE => self.trace_marks.push(TraceMark {
+                cycle: self.mtime,
+                code: value,
+            }),
             _ => {}
         }
     }
@@ -203,15 +206,14 @@ pub struct Platform {
     /// timing-only).
     pub dmem: Mem,
     dcache: Option<Cache>,
-    unit_shares_cache: bool,
-    /// ctxQueue (paper §5.3): present when the unit arbitrates inside the
-    /// LSU and shares the cache.
+    /// ctxQueue (paper §5.3): present exactly when the unit arbitrates
+    /// inside the LSU and shares the cache.
     ctx_queue: Option<CtxQueue>,
+    /// Port arbiter; its `Core` grant is what keeps the unit off the port
+    /// in a cycle the core used.
     arb: Arbiter,
     /// Cycles the downstream bus stays busy from a core access.
     bus_busy: u32,
-    core_used_this_cycle: bool,
-    cycle: u64,
     /// MMIO devices.
     pub mmio: Mmio,
     /// Event sink; `None` (the default) makes every record site a single
@@ -232,12 +234,9 @@ impl Platform {
         Platform {
             dmem: Mem::new(DMEM_BASE, DMEM_SIZE),
             dcache: kind.dcache().map(Cache::new),
-            unit_shares_cache: kind.unit_shares_cache(),
             ctx_queue: kind.unit_shares_cache().then(|| CtxQueue::new(8)),
             arb: Arbiter::new(),
             bus_busy: 0,
-            core_used_this_cycle: false,
-            cycle: 0,
             mmio: Mmio::new(timer_period),
             trace: None,
             smp: None,
@@ -259,11 +258,6 @@ impl Platform {
         self.smp = Some(SmpLink { hart, shared });
     }
 
-    /// This platform's hart id within its SMP composition (0 standalone).
-    pub fn hart_id(&self) -> usize {
-        self.smp.as_ref().map_or(0, |link| link.hart)
-    }
-
     /// Whether an IPI is queued for this hart (drives `mip.MSIP` in
     /// addition to the local `msip` latch).
     pub fn ipi_pending(&self) -> bool {
@@ -281,7 +275,7 @@ impl Platform {
                 .shared
                 .borrow_mut()
                 .bus
-                .acquire(link.hart, self.cycle, beats) as u32,
+                .acquire(link.hart, self.mmio.mtime, beats) as u32,
             None => 0,
         }
     }
@@ -305,14 +299,14 @@ impl Platform {
     /// Records an event at the current cycle when tracing is enabled.
     pub(crate) fn record(&mut self, event: TraceEvent) {
         if let Some(t) = self.trace.as_mut() {
-            t.record(self.cycle, event);
+            t.record(self.mmio.mtime, event);
         }
     }
 
     /// Overrides the ctxQueue depth (ablation for §5.3's Pareto claim).
     /// Only meaningful when the unit shares the cache.
     pub fn set_ctx_queue_depth(&mut self, depth: usize) {
-        if self.unit_shares_cache {
+        if self.ctx_queue.is_some() {
             self.ctx_queue = Some(CtxQueue::new(depth));
         }
     }
@@ -321,7 +315,6 @@ impl Platform {
     /// `true` = inside the LSU, sharing the cache through a ctxQueue;
     /// `false` = at the bus, bypassing the cache.
     pub fn set_unit_arbitration(&mut self, shares_cache: bool) {
-        self.unit_shares_cache = shares_cache;
         self.ctx_queue = shares_cache.then(|| CtxQueue::new(8));
     }
 
@@ -334,15 +327,13 @@ impl Platform {
     /// called once per cycle before the core steps.
     pub fn begin_cycle(&mut self) {
         self.arb.end_cycle();
-        self.cycle += 1;
-        self.mmio.mtime = self.mmio.mtime.wrapping_add(1);
+        self.mmio.mtime += 1;
         self.bus_busy = self.bus_busy.saturating_sub(1);
-        self.core_used_this_cycle = false;
     }
 
-    /// Current platform cycle.
+    /// Current platform cycle (the MMIO machine time).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.mmio.mtime
     }
 
     /// Raises the external interrupt line (cleared by a guest write to
@@ -384,15 +375,12 @@ impl Platform {
                 "dcache",
                 self.dcache.as_ref().map_or(Json::Null, |c| c.to_snap()),
             )
-            .with("unit_shares_cache", self.unit_shares_cache)
             .with(
                 "ctx_queue",
                 self.ctx_queue.as_ref().map_or(Json::Null, |q| q.to_snap()),
             )
             .with("arb", self.arb.to_snap())
             .with("bus_busy", self.bus_busy)
-            .with("core_used_this_cycle", self.core_used_this_cycle)
-            .with("cycle", self.cycle)
             .with("mmio", self.mmio.to_snap())
             .with(
                 "trace",
@@ -402,68 +390,44 @@ impl Platform {
     }
 
     /// Builds the platform for `kind` from [`to_snap`](Self::to_snap)
-    /// output, allocating DMEM once, from the document. The result has no
-    /// SMP attachment; [`System::restore_snap`](crate::System::restore_snap)
-    /// moves the live one over.
+    /// output: DMEM at the memory map's geometry, allocated once, and the
+    /// data cache `kind` has. `auto_timer_reset` is the preset's. The
+    /// result has no SMP attachment.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, nested component errors, a DMEM
-    /// geometry other than the memory map's, or a data cache whose
-    /// presence or configuration differs from `kind`'s.
-    pub fn from_snap(kind: CoreKind, value: &Json) -> Result<Platform, SnapError> {
-        let dmem = Mem::from_snap(snap::field(value, "dmem")?)?;
-        if (dmem.base(), dmem.end()) != (DMEM_BASE, DMEM_BASE + DMEM_SIZE) {
-            return Err(SnapError::new(format!(
-                "platform: dmem {:#010x}..{:#010x} is not the memory map's",
-                dmem.base(),
-                dmem.end()
-            )));
-        }
-        let dcache = match (snap::field(value, "dcache")?, kind.dcache()) {
-            (Json::Null, None) => None,
-            (Json::Null, Some(_)) | (_, None) => {
+    /// Fails on malformed fields, nested component errors, or a data
+    /// cache in the document of a core without one.
+    pub fn from_snap(
+        kind: CoreKind,
+        auto_timer_reset: bool,
+        value: &Json,
+    ) -> Result<Platform, SnapError> {
+        let dcache = match (kind.dcache(), snap::field(value, "dcache")?) {
+            (Some(cfg), v) => Some(Cache::from_snap(v, cfg)?),
+            (None, Json::Null) => None,
+            (None, _) => {
                 return Err(SnapError::new(format!(
-                    "platform: data-cache presence disagrees with core `{kind}`"
+                    "platform: data cache in a snapshot of core `{kind}`"
                 )))
             }
-            (v, Some(cfg)) => Some(Cache::from_snap(v, cfg)?),
-        };
-        let ctx_queue = match snap::field(value, "ctx_queue")? {
-            Json::Null => None,
-            v => Some(CtxQueue::from_snap(v)?),
-        };
-        let trace = match snap::field(value, "trace")? {
-            Json::Null => None,
-            v => Some(EventTrace::from_snap(v)?),
         };
         Ok(Platform {
-            dmem,
+            dmem: Mem::from_snap(snap::field(value, "dmem")?, DMEM_BASE, DMEM_SIZE)?,
             dcache,
-            unit_shares_cache: snap::get_bool(value, "unit_shares_cache")?,
-            ctx_queue,
+            ctx_queue: snap::get_opt(value, "ctx_queue", CtxQueue::from_snap)?,
             arb: Arbiter::from_snap(snap::field(value, "arb")?)?,
             bus_busy: snap::get_u32(value, "bus_busy")?,
-            core_used_this_cycle: snap::get_bool(value, "core_used_this_cycle")?,
-            cycle: snap::get_u64(value, "cycle")?,
-            mmio: Mmio::from_snap(snap::field(value, "mmio")?)?,
-            trace,
+            mmio: Mmio::from_snap(snap::field(value, "mmio")?, auto_timer_reset)?,
+            trace: snap::get_opt(value, "trace", EventTrace::from_snap)?,
             smp: None,
             bus_error_armed: snap::get_bool(value, "bus_error_armed")?,
         })
-    }
-
-    /// Moves `live`'s SMP attachment onto this platform. The attachment
-    /// is wiring, not state, so a platform built from a snapshot takes
-    /// it over from the one it replaces.
-    pub(crate) fn take_smp_link(&mut self, live: &mut Platform) {
-        self.smp = live.smp.take();
     }
 }
 
 impl DataBus for Platform {
     fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-        self.core_used_this_cycle = true;
         self.arb.core_request();
 
         if Self::is_mmio(addr) {
@@ -493,7 +457,7 @@ impl DataBus for Platform {
             }
             return match write {
                 Some(v) => {
-                    self.mmio.write(addr, v, self.cycle);
+                    self.mmio.write(addr, v);
                     if self.trace.is_some() {
                         match addr & !0x3 {
                             MMIO_TRACE => self.record(match PhaseCode::decode(v) {
@@ -574,21 +538,18 @@ impl DataBus for Platform {
     fn unit_access(&mut self, addr: u32, write: Option<u32>) -> Option<u32> {
         // The processor always has priority (§4.2 (2)); the bus must also
         // be free of refill/write-through traffic.
-        if self.core_used_this_cycle || self.bus_busy > 0 {
+        if self.arb.grant() == Some(PortClient::Core) || self.bus_busy > 0 {
             return None;
         }
-        if self.unit_shares_cache {
+        if let Some(q) = self.ctx_queue.as_mut() {
             // LSU-level arbitration: the access goes through the cache and
             // a ctxQueue entry (§5.3). A full queue stalls the FSM.
             let latency = match self.dcache.as_mut() {
                 Some(cache) => cache.access(addr, write.is_some()).latency,
                 None => 1,
             };
-            let now = self.cycle;
-            if let Some(q) = self.ctx_queue.as_mut() {
-                if !q.try_issue(now, latency) {
-                    return None;
-                }
+            if !q.try_issue(self.mmio.mtime, latency) {
+                return None;
             }
         }
         if !self.arb.unit_try_acquire() {
@@ -628,7 +589,7 @@ impl DataBus for Platform {
 
     fn unit_pending(&self) -> u32 {
         match &self.ctx_queue {
-            Some(q) => q.pending_at(self.cycle) as u32,
+            Some(q) => q.pending_at(self.mmio.mtime) as u32,
             None => 0,
         }
     }
@@ -641,12 +602,10 @@ impl DataBus for Platform {
         // like `begin_cycle`; the remaining cycles are guaranteed idle.
         self.arb.end_cycle();
         self.arb.skip_idle_cycles(cycles - 1);
-        self.cycle += cycles;
-        self.mmio.mtime = self.mmio.mtime.wrapping_add(cycles as u32);
+        self.mmio.mtime += cycles;
         self.bus_busy = self
             .bus_busy
             .saturating_sub(cycles.min(u64::from(u32::MAX)) as u32);
-        self.core_used_this_cycle = false;
     }
 
     fn take_attention(&mut self) -> bool {
@@ -668,7 +627,11 @@ mod tests {
         p.begin_cycle();
         assert_eq!(p.mmio.pending_mask(), csr::MIP_MTIP);
         // Guest re-arms the comparator.
-        p.core_access(MMIO_MTIMECMP, AccessSize::Word, Some(p.mmio.mtime + 100));
+        p.core_access(
+            MMIO_MTIMECMP,
+            AccessSize::Word,
+            Some(p.mmio.mtime as u32 + 100),
+        );
         assert_eq!(p.mmio.pending_mask(), 0);
     }
 
@@ -800,7 +763,6 @@ mod tests {
         }
         b.advance_cycles(73);
         assert_eq!(a.cycle(), b.cycle());
-        assert_eq!(a.mmio.mtime, b.mmio.mtime);
         assert_eq!(a.port_occupancy(), b.port_occupancy());
         assert_eq!(a.mmio.pending_mask(), b.mmio.pending_mask());
         assert_eq!(a.mmio.cycles_until_timer_fire(), Some(27));

@@ -241,7 +241,7 @@ impl HwScheduler {
     }
 
     /// Serializes both lists and the sorting-network state for a
-    /// machine-state snapshot.
+    /// machine-state snapshot. The capacity is the unit's list length.
     pub fn to_snap(&self) -> Json {
         let list = |entries: &[SchedEntry]| -> Json {
             entries
@@ -257,7 +257,6 @@ impl HwScheduler {
                 .into()
         };
         Json::object()
-            .with("capacity", self.capacity)
             .with("seq", self.seq)
             .with("sort_busy", self.sort_busy)
             .with("overflowed", self.overflowed)
@@ -265,17 +264,13 @@ impl HwScheduler {
             .with("delay", list(&self.delay))
     }
 
-    /// Rebuilds the scheduler from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds lists of `capacity` slots — the caller's validated list
+    /// length — from [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, a zero capacity, or a list longer than
-    /// the capacity.
-    pub fn from_snap(value: &Json) -> Result<HwScheduler, SnapError> {
-        let capacity = snap::get_usize(value, "capacity")?;
-        if capacity == 0 {
-            return Err(SnapError::new("scheduler: zero capacity"));
-        }
+    /// Fails on malformed fields or a list longer than the capacity.
+    pub fn from_snap(value: &Json, capacity: usize) -> Result<HwScheduler, SnapError> {
         let list = |key: &str| -> Result<Vec<SchedEntry>, SnapError> {
             let entries = snap::get_array(value, key)?;
             if entries.len() > capacity {

@@ -55,11 +55,6 @@ impl SmpShared {
         }
     }
 
-    /// Number of harts sharing this state.
-    pub fn harts(&self) -> usize {
-        self.mailboxes.len()
-    }
-
     /// Pushes an IPI `code` into `target`'s mailbox (the
     /// `MMIO_IPI_SEND` device). Out-of-range targets are dropped, like a
     /// write to an unmapped device register.
@@ -104,38 +99,26 @@ impl SmpShared {
         self.bus.master_stats(hart)
     }
 
-    /// Serializes the shared bus and IPI mailboxes for a machine-state
-    /// snapshot.
+    /// Serializes the shared bus and IPI mailboxes (one plain array of
+    /// codes per hart) for a machine-state snapshot. The hart count is the
+    /// composition's.
     pub fn to_snap(&self) -> Json {
-        let mailboxes: Vec<Json> = self
-            .mailboxes
-            .iter()
-            .map(|mb| {
-                let codes: Vec<u32> = mb.iter().copied().collect();
-                Json::object()
-                    .with("len", codes.len())
-                    .with("codes", snap::runs_to_json(&codes))
-            })
-            .collect();
+        let mailboxes: Vec<Json> = self.mailboxes.iter().map(snap::list_to_json).collect();
         Json::object()
-            .with("harts", self.harts())
             .with("bus", self.bus.to_snap())
             .with("mailboxes", mailboxes)
             .with("sends", snap::runs_to_json(&self.sends))
             .with("recvs", snap::runs_to_json(&self.recvs))
     }
 
-    /// Rebuilds the shared state from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds the shared state of `harts` harts — the caller's count —
+    /// from [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields or mailbox/counter counts that disagree
-    /// with the recorded hart count.
-    pub fn from_snap(value: &Json) -> Result<SmpShared, SnapError> {
-        let harts = snap::get_usize(value, "harts")?;
-        if harts == 0 {
-            return Err(SnapError::new("smp: zero harts"));
-        }
+    /// Fails on malformed fields or per-hart lists that are not one entry
+    /// per hart.
+    pub fn from_snap(value: &Json, harts: usize) -> Result<SmpShared, SnapError> {
         let boxes = snap::get_array(value, "mailboxes")?;
         if boxes.len() != harts {
             return Err(SnapError::new(format!(
@@ -143,19 +126,12 @@ impl SmpShared {
                 boxes.len()
             )));
         }
-        let mut mailboxes = Vec::with_capacity(harts);
-        for mb in boxes {
-            let len = snap::get_usize(mb, "len")?;
-            let codes = snap::runs_from_json(snap::field(mb, "codes")?, len)?;
-            mailboxes.push(codes.into_iter().collect());
-        }
-        let bus = BusArbiter::from_snap(snap::field(value, "bus")?)?;
-        if bus.masters() != harts {
-            return Err(SnapError::new("smp: bus master count disagrees"));
-        }
         Ok(SmpShared {
-            bus,
-            mailboxes,
+            bus: BusArbiter::from_snap(snap::field(value, "bus")?, harts)?,
+            mailboxes: boxes
+                .iter()
+                .map(|mb| Ok(snap::list_from_json(mb, "mailbox")?.into()))
+                .collect::<Result<_, SnapError>>()?,
             sends: snap::runs_from_json(snap::field(value, "sends")?, harts)?,
             recvs: snap::runs_from_json(snap::field(value, "recvs")?, harts)?,
         })
@@ -252,37 +228,31 @@ impl SmpSystem {
         let systems: Vec<Json> = self.harts.iter().map(System::state_snap).collect();
         snap::seal(
             Json::object()
-                .with("harts", self.harts.len())
                 .with("shared", self.shared.borrow().to_snap())
                 .with("systems", systems),
         )
     }
 
-    /// Rebuilds a composition from a sealed snapshot document. Each hart
-    /// is built once from its own payload; wiring (the per-hart `Rc`
-    /// links to the shared state) is attached afterwards, since only
-    /// state is read from the snapshot.
+    /// Rebuilds a composition from a sealed snapshot document: one hart
+    /// per entry of its `systems` list. Each hart is built once from its
+    /// own payload; wiring (the per-hart `Rc` links to the shared state,
+    /// and with them `mhartid`) is attached afterwards, since only state
+    /// is read from the snapshot.
     ///
     /// # Errors
     ///
-    /// Fails on a broken envelope, hart-count disagreements, harts of
-    /// different kinds or presets, or any malformed per-hart state.
+    /// Fails on a broken envelope, an empty hart list, harts of different
+    /// kinds or presets, shared state not sized for the harts, or any
+    /// malformed per-hart state.
     pub fn from_snapshot(doc: &Json) -> Result<SmpSystem, SnapError> {
         let state = snap::open(&doc.render())?;
-        let n = snap::get_usize(&state, "harts")?;
         let systems = snap::get_array(&state, "systems")?;
-        if n == 0 || systems.len() != n {
-            return Err(SnapError::new(format!(
-                "smp: {} hart states for {n} harts",
-                systems.len()
-            )));
+        if systems.is_empty() {
+            return Err(SnapError::new("smp: no hart states"));
         }
-        let shared = SmpShared::from_snap(snap::field(&state, "shared")?)?;
-        if shared.harts() != n {
-            return Err(SnapError::new("smp: shared state hart count disagrees"));
-        }
+        let shared = SmpShared::from_snap(snap::field(&state, "shared")?, systems.len())?;
         let shared = Rc::new(RefCell::new(shared));
-        let mut harts: Vec<System> = Vec::with_capacity(n);
+        let mut harts: Vec<System> = Vec::with_capacity(systems.len());
         for (hart, sys_state) in systems.iter().enumerate() {
             let mut sys = System::from_state_snap(sys_state)?;
             if let Some(first) = harts.first() {

@@ -73,7 +73,6 @@ pub struct System {
     kind: CoreKind,
     preset: Preset,
     records: Vec<SwitchRecord>,
-    prev_mask: u32,
     pending_triggers: [Option<u64>; 3],
     open_episode: Option<(u64, u64, u32)>,
     ext_schedule: Vec<u64>,
@@ -95,12 +94,10 @@ impl System {
     /// default memory map and tick period.
     pub fn new(kind: CoreKind, preset: Preset) -> System {
         let mut platform = Platform::new(kind, DEFAULT_TICK_PERIOD);
-        let unit = match preset {
-            Preset::Vanilla => UnitBox::None(NullCoprocessor),
-            Preset::Cv32rt => UnitBox::Cv32rt(Cv32rtUnit::new(kind)),
-            p => UnitBox::Rtos(RtosUnit::new(
-                RtosUnitConfig::from_preset(p).expect("preset with unit config"),
-            )),
+        let unit = match (preset, RtosUnitConfig::from_preset(preset)) {
+            (_, Some(cfg)) => UnitBox::Rtos(RtosUnit::new(cfg)),
+            (Preset::Cv32rt, None) => UnitBox::Cv32rt(Cv32rtUnit::new(kind)),
+            (_, None) => UnitBox::None(NullCoprocessor),
         };
         // The auto-reset timer is part of the (T) modification (§4.4).
         platform.mmio.auto_timer_reset = preset.has_sched();
@@ -111,7 +108,6 @@ impl System {
             kind,
             preset,
             records: Vec::new(),
-            prev_mask: 0,
             pending_triggers: [None; 3],
             open_episode: None,
             ext_schedule: Vec::new(),
@@ -140,13 +136,13 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if this system has no RTOSUnit or the length is invalid.
+    /// Panics if this system has no RTOSUnit or the length is invalid
+    /// (see [`RtosUnitConfig::with_list_len`]).
     pub fn set_unit_list_len(&mut self, list_len: usize) {
         match &mut self.unit {
             UnitBox::Rtos(u) => {
-                let mut cfg = *u.config();
-                cfg.list_len = list_len;
-                *u = RtosUnit::new(cfg);
+                let cfg = u.config().with_list_len(list_len);
+                *u = RtosUnit::new(cfg.expect("invalid hardware list length"));
             }
             _ => panic!("system has no RTOSUnit to resize"),
         }
@@ -155,7 +151,7 @@ impl System {
     /// Overrides the timer-tick period (cycles).
     pub fn set_timer_period(&mut self, period: u32) {
         self.platform.mmio.timer_period = period;
-        self.platform.mmio.mtimecmp = self.platform.mmio.mtime.wrapping_add(period);
+        self.platform.mmio.mtimecmp = (self.platform.mmio.mtime as u32).wrapping_add(period);
     }
 
     /// Schedules the external interrupt line to rise at an absolute cycle.
@@ -340,7 +336,7 @@ impl System {
         if self.platform.ipi_pending() {
             mask |= csr::MIP_MSIP;
         }
-        let rising = mask & !self.prev_mask;
+        let rising = mask & !self.core.state.csrs.mip;
         for (bit, cause) in [
             (csr::MIP_MTIP, csr::CAUSE_TIMER),
             (csr::MIP_MSIP, csr::CAUSE_SOFTWARE),
@@ -351,7 +347,6 @@ impl System {
                 self.platform.record(TraceEvent::IrqRaised { cause });
             }
         }
-        self.prev_mask = mask;
         self.core.state.csrs.mip = mask;
 
         let out = self.core.step(&mut self.platform, self.unit.as_coproc());
@@ -416,8 +411,7 @@ impl System {
         if self.platform.ipi_pending() {
             return (0, false);
         }
-        let mask = self.platform.mmio.pending_mask();
-        if mask != self.prev_mask || self.core.state.csrs.mip != mask {
+        if self.platform.mmio.pending_mask() != self.core.state.csrs.mip {
             return (0, false);
         }
         let mut horizon = end;
@@ -501,7 +495,7 @@ impl System {
 
     /// The unsealed state payload of [`snapshot`](Self::snapshot). The
     /// episode records are one flat `[trigger, entry, mret, cause, ...]`
-    /// array.
+    /// array. The unit payload is `null` on a preset without a unit.
     pub fn state_snap(&self) -> Json {
         let records = snap::rows_to_json(self.records.iter().map(|r| {
             [
@@ -527,13 +521,9 @@ impl System {
                 .with("cause", cause),
         };
         let unit = match &self.unit {
-            UnitBox::None(_) => Json::object().with("model", "none"),
-            UnitBox::Rtos(u) => Json::object()
-                .with("model", "rtos")
-                .with("state", u.to_snap()),
-            UnitBox::Cv32rt(u) => Json::object()
-                .with("model", "cv32rt")
-                .with("state", u.to_snap()),
+            UnitBox::None(_) => Json::Null,
+            UnitBox::Rtos(u) => u.to_snap(),
+            UnitBox::Cv32rt(u) => u.to_snap(),
         };
         Json::object()
             .with("kind", self.kind.name())
@@ -542,11 +532,9 @@ impl System {
             .with("platform", self.platform.to_snap())
             .with("unit", unit)
             .with("records", records)
-            .with("prev_mask", self.prev_mask)
             .with("pending_triggers", triggers)
             .with("open_episode", open)
-            .with("ext_len", self.ext_schedule.len())
-            .with("ext_schedule", snap::runs_to_json(&self.ext_schedule))
+            .with("ext_schedule", snap::list_to_json(&self.ext_schedule))
             .with(
                 "fault_plan",
                 self.fault_plan.as_ref().map_or(Json::Null, |p| p.to_snap()),
@@ -554,8 +542,8 @@ impl System {
     }
 
     /// Rebuilds a system from a sealed snapshot document (the output of
-    /// [`snapshot`](Self::snapshot), parsed). The document is fully
-    /// self-describing: core kind and preset are read from the payload.
+    /// [`snapshot`](Self::snapshot), parsed). Core kind and preset are
+    /// read from the payload.
     ///
     /// # Errors
     ///
@@ -566,13 +554,21 @@ impl System {
         Self::from_state_snap(&state)
     }
 
-    /// Rebuilds a system from an **unsealed** state payload. Each
-    /// component is built once, from the document, so a rewind allocates
-    /// IMEM and DMEM once each and parses each payload once.
+    /// Rebuilds a system from an **unsealed** state payload. The core
+    /// kind and preset fix every shape — memories, data cache, unit
+    /// features, timer auto-reset — and each component is built once, in
+    /// that shape, so a rewind allocates IMEM and DMEM once each and
+    /// parses each payload once. The only configuration read from the
+    /// document is what an override or instrumentation switch changes:
+    /// the unit's list length (checked by
+    /// [`RtosUnitConfig::with_list_len`]), the ctxQueue depth, the trace
+    /// capacity, whether the profiler is on, and the fault plan.
     ///
     /// # Errors
     ///
-    /// Fails on unknown kind/preset tags or malformed state fields.
+    /// Fails on unknown kind/preset tags, malformed state fields, or
+    /// state the preset's machine does not hold (a scheduler, semaphore
+    /// bank or preloader its unit lacks).
     pub fn from_state_snap(state: &Json) -> Result<System, SnapError> {
         let kind_name = snap::get_str(state, "kind")?;
         let kind = CoreKind::from_name(kind_name)
@@ -582,21 +578,17 @@ impl System {
             .ok_or_else(|| SnapError::new(format!("system: unknown preset `{preset_tag}`")))?;
 
         let unit_doc = snap::field(state, "unit")?;
-        let unit = match snap::get_str(unit_doc, "model")? {
-            "none" => UnitBox::None(NullCoprocessor),
-            "rtos" => UnitBox::Rtos(RtosUnit::from_snap(snap::field(unit_doc, "state")?)?),
-            "cv32rt" => UnitBox::Cv32rt(Cv32rtUnit::from_snap(snap::field(unit_doc, "state")?)?),
-            m => return Err(SnapError::new(format!("system: unknown unit model `{m}`"))),
-        };
-        match (&unit, preset) {
-            (UnitBox::None(_), Preset::Vanilla) | (UnitBox::Cv32rt(_), Preset::Cv32rt) => {}
-            (UnitBox::Rtos(_), p) if RtosUnitConfig::from_preset(p).is_some() => {}
-            _ => {
-                return Err(SnapError::new(
-                    "system: unit model disagrees with the preset",
-                ))
+        let unit = match (preset, RtosUnitConfig::from_preset(preset)) {
+            (_, Some(cfg)) => {
+                let cfg = cfg
+                    .with_list_len(snap::get_usize(unit_doc, "list_len")?)
+                    .map_err(|e| SnapError::new(format!("unit: {e}")))?;
+                UnitBox::Rtos(RtosUnit::from_snap(unit_doc, cfg)?)
             }
-        }
+            (Preset::Cv32rt, None) => UnitBox::Cv32rt(Cv32rtUnit::from_snap(unit_doc, kind)?),
+            (_, None) if matches!(unit_doc, Json::Null) => UnitBox::None(NullCoprocessor),
+            (_, None) => return Err(SnapError::new("system: unit state on a preset without one")),
+        };
 
         let records = snap::rows_from_json(snap::field(state, "records")?, "records")?
             .into_iter()
@@ -624,70 +616,38 @@ impl System {
                 ),
             };
         }
-        let open_episode = match snap::field(state, "open_episode")? {
-            Json::Null => None,
-            v => Some((
+        let open_episode = snap::get_opt(state, "open_episode", |v| {
+            Ok((
                 snap::get_u64(v, "trigger")?,
                 snap::get_u64(v, "entry")?,
                 snap::get_u32(v, "cause")?,
-            )),
-        };
-        let ext_len = snap::get_usize(state, "ext_len")?;
-        let ext_schedule = snap::runs_from_json(snap::field(state, "ext_schedule")?, ext_len)?;
-        let fault_plan = match snap::field(state, "fault_plan")? {
-            Json::Null => None,
-            v => Some(FaultPlan::from_snap(v)?),
-        };
-        let mut core = CoreEngine::from_snap(
-            kind.timing(),
-            IMEM_BASE,
-            IMEM_SIZE,
-            snap::field(state, "core")?,
-        )?;
-        let platform = Platform::from_snap(kind, snap::field(state, "platform")?)?;
-        // mhartid is wiring, not snapshot state: pin it to the platform.
-        core.state.csrs.mhartid = platform.hart_id() as u32;
+            ))
+        })?;
         Ok(System {
-            core,
-            platform,
+            core: CoreEngine::from_snap(
+                kind.timing(),
+                IMEM_BASE,
+                IMEM_SIZE,
+                snap::field(state, "core")?,
+            )?,
+            // The auto-reset timer is part of the (T) modification (§4.4).
+            platform: Platform::from_snap(
+                kind,
+                preset.has_sched(),
+                snap::field(state, "platform")?,
+            )?,
             unit,
             kind,
             preset,
             records,
-            prev_mask: snap::get_u32(state, "prev_mask")?,
             pending_triggers,
             open_episode,
-            ext_schedule,
-            fault_plan,
+            ext_schedule: snap::list_from_json(
+                snap::field(state, "ext_schedule")?,
+                "ext_schedule",
+            )?,
+            fault_plan: snap::get_opt(state, "fault_plan", FaultPlan::from_snap)?,
         })
-    }
-
-    /// Restores this system in place from a state payload. The snapshot
-    /// must describe the same core kind and preset this system was built
-    /// for. The SMP attachment (if any) is kept — per-hart shared-bus
-    /// state is restored by the composition.
-    ///
-    /// # Errors
-    ///
-    /// Fails on kind/preset mismatch or malformed state; the system is
-    /// left unchanged on error.
-    pub fn restore_snap(&mut self, state: &Json) -> Result<(), SnapError> {
-        // Build the whole system on the side, so a failure cannot leave
-        // `self` half-written; then commit it with the live wiring.
-        let mut staged = System::from_state_snap(state)?;
-        if (staged.kind, staged.preset) != (self.kind, self.preset) {
-            return Err(SnapError::new(format!(
-                "system: snapshot is of {}/{}, this system is {}/{}",
-                staged.kind.name(),
-                staged.preset.tag(),
-                self.kind.name(),
-                self.preset.tag()
-            )));
-        }
-        staged.platform.take_smp_link(&mut self.platform);
-        staged.core.state.csrs.mhartid = staged.platform.hart_id() as u32;
-        *self = staged;
-        Ok(())
     }
 
     /// Cycle-by-cycle reference path: semantically identical to
@@ -887,16 +847,22 @@ mod tests {
         let mut sys = System::new(CoreKind::Cv32e40p, Preset::Vanilla);
         sys.load_program(&simple_isr_program());
         sys.run(200);
-        let state = sys.state_snap();
-        let mut other = System::new(CoreKind::Cva6, Preset::Vanilla);
-        assert!(other.restore_snap(&state).is_err(), "core kind mismatch");
-        let mut other = System::new(CoreKind::Cv32e40p, Preset::Slt);
-        assert!(other.restore_snap(&state).is_err(), "preset mismatch");
-        assert_eq!(other.platform.cycle(), 0, "failed restore left it alone");
+        let state = sys.state_snap().render();
+        // Relabelled identities meet state their machine does not hold:
+        // CVA6 has a data cache the document lacks, SLT a unit.
+        for (from, to) in [("\"CV32E40P\"", "\"CVA6\""), ("\"vanilla\"", "\"slt\"")] {
+            let relabelled = Json::parse(&state.replacen(from, to, 1)).expect("parses");
+            assert!(
+                System::from_state_snap(&relabelled).is_err(),
+                "{to} accepted"
+            );
+        }
 
         // A corrupted sealed document must fail the digest check.
         let doc = sys.snapshot();
-        let text = doc.render().replace("\"prev_mask\": 0", "\"prev_mask\": 1");
+        let text = doc
+            .render()
+            .replace("\"halted\": false", "\"halted\": true");
         assert_ne!(text, doc.render(), "tamper target present");
         assert!(rvsim_snapshot::open(&text).is_err(), "tamper detected");
     }

@@ -89,6 +89,27 @@ impl HwSemaphore {
     }
 }
 
+impl UnitStats {
+    /// `(name, counter)` pairs in a stable order (the snapshot layout).
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 13] {
+        [
+            ("interrupts", &mut self.interrupts),
+            ("store_words", &mut self.store_words),
+            ("load_words", &mut self.load_words),
+            ("preload_words", &mut self.preload_words),
+            ("preload_hits", &mut self.preload_hits),
+            ("preload_misses", &mut self.preload_misses),
+            ("omitted_loads", &mut self.omitted_loads),
+            ("custom_instrs", &mut self.custom_instrs),
+            ("store_stall_cycles", &mut self.store_stall_cycles),
+            ("load_stall_cycles", &mut self.load_stall_cycles),
+            ("sem_takes", &mut self.sem_takes),
+            ("sem_blocks", &mut self.sem_blocks),
+            ("sem_gives", &mut self.sem_gives),
+        ]
+    }
+}
+
 /// The RTOSUnit. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct RtosUnit {
@@ -272,19 +293,12 @@ impl RtosUnit {
         }
     }
 
-    /// Serializes the unit — configuration, scheduler, semaphores, every
-    /// FSM cursor, the preload buffer and the counters — for a
-    /// machine-state snapshot.
+    /// Serializes the unit — hardware list length, scheduler, semaphores,
+    /// every FSM cursor, the preloader and the counters — for a
+    /// machine-state snapshot. The features are the preset's, so they
+    /// are not written: the scheduler and the preloader are `null`, and
+    /// the semaphore bank empty, exactly when the preset builds none.
     pub fn to_snap(&self) -> Json {
-        let cfg = Json::object()
-            .with("store", self.cfg.store)
-            .with("load", self.cfg.load)
-            .with("sched", self.cfg.sched)
-            .with("dirty_bits", self.cfg.dirty_bits)
-            .with("load_omission", self.cfg.load_omission)
-            .with("preload", self.cfg.preload)
-            .with("hw_sync", self.cfg.hw_sync)
-            .with("list_len", self.cfg.list_len);
         let sems: Vec<Json> = self
             .sems
             .iter()
@@ -303,25 +317,27 @@ impl RtosUnit {
                     .with("waiters", waiters)
             })
             .collect();
-        let mut stats = Json::object();
-        for (name, value) in self.stats_named() {
-            stats.push(name, value);
+        let opt_id = |id: Option<u8>| id.map_or(Json::Int(-1), |id| Json::UInt(u64::from(id)));
+        let preload = match self.cfg.preload {
+            false => Json::Null,
+            true => Json::object()
+                .with("buf", snap::runs_to_json(&self.preload_buf))
+                .with("id", opt_id(self.preload_id))
+                .with("word", self.preload_word),
+        };
+        let (mut counters, mut stats) = (self.stats, Json::object());
+        for (name, value) in counters.fields_mut() {
+            stats.push(name, *value);
         }
         Json::object()
-            .with("cfg", cfg)
+            .with("list_len", self.cfg.list_len)
             .with(
                 "sched",
                 self.sched.as_ref().map_or(Json::Null, |s| s.to_snap()),
             )
             .with("sems", sems)
             .with("current_id", u32::from(self.current_id))
-            .with(
-                "pending_next",
-                match self.pending_next {
-                    None => Json::Int(-1),
-                    Some(id) => Json::UInt(u64::from(id)),
-                },
-            )
+            .with("pending_next", opt_id(self.pending_next))
             .with("in_isr", self.in_isr)
             .with("store_active", self.store_active)
             .with("store_draining", self.store_draining)
@@ -341,76 +357,33 @@ impl RtosUnit {
             .with("restore_draining", self.restore_draining)
             .with("restore_word", self.restore_word)
             .with("restore_id", u32::from(self.restore_id))
-            .with("preload_buf", snap::runs_to_json(&self.preload_buf))
-            .with(
-                "preload_id",
-                match self.preload_id {
-                    None => Json::Int(-1),
-                    Some(id) => Json::UInt(u64::from(id)),
-                },
-            )
-            .with("preload_word", self.preload_word)
+            .with("preload", preload)
             .with("stats", stats)
     }
 
-    /// `(name, value)` pairs of the activity counters in a stable order.
-    fn stats_named(&self) -> [(&'static str, u64); 13] {
-        let s = &self.stats;
-        [
-            ("interrupts", s.interrupts),
-            ("store_words", s.store_words),
-            ("load_words", s.load_words),
-            ("preload_words", s.preload_words),
-            ("preload_hits", s.preload_hits),
-            ("preload_misses", s.preload_misses),
-            ("omitted_loads", s.omitted_loads),
-            ("custom_instrs", s.custom_instrs),
-            ("store_stall_cycles", s.store_stall_cycles),
-            ("load_stall_cycles", s.load_stall_cycles),
-            ("sem_takes", s.sem_takes),
-            ("sem_blocks", s.sem_blocks),
-            ("sem_gives", s.sem_gives),
-        ]
-    }
-
-    /// Rebuilds the unit from [`to_snap`](Self::to_snap) output,
-    /// configuration included.
+    /// Rebuilds a unit of configuration `cfg` — the preset's, with the
+    /// list length already validated by the caller — from
+    /// [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, an invalid configuration, cursors
-    /// beyond the context size, or an active store or restore FSM whose
-    /// cursor is past the last context word.
-    pub fn from_snap(value: &Json) -> Result<RtosUnit, SnapError> {
-        let c = snap::field(value, "cfg")?;
-        let cfg = RtosUnitConfig {
-            store: snap::get_bool(c, "store")?,
-            load: snap::get_bool(c, "load")?,
-            sched: snap::get_bool(c, "sched")?,
-            dirty_bits: snap::get_bool(c, "dirty_bits")?,
-            load_omission: snap::get_bool(c, "load_omission")?,
-            preload: snap::get_bool(c, "preload")?,
-            hw_sync: snap::get_bool(c, "hw_sync")?,
-            list_len: snap::get_usize(c, "list_len")?,
+    /// Fails on malformed fields; on scheduler, semaphore or preloader
+    /// state that `cfg` does not build; on a restore mode `cfg` never
+    /// enters; on cursors beyond the context size; or on an active store
+    /// or restore FSM whose cursor is past the last context word.
+    pub fn from_snap(value: &Json, cfg: RtosUnitConfig) -> Result<RtosUnit, SnapError> {
+        // The scheduler and the preloader are present exactly when the
+        // preset builds them.
+        let present = |key: &str, built: bool| match (snap::field(value, key)?, built) {
+            (Json::Null, false) => Ok(None),
+            (v, true) if !matches!(v, Json::Null) => Ok(Some(v)),
+            _ => Err(SnapError::new(format!(
+                "unit: `{key}` state disagrees with the preset's unit"
+            ))),
         };
-        cfg.validate()
-            .map_err(|e| SnapError::new(format!("unit: invalid configuration: {e}")))?;
-        let sched = match snap::field(value, "sched")? {
-            Json::Null => None,
-            v => Some(HwScheduler::from_snap(v)?),
-        };
-        if sched.is_some() != cfg.sched {
-            return Err(SnapError::new(
-                "unit: scheduler presence disagrees with cfg",
-            ));
-        }
-        if let Some(s) = &sched {
-            if s.capacity() != cfg.list_len {
-                return Err(SnapError::new(
-                    "unit: scheduler capacity disagrees with cfg",
-                ));
-            }
-        }
+        let sched = present("sched", cfg.sched)?
+            .map(|v| HwScheduler::from_snap(v, cfg.list_len))
+            .transpose()?;
         let mut sems = Vec::new();
         for s in snap::get_array(value, "sems")? {
             let mut waiters = Vec::new();
@@ -422,11 +395,13 @@ impl RtosUnit {
                 waiters,
             });
         }
-        if cfg.hw_sync != (sems.len() == 8) {
-            return Err(SnapError::new("unit: semaphore bank disagrees with cfg"));
+        if sems.len() != if cfg.hw_sync { 8 } else { 0 } {
+            return Err(SnapError::new(
+                "unit: semaphore state disagrees with the preset's unit",
+            ));
         }
-        let opt_id = |key: &str| -> Result<Option<u8>, SnapError> {
-            match snap::field(value, key)? {
+        let opt_id = |obj: &Json, key: &str| -> Result<Option<u8>, SnapError> {
+            match snap::field(obj, key)? {
                 Json::Int(-1) => Ok(None),
                 j => j
                     .as_u64()
@@ -437,17 +412,17 @@ impl RtosUnit {
         };
         let restore_mode = match snap::get_str(value, "restore_mode")? {
             "none" => RestoreMode::None,
-            "memory" => RestoreMode::Memory,
-            "lockstep" => RestoreMode::Lockstep,
-            "omitted" => RestoreMode::Omitted,
+            "memory" if cfg.load => RestoreMode::Memory,
+            "lockstep" if cfg.preload => RestoreMode::Lockstep,
+            "omitted" if cfg.load_omission => RestoreMode::Omitted,
             other => {
                 return Err(SnapError::new(format!(
-                    "unit: unknown restore mode `{other}`"
+                    "unit: restore mode `{other}` is not one this unit enters"
                 )))
             }
         };
-        let bounded = |key: &str| -> Result<usize, SnapError> {
-            let w = snap::get_usize(value, key)?;
+        let bounded = |obj: &Json, key: &str| -> Result<usize, SnapError> {
+            let w = snap::get_usize(obj, key)?;
             if w > CTX_WORDS {
                 return Err(SnapError::new(format!(
                     "unit: `{key}` cursor {w} beyond context"
@@ -459,7 +434,7 @@ impl RtosUnit {
         // on the next step, so the cursor must name one.
         let fsm = |active: &str, cursor: &str| -> Result<(bool, usize), SnapError> {
             let on = snap::get_bool(value, active)?;
-            let w = bounded(cursor)?;
+            let w = bounded(value, cursor)?;
             if on && w >= CTX_WORDS {
                 return Err(SnapError::new(format!(
                     "unit: `{active}` with `{cursor}` {w} past the context"
@@ -469,16 +444,25 @@ impl RtosUnit {
         };
         let (store_active, store_word) = fsm("store_active", "store_word")?;
         let (restore_active, restore_word) = fsm("restore_active", "restore_word")?;
-        let words = snap::runs_from_json(snap::field(value, "preload_buf")?, CTX_WORDS)?;
         let mut preload_buf = [0u32; CTX_WORDS];
-        preload_buf.copy_from_slice(&words);
-        let st = snap::field(value, "stats")?;
+        let (preload_id, preload_word) = match present("preload", cfg.preload)? {
+            None => (None, 0),
+            Some(p) => {
+                let words = snap::runs_from_json(snap::field(p, "buf")?, CTX_WORDS)?;
+                preload_buf.copy_from_slice(&words);
+                (opt_id(p, "id")?, bounded(p, "word")?)
+            }
+        };
+        let (st, mut stats) = (snap::field(value, "stats")?, UnitStats::default());
+        for (name, slot) in stats.fields_mut() {
+            *slot = snap::get_u64(st, name)?;
+        }
         Ok(RtosUnit {
             cfg,
             sched,
             sems,
             current_id: snap::get_u8(value, "current_id")?,
-            pending_next: opt_id("pending_next")?,
+            pending_next: opt_id(value, "pending_next")?,
             in_isr: snap::get_bool(value, "in_isr")?,
             store_active,
             store_draining: snap::get_bool(value, "store_draining")?,
@@ -491,23 +475,9 @@ impl RtosUnit {
             restore_word,
             restore_id: snap::get_u8(value, "restore_id")?,
             preload_buf,
-            preload_id: opt_id("preload_id")?,
-            preload_word: bounded("preload_word")?,
-            stats: UnitStats {
-                interrupts: snap::get_u64(st, "interrupts")?,
-                store_words: snap::get_u64(st, "store_words")?,
-                load_words: snap::get_u64(st, "load_words")?,
-                preload_words: snap::get_u64(st, "preload_words")?,
-                preload_hits: snap::get_u64(st, "preload_hits")?,
-                preload_misses: snap::get_u64(st, "preload_misses")?,
-                omitted_loads: snap::get_u64(st, "omitted_loads")?,
-                custom_instrs: snap::get_u64(st, "custom_instrs")?,
-                store_stall_cycles: snap::get_u64(st, "store_stall_cycles")?,
-                load_stall_cycles: snap::get_u64(st, "load_stall_cycles")?,
-                sem_takes: snap::get_u64(st, "sem_takes")?,
-                sem_blocks: snap::get_u64(st, "sem_blocks")?,
-                sem_gives: snap::get_u64(st, "sem_gives")?,
-            },
+            preload_id,
+            preload_word,
+            stats,
         })
     }
 }

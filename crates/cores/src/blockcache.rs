@@ -471,13 +471,11 @@ impl CoreEngine {
         }
         // Exactly like an interpreter step sequence ending here: the
         // trailing drain becomes `busy` (the outer loop bulk-skips it,
-        // clipping to the batch budget), the bus clock catches up, and
-        // `mcycle` reflects the consumed cycles.
+        // clipping to the batch budget) and the bus clock catches up.
         self.busy = pending;
         if lag > 0 {
             bus.advance_cycles(lag);
         }
-        self.state.csrs.mcycle = self.cycle as u32;
         BlockOutcome::Ran { event, attention }
     }
 

@@ -6,7 +6,8 @@ use rvsim_snapshot::{self as snap, Json, SnapError};
 /// The machine-mode CSRs used by the FreeRTOS execution scenario.
 ///
 /// `mstatus` and `mepc` are part of every task context (paper §3); the
-/// others drive trap handling. `mcycle` mirrors the system cycle counter.
+/// others drive trap handling. `mcycle` is not stored here: the engine
+/// answers guest reads of it from its own cycle counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csrs {
     /// Machine status (only MIE/MPIE/MPP modelled).
@@ -23,15 +24,14 @@ pub struct Csrs {
     pub mcause: u32,
     /// Scratch register.
     pub mscratch: u32,
-    /// Cycle counter (read-only from guest code).
-    pub mcycle: u32,
     /// Hardware thread id (read-only; set by the SMP composition).
     pub mhartid: u32,
 }
 
 impl Csrs {
-    /// Reads a CSR by address. Unknown addresses read as zero (this model
-    /// does not trap on CSR access).
+    /// Reads a CSR by address. Unknown addresses, and `mcycle` (which the
+    /// engine supplies), read as zero: this model does not trap on CSR
+    /// access.
     pub fn read(&self, addr: u16) -> u32 {
         match addr {
             csr::MSTATUS => self.mstatus,
@@ -41,7 +41,6 @@ impl Csrs {
             csr::MEPC => self.mepc,
             csr::MCAUSE => self.mcause,
             csr::MSCRATCH => self.mscratch,
-            csr::MCYCLE => self.mcycle,
             csr::MHARTID => self.mhartid,
             _ => 0,
         }
@@ -104,7 +103,8 @@ impl Csrs {
         self.mepc
     }
 
-    /// Serializes every CSR field for a machine-state snapshot.
+    /// Serializes the CSRs for a machine-state snapshot. `mhartid` is
+    /// wiring the SMP composition sets, not state.
     pub fn to_snap(&self) -> Json {
         Json::object()
             .with("mstatus", self.mstatus)
@@ -114,11 +114,10 @@ impl Csrs {
             .with("mepc", self.mepc)
             .with("mcause", self.mcause)
             .with("mscratch", self.mscratch)
-            .with("mcycle", self.mcycle)
-            .with("mhartid", self.mhartid)
     }
 
-    /// Rebuilds the CSR file from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds the CSR file from [`to_snap`](Self::to_snap) output, with
+    /// `mhartid` 0 until a composition attaches the hart.
     ///
     /// # Errors
     ///
@@ -132,8 +131,7 @@ impl Csrs {
             mepc: snap::get_u32(value, "mepc")?,
             mcause: snap::get_u32(value, "mcause")?,
             mscratch: snap::get_u32(value, "mscratch")?,
-            mcycle: snap::get_u32(value, "mcycle")?,
-            mhartid: snap::get_u32(value, "mhartid")?,
+            mhartid: 0,
         })
     }
 }

@@ -226,6 +226,8 @@ impl RetireRing {
 
 /// Two-bit branch-predictor counters per engine, indexed by PC.
 const PREDICTOR_ENTRIES: usize = 256;
+/// Depth of the retire-trace ring.
+const RETIRE_DEPTH: usize = 64;
 
 /// A cycle-stepped RV32IM_Zicsr core. Construct via
 /// [`make_engine`](crate::models::make_engine) or [`CoreEngine::new`].
@@ -283,7 +285,7 @@ impl CoreEngine {
             cycle: 0,
             retired: 0,
             predictor: vec![1; PREDICTOR_ENTRIES],
-            trace: RetireRing::new(64),
+            trace: RetireRing::new(RETIRE_DEPTH),
             counters: CoreCounters::default(),
             profiler: None,
             wfi_pc: 0,
@@ -524,7 +526,6 @@ impl CoreEngine {
     /// the data-port cycles the core left idle).
     pub fn step(&mut self, bus: &mut dyn DataBus, coproc: &mut dyn Coprocessor) -> StepOutput {
         self.cycle += 1;
-        self.state.csrs.mcycle = self.cycle as u32;
         let mut out = StepOutput::default();
         if self.halted {
             return out;
@@ -709,7 +710,6 @@ impl CoreEngine {
                     bus.advance_cycles(skip);
                     self.cycle += skip;
                     self.busy -= skip as u32;
-                    self.state.csrs.mcycle = self.cycle as u32;
                     if self.busy == 0 && self.completing == Completing::Mret {
                         self.completing = Completing::Plain;
                         coproc.on_mret(&mut self.state);
@@ -731,7 +731,6 @@ impl CoreEngine {
                     self.counters.wfi_cycles += remaining;
                     let pc = self.wfi_pc;
                     self.attribute(pc, remaining);
-                    self.state.csrs.mcycle = self.cycle as u32;
                     return BatchExit {
                         cycles: max_cycles,
                         event: None,
@@ -806,7 +805,6 @@ impl CoreEngine {
         while self.cycle < end && Self::coproc_stalls(&uop, coproc) {
             bus.advance_cycles(1);
             self.cycle += 1;
-            self.state.csrs.mcycle = self.cycle as u32;
             self.counters.stall_coproc += 1;
             self.attribute(pc, 1);
             coproc.step(&mut self.state, bus);
@@ -828,19 +826,18 @@ impl CoreEngine {
     /// host bookkeeping, not machine state: their contents depend on
     /// which execution path ran and where a run was split into batches,
     /// so both are left out together with their counters (see
-    /// [`CoreCounters::HOST_STATS`]).
+    /// [`CoreCounters::HOST_STATS`]). So are the core model, the IMEM
+    /// geometry and the ring depth, which the restoring caller fixes.
     pub fn to_snap(&self) -> Json {
         let predictor: Vec<u32> = self.predictor.iter().map(|&v| u32::from(v)).collect();
         let cycles: Vec<u64> = self.trace.buf.iter().map(|&(c, _)| c).collect();
         let pcs: Vec<u32> = self.trace.buf.iter().map(|&(_, p)| p).collect();
         let trace = Json::object()
-            .with("depth", self.trace.buf.len())
             .with("head", self.trace.head)
             .with("len", self.trace.len)
             .with("cycles", snap::runs_to_json(&cycles))
             .with("pcs", snap::runs_to_json(&pcs));
         Json::object()
-            .with("core", self.params.name)
             .with("state", self.state.to_snap())
             .with("imem", self.imem.to_snap())
             .with("busy", self.busy)
@@ -865,11 +862,11 @@ impl CoreEngine {
             )
     }
 
-    /// Builds an engine from [`to_snap`](Self::to_snap) output. The
-    /// snapshot must be of the core model `params` describes and of an
-    /// instruction memory at `imem_base` of `imem_size` bytes; everything
-    /// else — including whether the profiler is attached — is taken from
-    /// the snapshot. IMEM is allocated once, from the document.
+    /// Builds an engine of the core model `params` describes, with an
+    /// instruction memory at `imem_base` of `imem_size` bytes, from
+    /// [`to_snap`](Self::to_snap) output. Everything else — including
+    /// whether the profiler is attached — is taken from the snapshot.
+    /// IMEM is allocated once, at the caller's size.
     ///
     /// Both host caches start cold, and their counters at zero, so a
     /// restored engine is cycle-for-cycle and counter-for-counter
@@ -878,30 +875,15 @@ impl CoreEngine {
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields or a core-model or IMEM-geometry
-    /// mismatch.
+    /// Fails on malformed fields, contents of another IMEM size, a
+    /// predictor counter above 3, or a retire-ring cursor past the ring.
     pub fn from_snap(
         params: TimingParams,
         imem_base: u32,
         imem_size: u32,
         value: &Json,
     ) -> Result<CoreEngine, SnapError> {
-        let name = snap::get_str(value, "core")?;
-        if name != params.name {
-            return Err(SnapError::new(format!(
-                "engine: snapshot of core `{name}` cannot restore a `{}` engine",
-                params.name
-            )));
-        }
-        let imem = Mem::from_snap(snap::field(value, "imem")?)?;
-        let imem_end = u64::from(imem_base) + u64::from(imem_size.div_ceil(4)) * 4;
-        if imem.base() != imem_base || u64::from(imem.end()) != imem_end {
-            return Err(SnapError::new(format!(
-                "engine: imem geometry {imem_base:#010x}..{imem_end:#010x} does not match snapshot {:#010x}..{:#010x}",
-                imem.base(),
-                imem.end()
-            )));
-        }
+        let imem = Mem::from_snap(snap::field(value, "imem")?, imem_base, imem_size)?;
         let state = ArchState::from_snap(snap::field(value, "state")?)?;
         let busy = snap::get_u32(value, "busy")?;
         let completing = match snap::get_str(value, "completing")? {
@@ -930,30 +912,23 @@ impl CoreEngine {
             predictor.push(w as u8);
         }
         let trace_v = snap::field(value, "trace")?;
-        let depth = snap::get_usize(trace_v, "depth")?;
         let head = snap::get_usize(trace_v, "head")?;
         let len = snap::get_usize(trace_v, "len")?;
-        if depth == 0 || head >= depth || len > depth {
+        if head >= RETIRE_DEPTH || len > RETIRE_DEPTH {
             return Err(SnapError::new(format!(
-                "engine: retire ring head {head}/len {len} out of range for depth {depth}"
+                "engine: retire ring head {head}/len {len} out of range for depth {RETIRE_DEPTH}"
             )));
         }
-        let cycles = snap::runs_from_json(snap::field(trace_v, "cycles")?, depth)?;
-        let pcs = snap::runs_from_json(snap::field(trace_v, "pcs")?, depth)?;
+        let cycles = snap::runs_from_json(snap::field(trace_v, "cycles")?, RETIRE_DEPTH)?;
+        let pcs = snap::runs_from_json(snap::field(trace_v, "pcs")?, RETIRE_DEPTH)?;
         let trace = RetireRing {
-            buf: cycles
-                .iter()
-                .zip(&pcs)
-                .map(|(&c, &p)| (c, p))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            buf: cycles.into_iter().zip(pcs).collect(),
             head,
             len,
         };
-        let profiler = match snap::field(value, "profile")? {
-            Json::Null => None,
-            v => Some(Box::new(PcProfile::from_snap(v)?)),
-        };
+        let profiler = snap::get_opt(value, "profile", |v| {
+            PcProfile::from_snap(v, imem_base, imem_size).map(Box::new)
+        })?;
         let counters = CoreCounters::from_snap(snap::field(value, "counters")?)?;
         Ok(CoreEngine {
             params,
@@ -1549,7 +1524,7 @@ mod tests {
 
             let mut b = CoreEngine::from_snap(params, 0, 0x1_0000, &doc).expect("restore");
             let mut b_bus = SramBus {
-                mem: Mem::from_snap(&bus_doc).expect("bus restore"),
+                mem: Mem::from_snap(&bus_doc, 0x2000_0000, 0x100).expect("bus restore"),
             };
             assert_eq!(b.cycle(), a.cycle());
 
@@ -1598,41 +1573,47 @@ mod tests {
         }
     }
 
-    /// A restore with the wrong core model, IMEM geometry or mangled
-    /// fields must fail.
+    /// The caller fixes the core model and IMEM geometry; a document
+    /// whose contents do not fit them, or whose state no run produces,
+    /// must fail.
     #[test]
     fn snapshot_restore_rejects_mismatches() {
         let p = block_torture_program();
         let mut e = CoreEngine::new(TimingParams::cv32e40p(), 0, 0x1_0000);
         e.load_program(&p);
+        e.set_profiling(true);
         let doc = e.to_snap();
-        let restore =
-            |params, base, size, doc: &Json| CoreEngine::from_snap(params, base, size, doc);
-        assert!(restore(TimingParams::cv32e40p(), 0, 0x1_0000, &doc).is_ok());
-        assert!(
-            restore(TimingParams::naxriscv(), 0, 0x1_0000, &doc).is_err(),
-            "wrong core accepted"
-        );
-        assert!(
-            restore(TimingParams::cv32e40p(), 0, 0x8000, &doc).is_err(),
-            "wrong imem size accepted"
-        );
-        assert!(
-            restore(TimingParams::cv32e40p(), 0x1000, 0x1_0000, &doc).is_err(),
-            "wrong imem base accepted"
-        );
-        let mut mangled = doc.clone();
-        if let Json::Object(pairs) = &mut mangled {
-            for (k, v) in pairs.iter_mut() {
-                if k == "completing" {
-                    *v = Json::from("warp");
-                }
-            }
+        let restore = |size, doc: &Json| CoreEngine::from_snap(e.params, 0, size, doc);
+        assert!(restore(0x1_0000, &doc).is_ok());
+        assert!(restore(0x8000, &doc).is_err(), "wrong imem size accepted");
+        for (what, path, value) in [
+            (
+                "unknown completing state",
+                &["completing"][..],
+                Json::from("warp"),
+            ),
+            (
+                "predictor counter above 3",
+                &["predictor"],
+                snap::runs_to_json(&[4u32; PREDICTOR_ENTRIES]),
+            ),
+            (
+                "ring head past the ring",
+                &["trace", "head"],
+                Json::from(RETIRE_DEPTH),
+            ),
+            (
+                "profile bins of another size",
+                &["profile", "bins"],
+                snap::runs_to_json(&[0u64; 8]),
+            ),
+        ] {
+            let mut bad = doc.clone();
+            *path
+                .iter()
+                .fold(&mut bad, |v, k| v.get_mut(k).expect("field")) = value;
+            assert!(restore(0x1_0000, &bad).is_err(), "{what} accepted");
         }
-        assert!(
-            restore(TimingParams::cv32e40p(), 0, 0x1_0000, &mangled).is_err(),
-            "bad field accepted"
-        );
     }
 
     #[test]

@@ -105,12 +105,16 @@ fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
     }
 }
 
-/// A CSR access: reads CSR `addr` into `rd` and applies the op's
-/// read-modify-write (the set/clear forms skip the write when the operand
-/// is zero). `src` is a register number or a 5-bit immediate.
+/// A CSR access at `cycle`: reads CSR `addr` into `rd` and applies the
+/// op's read-modify-write (the set/clear forms skip the write when the
+/// operand is zero). `src` is a register number or a 5-bit immediate;
+/// `mcycle` reads the issue cycle.
 #[inline(never)]
-fn csr_access(s: &mut ArchState, op: CsrOp, rd: Reg, addr: u16, src: u8) {
-    let old = s.csrs.read(addr);
+fn csr_access(s: &mut ArchState, op: CsrOp, rd: Reg, addr: u16, src: u8, cycle: u64) {
+    let old = match addr {
+        csr::MCYCLE => cycle as u32,
+        _ => s.csrs.read(addr),
+    };
     let operand = if op.is_immediate() {
         u32::from(src)
     } else {
@@ -283,10 +287,7 @@ impl CoreEngine {
                 csr: addr,
                 src,
             } => {
-                // Block dispatch leaves `mcycle` stale between its steps;
-                // a CSR read must see the issue cycle.
-                s.csrs.mcycle = self.cycle as u32;
-                csr_access(s, op, rd, addr, src);
+                csr_access(s, op, rd, addr, src, self.cycle);
                 (fall, p.csr_latency)
             }
             Uop::Mret => (s.csrs.exit_trap(), p.mret_latency),

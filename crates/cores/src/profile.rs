@@ -78,25 +78,24 @@ impl PcProfile {
     }
 
     /// Serializes the per-PC bins (run-length encoded) for a
-    /// machine-state snapshot.
+    /// machine-state snapshot. The profiled range is the engine's IMEM.
     pub fn to_snap(&self) -> Json {
         Json::object()
-            .with("base", self.base)
-            .with("len", self.bins.len())
             .with("bins", snap::runs_to_json(&self.bins))
             .with("other", self.other)
     }
 
-    /// Rebuilds a profile from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds a profile over an instruction memory of `size` bytes
+    /// based at `base` — the caller's — from [`to_snap`](Self::to_snap)
+    /// output.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields or a bins/length mismatch.
-    pub fn from_snap(value: &Json) -> Result<PcProfile, SnapError> {
-        let len = snap::get_usize(value, "len")?;
+    /// Fails on missing fields or bins that do not cover the memory.
+    pub fn from_snap(value: &Json, base: u32, size: u32) -> Result<PcProfile, SnapError> {
         Ok(PcProfile {
-            base: snap::get_u32(value, "base")?,
-            bins: snap::runs_from_json(snap::field(value, "bins")?, len)?,
+            base,
+            bins: snap::runs_from_json(snap::field(value, "bins")?, size.div_ceil(4) as usize)?,
             other: snap::get_u64(value, "other")?,
         })
     }

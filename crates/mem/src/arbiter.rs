@@ -202,11 +202,6 @@ impl BusArbiter {
         }
     }
 
-    /// Number of masters sharing the bus.
-    pub fn masters(&self) -> usize {
-        self.stats.len()
-    }
-
     /// Requests a `beats`-cycle transaction for `master` at time `now`,
     /// returning the wait (in cycles) before the grant. `now` values must
     /// be non-decreasing across calls — the simulation issues requests in
@@ -235,15 +230,14 @@ impl BusArbiter {
         self.stats[master]
     }
 
-    /// Serializes the bus-timing state and per-master statistics for a
-    /// machine-state snapshot.
+    /// Serializes the bus-timing state and per-master statistics (one
+    /// flat `[grants, wait_cycles, max_wait, ...]` array) for a
+    /// machine-state snapshot. The master count is the composition's.
     pub fn to_snap(&self) -> Json {
-        let mut stats = Vec::with_capacity(self.stats.len() * 3);
-        for s in &self.stats {
-            stats.push(Json::UInt(s.grants));
-            stats.push(Json::UInt(s.wait_cycles));
-            stats.push(Json::UInt(s.max_wait));
-        }
+        let stats = self
+            .stats
+            .iter()
+            .map(|s| [s.grants, s.wait_cycles, s.max_wait]);
         Json::object()
             .with("free_at", self.free_at)
             .with(
@@ -254,17 +248,17 @@ impl BusArbiter {
                     Some(m) => Json::UInt(m as u64),
                 },
             )
-            .with("masters", self.stats.len())
-            .with("stats", Json::Array(stats))
+            .with("stats", snap::rows_to_json(stats))
     }
 
-    /// Rebuilds a bus arbiter from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds a bus of `masters` masters — the caller's count — from
+    /// [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields or a stats-array length mismatch.
-    pub fn from_snap(value: &Json) -> Result<BusArbiter, SnapError> {
-        let masters = snap::get_usize(value, "masters")?;
+    /// Fails on missing fields, an owner that is not one of the masters,
+    /// or a stats array that is not one row per master.
+    pub fn from_snap(value: &Json, masters: usize) -> Result<BusArbiter, SnapError> {
         let owner = match snap::field(value, "owner")? {
             Json::Int(-1) => None,
             j => Some(
@@ -274,30 +268,24 @@ impl BusArbiter {
                     .ok_or_else(|| SnapError::new("bus: owner out of range"))?,
             ),
         };
-        let flat = snap::get_array(value, "stats")?;
-        if flat.len() != masters * 3 {
+        let rows = snap::rows_from_json::<3>(snap::field(value, "stats")?, "bus stats")?;
+        if rows.len() != masters {
             return Err(SnapError::new(format!(
-                "bus: {} stat fields, expected {}",
-                flat.len(),
-                masters * 3
+                "bus: {} stat rows for {masters} masters",
+                rows.len()
             )));
-        }
-        let mut stats = Vec::with_capacity(masters);
-        for chunk in flat.chunks_exact(3) {
-            let read = |j: &Json| {
-                j.as_u64()
-                    .ok_or_else(|| SnapError::new("bus stats: expected integer"))
-            };
-            stats.push(BusMasterStats {
-                grants: read(&chunk[0])?,
-                wait_cycles: read(&chunk[1])?,
-                max_wait: read(&chunk[2])?,
-            });
         }
         Ok(BusArbiter {
             free_at: snap::get_u64(value, "free_at")?,
             owner,
-            stats,
+            stats: rows
+                .into_iter()
+                .map(|[grants, wait_cycles, max_wait]| BusMasterStats {
+                    grants,
+                    wait_cycles,
+                    max_wait,
+                })
+                .collect(),
         })
     }
 }

@@ -227,82 +227,49 @@ impl Cache {
         false
     }
 
-    /// Serializes geometry, tag/valid/dirty/LRU state and counters for a
-    /// machine-state snapshot.
+    /// Serializes tag/valid/dirty/LRU state and counters for a
+    /// machine-state snapshot. The lines are one flat
+    /// `[valid, dirty, tag, lru, ...]` array; the configuration comes from
+    /// the core and is not state.
     pub fn to_snap(&self) -> Json {
-        let mut lines = Vec::with_capacity(self.lines.len() * 4);
-        for l in &self.lines {
-            lines.push(Json::UInt(u64::from(l.valid)));
-            lines.push(Json::UInt(u64::from(l.dirty)));
-            lines.push(Json::UInt(u64::from(l.tag)));
-            lines.push(Json::UInt(l.lru));
-        }
+        let lines = self.lines.iter().map(|l| {
+            [
+                u64::from(l.valid),
+                u64::from(l.dirty),
+                u64::from(l.tag),
+                l.lru,
+            ]
+        });
         Json::object()
-            .with("sets", self.cfg.sets)
-            .with("ways", self.cfg.ways)
-            .with("line_words", self.cfg.line_words)
-            .with(
-                "policy",
-                match self.cfg.policy {
-                    WritePolicy::WriteThrough => "write_through",
-                    WritePolicy::WriteBack => "write_back",
-                },
-            )
-            .with("hit_latency", self.cfg.hit_latency)
-            .with("miss_penalty", self.cfg.miss_penalty)
             .with("tick", self.tick)
             .with("hits", self.hits)
             .with("misses", self.misses)
-            .with("lines", Json::Array(lines))
+            .with("lines", snap::rows_to_json(lines))
     }
 
-    /// Rebuilds a cache of configuration `cfg` from
-    /// [`to_snap`](Self::to_snap) output. The configuration is wiring
-    /// that comes from the core, not from the document: a document whose
-    /// geometry, policy or latencies differ from `cfg` is rejected.
+    /// Rebuilds a cache of configuration `cfg` — the core's — from
+    /// [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields, an unknown policy, a configuration other
-    /// than `cfg`, or a line-array length mismatch.
+    /// Fails on missing fields, a tag beyond `u32`, or a line array whose
+    /// length is not `cfg`'s line count.
     pub fn from_snap(value: &Json, cfg: CacheConfig) -> Result<Cache, SnapError> {
-        let policy = match snap::get_str(value, "policy")? {
-            "write_through" => WritePolicy::WriteThrough,
-            "write_back" => WritePolicy::WriteBack,
-            other => return Err(SnapError::new(format!("cache: unknown policy `{other}`"))),
-        };
-        let stored = CacheConfig {
-            sets: snap::get_u32(value, "sets")?,
-            ways: snap::get_u32(value, "ways")?,
-            line_words: snap::get_u32(value, "line_words")?,
-            policy,
-            hit_latency: snap::get_u32(value, "hit_latency")?,
-            miss_penalty: snap::get_u32(value, "miss_penalty")?,
-        };
-        if stored != cfg {
-            return Err(SnapError::new(format!(
-                "cache: snapshot configuration {stored:?} is not the core's {cfg:?}"
-            )));
-        }
         let mut cache = Cache::new(cfg);
-        let flat = snap::get_array(value, "lines")?;
-        if flat.len() != cache.lines.len() * 4 {
+        let rows = snap::rows_from_json::<4>(snap::field(value, "lines")?, "cache lines")?;
+        if rows.len() != cache.lines.len() {
             return Err(SnapError::new(format!(
-                "cache: {} line fields, expected {}",
-                flat.len(),
-                cache.lines.len() * 4
+                "cache: {} lines, expected {}",
+                rows.len(),
+                cache.lines.len()
             )));
         }
-        for (line, chunk) in cache.lines.iter_mut().zip(flat.chunks_exact(4)) {
-            let read = |j: &Json, what: &str| {
-                j.as_u64()
-                    .ok_or_else(|| SnapError::new(format!("cache line {what}: expected integer")))
-            };
-            line.valid = read(&chunk[0], "valid")? != 0;
-            line.dirty = read(&chunk[1], "dirty")? != 0;
-            line.tag = u32::try_from(read(&chunk[2], "tag")?)
-                .map_err(|_| SnapError::new("cache line tag: exceeds u32"))?;
-            line.lru = read(&chunk[3], "lru")?;
+        for (line, [valid, dirty, tag, lru]) in cache.lines.iter_mut().zip(rows) {
+            line.valid = valid != 0;
+            line.dirty = dirty != 0;
+            line.tag =
+                u32::try_from(tag).map_err(|_| SnapError::new("cache line tag: exceeds u32"))?;
+            line.lru = lru;
         }
         cache.tick = snap::get_u64(value, "tick")?;
         cache.hits = snap::get_u64(value, "hits")?;
@@ -399,13 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_restore_only_onto_their_own_configuration() {
+    fn snapshots_restore_onto_the_callers_configuration() {
         let mut c = tiny(WritePolicy::WriteBack);
         c.access(0x40, true);
         let doc = c.to_snap();
         let back = Cache::from_snap(&doc, *c.config()).expect("round trip");
         assert!(back.probe(0x40));
         assert_eq!(back.to_snap(), doc);
+        // The line array must hold exactly the caller's line count.
         for other in [
             CacheConfig {
                 sets: 4,
@@ -415,21 +383,17 @@ mod tests {
                 ways: 1,
                 ..*c.config()
             },
-            CacheConfig {
-                line_words: 8,
-                ..*c.config()
-            },
-            CacheConfig {
-                policy: WritePolicy::WriteThrough,
-                ..*c.config()
-            },
-            CacheConfig {
-                miss_penalty: 11,
-                ..*c.config()
-            },
         ] {
             assert!(Cache::from_snap(&doc, other).is_err(), "{other:?} accepted");
         }
+        let mut short = doc.clone();
+        if let Some(Json::Array(lines)) = short.get_mut("lines") {
+            lines.truncate(lines.len() - 4);
+        }
+        assert!(
+            Cache::from_snap(&short, *c.config()).is_err(),
+            "short line array"
+        );
     }
 
     #[test]

@@ -156,33 +156,22 @@ impl Mem {
         }
     }
 
-    /// Serializes base, size and contents (run-length encoded) for a
-    /// machine-state snapshot.
+    /// Serializes the contents (run-length encoded) for a machine-state
+    /// snapshot. Base and size are the memory map's, not state.
     pub fn to_snap(&self) -> Json {
-        Json::object()
-            .with("base", self.base)
-            .with("len_words", self.words.len())
-            .with("words", snap::runs_to_json(&self.words))
+        Json::object().with("words", snap::runs_to_json(&self.words))
     }
 
-    /// Rebuilds a RAM from [`to_snap`](Self::to_snap) output.
+    /// Rebuilds a RAM of `size_bytes` at `base` — the caller's geometry —
+    /// from [`to_snap`](Self::to_snap) output.
     ///
     /// # Errors
     ///
-    /// Fails on missing fields, a contents/length mismatch, or a geometry
-    /// that is not word-aligned or does not fit the 32-bit address space.
-    pub fn from_snap(value: &Json) -> Result<Mem, SnapError> {
-        let base = snap::get_u32(value, "base")?;
-        let len = snap::get_u64(value, "len_words")?;
-        let end = len
-            .checked_mul(4)
-            .and_then(|bytes| bytes.checked_add(u64::from(base)));
-        if base % 4 != 0 || end.is_none_or(|end| end >= 1 << 32) {
-            return Err(SnapError::new(format!(
-                "mem: {len} words at {base:#010x} do not fit the address space"
-            )));
-        }
-        let words = snap::runs_from_json(snap::field(value, "words")?, len as usize)?;
+    /// Fails on a missing field or contents whose runs do not add up to
+    /// the caller's size; nothing is allocated beyond that size.
+    pub fn from_snap(value: &Json, base: u32, size_bytes: u32) -> Result<Mem, SnapError> {
+        let len = size_bytes.div_ceil(4) as usize;
+        let words = snap::runs_from_json(snap::field(value, "words")?, len)?;
         Ok(Mem { base, words })
     }
 }
@@ -220,27 +209,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_round_trip_and_reject_impossible_geometry() {
+    fn snapshots_restore_the_callers_geometry() {
         let mut m = Mem::new(0x100, 64);
         m.write_word(0x108, 9);
         let doc = m.to_snap();
-        let back = Mem::from_snap(&doc).expect("round trip");
+        let back = Mem::from_snap(&doc, 0x100, 64).expect("round trip");
         assert_eq!((back.base(), back.end()), (0x100, 0x140));
         assert_eq!(back.read_word(0x108), 9);
-        let with = |base: u64, len: u64| {
-            Json::object()
-                .with("base", base)
-                .with("len_words", len)
-                .with("words", snap::runs_to_json(&[0u32; 0]))
-        };
-        assert!(Mem::from_snap(&with(0x102, 0)).is_err(), "misaligned base");
-        assert!(Mem::from_snap(&with(0xffff_fff0, 4)).is_err(), "end wraps");
-        for base in [0, 4] {
-            assert!(
-                Mem::from_snap(&with(base, u64::MAX)).is_err(),
-                "length overflows"
-            );
-        }
+        // Contents of another size are refused, whatever they claim.
+        assert!(Mem::from_snap(&doc, 0x100, 128).is_err(), "short contents");
+        assert!(Mem::from_snap(&doc, 0x100, 32).is_err(), "long contents");
+        let huge = Json::object().with("words", snap::list_to_json(&[u64::MAX, 0]));
+        assert!(Mem::from_snap(&huge, 0, 64).is_err(), "run beyond the RAM");
     }
 
     #[test]

@@ -61,6 +61,14 @@ impl Json {
         }
     }
 
+    /// Looks up `key` in an object for editing (first match).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

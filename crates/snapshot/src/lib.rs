@@ -7,15 +7,18 @@
 //!
 //! ```text
 //! {
-//!   "schema": "rtosunit-snapshot-v3",
+//!   "schema": "rtosunit-snapshot-v4",
 //!   "digest": "0x<fnv1a-64 of the rendered state>",
 //!   "state": { ... }
 //! }
 //! ```
 //!
-//! The `state` payload is produced by `to_snap`/`restore_snap` methods on
-//! each state-bearing struct (they live next to the structs, since most
-//! fields are module-private). This crate owns only the *container*:
+//! The `state` payload is produced by `to_snap`/`from_snap` pairs on each
+//! state-bearing struct (they live next to the structs, since most fields
+//! are module-private). A payload holds state, not configuration: every
+//! `from_snap` takes the shape the core kind, the preset and the memory
+//! map fix — memory geometry, cache configuration, unit features,
+//! capacities — from its caller. This crate owns only the *container*:
 //!
 //! * [`seal`] wraps a state value with the schema tag and a digest over
 //!   its rendered bytes,
@@ -30,19 +33,22 @@
 //! sorted key order. Under those rules `Json::parse(render(x)) == x`, so
 //! digests computed at seal time and verify time always agree.
 //!
-//! Word-array payloads (memories, predictor tables, profile bins) use the
-//! run-length codec ([`runs_to_json`]/[`runs_from_json`]): a flat
+//! Word arrays whose length the caller fixes (memories, predictor tables,
+//! profile bins) use the run-length codec
+//! ([`runs_to_json`]/[`runs_from_json`]): a flat
 //! `[len0, val0, len1, val1, ...]` array — mostly-zero 64 KiB memories
-//! collapse to a handful of runs. Lists that grow with a run use
-//! [`rows_to_json`]/[`rows_from_json`]: one flat array of fixed-width
-//! integer rows.
+//! collapse to a handful of runs. Lists that grow with a run are plain
+//! arrays ([`list_to_json`]/[`list_from_json`]) or, with several fields
+//! per entry, [`rows_to_json`]/[`rows_from_json`]: one flat array of
+//! fixed-width integer rows. Either decodes to at most one value per
+//! array element, so no allocation exceeds the document.
 
 pub mod json;
 
 pub use json::{Json, JsonParseError};
 
-/// Schema tag of version 3 snapshot artifacts.
-pub const SCHEMA: &str = "rtosunit-snapshot-v3";
+/// Schema tag of version 4 snapshot artifacts.
+pub const SCHEMA: &str = "rtosunit-snapshot-v4";
 
 /// FNV-1a 64-bit offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -144,6 +150,23 @@ pub fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, SnapError> {
         .ok_or_else(|| SnapError::new(format!("{key}: missing field")))
 }
 
+/// Reads an optional field: `null` is `None`, anything else goes through
+/// `decode`.
+///
+/// # Errors
+///
+/// Fails when the field is missing or `decode` fails.
+pub fn get_opt<T>(
+    value: &Json,
+    key: &str,
+    decode: impl FnOnce(&Json) -> Result<T, SnapError>,
+) -> Result<Option<T>, SnapError> {
+    match field(value, key)? {
+        Json::Null => Ok(None),
+        v => decode(v).map(Some),
+    }
+}
+
 /// Reads a required `u64` field.
 ///
 /// # Errors
@@ -219,8 +242,9 @@ pub fn get_array<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], SnapError
         .ok_or_else(|| SnapError::new(format!("{key}: expected array")))
 }
 
-/// An element type of the run-length codec: `u32` words (memories,
-/// predictor tables) or `u64` values (profile bins, cycle lists).
+/// An element type of the run-length and list codecs: `u32` words
+/// (memories, predictor tables, console output) or `u64` values (profile
+/// bins, cycle lists).
 pub trait RunValue: Copy + Default + PartialEq + Into<u64> + TryFrom<u64> {}
 
 impl RunValue for u32 {}
@@ -317,6 +341,27 @@ pub fn runs_from_json<T: RunValue>(value: &Json, expect_len: usize) -> Result<Ve
         start += len;
     }
     Ok(values)
+}
+
+/// Encodes a list that grows with a run as a plain array of integers.
+pub fn list_to_json<'a, T: RunValue + 'a>(values: impl IntoIterator<Item = &'a T>) -> Json {
+    Json::Array(values.into_iter().map(|&v| Json::UInt(v.into())).collect())
+}
+
+/// Decodes a plain array written by [`list_to_json`]; `what` names the
+/// list in errors.
+///
+/// # Errors
+///
+/// Fails when the value is not an array or an entry is not an unsigned
+/// integer in `T`'s range.
+pub fn list_from_json<T: RunValue>(value: &Json, what: &str) -> Result<Vec<T>, SnapError> {
+    rows_from_json::<1>(value, what)?
+        .into_iter()
+        .map(|[v]| {
+            T::try_from(v).map_err(|_| SnapError::new(format!("{what}: value out of range")))
+        })
+        .collect()
 }
 
 /// Encodes fixed-width rows as one flat array, `N` integers per row:
@@ -462,6 +507,17 @@ mod tests {
         // A consistent claim too large to allocate is an error as well.
         let huge = Json::Array([u64::MAX / 2, 0].map(Json::UInt).into());
         assert!(runs_from_json::<u32>(&huge, (u64::MAX / 2) as usize).is_err());
+    }
+
+    #[test]
+    fn lists_round_trip_and_reject_out_of_range_values() {
+        let words = [0u32, 7, u32::MAX];
+        let json = list_to_json(&words);
+        assert_eq!(list_from_json::<u32>(&json, "words"), Ok(words.to_vec()));
+        let too_wide = list_to_json(&[u64::from(u32::MAX) + 1]);
+        assert!(list_from_json::<u32>(&too_wide, "words").is_err());
+        assert!(list_from_json::<u64>(&Json::Array(vec![Json::Int(-1)]), "words").is_err());
+        assert!(list_from_json::<u64>(&Json::Null, "words").is_err());
     }
 
     #[test]

@@ -144,6 +144,25 @@ fn every_doc_path_names_a_declared_item() {
 }
 
 #[test]
+fn design_and_the_snapshot_crate_doc_name_the_current_schema() {
+    // Every payload change bumps `SCHEMA`; both descriptions of the
+    // envelope must follow it.
+    let schema = rvsim_snapshot::SCHEMA;
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("doc reads");
+    assert!(
+        design.contains(schema),
+        "DESIGN.md does not name `{schema}`"
+    );
+    let src =
+        std::fs::read_to_string(root().join("crates/snapshot/src/lib.rs")).expect("source reads");
+    assert!(
+        src.lines()
+            .any(|l| l.starts_with("//!") && l.contains(schema)),
+        "the rvsim_snapshot crate doc does not name `{schema}`"
+    );
+}
+
+#[test]
 fn the_scan_reads_declarations_not_mentions() {
     let src = "/// Mentions `Fake::Ghost`.
         pub(crate) const fn helper() -> u8 {

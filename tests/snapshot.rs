@@ -14,7 +14,7 @@ use rtosunit_suite::check::{smp_scenario_for_seed, smp_scenario_system};
 use rtosunit_suite::cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rtosunit_suite::isa::Reg;
 use rtosunit_suite::snapshot;
-use rtosunit_suite::unit::layout::CTX_WORDS;
+use rtosunit_suite::unit::layout::{CTX_WORDS, DMEM_SIZE};
 use rtosunit_suite::unit::{Preset, SmpSystem, System};
 
 /// The two ways the simulator executes; the snapshot codec must be
@@ -77,54 +77,64 @@ fn advance(sys: &mut System, mode: Mode, cycles: u64) {
     }
 }
 
+/// Runs `build()` for 25k cycles in `mode`, snapshots it, restores the
+/// snapshot, runs both sides 25k more, and demands the restored side
+/// finish byte-identically to the side that never stopped — and to a
+/// cold system that ran the whole budget in one call, so no snapshot
+/// depends on where a run was chunked. Returns the side that never
+/// stopped.
+fn assert_invisible_roundtrip(label: &str, mode: Mode, build: impl Fn() -> System) -> System {
+    let mut original = build();
+    advance(&mut original, mode, 25_000);
+
+    let doc = original.snapshot();
+    assert_eq!(
+        doc.render(),
+        original.snapshot().render(),
+        "{label}: serialization is unstable"
+    );
+    let mut restored = System::from_snapshot(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+
+    advance(&mut original, mode, 25_000);
+    advance(&mut restored, mode, 25_000);
+
+    assert_eq!(
+        original.platform.cycle(),
+        restored.platform.cycle(),
+        "{label}: cycles diverged"
+    );
+    assert_eq!(
+        original.records(),
+        restored.records(),
+        "{label}: switch records diverged"
+    );
+    assert_eq!(
+        original.state_snap().render(),
+        restored.state_snap().render(),
+        "{label}: machine state diverged after restore"
+    );
+    let mut cold = build();
+    advance(&mut cold, mode, 50_000);
+    assert_eq!(
+        cold.state_snap().render(),
+        restored.state_snap().render(),
+        "{label}: restored state differs from one uninterrupted run"
+    );
+    original
+}
+
 #[test]
 fn single_hart_roundtrip_battery() {
     // 3 engines × 2 execution modes × faults on/off: snapshot mid-run,
     // restore into a fresh system, and demand the restored side finish
-    // byte-identically to the side that never stopped — and to a cold
-    // system that ran the whole budget in one call, so no snapshot
-    // depends on where a run was chunked.
+    // byte-identically to the side that never stopped and to a cold run.
     for (core, preset) in CELLS {
         for mode in MODES {
             for faults in [false, true] {
                 let label = format!("{core}/{} {mode:?} faults={faults}", preset.tag());
-                let mut original = single_hart_system(core, preset, faults);
-                advance(&mut original, mode, 25_000);
-
-                let doc = original.snapshot();
-                assert_eq!(
-                    doc.render(),
-                    original.snapshot().render(),
-                    "{label}: serialization is unstable"
-                );
-                let mut restored =
-                    System::from_snapshot(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
-
-                advance(&mut original, mode, 25_000);
-                advance(&mut restored, mode, 25_000);
-
-                assert_eq!(
-                    original.platform.cycle(),
-                    restored.platform.cycle(),
-                    "{label}: cycles diverged"
-                );
-                assert_eq!(
-                    original.records(),
-                    restored.records(),
-                    "{label}: switch records diverged"
-                );
-                assert_eq!(
-                    original.state_snap().render(),
-                    restored.state_snap().render(),
-                    "{label}: machine state diverged after restore"
-                );
-                let mut cold = single_hart_system(core, preset, faults);
-                advance(&mut cold, mode, 50_000);
-                assert_eq!(
-                    cold.state_snap().render(),
-                    restored.state_snap().render(),
-                    "{label}: restored state differs from one uninterrupted run"
-                );
+                let original = assert_invisible_roundtrip(&label, mode, || {
+                    single_hart_system(core, preset, faults)
+                });
                 if faults {
                     assert_eq!(original.faults_applied(), 2, "{label}: plan never fired");
                 }
@@ -233,14 +243,8 @@ fn tampered_and_truncated_snapshots_are_rejected() {
 
 /// The value under `key` in a snapshot object, for mutation tests.
 fn field_mut<'a>(obj: &'a mut snapshot::Json, key: &str) -> &'a mut snapshot::Json {
-    match obj {
-        snapshot::Json::Object(pairs) => pairs
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no `{key}` field")),
-        _ => panic!("`{key}`: not an object"),
-    }
+    obj.get_mut(key)
+        .unwrap_or_else(|| panic!("no `{key}` field"))
 }
 
 #[test]
@@ -260,7 +264,7 @@ fn restore_rejects_an_active_unit_fsm_past_the_context() {
         ("restore_active", "restore_word"),
     ] {
         let mut bad = state.clone();
-        let unit = field_mut(field_mut(&mut bad, "unit"), "state");
+        let unit = field_mut(&mut bad, "unit");
         *field_mut(unit, active) = snapshot::Json::Bool(true);
         *field_mut(unit, cursor) = snapshot::Json::UInt(CTX_WORDS as u64);
         assert!(
@@ -280,39 +284,45 @@ fn items_mut(value: &mut snapshot::Json) -> &mut Vec<snapshot::Json> {
 
 #[test]
 fn restore_rejects_a_data_cache_that_is_not_the_cores() {
-    // The data-cache configuration is wiring that comes from the core
-    // kind. A document with another geometry, or without the cache the
-    // core has, must be refused rather than reach the cache constructor's
-    // asserts.
-    let mut sys = single_hart_system(CoreKind::Cva6, Preset::Slt, false);
-    sys.run(20_000);
-    let state = sys.state_snap();
-    assert!(
-        System::from_state_snap(&state).is_ok(),
-        "pristine state rejected"
-    );
-    for (key, value) in [("sets", 3), ("ways", 0), ("line_words", 6)] {
-        let mut bad = state.clone();
-        let dcache = field_mut(field_mut(&mut bad, "platform"), "dcache");
-        *field_mut(dcache, key) = snapshot::Json::UInt(value);
-        assert!(
-            System::from_state_snap(&bad).is_err(),
-            "data cache with `{key}` {value} accepted"
-        );
+    // The data-cache configuration comes from the core kind, not from the
+    // document. A line array of another length, a CVA6 document without
+    // its data cache, or a CV32E40P one with a data cache must be refused
+    // rather than reach the cache constructor's asserts.
+    fn dcache(state: &mut snapshot::Json) -> &mut snapshot::Json {
+        field_mut(field_mut(state, "platform"), "dcache")
     }
-    let mut missing = state.clone();
-    *field_mut(field_mut(&mut missing, "platform"), "dcache") = snapshot::Json::Null;
-    assert!(
-        System::from_state_snap(&missing).is_err(),
-        "CVA6 state without its data cache accepted"
-    );
+    let state = |core| {
+        let mut sys = single_hart_system(core, Preset::Slt, false);
+        sys.run(20_000);
+        let state = sys.state_snap();
+        assert!(
+            System::from_state_snap(&state).is_ok(),
+            "pristine {core} state rejected"
+        );
+        state
+    };
+    let mut cva6 = state(CoreKind::Cva6);
+    let mut short = cva6.clone();
+    let lines = items_mut(field_mut(dcache(&mut short), "lines"));
+    lines.truncate(lines.len() - 4);
+    let mut missing = cva6.clone();
+    *dcache(&mut missing) = snapshot::Json::Null;
+    let mut cached = state(CoreKind::Cv32e40p);
+    *dcache(&mut cached) = dcache(&mut cva6).clone();
+    for (what, bad) in [
+        ("a data cache one line short", short),
+        ("CVA6 state without its data cache", missing),
+        ("CV32E40P state with a data cache", cached),
+    ] {
+        assert!(System::from_state_snap(&bad).is_err(), "{what} accepted");
+    }
 }
 
 #[test]
 fn a_failed_restore_leaves_the_system_untouched() {
     // Documents that pass the identity checks but hold a malformed
-    // payload: the engine parses before the platform fails, so a restore
-    // that committed piecewise would show here.
+    // payload are refused; a rewind replaces its live system only with a
+    // restore that succeeded, so a failed one leaves it as it was.
     let mut source = single_hart_system(CoreKind::Cva6, Preset::Slt, false);
     source.run(10_000);
     let state = source.state_snap();
@@ -325,10 +335,7 @@ fn a_failed_restore_leaves_the_system_untouched() {
     let mutations: [(&str, Mutation); 4] = [
         ("a DMEM run longer than DMEM", |s| {
             let dmem = field_mut(field_mut(s, "platform"), "dmem");
-            let len = match field_mut(dmem, "len_words") {
-                snapshot::Json::UInt(len) => *len,
-                other => panic!("len_words is {other:?}"),
-            };
+            let len = u64::from(DMEM_SIZE / 4);
             items_mut(field_mut(dmem, "words"))[0] = snapshot::Json::UInt(len + 1);
         }),
         ("a trace-mark list of odd length", |s| {
@@ -345,7 +352,9 @@ fn a_failed_restore_leaves_the_system_untouched() {
     for (what, mutate) in mutations {
         let mut bad = state.clone();
         mutate(&mut bad);
-        assert!(live.restore_snap(&bad).is_err(), "{what} accepted");
+        if let Ok(restored) = System::from_state_snap(&bad) {
+            live = restored;
+        }
         assert_eq!(
             live.state_snap().render(),
             before,
@@ -353,6 +362,98 @@ fn a_failed_restore_leaves_the_system_untouched() {
         );
     }
     // The pristine document still restores, and does replace the state.
-    live.restore_snap(&state).expect("pristine state restores");
+    live = System::from_state_snap(&state).expect("pristine state restores");
     assert_eq!(live.state_snap().render(), state.render());
+}
+
+#[test]
+fn restore_takes_the_unit_from_the_preset_not_the_document() {
+    // Relabelling a document's preset to one whose unit lacks state the
+    // document holds — a scheduler, the semaphore bank, the preloader —
+    // must be refused: the restored machine would assert on its next
+    // custom instruction or run a unit no preset builds.
+    for (core, from, to) in [
+        (CoreKind::Cv32e40p, Preset::Slt, Preset::S),
+        (CoreKind::Cva6, Preset::Slt, Preset::Sl),
+        (CoreKind::Cv32e40p, Preset::SltHs, Preset::Slt),
+        (CoreKind::NaxRiscv, Preset::Split, Preset::Slt),
+    ] {
+        let mut sys = single_hart_system(core, from, false);
+        sys.run(30_000);
+        let tag = |p: Preset| format!("\"preset\": \"{}\"", p.tag());
+        let text = sys.state_snap().render();
+        let relabelled = snapshot::Json::parse(&text.replacen(&tag(from), &tag(to), 1));
+        let restored = System::from_state_snap(&relabelled.expect("relabelled state parses"));
+        let label = format!("{core} {} state relabelled {}", from.tag(), to.tag());
+        assert_eq!(restored.map(|s| s.preset()).ok(), None, "{label}");
+    }
+}
+
+#[test]
+fn overridden_configuration_survives_a_roundtrip() {
+    // The configuration a campaign override changes is the only
+    // configuration the payload keeps: the unit's list length and the
+    // ctxQueue (absent, or with its depth).
+    type Override = fn(&mut System);
+    let cells: [(CoreKind, Preset, &str, Override); 4] = [
+        (CoreKind::Cv32e40p, Preset::Slt, "list length 16", |s| {
+            s.set_unit_list_len(16)
+        }),
+        (CoreKind::NaxRiscv, Preset::Split, "ctxQueue depth 4", |s| {
+            s.platform.set_ctx_queue_depth(4)
+        }),
+        (
+            CoreKind::NaxRiscv,
+            Preset::Slt,
+            "arbitration at the bus",
+            |s| s.platform.set_unit_arbitration(false),
+        ),
+        (
+            CoreKind::Cv32e40p,
+            Preset::Slt,
+            "arbitration in the LSU",
+            |s| s.platform.set_unit_arbitration(true),
+        ),
+    ];
+    for (core, preset, what, apply) in cells {
+        let label = format!("{core}/{} with {what}", preset.tag());
+        let original = assert_invisible_roundtrip(&label, Mode::Batched, || {
+            let mut sys = single_hart_system(core, preset, false);
+            apply(&mut sys);
+            sys
+        });
+        assert!(!original.records().is_empty(), "{label}: no episodes");
+    }
+}
+
+#[test]
+fn payloads_hold_no_configuration_the_machine_fixes() {
+    // What the core kind, the preset or the memory map fix — geometry,
+    // unit features, capacities, wiring — and mirrors of other fields
+    // stay out of the payload.
+    const FIXED: &str = "len_words sets ways line_words policy hit_latency miss_penalty \
+        cfg model depth unit_shares_cache masters bypass_invalidate auto_timer_reset mhartid \
+        mcycle prev_mask core_used_this_cycle console_len ext_len inflight_len lines_len";
+    let mut texts = Vec::new();
+    for (core, preset) in [
+        (CoreKind::Cva6, Preset::Slt),
+        (CoreKind::NaxRiscv, Preset::Split),
+    ] {
+        let mut sys = single_hart_system(core, preset, false);
+        sys.run(20_000);
+        texts.push(sys.snapshot().render());
+    }
+    let spec = smp_scenario_for_seed(CoreKind::Cva6, Preset::Slt, 2, 17);
+    let mut smp = smp_scenario_system(&spec);
+    smp.run(2_500);
+    texts.push(smp.snapshot().render());
+    for (text, key) in texts
+        .iter()
+        .flat_map(|t| FIXED.split_whitespace().map(move |k| (t, k)))
+    {
+        assert!(
+            !text.contains(&format!("\"{key}\":")),
+            "payload holds `{key}`"
+        );
+    }
 }
