@@ -113,9 +113,9 @@ else
   echo "   (python3 unavailable — relying on tests/faults.rs)"
 fi
 
-echo "== perfdiff regression gate (deterministic metrics, zero tolerance)"
+echo "== perfdiff regression gate (simulated metrics, zero tolerance)"
 cargo run -q --release -p rtosunit-bench --bin perfdiff -- \
-  ci/perf_baseline.json results/fig_tail_quick.json --no-throughput --tolerance 0 > /dev/null
+  ci/perf_baseline.json results/fig_tail_quick.json > /dev/null
 
 echo "== snapshot smoke (roundtrip, resume determinism, fork, time travel)"
 # The snapshot contract: a restored system is byte-identical to one that
@@ -139,11 +139,6 @@ cargo run -q --release -p rtosunit-bench --bin snap -- \
   fork results/snap_boot.json 4 20000 > /dev/null
 cargo run -q --release -p rtosunit-bench --bin checkfuzz -- \
   travel --cycles 60000 > /dev/null
-
-echo "== perfdiff throughput gate (relative mode, 10% tolerance)"
-cargo bench -q -p rtosunit-bench --bench bench_campaign > /dev/null
-cargo run -q --release -p rtosunit-bench --bin perfdiff -- \
-  ci/bench_baseline.json results/BENCH_campaign.json --relative --tolerance 0.10
 
 echo "== guest flamegraph smoke test"
 cargo run -q --release -p rtosunit-bench --bin guest_profile > /dev/null

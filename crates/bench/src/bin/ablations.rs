@@ -103,7 +103,6 @@ fn spec() -> CampaignSpec {
                 },
             );
             run.label = Some(format!("tick/{}/tasks_{n}", preset.label()));
-            run.overrides.push(ConfigOverride::UnitListLen(16));
             run.filter = FilterPolicy::WarmupTimerTicks;
             spec.runs.push(run);
         }

@@ -5,7 +5,6 @@
 //! `EXPERIMENTS.md`.
 
 pub mod chrome_trace;
-pub mod harness;
 
 /// Writes `content` to `results/<name>` (best effort) and echoes it to
 /// stdout, so figure data survives the run.

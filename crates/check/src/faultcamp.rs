@@ -21,18 +21,17 @@
 //!    in dead state.
 //!
 //! Reference and faulted runs are both built with
-//! [`KernelBuilder::protect`] on, so the protection overhead is part of
-//! the baseline and a timing difference always means the *fault* caused
-//! it.
+//! [`freertos_lite::KernelBuilder::protect`] on, so the protection
+//! overhead is part of the baseline and a timing difference always means
+//! the *fault* caused it.
 
 use crate::oracle;
 use crate::scenario::{self, ScenarioSpec};
 use crate::shrink::ddmin;
 use freertos_lite::klayout::{canary_addr, tcb, KernelLayout, NUM_PRIOS};
-use freertos_lite::KernelBuilder;
 use rtosbench::campaign::panic_message;
 use rtosunit::events::{DETECT_CANARY, DETECT_CHECKSUM, DETECT_WATCHDOG};
-use rtosunit::{EventTrace, System, TraceEvent};
+use rtosunit::{EventTrace, TraceEvent};
 use rvsim_cores::{CoreKind, FaultEvent, FaultPlan, FaultTargets};
 use rvsim_isa::csr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -113,28 +112,7 @@ pub struct FaultRunReport {
 /// the probed event trace, the number of faults applied, and whether the
 /// guest halted itself.
 pub fn trace_protected(spec: &ScenarioSpec, plan: Option<FaultPlan>) -> (EventTrace, usize, bool) {
-    let mut k = KernelBuilder::new(spec.preset);
-    k.tick_period(spec.tick_period).probe(true).protect(true);
-    for (j, initial) in spec.sems.iter().enumerate() {
-        k.semaphore(&format!("s{j}"), *initial);
-    }
-    if let Some(j) = spec.ext_sem {
-        k.ext_irq_gives(&format!("s{j}"));
-    }
-    for (i, t) in spec.tasks.iter().enumerate() {
-        let script = t.script.clone();
-        k.task(&format!("t{i}"), t.prio, move |ctx| {
-            scenario::emit_task(ctx, i as u32, &script);
-        });
-    }
-    let image = k.build().expect("protected scenario builds");
-
-    let mut sys = System::new(spec.core, spec.preset);
-    image.install(&mut sys);
-    sys.enable_tracing(1 << 15);
-    for &cycle in &spec.ext_irqs {
-        sys.schedule_external_irq(cycle);
-    }
+    let mut sys = scenario::build_system(spec, true);
     if let Some(p) = plan {
         sys.attach_fault_plan(p);
     }

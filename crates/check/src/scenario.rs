@@ -172,8 +172,15 @@ pub(crate) fn emit_task(ctx: &mut freertos_lite::TaskCtx, task_id: u32, script: 
 /// Panics if the generated kernel fails to build — a harness bug, not a
 /// kernel bug.
 pub fn scenario_system(spec: &ScenarioSpec) -> System {
+    build_system(spec, false)
+}
+
+/// [`scenario_system`] with the kernel's self-protection
+/// ([`KernelBuilder::protect`]) switched on or off. The fault campaign
+/// builds its scenarios here too, so they cannot drift from the oracle's.
+pub(crate) fn build_system(spec: &ScenarioSpec, protect: bool) -> System {
     let mut k = KernelBuilder::new(spec.preset);
-    k.tick_period(spec.tick_period).probe(true);
+    k.tick_period(spec.tick_period).probe(true).protect(protect);
     for (j, initial) in spec.sems.iter().enumerate() {
         k.semaphore(&format!("s{j}"), *initial);
     }

@@ -120,8 +120,10 @@ impl RtosUnitConfig {
     }
 
     /// This configuration with hardware lists of `list_len` slots — the
-    /// one check both the list-length override and snapshot restore go
-    /// through.
+    /// one check the kernel builder, [`System::set_unit_list_len`] and
+    /// snapshot restore go through.
+    ///
+    /// [`System::set_unit_list_len`]: crate::System::set_unit_list_len
     ///
     /// # Errors
     ///

@@ -131,8 +131,8 @@ impl System {
     }
 
     /// Rebuilds the attached RTOSUnit with a different hardware list
-    /// capacity (only before the guest boots; used by the task-count
-    /// scaling studies).
+    /// capacity (only before the guest boots; `GuestImage::install` sizes
+    /// the lists to the kernel's capacity through this).
     ///
     /// # Panics
     ///

@@ -35,6 +35,9 @@ pub enum KernelError {
     NoTasks,
     /// An SMP task's affinity mask selects no hart of the system.
     BadAffinity(String, u32),
+    /// A hardware list capacity the unit cannot be built with (see
+    /// [`rtosunit::RtosUnitConfig::with_list_len`]).
+    BadListLen(usize),
 }
 
 impl fmt::Display for KernelError {
@@ -54,6 +57,7 @@ impl fmt::Display for KernelError {
             KernelError::BadAffinity(n, m) => {
                 write!(f, "task `{n}` affinity {m:#x} selects no hart")
             }
+            KernelError::BadListLen(n) => write!(f, "no hardware list holds {n} slots"),
         }
     }
 }
@@ -307,9 +311,9 @@ impl KernelBuilder {
         self
     }
 
-    /// Sets the hardware list capacity the kernel may assume (must match
-    /// the attached unit's `list_len`; default 8). Bounds the task count
-    /// in hardware-scheduled configurations.
+    /// Sets the hardware list capacity (default 8). Bounds the task count
+    /// in hardware-scheduled configurations, and [`GuestImage::install`]
+    /// sizes the unit's lists to it.
     pub fn hw_list_len(&mut self, len: usize) -> &mut Self {
         self.hw_list_len = len;
         self
@@ -401,7 +405,11 @@ impl KernelBuilder {
                 }
             }
         }
-        if n > crate::klayout::MAX_TASKS || (self.preset.has_sched() && n > self.hw_list_len) {
+        let hw_lists = rtosunit::RtosUnitConfig::from_preset(self.preset).filter(|c| c.sched);
+        if hw_lists.is_some_and(|c| c.with_list_len(self.hw_list_len).is_err()) {
+            return Err(KernelError::BadListLen(self.hw_list_len));
+        }
+        if n > crate::klayout::MAX_TASKS || (hw_lists.is_some() && n > self.hw_list_len) {
             return Err(KernelError::TooManyTasks(n));
         }
 
@@ -587,6 +595,7 @@ impl KernelBuilder {
             preset: self.preset,
             layout,
             tick_period: self.tick_period,
+            hw_list_len: self.hw_list_len,
             task_names,
             sem_names: self.sems.iter().map(|(s, _)| s.clone()).collect(),
         })
@@ -606,6 +615,8 @@ pub struct GuestImage {
     pub layout: KernelLayout,
     /// Timer tick period in cycles.
     pub tick_period: u32,
+    /// Hardware ready/delay list capacity the kernel was built for.
+    pub hw_list_len: usize,
     /// `(name, priority)` per task id (the idle task is last).
     pub task_names: Vec<(String, u8)>,
     /// Semaphore names in declaration order.
@@ -613,7 +624,8 @@ pub struct GuestImage {
 }
 
 impl GuestImage {
-    /// Installs the image into a [`System`] (text, data, tick period).
+    /// Installs the image into a [`System`] (text, data, tick period and,
+    /// on presets with hardware scheduling, the unit's list capacity).
     ///
     /// # Panics
     ///
@@ -631,6 +643,9 @@ impl GuestImage {
             sys.platform.dmem.write_word(*addr, *value);
         }
         sys.set_timer_period(self.tick_period);
+        if self.preset.has_sched() {
+            sys.set_unit_list_len(self.hw_list_len);
+        }
     }
 
     /// Task id of the named task.
@@ -682,6 +697,21 @@ mod tests {
         }
         // 8 user tasks + idle = 9 > 8 hardware slots.
         assert!(matches!(k.build(), Err(KernelError::TooManyTasks(9))));
+    }
+
+    #[test]
+    fn hw_list_len_must_fit_the_unit_on_scheduling_presets() {
+        let build = |preset: Preset, len: usize| {
+            let mut k = KernelBuilder::new(preset);
+            k.hw_list_len(len).task("a", 1, |_| {});
+            k.build().map(|img| img.hw_list_len)
+        };
+        for len in [0, 65] {
+            assert!(matches!(build(Preset::T, len), Err(KernelError::BadListLen(l)) if l == len));
+            // Without hardware lists the capacity is never used.
+            assert!(build(Preset::Sl, len).is_ok());
+        }
+        assert_eq!(build(Preset::Slt, 64).ok(), Some(64));
     }
 
     #[test]

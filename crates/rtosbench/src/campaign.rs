@@ -72,7 +72,7 @@ impl FilterPolicy {
     }
 }
 
-/// A pre-boot platform/system reconfiguration (the ablation knobs).
+/// A pre-boot platform reconfiguration (the ablation knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigOverride {
     /// ctxQueue depth (paper §5.3); only meaningful on LSU-arbitrated
@@ -80,11 +80,6 @@ pub enum ConfigOverride {
     CtxQueueDepth(usize),
     /// Arbitration level (§5): `true` = LSU (share cache), `false` = bus.
     UnitArbitration(bool),
-    /// Hardware scheduler list capacity; applied only when the preset has
-    /// hardware scheduling.
-    UnitListLen(usize),
-    /// Timer-tick period in cycles.
-    TimerPeriod(u32),
 }
 
 impl ConfigOverride {
@@ -92,12 +87,6 @@ impl ConfigOverride {
         match self {
             ConfigOverride::CtxQueueDepth(d) => sys.platform.set_ctx_queue_depth(d),
             ConfigOverride::UnitArbitration(shares) => sys.platform.set_unit_arbitration(shares),
-            ConfigOverride::UnitListLen(len) => {
-                if sys.preset().has_sched() {
-                    sys.set_unit_list_len(len);
-                }
-            }
-            ConfigOverride::TimerPeriod(p) => sys.set_timer_period(p),
         }
     }
 }
@@ -200,7 +189,7 @@ pub struct RunSpec {
     /// Episode filtering for the measured latencies.
     pub filter: FilterPolicy,
     /// Use the cycle-by-cycle reference loop instead of batched stepping
-    /// (differential testing and throughput baselines).
+    /// (the reference side of differential tests).
     pub stepwise: bool,
     /// Per-run SLO latency budget in cycles; falls back to the campaign's
     /// [`CampaignSpec::slo`] when `None`. Misses are counted exactly at
@@ -617,26 +606,17 @@ impl Campaign {
             .sum()
     }
 
-    /// Aggregate simulation throughput in simulated cycles per host
-    /// second (the campaign self-report for the batching speedup).
-    pub fn cycles_per_second(&self) -> f64 {
-        if self.host_nanos == 0 {
-            return 0.0;
-        }
-        self.simulated_cycles() as f64 / (self.host_nanos as f64 / 1e9)
-    }
-
     /// One-line host-side throughput summary (non-deterministic — kept
     /// out of the JSON artifact).
     pub fn throughput_summary(&self) -> String {
+        let cycles = self.simulated_cycles();
         format!(
-            "campaign `{}`: {} runs, {} simulated cycles in {:.2}s on {} workers ({:.2} Mcycles/s)",
+            "campaign `{}`: {} runs, {cycles} simulated cycles in {:.2}s on {} workers ({:.2} Mcycles/s)",
             self.name,
             self.outcomes.len(),
-            self.simulated_cycles(),
             self.host_nanos as f64 / 1e9,
             self.workers,
-            self.cycles_per_second() / 1e6,
+            cycles as f64 * 1e3 / self.host_nanos.max(1) as f64,
         )
     }
 

@@ -31,7 +31,7 @@ pub use campaign::{
     Campaign, CampaignSpec, ConfigOverride, FailureKind, FilterPolicy, RunFailure, RunOutcome,
     RunSpec, SimOutcome, WorkloadSpec,
 };
-pub use perfdiff::{compare, DiffOptions, DiffReport, MetricDelta};
+pub use perfdiff::{compare, DiffReport, MetricDelta};
 pub use runner::{run_workload, Fig9Row};
 pub use rvsim_snapshot::json;
 pub use rvsim_snapshot::Json;

@@ -10,7 +10,7 @@
 //! scheduling, CV32RT snapshots) where batching must correctly fall back
 //! to per-cycle stepping.
 
-use rtosbench::campaign::{self, Booted, RunSpec, WorkloadSpec};
+use rtosbench::campaign::{self, Booted, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosbench::workloads;
 use rtosunit::{Preset, System};
 use rvsim_cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
@@ -199,4 +199,57 @@ fn batched_run_matches_stepwise_with_a_fault_plan() {
             }
         }
     }
+}
+
+#[test]
+fn fig9_matrix_renders_one_artifact_stepwise_batched_and_in_parallel() {
+    // All 210 cells of the Fig. 9 matrix, through the campaign layer: the
+    // per-cycle reference on one worker, the fast path on one worker and
+    // the fast path on several workers must render the same v1 artifact.
+    let matrix = |stepwise: bool| {
+        let mut spec = CampaignSpec::matrix(
+            "fig9",
+            &CoreKind::ALL,
+            &Preset::LATENCY_SET,
+            &workloads::ALL,
+        );
+        for run in &mut spec.runs {
+            run.stepwise = stepwise;
+        }
+        spec
+    };
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let stepwise = matrix(true).run(1);
+    let batched = matrix(false).run(1);
+    let parallel = matrix(false).run(workers);
+    for (campaign, what, translated) in [
+        (&stepwise, "stepwise", false),
+        (&batched, "batched", true),
+        (&parallel, "parallel", true),
+    ] {
+        assert!(
+            campaign.failures.is_empty(),
+            "{what}: {:?}",
+            campaign.failures
+        );
+        assert_eq!(campaign.outcomes.len(), 210, "{what}: matrix size");
+        for o in &campaign.outcomes {
+            let hits = o.sim.as_ref().expect("simulated cell").counters.block_hits;
+            assert_eq!(
+                hits > 0,
+                translated,
+                "{what} {}: {hits} block hits",
+                o.label
+            );
+        }
+    }
+    let reference = stepwise.to_json().render();
+    assert!(
+        batched.to_json().render() == reference,
+        "batched execution must reproduce the stepwise artifact"
+    );
+    assert!(
+        parallel.to_json().render() == reference,
+        "parallel execution must reproduce the stepwise artifact"
+    );
 }

@@ -10,7 +10,7 @@
 //! then copy `results/fig_tail_quick.json` over the baseline file.
 
 use rtosunit_suite::bench::json::Json;
-use rtosunit_suite::bench::perfdiff::{compare, DiffOptions};
+use rtosunit_suite::bench::perfdiff::compare;
 use rtosunit_suite::bench::tail::tail_spec;
 
 #[test]
@@ -24,12 +24,7 @@ fn quick_tail_campaign_matches_the_committed_baseline() {
 
     let current = tail_spec(true).run(1).to_json();
 
-    let opts = DiffOptions {
-        tolerance: 0.0,
-        check_throughput: false,
-        relative: false,
-    };
-    let report = compare(&baseline, &current, &opts).expect("artifacts are comparable");
+    let report = compare(&baseline, &current).expect("artifacts are comparable");
     assert!(
         !report.deltas.is_empty(),
         "the gate must actually compare metrics"

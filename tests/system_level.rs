@@ -3,10 +3,11 @@
 //! simulator.
 
 use rtosunit_suite::asic::{area_report, power_report};
+use rtosunit_suite::bench::campaign::{self, RunSpec, WorkloadSpec};
 use rtosunit_suite::bench::{run_workload, workloads};
 use rtosunit_suite::cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rtosunit_suite::isa::{decode, Instr};
-use rtosunit_suite::kernel::KernelBuilder;
+use rtosunit_suite::kernel::{GuestImage, KernelBuilder, KernelError};
 use rtosunit_suite::unit::{Preset, System};
 use rtosunit_suite::wcet::analyze_preset;
 
@@ -21,6 +22,42 @@ fn simulation_is_deterministic() {
         run_workload(CoreKind::NaxRiscv, Preset::Split, &short).latencies
     };
     assert_eq!(run(), run());
+}
+
+/// `n` periodic tasks on a kernel built for 16 hardware list slots.
+fn periodic_tasks_on_sixteen_slots(n: u32, preset: Preset) -> Result<GuestImage, KernelError> {
+    let mut k = KernelBuilder::new(preset);
+    k.tick_period(2500).hw_list_len(16);
+    for i in 0..n as usize {
+        let period = (i % 3 + 1) as u32;
+        k.task(&format!("t{i}"), (i % 6 + 1) as u8, move |t| {
+            t.compute(6);
+            t.delay(period);
+        });
+    }
+    k.build()
+}
+
+#[test]
+fn the_image_sizes_the_hardware_lists() {
+    // The list capacity is stated once, on the kernel builder: a 12-task
+    // image built for 16 slots boots on (T) with nothing else to set.
+    let spec = RunSpec::new(
+        CoreKind::Cv32e40p,
+        Preset::T,
+        WorkloadSpec::Custom {
+            name: "tick_periodic",
+            param: 12,
+            build: periodic_tasks_on_sixteen_slots,
+            run_cycles: 100_000,
+        },
+    );
+    let out = campaign::simulate(&spec, None).expect("kernel builds");
+    assert!(
+        out.raw_records.len() > 20,
+        "{} switches",
+        out.raw_records.len()
+    );
 }
 
 #[test]
