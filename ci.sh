@@ -17,6 +17,16 @@ if grep -rln --include='*.rs' '^#!\[cfg(' tests crates/*/tests; then
   exit 1
 fi
 
+echo "== no trait-object bus or coprocessor in the simulator"
+# The engine's drivers are generic over the data bus and the coprocessor,
+# so every data access, bus-clock advance and co-stepped unit cycle is a
+# direct, inlinable call. A `dyn` reintroduced here costs ~13% of host
+# time on the Fig. 9 campaign, and nothing else in CI times the engine.
+if grep -rn 'dyn DataBus\|dyn Coprocessor' crates/*/src; then
+  echo "the lines above put a vtable call on the simulator's hot path" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 

@@ -13,9 +13,14 @@
 //!   Both modes are recorded in the replay artifact, so shrink and
 //!   replay reproduce under the same engine path. Failures are shrunk
 //!   to minimal counterexamples and written to `results/repro/*.json`;
-//!   the exit code is non-zero if anything failed.
+//!   the exit code is non-zero if anything failed. A run that panics
+//!   (say, a wild guest access the simulator refuses) is a failure too:
+//!   its seed, core, mode and panic message are reported, its unshrunk
+//!   episode is written as a replayable `*_panic.json` artifact, and
+//!   fuzzing goes on, up to the same cap of 20 failures.
 //! * `checkfuzz replay <path>...` — re-runs replay artifacts
-//!   byte-for-byte; exit code is non-zero if any still fails.
+//!   byte-for-byte; exit code is non-zero if any still fails (a panic
+//!   counts as reproduced).
 //! * `checkfuzz selftest` — injects a known executor bug (flipped `sltu`
 //!   carry in the golden model), verifies the lockstep harness catches
 //!   it, shrinks it, round-trips the artifact through disk and replays
@@ -36,6 +41,7 @@ use rvsim_check::{artifact, episode_for_seed, run_episode, run_scenario, scenari
 use rvsim_check::{shrink_episode, shrink_scenario, travel_selfcheck, Fault};
 use rvsim_cores::CoreKind;
 use rvsim_isa::progen::GenConfig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -77,9 +83,17 @@ fn write_artifact(name: &str, doc: &Json) -> PathBuf {
     path
 }
 
+/// Runs `f`, returning the message of a panic instead of unwinding.
+/// Callers silence the default panic hook around it (see `cmd_fuzz`).
+fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(rtosbench::campaign::panic_message)
+}
+
 /// One fuzz iteration: even seeds run a lockstep episode (core rotating),
 /// odd seeds run an oracle scenario (core x preset rotating). Returns the
-/// artifact name written on failure.
+/// artifact name written on failure. A panicking run is a failure whose
+/// artifact holds the unshrunk episode, since the shrinker's predicate
+/// would panic as well.
 fn fuzz_one(seed: u64, blocks: bool, snap: bool) -> Option<String> {
     let core = CoreKind::ALL[(seed / 2 % 3) as usize];
     if seed.is_multiple_of(2) {
@@ -90,12 +104,24 @@ fn fuzz_one(seed: u64, blocks: bool, snap: bool) -> Option<String> {
         let mut ep = episode_for_seed(core, seed, cfg);
         ep.blocks = blocks;
         ep.snap = snap;
-        let mismatch = run_episode(&ep).err()?;
         let mode = match (blocks, snap) {
             (true, true) => " blocks+snap",
             (true, false) => " blocks",
             (false, true) => " snap",
             (false, false) => "",
+        };
+        let file_mode = mode.replace([' ', '+'], "_");
+        let mismatch = match catch_panic(|| run_episode(&ep)) {
+            Ok(outcome) => outcome.err()?,
+            Err(message) => {
+                eprintln!("lockstep{mode} PANIC core={core} seed={seed}: {message}");
+                let name = format!("lockstep{file_mode}_{core}_{seed}_panic.json");
+                write_artifact(
+                    &name,
+                    &artifact::lockstep_panic_to_json(&ep, seed, &message),
+                );
+                return Some(name);
+            }
         };
         eprintln!("lockstep{mode} FAIL core={core} seed={seed}: {mismatch}");
         // `EpisodeSpec::blocks`/`snap` ride along through the shrink (the
@@ -103,16 +129,24 @@ fn fuzz_one(seed: u64, blocks: bool, snap: bool) -> Option<String> {
         // the artifact, so the repro replays under the same engine path.
         let small = shrink_episode(&ep);
         let m = run_episode(&small).expect_err("shrunk episode still fails");
-        let name = format!(
-            "lockstep{}_{core}_{seed}.json",
-            mode.replace([' ', '+'], "_")
-        );
+        let name = format!("lockstep{file_mode}_{core}_{seed}.json");
         write_artifact(&name, &artifact::lockstep_to_json(&small, seed, &m));
         Some(name)
     } else {
         let preset = ORACLE_PRESETS[(seed / 6 % 6) as usize];
         let spec = scenario_for_seed(core, preset, seed);
-        let violation = run_scenario(&spec).err()?;
+        let violation = match catch_panic(|| run_scenario(&spec)) {
+            Ok(outcome) => outcome.err()?,
+            Err(message) => {
+                eprintln!("oracle PANIC {preset} core={core} seed={seed}: {message}");
+                let name = format!("oracle_{}_{core}_{seed}_panic.json", preset.tag());
+                write_artifact(
+                    &name,
+                    &artifact::oracle_panic_to_json(&spec, seed, &message),
+                );
+                return Some(name);
+            }
+        };
         eprintln!("oracle FAIL {preset} core={core} seed={seed}: {violation}");
         let small = shrink_scenario(&spec);
         let v = run_scenario(&small).expect_err("shrunk scenario still fails");
@@ -131,6 +165,9 @@ fn cmd_fuzz(args: &[String]) -> i32 {
     let mut seed = start;
     let mut failures = Vec::new();
     let mut runs = 0u64;
+    // A panicking run is reported by `fuzz_one`; the default hook would
+    // only repeat its message with a backtrace hint.
+    std::panic::set_hook(Box::new(|_| {}));
     while Instant::now() < deadline && failures.len() < 20 {
         if let Some(name) = fuzz_one(seed, blocks, snap) {
             failures.push(name);
@@ -138,6 +175,7 @@ fn cmd_fuzz(args: &[String]) -> i32 {
         runs += 1;
         seed += 1;
     }
+    let _ = std::panic::take_hook();
     let mut modes = String::new();
     if blocks {
         modes.push_str(" [blocks]");
@@ -155,45 +193,50 @@ fn cmd_fuzz(args: &[String]) -> i32 {
     i32::from(!failures.is_empty())
 }
 
-/// Re-runs one artifact; `Ok(true)` means it reproduced (still fails).
+/// Re-runs one artifact; `Ok(true)` means it reproduced (still fails,
+/// a panic included).
 fn replay_file(path: &str) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e:?}"))?;
-    match doc.get("kind").and_then(Json::as_str) {
+    let outcome = match doc.get("kind").and_then(Json::as_str) {
         Some("lockstep") => {
             let ep = artifact::lockstep_from_json(&doc)
                 .ok_or_else(|| format!("{path}: malformed lockstep artifact"))?;
-            match run_episode(&ep) {
-                Err(m) => {
-                    println!("{path}: reproduced: {m}");
-                    Ok(true)
-                }
-                Ok(stats) => {
-                    println!("{path}: clean ({} retires)", stats.retired);
-                    Ok(false)
-                }
-            }
+            catch_panic(|| match run_episode(&ep) {
+                Err(m) => Err(m.to_string()),
+                Ok(stats) => Ok(format!("{} retires", stats.retired)),
+            })
         }
         Some("oracle") => {
             let spec = artifact::oracle_from_json(&doc)
                 .ok_or_else(|| format!("{path}: malformed oracle artifact"))?;
-            match run_scenario(&spec) {
-                Err(v) => {
-                    println!("{path}: reproduced: {v}");
-                    Ok(true)
-                }
-                Ok(stats) => {
-                    println!("{path}: clean ({} scheds)", stats.scheds);
-                    Ok(false)
-                }
-            }
+            catch_panic(|| match run_scenario(&spec) {
+                Err(v) => Err(v.to_string()),
+                Ok(stats) => Ok(format!("{} scheds", stats.scheds)),
+            })
         }
-        k => Err(format!("{path}: unknown artifact kind {k:?}")),
+        k => return Err(format!("{path}: unknown artifact kind {k:?}")),
+    };
+    match outcome {
+        Ok(Ok(summary)) => {
+            println!("{path}: clean ({summary})");
+            Ok(false)
+        }
+        Ok(Err(failure)) => {
+            println!("{path}: reproduced: {failure}");
+            Ok(true)
+        }
+        Err(message) => {
+            println!("{path}: reproduced: panicked: {message}");
+            Ok(true)
+        }
     }
 }
 
 fn cmd_replay(paths: &[String]) -> i32 {
     let mut reproduced = false;
+    // A reproduced panic is reported by `replay_file`.
+    std::panic::set_hook(Box::new(|_| {}));
     for p in paths {
         match replay_file(p) {
             Ok(r) => reproduced |= r,

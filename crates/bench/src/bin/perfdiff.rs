@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Exit status: 0 when the gate passes, 1 when any metric got worse or a
-//! baseline run is missing, 2 on usage/IO/parse errors. Every compared
-//! metric is a simulated-cycle figure, so the gate has zero tolerance.
+//! baseline run is missing, 2 on usage/IO/parse errors and when either
+//! document has no `runs` array or the baseline has no gated metric (an
+//! emptied baseline never passes). Every compared metric is a
+//! simulated-cycle figure, so the gate has zero tolerance.
 
 use rtosbench::{compare, Json};
 use std::process::ExitCode;

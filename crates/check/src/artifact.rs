@@ -3,7 +3,9 @@
 //! A failure serializes everything needed to re-run it — core kind,
 //! generation config, the (shrunk) op list, the interrupt plan, budgets,
 //! any injected fault, and the observed mismatch — as one JSON document
-//! under `results/repro/`. The `checkfuzz` bin re-runs such files
+//! under `results/repro/`. A run that panicked instead of reporting a
+//! mismatch or violation is written unshrunk, with its panic message in
+//! place of the outcome (`"panic"`). The `checkfuzz` bin re-runs such files
 //! byte-for-byte; nothing references generator internals except the stable
 //! numeric [`GenOp`] field encoding, so artifacts survive generator
 //! *distribution* changes (new probability tables) though not op-format
@@ -24,6 +26,25 @@ pub const VERSION: u64 = 1;
 /// Serializes a failing lockstep episode (plus the mismatch it produced
 /// and the seed it came from) to JSON.
 pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Json {
+    lockstep_spec_json(ep, seed).with(
+        "mismatch",
+        Json::object()
+            .with("field", Json::Str(mismatch.field.clone()))
+            .with("engine", Json::UInt(u64::from(mismatch.engine)))
+            .with("golden", Json::UInt(u64::from(mismatch.golden)))
+            .with("retired", Json::UInt(mismatch.retired))
+            .with("cycle", Json::UInt(mismatch.cycle)),
+    )
+}
+
+/// Serializes a lockstep episode whose run panicked (plus the panic
+/// message and the seed it came from) to JSON.
+pub fn lockstep_panic_to_json(ep: &EpisodeSpec, seed: u64, message: &str) -> Json {
+    lockstep_spec_json(ep, seed).with("panic", Json::Str(message.into()))
+}
+
+/// Everything [`lockstep_from_json`] reads back: the runnable episode.
+fn lockstep_spec_json(ep: &EpisodeSpec, seed: u64) -> Json {
     let cfg = ep.spec.cfg;
     let ops = ep
         .spec
@@ -65,15 +86,6 @@ pub fn lockstep_to_json(ep: &EpisodeSpec, seed: u64, mismatch: &Mismatch) -> Jso
         )
         .with("ops", Json::Array(ops))
         .with("irqs", Json::Array(irqs))
-        .with(
-            "mismatch",
-            Json::object()
-                .with("field", Json::Str(mismatch.field.clone()))
-                .with("engine", Json::UInt(u64::from(mismatch.engine)))
-                .with("golden", Json::UInt(u64::from(mismatch.golden)))
-                .with("retired", Json::UInt(mismatch.retired))
-                .with("cycle", Json::UInt(mismatch.cycle)),
-        )
 }
 
 fn num_i64(j: &Json) -> Option<i64> {
@@ -176,6 +188,22 @@ fn action_from_json(j: &Json) -> Option<Action> {
 /// Serializes a failing oracle scenario (plus the violation it produced
 /// and the seed it came from) to JSON.
 pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> Json {
+    oracle_spec_json(spec, seed).with(
+        "violation",
+        Json::object()
+            .with("cycle", Json::UInt(violation.cycle))
+            .with("message", Json::Str(violation.message.clone())),
+    )
+}
+
+/// Serializes an oracle scenario whose run panicked (plus the panic
+/// message and the seed it came from) to JSON.
+pub fn oracle_panic_to_json(spec: &ScenarioSpec, seed: u64, message: &str) -> Json {
+    oracle_spec_json(spec, seed).with("panic", Json::Str(message.into()))
+}
+
+/// Everything [`oracle_from_json`] reads back: the runnable scenario.
+fn oracle_spec_json(spec: &ScenarioSpec, seed: u64) -> Json {
     let tasks = spec
         .tasks
         .iter()
@@ -216,12 +244,6 @@ pub fn oracle_to_json(spec: &ScenarioSpec, seed: u64, violation: &Violation) -> 
         .with(
             "ext_irqs",
             Json::Array(spec.ext_irqs.iter().map(|&c| Json::UInt(c)).collect()),
-        )
-        .with(
-            "violation",
-            Json::object()
-                .with("cycle", Json::UInt(violation.cycle))
-                .with("message", Json::Str(violation.message.clone())),
         )
 }
 
@@ -349,6 +371,29 @@ mod tests {
         assert!(oracle_from_json(&Json::Null).is_none());
         let wrong_kind = Json::object().with("kind", Json::Str("lockstep".into()));
         assert!(oracle_from_json(&wrong_kind).is_none());
+    }
+
+    #[test]
+    fn panic_artifacts_roundtrip_with_their_message() {
+        use crate::scenario::scenario_for_seed;
+
+        let mut ep = episode_for_seed(CoreKind::Cv32e40p, 4892, GenConfig::default());
+        ep.blocks = true;
+        let doc = lockstep_panic_to_json(&ep, 4892, "address outside RAM");
+        let parsed = Json::parse(&doc.render()).expect("rendered artifact parses");
+        assert_eq!(lockstep_from_json(&parsed), Some(ep));
+        assert_eq!(
+            parsed.get("panic").and_then(Json::as_str),
+            Some("address outside RAM")
+        );
+        assert!(parsed.get("mismatch").is_none());
+
+        let spec = scenario_for_seed(CoreKind::Cva6, Preset::Slt, 5);
+        let doc = oracle_panic_to_json(&spec, 5, "boom");
+        let parsed = Json::parse(&doc.render()).expect("rendered artifact parses");
+        assert_eq!(oracle_from_json(&parsed), Some(spec));
+        assert_eq!(parsed.get("panic").and_then(Json::as_str), Some("boom"));
+        assert!(parsed.get("violation").is_none());
     }
 
     #[test]

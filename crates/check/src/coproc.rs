@@ -142,7 +142,7 @@ impl Coprocessor for ScratchCoproc {
         self.0.exec(op, rs1, rs2)
     }
 
-    fn step(&mut self, _state: &mut ArchState, _bus: &mut dyn DataBus) {}
+    fn step<B: DataBus>(&mut self, _state: &mut ArchState, _bus: &mut B) {}
 
     fn is_idle(&self) -> bool {
         true

@@ -174,7 +174,7 @@ impl Coprocessor for Cv32rtUnit {
         panic!("CV32RT does not implement custom instruction {op}")
     }
 
-    fn step(&mut self, _state: &mut ArchState, bus: &mut dyn DataBus) {
+    fn step<B: DataBus>(&mut self, _state: &mut ArchState, bus: &mut B) {
         if self.remaining == 0 {
             return;
         }

@@ -426,61 +426,73 @@ impl Platform {
     }
 }
 
-impl DataBus for Platform {
-    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
-        self.arb.core_request();
-
-        if Self::is_mmio(addr) {
-            // IPI doorbell registers, live only with an SMP attachment;
-            // intercepted here so `Mmio` itself stays single-hart.
-            if let Some(link) = &self.smp {
-                match (addr & !0x3, write) {
-                    (MMIO_IPI_SEND, Some(v)) => {
-                        link.shared
-                            .borrow_mut()
-                            .send_ipi((v >> 8) as usize, v & 0xFF);
-                        return BusResponse {
-                            data: 0,
-                            extra_latency: 0,
-                        };
-                    }
-                    (MMIO_IPI_RECV, None) => {
-                        let hart = link.hart;
-                        let code = link.shared.borrow_mut().recv_ipi(hart);
-                        return BusResponse {
-                            data: code,
-                            extra_latency: 1,
-                        };
-                    }
-                    _ => {}
-                }
-            }
-            return match write {
-                Some(v) => {
-                    self.mmio.write(addr, v);
-                    if self.trace.is_some() {
-                        match addr & !0x3 {
-                            MMIO_TRACE => self.record(match PhaseCode::decode(v) {
-                                Some(p) => TraceEvent::Phase(p),
-                                None => match crate::events::decode_fault_mark(v) {
-                                    Some(detector) => TraceEvent::FaultDetected { detector },
-                                    None => TraceEvent::GuestMark { value: v },
-                                },
-                            }),
-                            MMIO_HALT => self.record(TraceEvent::Halted),
-                            _ => {}
-                        }
-                    }
-                    BusResponse {
+impl Platform {
+    /// A core access to the MMIO window: the device registers, plus the
+    /// IPI doorbells when attached to an SMP composition. Out of line and
+    /// cold, so that the per-access DMEM path of
+    /// [`core_access`](DataBus::core_access) stays small.
+    #[cold]
+    #[inline(never)]
+    fn mmio_access(&mut self, addr: u32, write: Option<u32>) -> BusResponse {
+        // IPI doorbell registers, live only with an SMP attachment;
+        // intercepted here so `Mmio` itself stays single-hart.
+        if let Some(link) = &self.smp {
+            match (addr & !0x3, write) {
+                (MMIO_IPI_SEND, Some(v)) => {
+                    link.shared
+                        .borrow_mut()
+                        .send_ipi((v >> 8) as usize, v & 0xFF);
+                    return BusResponse {
                         data: 0,
                         extra_latency: 0,
+                    };
+                }
+                (MMIO_IPI_RECV, None) => {
+                    let hart = link.hart;
+                    let code = link.shared.borrow_mut().recv_ipi(hart);
+                    return BusResponse {
+                        data: code,
+                        extra_latency: 1,
+                    };
+                }
+                _ => {}
+            }
+        }
+        match write {
+            Some(v) => {
+                self.mmio.write(addr, v);
+                if self.trace.is_some() {
+                    match addr & !0x3 {
+                        MMIO_TRACE => self.record(match PhaseCode::decode(v) {
+                            Some(p) => TraceEvent::Phase(p),
+                            None => match crate::events::decode_fault_mark(v) {
+                                Some(detector) => TraceEvent::FaultDetected { detector },
+                                None => TraceEvent::GuestMark { value: v },
+                            },
+                        }),
+                        MMIO_HALT => self.record(TraceEvent::Halted),
+                        _ => {}
                     }
                 }
-                None => BusResponse {
-                    data: self.mmio.read(addr),
-                    extra_latency: 1,
-                },
-            };
+                BusResponse {
+                    data: 0,
+                    extra_latency: 0,
+                }
+            }
+            None => BusResponse {
+                data: self.mmio.read(addr),
+                extra_latency: 1,
+            },
+        }
+    }
+}
+
+impl DataBus for Platform {
+    #[inline]
+    fn core_access(&mut self, addr: u32, size: AccessSize, write: Option<u32>) -> BusResponse {
+        self.arb.core_request();
+        if Self::is_mmio(addr) {
+            return self.mmio_access(addr, write);
         }
 
         let data = match write {
@@ -535,6 +547,7 @@ impl DataBus for Platform {
         }
     }
 
+    #[inline]
     fn unit_access(&mut self, addr: u32, write: Option<u32>) -> Option<u32> {
         // The processor always has priority (§4.2 (2)); the bus must also
         // be free of refill/write-through traffic.
@@ -587,6 +600,7 @@ impl DataBus for Platform {
         }
     }
 
+    #[inline]
     fn unit_pending(&self) -> u32 {
         match &self.ctx_queue {
             Some(q) => q.pending_at(self.mmio.mtime) as u32,
@@ -594,6 +608,7 @@ impl DataBus for Platform {
         }
     }
 
+    #[inline]
     fn advance_cycles(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -608,6 +623,7 @@ impl DataBus for Platform {
             .saturating_sub(cycles.min(u64::from(u32::MAX)) as u32);
     }
 
+    #[inline]
     fn take_attention(&mut self) -> bool {
         std::mem::take(&mut self.mmio.attention)
     }

@@ -9,11 +9,12 @@ use crate::platform::Platform;
 use crate::stats::{LatencyStats, SwitchRecord};
 use crate::unit::{RtosUnit, UnitStats};
 use rvsim_cores::{
-    make_engine, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind, FaultPlan,
-    NullCoprocessor,
+    make_engine, ArchState, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus, FaultKind,
+    FaultPlan, NullCoprocessor,
 };
-use rvsim_isa::{csr, Program};
+use rvsim_isa::{csr, CustomOp, Program};
 use rvsim_snapshot::{self as snap, Json, SnapError};
+use std::collections::VecDeque;
 
 /// Default timer-tick period in cycles.
 pub const DEFAULT_TICK_PERIOD: u32 = 2000;
@@ -36,12 +37,71 @@ enum UnitBox {
     Cv32rt(Cv32rtUnit),
 }
 
-impl UnitBox {
-    fn as_coproc(&mut self) -> &mut dyn Coprocessor {
+/// The attached unit as the engine's coprocessor: a `match` per hook, so
+/// the engine runs one monomorphized hot path over `(Platform, UnitBox)`
+/// whatever the preset, and each unit's hooks are direct calls the
+/// compiler may inline.
+impl Coprocessor for UnitBox {
+    #[inline]
+    fn on_interrupt_entry(&mut self, state: &mut ArchState, cause: u32) {
         match self {
-            UnitBox::None(u) => u,
-            UnitBox::Rtos(u) => u,
-            UnitBox::Cv32rt(u) => u,
+            UnitBox::None(u) => u.on_interrupt_entry(state, cause),
+            UnitBox::Rtos(u) => u.on_interrupt_entry(state, cause),
+            UnitBox::Cv32rt(u) => u.on_interrupt_entry(state, cause),
+        }
+    }
+
+    #[inline]
+    fn mret_stall(&self) -> bool {
+        match self {
+            UnitBox::None(u) => u.mret_stall(),
+            UnitBox::Rtos(u) => u.mret_stall(),
+            UnitBox::Cv32rt(u) => u.mret_stall(),
+        }
+    }
+
+    #[inline]
+    fn on_mret(&mut self, state: &mut ArchState) {
+        match self {
+            UnitBox::None(u) => u.on_mret(state),
+            UnitBox::Rtos(u) => u.on_mret(state),
+            UnitBox::Cv32rt(u) => u.on_mret(state),
+        }
+    }
+
+    #[inline]
+    fn custom_stall(&self, op: CustomOp) -> bool {
+        match self {
+            UnitBox::None(u) => u.custom_stall(op),
+            UnitBox::Rtos(u) => u.custom_stall(op),
+            UnitBox::Cv32rt(u) => u.custom_stall(op),
+        }
+    }
+
+    #[inline]
+    fn exec_custom(&mut self, op: CustomOp, rs1: u32, rs2: u32, state: &mut ArchState) -> u32 {
+        match self {
+            UnitBox::None(u) => u.exec_custom(op, rs1, rs2, state),
+            UnitBox::Rtos(u) => u.exec_custom(op, rs1, rs2, state),
+            UnitBox::Cv32rt(u) => u.exec_custom(op, rs1, rs2, state),
+        }
+    }
+
+    #[inline]
+    fn step<B: DataBus>(&mut self, state: &mut ArchState, bus: &mut B) {
+        match self {
+            UnitBox::None(u) => u.step(state, bus),
+            UnitBox::Rtos(u) => u.step(state, bus),
+            UnitBox::Cv32rt(u) => u.step(state, bus),
+        }
+    }
+
+    #[inline]
+    fn is_idle(&self) -> bool {
+        match self {
+            UnitBox::None(u) => u.is_idle(),
+            UnitBox::Rtos(u) => u.is_idle(),
+            UnitBox::Cv32rt(u) => u.is_idle(),
         }
     }
 }
@@ -75,7 +135,10 @@ pub struct System {
     records: Vec<SwitchRecord>,
     pending_triggers: [Option<u64>; 3],
     open_episode: Option<(u64, u64, u32)>,
-    ext_schedule: Vec<u64>,
+    /// Scheduled external-IRQ arrivals, latest first: the next arrival
+    /// pops off the back, and an arrival later or earlier than every
+    /// scheduled one lands at an end in O(1).
+    ext_schedule: VecDeque<u64>,
     /// Fault-injection schedule; `None` (the default) costs nothing.
     fault_plan: Option<FaultPlan>,
 }
@@ -110,7 +173,7 @@ impl System {
             records: Vec::new(),
             pending_triggers: [None; 3],
             open_episode: None,
-            ext_schedule: Vec::new(),
+            ext_schedule: VecDeque::new(),
             fault_plan: None,
         }
     }
@@ -155,8 +218,11 @@ impl System {
     }
 
     /// Schedules the external interrupt line to rise at an absolute cycle.
+    /// An arrival scheduled in ascending or descending order lands at an
+    /// end of the schedule and shifts none of it.
     pub fn schedule_external_irq(&mut self, cycle: u64) {
-        // Latest first, so the next arrival pops off the back.
+        // Latest first, so the next arrival pops off the back; `insert`
+        // shifts the shorter side, so either end is O(1).
         let at = self.ext_schedule.partition_point(|&c| c >= cycle);
         self.ext_schedule.insert(at, cycle);
     }
@@ -204,10 +270,10 @@ impl System {
             FaultKind::BusError => self.platform.arm_bus_error(),
             FaultKind::SpuriousIrq => self.platform.raise_external_irq(),
             FaultKind::DropIrq => {
-                self.ext_schedule.pop();
+                self.ext_schedule.pop_back();
             }
             FaultKind::DelayIrq { delay } => {
-                if let Some(next) = self.ext_schedule.pop() {
+                if let Some(next) = self.ext_schedule.pop_back() {
                     self.schedule_external_irq(next + u64::from(delay));
                 }
             }
@@ -325,8 +391,8 @@ impl System {
             }
         }
 
-        while self.ext_schedule.last().is_some_and(|&c| c <= now) {
-            self.ext_schedule.pop();
+        while self.ext_schedule.back().is_some_and(|&c| c <= now) {
+            self.ext_schedule.pop_back();
             self.platform.raise_external_irq();
         }
 
@@ -349,12 +415,10 @@ impl System {
         }
         self.core.state.csrs.mip = mask;
 
-        let out = self.core.step(&mut self.platform, self.unit.as_coproc());
+        let out = self.core.step(&mut self.platform, &mut self.unit);
         self.track_episode(out.event, now);
 
-        self.unit
-            .as_coproc()
-            .step(&mut self.core.state, &mut self.platform);
+        self.unit.step(&mut self.core.state, &mut self.platform);
     }
 
     /// Switch-episode bookkeeping for a core event on cycle `now`: ISR
@@ -420,7 +484,7 @@ impl System {
             // path records the trigger timestamp exactly at the edge.
             horizon = horizon.min((now + delta).saturating_sub(1));
         }
-        if let Some(&next) = self.ext_schedule.last() {
+        if let Some(&next) = self.ext_schedule.back() {
             horizon = horizon.min(next.saturating_sub(1));
         }
         // Stop short of the next planned fault: injection needs the
@@ -428,10 +492,7 @@ impl System {
         if let Some(next) = self.fault_plan.as_ref().and_then(|p| p.next_cycle()) {
             horizon = horizon.min(next.saturating_sub(1));
         }
-        (
-            horizon.saturating_sub(now),
-            !self.unit.as_coproc().is_idle(),
-        )
+        (horizon.saturating_sub(now), !self.unit.is_idle())
     }
 
     /// Runs until the guest halts or `max_cycles` elapse.
@@ -441,7 +502,7 @@ impl System {
     /// [`run_costep`](CoreEngine::run_costep), which dispatch translated
     /// blocks — cycle-exact with [`run_stepwise`](Self::run_stepwise) (the
     /// differential tests assert identical records and counters) but
-    /// without one dynamic dispatch per cycle.
+    /// without the per-cycle system bookkeeping.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let end = self.platform.cycle() + max_cycles;
         loop {
@@ -463,10 +524,10 @@ impl System {
                 // Unit-active batch: the engine co-steps the coprocessor
                 // every consumed cycle, including the exit cycle.
                 self.core
-                    .run_costep(&mut self.platform, self.unit.as_coproc(), budget)
+                    .run_costep(&mut self.platform, &mut self.unit, budget)
             } else {
                 self.core
-                    .run_until(&mut self.platform, self.unit.as_coproc(), budget)
+                    .run_until(&mut self.platform, &mut self.unit, budget)
             };
             self.track_episode(exit.event, self.platform.cycle());
             // The exit cycle's unit step: a no-op unless the final cycle
@@ -474,9 +535,7 @@ impl System {
             // exactly the cycles where the per-cycle path steps a
             // newly-active unit. A co-stepped batch already took it.
             if !costep && exit.cycles > 0 {
-                self.unit
-                    .as_coproc()
-                    .step(&mut self.core.state, &mut self.platform);
+                self.unit.step(&mut self.core.state, &mut self.platform);
             }
         }
     }
@@ -645,7 +704,8 @@ impl System {
             ext_schedule: snap::list_from_json(
                 snap::field(state, "ext_schedule")?,
                 "ext_schedule",
-            )?,
+            )?
+            .into(),
             fault_plan: snap::get_opt(state, "fault_plan", FaultPlan::from_snap)?,
         })
     }
@@ -762,17 +822,30 @@ mod tests {
         a.li(Reg::T0, MMIO_HALT as i32);
         a.sw(Reg::Zero, 0, Reg::T0);
         a.mret();
-        let mut sys = System::new(CoreKind::Cv32e40p, Preset::Vanilla);
-        sys.load_program(&a.finish().expect("assemble"));
+        let program = a.finish().expect("assemble");
+        let boot = |arrivals: &[u64]| {
+            let mut sys = System::new(CoreKind::Cv32e40p, Preset::Vanilla);
+            sys.load_program(&program);
+            for &at in arrivals {
+                sys.schedule_external_irq(at);
+            }
+            sys
+        };
         // Out of order, with a duplicate: kept latest first, so the next
         // arrival pops off the back.
-        for at in [900, 300, 2_000, 600, 300] {
-            sys.schedule_external_irq(at);
-        }
+        let mut sys = boot(&[900, 300, 2_000, 600, 300]);
         assert_eq!(sys.ext_schedule, [2_000, 900, 600, 300, 300]);
         assert_eq!(sys.run(5000), RunExit::Halted);
         // The trigger cycle must match the earliest scheduled assertion,
         // and both arrivals due then have fired.
+        assert!(sys.platform.cycle() >= 300 && sys.platform.cycle() < 600);
+        assert_eq!(sys.ext_schedule, [2_000, 900, 600]);
+
+        // Ascending, as arrival generators emit them (each one lands at
+        // the front), with a duplicate: the same order and the same run.
+        let mut sys = boot(&[300, 300, 600, 900, 2_000]);
+        assert_eq!(sys.ext_schedule, [2_000, 900, 600, 300, 300]);
+        assert_eq!(sys.run(5000), RunExit::Halted);
         assert!(sys.platform.cycle() >= 300 && sys.platform.cycle() < 600);
         assert_eq!(sys.ext_schedule, [2_000, 900, 600]);
     }

@@ -649,7 +649,7 @@ impl Coprocessor for RtosUnit {
         }
     }
 
-    fn step(&mut self, state: &mut ArchState, bus: &mut dyn DataBus) {
+    fn step<B: DataBus>(&mut self, state: &mut ArchState, bus: &mut B) {
         if let Some(s) = self.sched.as_mut() {
             s.step();
         }

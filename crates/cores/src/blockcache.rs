@@ -1,7 +1,7 @@
 //! Basic-block translation cache: pre-decoded micro-op superblocks.
 //!
 //! The interpreter pays a fetch → micro-op cache probe → gate checks per
-//! instruction, plus one virtual `DataBus` call per cycle. This module
+//! instruction, plus one `DataBus` clock advance per cycle. This module
 //! pre-decodes straight-line guest code into dense [`Uop`] buffers once
 //! (dual-issue pairs and fusible macro-op pairs resolved statically) and
 //! dispatches whole blocks, batching the bus clock into one
@@ -126,12 +126,14 @@ impl BlockCache {
         }
     }
 
+    #[inline]
     fn word_index(&self, addr: u32) -> usize {
         ((addr - self.base) / 4) as usize
     }
 
     /// The live block entered at `pc`, translating it if needed. `None`
     /// means the PC must execute on the interpreter path.
+    #[inline]
     fn lookup_or_build(
         &mut self,
         pc: u32,
@@ -142,30 +144,40 @@ impl BlockCache {
         let idx = self.word_index(pc);
         match self.map[idx] {
             MAP_FALLBACK => None,
-            MAP_NONE => match build_block(params, imem, pc) {
-                Some(block) => {
-                    counters.block_builds += 1;
-                    self.stats.entry(pc).or_default().builds += 1;
-                    let slot = match self.free.pop() {
-                        Some(s) => {
-                            self.blocks[s as usize] = Some(block);
-                            s
-                        }
-                        None => {
-                            self.blocks.push(Some(block));
-                            (self.blocks.len() - 1) as u32
-                        }
-                    };
-                    self.map[idx] = slot + 1;
-                    Some(slot)
-                }
-                None => {
-                    self.map[idx] = MAP_FALLBACK;
-                    None
-                }
-            },
+            MAP_NONE => self.build_at(idx, pc, params, imem, counters),
             entry => Some(entry - 1),
         }
+    }
+
+    /// Translates the block entered at `pc`, map word `idx`, into a free
+    /// slot, or marks the word as a fallback when it has no translation.
+    #[inline(never)]
+    fn build_at(
+        &mut self,
+        idx: usize,
+        pc: u32,
+        params: &TimingParams,
+        imem: &Mem,
+        counters: &mut CoreCounters,
+    ) -> Option<u32> {
+        let Some(block) = build_block(params, imem, pc) else {
+            self.map[idx] = MAP_FALLBACK;
+            return None;
+        };
+        counters.block_builds += 1;
+        self.stats.entry(pc).or_default().builds += 1;
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.blocks[s as usize] = Some(block);
+                s
+            }
+            None => {
+                self.blocks.push(Some(block));
+                (self.blocks.len() - 1) as u32
+            }
+        };
+        self.map[idx] = slot + 1;
+        Some(slot)
     }
 
     fn kill_slot(&mut self, slot: u32) {
@@ -381,10 +393,10 @@ impl CoreEngine {
     /// after every consumed cycle, in exactly the per-cycle platform
     /// order (core work first, then the coprocessor's port cycle);
     /// otherwise `coproc` is left alone.
-    pub(crate) fn try_blocks<const COSTEP: bool>(
+    pub(crate) fn try_blocks<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         remaining: u64,
     ) -> BlockOutcome {
         let mut cache = self.blocks.take().unwrap_or_else(|| {
@@ -393,16 +405,16 @@ impl CoreEngine {
                 self.imem.end() - self.imem.base(),
             ))
         });
-        let out = self.run_blocks::<COSTEP>(&mut cache, bus, coproc, remaining);
+        let out = self.run_blocks::<COSTEP, B, C>(&mut cache, bus, coproc, remaining);
         self.blocks = Some(cache);
         out
     }
 
-    fn run_blocks<const COSTEP: bool>(
+    fn run_blocks<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
         cache: &mut BlockCache,
-        bus: &mut dyn DataBus,
-        co: &mut dyn Coprocessor,
+        bus: &mut B,
+        co: &mut C,
         remaining: u64,
     ) -> BlockOutcome {
         let entry_cycle = self.cycle;
@@ -429,7 +441,7 @@ impl CoreEngine {
             };
             self.counters.block_hits += 1;
             let block = cache.blocks[slot as usize].as_mut().expect("live slot");
-            let (exit, fused, any) = self.dispatch_block::<COSTEP>(
+            let (exit, fused, any) = self.dispatch_block::<COSTEP, B, C>(
                 &block.steps,
                 bus,
                 co,
@@ -489,11 +501,11 @@ impl CoreEngine {
     /// coprocessor sees is bit-identical to per-cycle stepping; `lag`
     /// stays zero in that mode.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch_block<const COSTEP: bool>(
+    fn dispatch_block<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
         steps: &[Step],
-        bus: &mut dyn DataBus,
-        co: &mut dyn Coprocessor,
+        bus: &mut B,
+        co: &mut C,
         remaining: u64,
         entry_cycle: u64,
         lag: &mut u64,
@@ -541,7 +553,7 @@ impl CoreEngine {
                 }
                 Step::Fused(first, second) => {
                     self.issue(*first, pc, false, bus, co, lag);
-                    self.fused_mid_cycle::<COSTEP>(bus, co, lag);
+                    self.fused_mid_cycle::<COSTEP, B, C>(bus, co, lag);
                     fused_execs += 1;
                     self.issue(*second, second_pc, false, bus, co, lag)
                 }
@@ -574,10 +586,10 @@ impl CoreEngine {
     /// the coprocessor's step for the finished cycle and advances the bus
     /// clock; plain dispatch just accrues lag.
     #[inline]
-    fn fused_mid_cycle<const COSTEP: bool>(
+    fn fused_mid_cycle<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        co: &mut dyn Coprocessor,
+        bus: &mut B,
+        co: &mut C,
         lag: &mut u64,
     ) {
         if COSTEP {

@@ -11,6 +11,11 @@ use crate::state::ArchState;
 use rvsim_isa::CustomOp;
 
 /// Hooks called by the [`CoreEngine`](crate::engine::CoreEngine).
+///
+/// The engine's drivers are generic over the coprocessor and the
+/// [`DataBus`], so each (bus, coprocessor) pair runs one monomorphized hot
+/// path with no virtual call per cycle. The generic [`step`](Self::step)
+/// keeps the trait from being used as a trait object.
 pub trait Coprocessor {
     /// Called once per interrupt entry, after the architectural entry
     /// (mepc/mcause/mstatus) completed. The unit may switch register banks
@@ -34,8 +39,9 @@ pub trait Coprocessor {
     fn exec_custom(&mut self, op: CustomOp, rs1: u32, rs2: u32, state: &mut ArchState) -> u32;
 
     /// One background cycle: FSMs may use an idle data-port cycle via
-    /// [`DataBus::unit_access`].
-    fn step(&mut self, state: &mut ArchState, bus: &mut dyn DataBus);
+    /// [`DataBus::unit_access`]. Generic over the bus, so the unit's
+    /// port calls are direct calls the compiler may inline.
+    fn step<B: DataBus>(&mut self, state: &mut ArchState, bus: &mut B);
 
     /// Whether the unit has no background work in flight — no store or
     /// restore FSM activity, no pending scheduler sort, no preload to run —
@@ -70,7 +76,7 @@ impl Coprocessor for NullCoprocessor {
         panic!("custom instruction {op} executed on a core without an RTOSUnit")
     }
 
-    fn step(&mut self, _state: &mut ArchState, _bus: &mut dyn DataBus) {}
+    fn step<B: DataBus>(&mut self, _state: &mut ArchState, _bus: &mut B) {}
 
     fn is_idle(&self) -> bool {
         true

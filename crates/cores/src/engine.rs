@@ -185,49 +185,49 @@ impl BlockStats {
 
 /// Fixed-depth ring of the last retired `(cycle, pc)` pairs — the
 /// "recent instructions" debug trace. Replaces a `VecDeque` in the
-/// per-retirement hot path: a push is one store plus a wrapping bump,
-/// never a shift or reallocation.
+/// per-retirement hot path: a push is one store plus a masked bump, never
+/// a shift, a reallocation or a bounds check.
 pub(crate) struct RetireRing {
-    buf: Box<[(u64, u32)]>,
+    buf: [(u64, u32); RETIRE_DEPTH],
     /// Next write slot.
     head: usize,
     len: usize,
 }
 
 impl RetireRing {
-    fn new(depth: usize) -> RetireRing {
+    fn new() -> RetireRing {
         RetireRing {
-            buf: vec![(0, 0); depth].into_boxed_slice(),
+            buf: [(0, 0); RETIRE_DEPTH],
             head: 0,
             len: 0,
         }
     }
 
-    /// Records a retirement, dropping the oldest entry once full.
+    /// Records a retirement, dropping the oldest entry once full. The
+    /// masked index needs no bounds check.
     #[inline]
     pub(crate) fn push(&mut self, entry: (u64, u32)) {
-        self.buf[self.head] = entry;
-        self.head += 1;
-        if self.head == self.buf.len() {
-            self.head = 0;
-        }
-        if self.len < self.buf.len() {
+        let head = self.head & (RETIRE_DEPTH - 1);
+        self.buf[head] = entry;
+        self.head = (head + 1) & (RETIRE_DEPTH - 1);
+        if self.len < RETIRE_DEPTH {
             self.len += 1;
         }
     }
 
     /// Entries oldest-first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let depth = self.buf.len();
-        let start = self.head + depth - self.len;
-        (0..self.len).map(move |i| self.buf[(start + i) % depth])
+        let start = self.head + RETIRE_DEPTH - self.len;
+        (0..self.len).map(move |i| self.buf[(start + i) % RETIRE_DEPTH])
     }
 }
 
 /// Two-bit branch-predictor counters per engine, indexed by PC.
 const PREDICTOR_ENTRIES: usize = 256;
-/// Depth of the retire-trace ring.
+/// Depth of the retire-trace ring; a power of two, so the ring's head
+/// wraps with a mask.
 const RETIRE_DEPTH: usize = 64;
+const _: () = assert!(RETIRE_DEPTH.is_power_of_two());
 
 /// A cycle-stepped RV32IM_Zicsr core. Construct via
 /// [`make_engine`](crate::models::make_engine) or [`CoreEngine::new`].
@@ -285,7 +285,7 @@ impl CoreEngine {
             cycle: 0,
             retired: 0,
             predictor: vec![1; PREDICTOR_ENTRIES],
-            trace: RetireRing::new(RETIRE_DEPTH),
+            trace: RetireRing::new(),
             counters: CoreCounters::default(),
             profiler: None,
             wfi_pc: 0,
@@ -427,13 +427,22 @@ impl CoreEngine {
 
     /// The interpreter's fetch through the per-word micro-op cache,
     /// counting hits and misses. Block dispatch never comes here, so the
-    /// two counters describe interpreted fetches only.
+    /// two counters describe interpreted fetches only. The hit path
+    /// inlines into the per-cycle driver; a miss decodes out of line.
+    #[inline]
     fn fetch(&mut self, pc: u32) -> Uop {
         let idx = ((pc - self.imem.base()) / 4) as usize;
         if let Some(Some(u)) = self.decoded.get(idx) {
             self.counters.decode_hits += 1;
             return *u;
         }
+        self.fetch_miss(pc, idx)
+    }
+
+    /// A micro-op cache miss at `pc`, IMEM word `idx`: decode, count and
+    /// remember it.
+    #[inline(never)]
+    fn fetch_miss(&mut self, pc: u32, idx: usize) -> Uop {
         self.counters.decode_misses += 1;
         let word = self.imem.read_word(pc);
         let instr = decode(word).unwrap_or_else(|e| {
@@ -490,7 +499,8 @@ impl CoreEngine {
 
     /// Whether the coprocessor holds `uop` at issue this cycle: a custom
     /// instruction or `mret` it refuses while its FSMs are busy.
-    fn coproc_stalls(uop: &Uop, coproc: &dyn Coprocessor) -> bool {
+    #[inline]
+    fn coproc_stalls<C: Coprocessor>(uop: &Uop, coproc: &C) -> bool {
         match *uop {
             Uop::Custom { op, .. } => coproc.custom_stall(op),
             Uop::Mret => coproc.mret_stall(),
@@ -500,6 +510,7 @@ impl CoreEngine {
 
     /// The cause of the interrupt the core takes at its next instruction
     /// boundary, if any: pending, enabled in `mie`, and globally enabled.
+    #[inline]
     pub(crate) fn takeable_interrupt(&self) -> Option<u32> {
         let csrs = &self.state.csrs;
         csrs.mie_enabled()
@@ -507,6 +518,7 @@ impl CoreEngine {
             .flatten()
     }
 
+    #[inline]
     pub(crate) fn predict_taken(&mut self, pc: u32, actual: bool) -> bool {
         let idx = ((pc >> 2) as usize) % self.predictor.len();
         let counter = &mut self.predictor[idx];
@@ -524,7 +536,7 @@ impl CoreEngine {
     /// The platform must have refreshed `state.csrs.mip` before calling
     /// this, and should step the coprocessor *after* it (the RTOSUnit uses
     /// the data-port cycles the core left idle).
-    pub fn step(&mut self, bus: &mut dyn DataBus, coproc: &mut dyn Coprocessor) -> StepOutput {
+    pub fn step<B: DataBus, C: Coprocessor>(&mut self, bus: &mut B, coproc: &mut C) -> StepOutput {
         self.cycle += 1;
         let mut out = StepOutput::default();
         if self.halted {
@@ -614,10 +626,10 @@ impl CoreEngine {
 
     /// Runs until the guest halts or `max_cycles` elapse. Returns the
     /// number of cycles executed.
-    pub fn run_with(
+    pub fn run_with<B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         max_cycles: u64,
     ) -> u64 {
         let start = self.cycle;
@@ -644,13 +656,13 @@ impl CoreEngine {
     /// Stops at the first of: a [`CoreEvent`], a custom (coprocessor)
     /// instruction executing, the bus raising attention, or the budget
     /// running out.
-    pub fn run_until(
+    pub fn run_until<B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         max_cycles: u64,
     ) -> BatchExit {
-        self.run_batch::<false>(bus, coproc, max_cycles)
+        self.run_batch::<false, B, C>(bus, coproc, max_cycles)
     }
 
     /// Runs a *unit-active* batch: the coprocessor has background work
@@ -670,21 +682,21 @@ impl CoreEngine {
     /// cycle here anyway. And every consumed cycle *including the final
     /// one* has already taken its coprocessor step — the caller must not
     /// step it again.
-    pub fn run_costep(
+    pub fn run_costep<B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         max_cycles: u64,
     ) -> BatchExit {
-        self.run_batch::<true>(bus, coproc, max_cycles)
+        self.run_batch::<true, B, C>(bus, coproc, max_cycles)
     }
 
     /// The batch loop behind [`run_until`](Self::run_until) and, with
     /// `COSTEP`, [`run_costep`](Self::run_costep).
-    fn run_batch<const COSTEP: bool>(
+    fn run_batch<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         max_cycles: u64,
     ) -> BatchExit {
         let start = self.cycle;
@@ -745,7 +757,7 @@ impl CoreEngine {
             // pre-decoded blocks per dispatch.
             let mut ran = None;
             if self.busy == 0 && !self.wfi_wait && self.takeable_interrupt().is_none() {
-                match self.try_blocks::<COSTEP>(bus, coproc, remaining) {
+                match self.try_blocks::<COSTEP, B, C>(bus, coproc, remaining) {
                     BlockOutcome::Ran { event, attention } => ran = Some((event, attention)),
                     BlockOutcome::NotEngaged if COSTEP => {
                         self.skip_coproc_stall(bus, coproc, start + max_cycles);
@@ -794,7 +806,12 @@ impl CoreEngine {
     /// keep every gate input constant, so the caller checking the gates
     /// once is exact. (The stall state itself lives in the coprocessor
     /// and only moves in its `step`, so it is re-checked every cycle.)
-    fn skip_coproc_stall(&mut self, bus: &mut dyn DataBus, coproc: &mut dyn Coprocessor, end: u64) {
+    fn skip_coproc_stall<B: DataBus, C: Coprocessor>(
+        &mut self,
+        bus: &mut B,
+        coproc: &mut C,
+        end: u64,
+    ) {
         let pc = self.state.pc;
         if pc & 3 != 0 {
             return;
@@ -919,13 +936,14 @@ impl CoreEngine {
                 "engine: retire ring head {head}/len {len} out of range for depth {RETIRE_DEPTH}"
             )));
         }
-        let cycles = snap::runs_from_json(snap::field(trace_v, "cycles")?, RETIRE_DEPTH)?;
-        let pcs = snap::runs_from_json(snap::field(trace_v, "pcs")?, RETIRE_DEPTH)?;
-        let trace = RetireRing {
-            buf: cycles.into_iter().zip(pcs).collect(),
-            head,
-            len,
-        };
+        let cycles = snap::runs_from_json::<u64>(snap::field(trace_v, "cycles")?, RETIRE_DEPTH)?;
+        let pcs = snap::runs_from_json::<u32>(snap::field(trace_v, "pcs")?, RETIRE_DEPTH)?;
+        let mut trace = RetireRing::new();
+        for (slot, entry) in trace.buf.iter_mut().zip(cycles.into_iter().zip(pcs)) {
+            *slot = entry;
+        }
+        trace.head = head;
+        trace.len = len;
         let profiler = snap::get_opt(value, "profile", |v| {
             PcProfile::from_snap(v, imem_base, imem_size).map(Box::new)
         })?;

@@ -133,8 +133,9 @@ fn csr_access(s: &mut ArchState, op: CsrOp, rd: Reg, addr: u16, src: u8, cycle: 
 
 /// A core data access, after catching the bus clock up by the `lag`
 /// cycles block dispatch still owes it.
-fn access(
-    bus: &mut dyn DataBus,
+#[inline(always)]
+fn access<B: DataBus>(
+    bus: &mut B,
     lag: &mut u64,
     addr: u32,
     size: AccessSize,
@@ -159,13 +160,13 @@ impl CoreEngine {
     /// The rarely taken bodies (CSR access, multiply/divide, the
     /// misaligned trap) stay out of line to keep the inlined copies small.
     #[inline(always)]
-    pub(crate) fn issue(
+    pub(crate) fn issue<B: DataBus, C: Coprocessor>(
         &mut self,
         uop: Uop,
         pc: u32,
         leads_pair: bool,
-        bus: &mut dyn DataBus,
-        coproc: &mut dyn Coprocessor,
+        bus: &mut B,
+        coproc: &mut C,
         lag: &mut u64,
     ) -> Issued {
         let p = &self.params;
@@ -382,11 +383,11 @@ mod tests {
     }
 
     /// Issues `instr` as the instruction at `pc`, on a scratch bus.
-    fn issue_with(
+    fn issue_with<C: Coprocessor>(
         e: &mut CoreEngine,
         instr: Instr,
         pc: u32,
-        coproc: &mut dyn Coprocessor,
+        coproc: &mut C,
     ) -> Issued {
         let mut bus = SramBus::new(0x2000_0000, 0x100);
         e.issue(lower(&instr, pc), pc, false, &mut bus, coproc, &mut 0)
@@ -630,7 +631,7 @@ mod tests {
                 self.0 = Some((op, a, b));
                 0x77
             }
-            fn step(&mut self, _: &mut ArchState, _: &mut dyn DataBus) {}
+            fn step<B: DataBus>(&mut self, _: &mut ArchState, _: &mut B) {}
         }
         let mut e = fresh();
         e.state.write_reg(Reg::A0, 3);

@@ -123,7 +123,7 @@ impl Coprocessor for StallingCoproc {
         0
     }
 
-    fn step(&mut self, _state: &mut ArchState, _bus: &mut dyn DataBus) {
+    fn step<B: DataBus>(&mut self, _state: &mut ArchState, _bus: &mut B) {
         self.stall_left = self.stall_left.saturating_sub(1);
     }
 }

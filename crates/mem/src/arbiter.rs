@@ -53,6 +53,7 @@ impl Arbiter {
     ///
     /// Panics if the unit already holds the grant this cycle — the system
     /// must always offer the cycle to the core first.
+    #[inline]
     pub fn core_request(&mut self) {
         assert_ne!(
             self.grant,
@@ -64,6 +65,7 @@ impl Arbiter {
 
     /// Attempts to claim the current cycle for the unit; succeeds only when
     /// the core left the cycle idle.
+    #[inline]
     pub fn unit_try_acquire(&mut self) -> bool {
         if self.grant.is_none() {
             self.grant = Some(PortClient::Unit);
@@ -74,11 +76,13 @@ impl Arbiter {
     }
 
     /// Current grant holder, if any.
+    #[inline]
     pub fn grant(&self) -> Option<PortClient> {
         self.grant
     }
 
     /// Finishes the cycle and updates occupancy statistics.
+    #[inline]
     pub fn end_cycle(&mut self) {
         self.cycles += 1;
         match self.grant {
@@ -99,6 +103,7 @@ impl Arbiter {
     /// [`end_cycle`] before idle cycles can be skipped.
     ///
     /// [`end_cycle`]: Self::end_cycle
+    #[inline]
     pub fn skip_idle_cycles(&mut self, n: u64) {
         assert_eq!(self.grant, None, "skip_idle_cycles with an open grant");
         self.cycles += n;

@@ -92,6 +92,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `log2` of the line size in bytes: an address shifted right by it
+    /// is its line address.
+    line_shift: u32,
+    /// `log2` of the set count: a line address shifted right by it is its
+    /// tag.
+    set_shift: u32,
     lines: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -114,6 +120,8 @@ impl Cache {
         assert!(cfg.ways > 0, "ways must be non-zero");
         Cache {
             cfg,
+            line_shift: (cfg.line_words * 4).trailing_zeros(),
+            set_shift: cfg.sets.trailing_zeros(),
             lines: vec![Line::default(); (cfg.sets * cfg.ways) as usize],
             tick: 0,
             hits: 0,
@@ -131,15 +139,16 @@ impl Cache {
         (self.hits, self.misses)
     }
 
-    fn line_bytes(&self) -> u32 {
-        self.cfg.line_words * 4
-    }
-
+    /// The set and tag of `addr`. The geometry is a power of two (checked
+    /// in [`new`](Self::new)), so a shift and a mask stand in for the
+    /// divisions by the line size and the set count.
+    #[inline]
     fn set_and_tag(&self, addr: u32) -> (u32, u32) {
-        let line_addr = addr / self.line_bytes();
-        (line_addr % self.cfg.sets, line_addr / self.cfg.sets)
+        let line_addr = addr >> self.line_shift;
+        (line_addr & (self.cfg.sets - 1), line_addr >> self.set_shift)
     }
 
+    #[inline]
     fn set_slice(&mut self, set: u32) -> &mut [Line] {
         let start = (set * self.cfg.ways) as usize;
         &mut self.lines[start..start + self.cfg.ways as usize]
@@ -147,6 +156,7 @@ impl Cache {
 
     /// Performs one access and returns its timing outcome, updating tags,
     /// valid/dirty bits and LRU state.
+    #[inline]
     pub fn access(&mut self, addr: u32, is_write: bool) -> CacheOutcome {
         self.tick += 1;
         let tick = self.tick;
@@ -279,10 +289,7 @@ impl Cache {
 
     /// Whether the line containing `addr` is currently resident.
     pub fn probe(&self, addr: u32) -> bool {
-        let (set, tag) = {
-            let line_addr = addr / self.line_bytes();
-            (line_addr % self.cfg.sets, line_addr / self.cfg.sets)
-        };
+        let (set, tag) = self.set_and_tag(addr);
         let start = (set * self.cfg.ways) as usize;
         self.lines[start..start + self.cfg.ways as usize]
             .iter()
@@ -394,6 +401,27 @@ mod tests {
             Cache::from_snap(&short, *c.config()).is_err(),
             "short line array"
         );
+    }
+
+    #[test]
+    fn shift_and_mask_indexing_matches_division() {
+        for cfg in [
+            CacheConfig::cva6_data(),
+            CacheConfig::naxriscv_data(),
+            *tiny(WritePolicy::WriteBack).config(),
+        ] {
+            let c = Cache::new(cfg);
+            let line_bytes = cfg.line_words * 4;
+            let scattered = (0..4096u32).map(|i| i.wrapping_mul(0x9e37_79b9));
+            for addr in scattered.chain([0, 4, 0x2000_0000, 0x2000_ffff, u32::MAX]) {
+                let line = addr / line_bytes;
+                assert_eq!(
+                    c.set_and_tag(addr),
+                    (line % cfg.sets, line / cfg.sets),
+                    "{cfg:?} at {addr:#010x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ pub enum AccessSize {
 
 impl AccessSize {
     /// Number of bytes transferred.
+    #[inline]
     pub fn bytes(self) -> u32 {
         match self {
             AccessSize::Byte => 1,
@@ -69,20 +70,24 @@ impl Mem {
     }
 
     /// First byte address served by this RAM.
+    #[inline]
     pub fn base(&self) -> u32 {
         self.base
     }
 
     /// One past the last byte address served by this RAM.
+    #[inline]
     pub fn end(&self) -> u32 {
         self.base + (self.words.len() as u32) * 4
     }
 
     /// Whether `addr` falls inside this RAM.
+    #[inline]
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && addr < self.end()
     }
 
+    #[inline]
     fn index(&self, addr: u32) -> usize {
         assert!(
             self.contains(addr),
@@ -99,6 +104,7 @@ impl Mem {
     ///
     /// Panics on out-of-range or misaligned access — in this simulator a
     /// wild guest access is a test failure, not a recoverable condition.
+    #[inline]
     pub fn read(&self, addr: u32, size: AccessSize) -> u32 {
         let word = self.words[self.index(addr)];
         match size {
@@ -119,6 +125,7 @@ impl Mem {
     /// # Panics
     ///
     /// Panics on out-of-range or misaligned access.
+    #[inline]
     pub fn write(&mut self, addr: u32, size: AccessSize, value: u32) {
         let idx = self.index(addr);
         let word = &mut self.words[idx];
@@ -140,11 +147,13 @@ impl Mem {
     }
 
     /// Convenience word read (word-aligned `addr`).
+    #[inline]
     pub fn read_word(&self, addr: u32) -> u32 {
         self.read(addr, AccessSize::Word)
     }
 
     /// Convenience word write (word-aligned `addr`).
+    #[inline]
     pub fn write_word(&mut self, addr: u32, value: u32) {
         self.write(addr, AccessSize::Word, value);
     }

@@ -8,8 +8,10 @@
 //! worse is a regression: the gate has zero tolerance. Runs are matched
 //! by label, so reordering never produces spurious diffs; baseline runs
 //! missing from the current artifact fail the gate (a silently dropped
-//! run is a regression too). Host time is not gated here; perfbench
-//! measures it.
+//! run is a regression too). The gate never passes vacuously: a document
+//! without a `runs` array, or a baseline with no gated metric, is an
+//! error rather than an empty comparison. Host time is not gated here;
+//! perfbench measures it.
 
 use crate::json::Json;
 
@@ -110,10 +112,15 @@ struct Row {
 ///
 /// # Errors
 ///
-/// Returns a message when either document is not a campaign artifact.
+/// Returns a message when either document is not a campaign artifact or
+/// has no `runs` array, or when the baseline holds no gated metric: an
+/// emptied baseline must not pass the gate.
 pub fn compare(baseline: &Json, current: &Json) -> Result<DiffReport, String> {
-    let base_rows = extract(baseline)?;
-    let cur_rows = extract(current)?;
+    let base_rows = extract(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cur_rows = extract(current).map_err(|e| format!("current: {e}"))?;
+    if base_rows.is_empty() {
+        return Err("baseline: no run carries a gated metric".to_string());
+    }
 
     let mut deltas = Vec::new();
     let mut missing = Vec::new();
@@ -162,8 +169,11 @@ fn extract(doc: &Json) -> Result<Vec<Row>, String> {
         Some(s) => return Err(format!("`{s}` is not a campaign artifact schema")),
         None => return Err("document carries no `schema` field".to_string()),
     }
+    let runs = doc
+        .get("runs")
+        .and_then(Json::as_array)
+        .ok_or("document carries no `runs` array")?;
     let mut rows = Vec::new();
-    let runs = doc.get("runs").and_then(Json::as_array).unwrap_or(&[]);
     for run in runs {
         let Some(label) = run.get("label").and_then(Json::as_str) else {
             continue;
@@ -276,6 +286,46 @@ mod tests {
         assert!(e.contains("not a campaign artifact"), "{e}");
         let e = compare(&Json::object(), &campaign_doc(1.0, 1)).expect_err("no schema");
         assert!(e.contains("no `schema`"), "{e}");
+    }
+
+    /// `doc` with its `runs` field replaced by `runs` (removed if `None`).
+    fn with_runs(mut doc: Json, runs: Option<Json>) -> Json {
+        if let Json::Object(pairs) = &mut doc {
+            pairs.retain(|(k, _)| k != "runs");
+        }
+        if let Some(runs) = runs {
+            doc.push("runs", runs);
+        }
+        doc
+    }
+
+    #[test]
+    fn a_document_without_a_runs_array_is_an_error() {
+        for runs in [None, Some(Json::from("none")), Some(Json::Null)] {
+            let bare = with_runs(campaign_doc(70.0, 90), runs);
+            let e = compare(&bare, &campaign_doc(70.0, 90)).expect_err("baseline");
+            assert!(
+                e.contains("baseline") && e.contains("no `runs` array"),
+                "{e}"
+            );
+            let e = compare(&campaign_doc(70.0, 90), &bare).expect_err("current");
+            assert!(
+                e.contains("current") && e.contains("no `runs` array"),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_baseline_without_gated_metrics_is_an_error() {
+        let unsimulated = Json::object()
+            .with("label", "a/b/c")
+            .with("sim", Json::Null);
+        for runs in [Vec::new(), vec![unsimulated]] {
+            let empty = with_runs(campaign_doc(70.0, 90), Some(Json::from(runs)));
+            let e = compare(&empty, &campaign_doc(70.0, 90)).expect_err("vacuous gate");
+            assert!(e.contains("no run carries a gated metric"), "{e}");
+        }
     }
 
     #[test]
