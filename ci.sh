@@ -103,6 +103,22 @@ else
   echo "   (python3 unavailable — relying on tests/perfgate.rs)"
 fi
 
+echo "== campaign figure smoke (fig9 --quick, extension_sync, fig_smp, ablations)"
+# These figures read the campaign outcome (latencies, per-episode causes,
+# trace-mark counts, bus and ctxQueue counters) in ways no other step
+# does; together they take about 2 s.
+for f in fig9_quick extension_sync fig_smp ablations; do
+  rm -f "results/$f.txt" "results/$f.json"
+done
+cargo run -q --release -p rtosunit-bench --bin fig9 -- --quick > /dev/null
+cargo run -q --release -p rtosunit-bench --bin extension_sync > /dev/null
+cargo run -q --release -p rtosunit-bench --bin fig_smp > /dev/null
+cargo run -q --release -p rtosunit-bench --bin ablations > /dev/null
+for f in fig9_quick extension_sync fig_smp ablations; do
+  test -s "results/$f.txt"
+  test -s "results/$f.json"
+done
+
 echo "== fault-injection smoke (fig_faults --quick; tier-1 campaign is tests/faults.rs)"
 # The ~200-injection tier-1 slice runs inside `cargo test` above
 # (crates/check/tests/faults.rs). This step smoke-tests the figure bin:

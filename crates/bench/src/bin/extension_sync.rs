@@ -65,7 +65,7 @@ fn main() {
             "{:<10} {:<10} {:>14} {:>16.1}\n",
             o.core.name(),
             o.preset.label(),
-            sim.trace_marks.len(),
+            sim.trace_marks,
             mean
         ));
     }

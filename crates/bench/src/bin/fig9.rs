@@ -44,7 +44,7 @@ fn main() {
             .and_then(|o| o.sim.as_ref())
             .expect("SLT interrupt_latency is in the matrix");
         out.push_str(&format!("### {core} (SLT) per-cause (interrupt_latency)\n"));
-        out.push_str(&trace::summary_table(&slt.records));
+        out.push_str(&trace::summary_table(slt.episodes()));
         out.push('\n');
     }
     out.push_str(&rtosunit_bench::paper_note(&[

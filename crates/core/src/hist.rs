@@ -3,12 +3,15 @@
 //! [`LatencyHistogram`] is an HDR-style log-linear histogram: values below
 //! [`SUB_BUCKETS`] are counted exactly, every higher octave is split into
 //! [`SUB_BUCKETS`] equal sub-buckets, so the relative quantisation error is
-//! bounded by `1 / SUB_BUCKETS` (~3.1%) at a fixed ~15 KiB footprint —
-//! small enough to keep one histogram per waterfall phase per campaign
-//! cell at full campaign scale. Recording is O(1), merging is an array
-//! add (exactly associative and commutative — per-worker histograms
-//! combine into the same aggregate regardless of worker count or merge
-//! order), and percentile queries walk the counts once.
+//! bounded by `1 / SUB_BUCKETS` (~3.1%). Its counters run only up to the
+//! highest bucket recorded so far: an empty histogram holds none, and
+//! samples below 512 cycles need at most 160 (1.25 KiB) of the
+//! [`BUCKETS`] that cover the `u64` range, so every campaign cell keeps
+//! one histogram per waterfall phase at a few hundred bytes each.
+//! Recording is O(1) once the array covers the value, merging is an
+//! array add (exactly associative and commutative — per-worker
+//! histograms combine into the same aggregate regardless of worker count
+//! or merge order), and percentile queries walk the counts once.
 //!
 //! [`SwitchMetrics`] bundles the per-switch latency histogram with one
 //! histogram per waterfall phase (`entry`/`save`/`sched`/`restore`) and an
@@ -41,6 +44,9 @@ pub const REPORTED_PERCENTILES: [(&str, f64); 5] = [
 /// A mergeable log-linear (HDR-style) histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
+    /// Counters of buckets `0..counts.len()`: empty, or ending in the
+    /// highest bucket holding a sample, so it never ends in a zero and
+    /// equal histograms hold equal arrays.
     counts: Box<[u64]>,
     count: u64,
     min: u64,
@@ -85,11 +91,11 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram. Allocates its full fixed-size count array
-    /// (`BUCKETS` × 8 bytes ≈ 15 KiB).
+    /// An empty histogram. Allocates nothing: the counters grow to the
+    /// highest bucket a sample lands in.
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
-            counts: vec![0; BUCKETS].into_boxed_slice(),
+            counts: Box::default(),
             count: 0,
             min: u64::MAX,
             max: 0,
@@ -107,7 +113,9 @@ impl LatencyHistogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket_index(v)] += n;
+        let i = bucket_index(v);
+        self.cover(i + 1);
+        self.counts[i] += n;
         self.count += n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -170,10 +178,12 @@ impl LatencyHistogram {
         Some(out)
     }
 
-    /// Merges `other` into `self`: plain array addition plus min/max/total
-    /// folds, so the operation is exactly associative and commutative and
-    /// conserves the recorded count.
+    /// Merges `other` into `self`: the counters grow to cover `other`'s,
+    /// then plain array addition plus min/max/total folds, so the
+    /// operation is exactly associative and commutative and conserves the
+    /// recorded count.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        self.cover(other.counts.len());
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -181,6 +191,18 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.total = self.total.wrapping_add(other.total);
+    }
+
+    /// Grows the counters, zero-filled, to at least `len` buckets. The
+    /// array is reallocated to its exact length, so a histogram holds no
+    /// spare capacity.
+    fn cover(&mut self, len: usize) {
+        if self.counts.len() < len {
+            let mut counts = std::mem::take(&mut self.counts).into_vec();
+            counts.reserve_exact(len - counts.len());
+            counts.resize(len, 0);
+            self.counts = counts.into_boxed_slice();
+        }
     }
 }
 
@@ -395,13 +417,19 @@ mod tests {
 
     #[test]
     fn merge_is_associative_commutative_and_conserves_counts() {
+        // Each part draws from its own value range (below 2^4 up to below
+        // 2^39), so the parts hold counter arrays of different lengths
+        // and every merge order grows the accumulator differently.
         let mut rng = Rng64::new(9);
         let mut parts: Vec<LatencyHistogram> = Vec::new();
+        let mut whole = LatencyHistogram::new();
         let mut grand_total = 0u64;
-        for _ in 0..8 {
+        for k in 0..8 {
             let mut h = LatencyHistogram::new();
             for _ in 0..rng.below(500) {
-                h.record(rng.below(1 << 20));
+                let v = rng.below(1 << (4 + 5 * k));
+                h.record(v);
+                whole.record(v);
                 grand_total += 1;
             }
             parts.push(h);
@@ -431,6 +459,13 @@ mod tests {
         assert_eq!(forward, backward);
         assert_eq!(forward, shuffled);
         assert_eq!(grouped, nested);
+        // Merged parts equal one histogram fed every sample: same
+        // counters (none trailing zero), min, max, total and percentiles.
+        assert_eq!(forward, whole);
+        assert_ne!(forward.counts.last(), Some(&0));
+        for (_, p) in REPORTED_PERCENTILES {
+            assert_eq!(forward.percentile(p), whole.percentile(p), "p{p}");
+        }
         assert_eq!(forward.count(), grand_total, "count conservation");
         assert_eq!(
             forward.count(),
@@ -488,8 +523,31 @@ mod tests {
     }
 
     #[test]
+    fn counters_stop_at_the_highest_recorded_bucket() {
+        let mut rng = Rng64::new(11);
+        let mut h = LatencyHistogram::new();
+        for _ in 0..5_000 {
+            h.record(rng.below(512));
+            assert!(h.counts.len() <= 160, "{} counters", h.counts.len());
+            assert_ne!(h.counts.last(), Some(&0));
+        }
+        h.record(511);
+        assert_eq!(h.counts.len(), 160);
+        // A sample in a higher bucket grows the array to exactly that
+        // bucket; one in a lower bucket leaves it as it is.
+        h.record(512);
+        assert_eq!(h.counts.len(), bucket_index(512) + 1);
+        h.record(3);
+        assert_eq!(h.counts.len(), bucket_index(512) + 1);
+        let mut top = LatencyHistogram::new();
+        top.record(u64::MAX);
+        assert_eq!(top.counts.len(), BUCKETS);
+    }
+
+    #[test]
     fn empty_histogram_reports_nothing() {
         let h = LatencyHistogram::new();
+        assert!(h.counts.is_empty());
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);

@@ -625,9 +625,10 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Fails on unknown kind/preset tags, malformed state fields, or
-    /// state the preset's machine does not hold (a scheduler, semaphore
-    /// bank or preloader its unit lacks).
+    /// Fails on unknown kind/preset tags, malformed state fields, an
+    /// external-interrupt schedule that is not latest-first, or state the
+    /// preset's machine does not hold (a scheduler, semaphore bank or
+    /// preloader its unit lacks).
     pub fn from_state_snap(state: &Json) -> Result<System, SnapError> {
         let kind_name = snap::get_str(state, "kind")?;
         let kind = CoreKind::from_name(kind_name)
@@ -675,6 +676,15 @@ impl System {
                 ),
             };
         }
+        // `step` and `batch_budget` read only the back of the schedule, so
+        // an arrival behind a later one would never be raised.
+        let ext_schedule: Vec<u64> =
+            snap::list_from_json(snap::field(state, "ext_schedule")?, "ext_schedule")?;
+        if ext_schedule.windows(2).any(|w| w[0] < w[1]) {
+            return Err(SnapError::new(
+                "system: ext_schedule is not latest-first (non-increasing)",
+            ));
+        }
         let open_episode = snap::get_opt(state, "open_episode", |v| {
             Ok((
                 snap::get_u64(v, "trigger")?,
@@ -701,11 +711,7 @@ impl System {
             records,
             pending_triggers,
             open_episode,
-            ext_schedule: snap::list_from_json(
-                snap::field(state, "ext_schedule")?,
-                "ext_schedule",
-            )?
-            .into(),
+            ext_schedule: ext_schedule.into(),
             fault_plan: snap::get_opt(state, "fault_plan", FaultPlan::from_snap)?,
         })
     }

@@ -1,9 +1,10 @@
 //! Switch-episode analysis and timeline rendering.
 //!
-//! Helpers over the [`SwitchRecord`] stream: per-cause
-//! latency breakdowns (the cause-dispatch paths of the ISR differ in
-//! length, which is where the last cycles of (SLT) jitter come from) and
-//! an ASCII timeline for eyeballing a run.
+//! Helpers over switch episodes: per-cause latency breakdowns over
+//! `(cause, latency)` pairs (the cause-dispatch paths of the ISR differ in
+//! length, which is where the last cycles of (SLT) jitter come from), and
+//! ISR overhead and an ASCII timeline over the [`SwitchRecord`] stream for
+//! eyeballing a run.
 
 use crate::stats::{LatencyStats, SwitchRecord};
 use rvsim_isa::csr;
@@ -18,18 +19,23 @@ pub fn cause_name(cause: u32) -> &'static str {
     }
 }
 
-/// Splits the records by cause and computes per-cause statistics, in a
-/// stable order (timer, yield, external). Causes with no episodes are
-/// omitted.
-pub fn per_cause_stats(records: &[SwitchRecord]) -> Vec<(&'static str, LatencyStats)> {
-    [csr::CAUSE_TIMER, csr::CAUSE_SOFTWARE, csr::CAUSE_EXTERNAL]
+/// Splits `(cause, latency)` episodes by cause and computes per-cause
+/// statistics, in a stable order (timer, yield, external). Causes with no
+/// episodes, and causes outside those three, are omitted.
+pub fn per_cause_stats(
+    episodes: impl IntoIterator<Item = (u32, u64)>,
+) -> Vec<(&'static str, LatencyStats)> {
+    const CAUSES: [u32; 3] = [csr::CAUSE_TIMER, csr::CAUSE_SOFTWARE, csr::CAUSE_EXTERNAL];
+    let mut latencies: [Vec<u64>; 3] = Default::default();
+    for (cause, latency) in episodes {
+        if let Some(i) = CAUSES.iter().position(|&c| c == cause) {
+            latencies[i].push(latency);
+        }
+    }
+    CAUSES
         .into_iter()
-        .filter_map(|cause| {
-            let lat: Vec<u64> = records
-                .iter()
-                .filter(|r| r.cause == cause)
-                .map(SwitchRecord::latency)
-                .collect();
+        .zip(latencies)
+        .filter_map(|(cause, lat)| {
             LatencyStats::from_latencies(&lat).map(|s| (cause_name(cause), s))
         })
         .collect()
@@ -77,15 +83,16 @@ pub fn render_timeline(records: &[SwitchRecord], total_cycles: u64, width: usize
     cols.into_iter().collect()
 }
 
-/// One line per cause: count, mean, min/max, jitter — the textual
-/// equivalent of a Fig. 9 bar with its Δ whisker.
-pub fn summary_table(records: &[SwitchRecord]) -> String {
+/// One line per cause of the `(cause, latency)` episodes: count, mean,
+/// min/max, jitter — the textual equivalent of a Fig. 9 bar with its Δ
+/// whisker.
+pub fn summary_table(episodes: impl IntoIterator<Item = (u32, u64)>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<10} {:>6} {:>8} {:>6} {:>6} {:>7}\n",
         "cause", "count", "mean", "min", "max", "jitter"
     ));
-    for (name, s) in per_cause_stats(records) {
+    for (name, s) in per_cause_stats(episodes) {
         out.push_str(&format!(
             "{:<10} {:>6} {:>8.1} {:>6} {:>6} {:>7}\n",
             name,
@@ -114,12 +121,12 @@ mod tests {
 
     #[test]
     fn per_cause_separates_distributions() {
-        let records = vec![
+        let records = [
             rec(0, 4, 70, csr::CAUSE_SOFTWARE),
             rec(100, 104, 170, csr::CAUSE_SOFTWARE),
             rec(200, 204, 400, csr::CAUSE_TIMER),
         ];
-        let stats = per_cause_stats(&records);
+        let stats = per_cause_stats(records.iter().map(|r| (r.cause, r.latency())));
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].0, "timer");
         assert_eq!(stats[0].1.count, 1);
@@ -167,8 +174,7 @@ mod tests {
 
     #[test]
     fn summary_table_lists_causes() {
-        let records = vec![rec(0, 4, 70, csr::CAUSE_EXTERNAL)];
-        let table = summary_table(&records);
+        let table = summary_table([(csr::CAUSE_EXTERNAL, 70)]);
         assert!(table.contains("external"));
         assert!(table.contains("70"));
     }

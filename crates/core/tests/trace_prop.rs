@@ -52,7 +52,7 @@ fn random_marks(rng: &mut Rng64) -> Vec<TraceMark> {
 fn per_cause_stats_are_internally_consistent() {
     for seed in 0..CASES {
         let records = random_records(&mut Rng64::new(seed));
-        let stats = trace::per_cause_stats(&records);
+        let stats = trace::per_cause_stats(records.iter().map(|r| (r.cause, r.latency())));
         let known = records
             .iter()
             .filter(|r| trace::cause_name(r.cause) != "unknown")

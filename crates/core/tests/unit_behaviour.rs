@@ -114,7 +114,7 @@ fn trace_module_summarises_a_real_run() {
     let mut sys = System::new(CoreKind::Cv32e40p, Preset::Slt);
     img.install(&mut sys);
     sys.run(150_000);
-    let per_cause = trace::per_cause_stats(sys.records());
+    let per_cause = trace::per_cause_stats(sys.records().iter().map(|r| (r.cause, r.latency())));
     assert!(!per_cause.is_empty());
     let overhead = trace::isr_overhead(sys.records(), sys.platform.cycle());
     assert!(

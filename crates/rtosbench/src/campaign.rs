@@ -23,10 +23,9 @@ use freertos_lite::{GuestImage, KernelError};
 use rtosunit::cv32rt::Cv32rtStats;
 use rtosunit::hist::{LatencyHistogram, SloCounter};
 use rtosunit::layout::{DMEM_BASE, IMEM_BASE};
-use rtosunit::waterfall::{self, EpisodeWaterfall};
+use rtosunit::waterfall;
 use rtosunit::{
-    BusMasterStats, LatencyStats, Preset, SmpSystem, SwitchMetrics, SwitchRecord, System,
-    TraceMark, UnitStats,
+    BusMasterStats, LatencyStats, Preset, SmpSystem, SwitchMetrics, SwitchRecord, System, UnitStats,
 };
 use rvsim_cores::{CoreCounters, CoreKind};
 use rvsim_isa::csr;
@@ -253,12 +252,18 @@ impl RunSpec {
 }
 
 /// Simulation measurements of one run (absent for analytic runs).
+///
+/// A campaign holds every outcome until it renders, so an outcome keeps
+/// one latency and one cause per filtered episode and counts or
+/// histograms for the rest: the switch records, their waterfalls and the
+/// guest's trace marks are summarised at harvest and dropped.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
-    /// Every completed switch episode, unfiltered.
-    pub raw_records: Vec<SwitchRecord>,
-    /// Episodes after the spec's [`FilterPolicy`].
-    pub records: Vec<SwitchRecord>,
+    /// Completed switch episodes before the spec's [`FilterPolicy`].
+    pub raw_switches: usize,
+    /// Interrupt cause (`mcause`) of each episode the [`FilterPolicy`]
+    /// kept, in order: `causes[i]` is the cause of `latencies[i]`.
+    pub causes: Vec<u32>,
     /// Latencies of the filtered episodes, in cycles.
     pub latencies: Vec<u64>,
     /// Cycles simulated.
@@ -271,19 +276,19 @@ pub struct SimOutcome {
     pub cv32rt: Option<Cv32rtStats>,
     /// Data-port occupancy `(total, core, unit)` cycles.
     pub port: (u64, u64, u64),
-    /// Typed guest TRACE writes (benchmark and kernel phase marks).
-    pub trace_marks: Vec<TraceMark>,
+    /// Number of typed guest TRACE writes (benchmark and kernel phase
+    /// marks).
+    pub trace_marks: usize,
     /// `(issued, full-stall)` ctxQueue counters, if present.
     pub ctx_queue: Option<(u64, u64)>,
     /// Core activity counters (stall causes, decode cache, pairing).
     pub counters: CoreCounters,
-    /// Latency waterfall of the filtered episodes (phase widths come from
-    /// kernel phase marks when the workload emits them).
-    pub waterfall: Vec<EpisodeWaterfall>,
     /// Streaming latency/phase histograms with optional exact SLO
-    /// accounting, built over `waterfall` at harvest time. Emitted in the
-    /// v3 telemetry artifact; mergeable across runs for the campaign
-    /// aggregate.
+    /// accounting, built at harvest time over the filtered episodes'
+    /// waterfalls (phase widths come from kernel phase marks when the
+    /// workload emits them). The phase histograms' exact count, min, max
+    /// and total are the v3 artifact's waterfall summary; mergeable
+    /// across runs for the campaign aggregate.
     pub metrics: SwitchMetrics,
     /// Per-hart shared-bus statistics (index = hart id); present only for
     /// SMP runs (`harts > 1`).
@@ -294,6 +299,15 @@ impl SimOutcome {
     /// Latency statistics of the filtered episodes.
     pub fn stats(&self) -> Option<LatencyStats> {
         LatencyStats::from_latencies(&self.latencies)
+    }
+
+    /// `(cause, latency)` of each filtered episode, in order — the input
+    /// of [`rtosunit::trace::per_cause_stats`].
+    pub fn episodes(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.causes
+            .iter()
+            .copied()
+            .zip(self.latencies.iter().copied())
     }
 }
 
@@ -684,7 +698,7 @@ impl Campaign {
                         let mut j = Json::object()
                             .with("cycles", sim.cycles)
                             .with("retired", sim.retired)
-                            .with("raw_switches", sim.raw_records.len())
+                            .with("raw_switches", sim.raw_switches)
                             .with("switches", sim.latencies.len());
                         match sim.stats() {
                             Some(s) => {
@@ -708,7 +722,7 @@ impl Campaign {
                                 .with("core", sim.port.1)
                                 .with("unit", sim.port.2),
                         );
-                        j.push("trace_marks", sim.trace_marks.len());
+                        j.push("trace_marks", sim.trace_marks);
                         j.push(
                             "ctx_queue",
                             match sim.ctx_queue {
@@ -737,7 +751,7 @@ impl Campaign {
                                 counters.push(name, value);
                             }
                             j.push("counters", counters);
-                            j.push("waterfall", waterfall_json(&sim.waterfall));
+                            j.push("waterfall", waterfall_json(&sim.metrics));
                             j.push("latency_hist", metrics_json(&sim.metrics));
                         }
                         run.push("sim", j);
@@ -963,6 +977,9 @@ pub fn contention_program() -> rvsim_isa::Program {
     a.finish().expect("contention program assembles")
 }
 
+/// Reduces the run's switch records to what a [`SimOutcome`] keeps: the
+/// filtered episodes' latencies and causes, and their waterfalls folded
+/// into [`SwitchMetrics`]. The records and waterfalls are dropped here.
 fn harvest(
     sys: &mut System,
     spec: &RunSpec,
@@ -971,23 +988,20 @@ fn harvest(
 ) -> SimOutcome {
     let raw_records = sys.take_records();
     let records = spec.filter.apply(spec.core, &raw_records);
-    let latencies: Vec<u64> = records.iter().map(SwitchRecord::latency).collect();
-    let trace_marks = sys.platform.mmio.trace_marks.clone();
-    let waterfall = waterfall::decompose(&records, &trace_marks);
-    let metrics = SwitchMetrics::from_episodes(&waterfall, slo);
+    let trace_marks = &sys.platform.mmio.trace_marks;
+    let metrics = SwitchMetrics::from_episodes(&waterfall::decompose(&records, trace_marks), slo);
     SimOutcome {
-        raw_records,
-        records,
-        latencies,
+        raw_switches: raw_records.len(),
+        causes: records.iter().map(|r| r.cause).collect(),
+        latencies: records.iter().map(SwitchRecord::latency).collect(),
         cycles: sys.platform.cycle(),
         retired: sys.core.retired(),
         unit: sys.unit_stats(),
         cv32rt: sys.cv32rt_unit().map(|u| u.stats),
         port: sys.platform.port_occupancy(),
-        trace_marks,
+        trace_marks: trace_marks.len(),
         ctx_queue: sys.platform.ctx_queue_stats(),
         counters: sys.core.counters(),
-        waterfall,
         metrics,
         bus,
     }
@@ -1051,21 +1065,26 @@ fn metrics_json(m: &SwitchMetrics) -> Json {
         )
 }
 
-/// Summarises per-episode waterfalls as per-phase latency statistics.
-fn waterfall_json(episodes: &[EpisodeWaterfall]) -> Json {
+/// Summarises a run's waterfalls as per-phase mean, min, max and jitter,
+/// from the phase histograms' exact count, min, max and total (the same
+/// figures [`waterfall::phase_stats`] computes from the episodes). No
+/// episodes render an empty `phases` object.
+fn waterfall_json(m: &SwitchMetrics) -> Json {
     let mut phases = Json::object();
-    for (name, stats) in waterfall::phase_stats(episodes) {
-        phases.push(
-            name,
-            Json::object()
-                .with("mean", stats.mean)
-                .with("min", stats.min)
-                .with("max", stats.max)
-                .with("jitter", stats.jitter()),
-        );
+    for (name, hist) in m.named_phases() {
+        if let (Some(mean), Some(min), Some(max)) = (hist.mean(), hist.min(), hist.max()) {
+            phases.push(
+                name,
+                Json::object()
+                    .with("mean", mean)
+                    .with("min", min)
+                    .with("max", max)
+                    .with("jitter", max - min),
+            );
+        }
     }
     Json::object()
-        .with("episodes", episodes.len())
+        .with("episodes", m.latency.count())
         .with("phases", phases)
 }
 
@@ -1197,27 +1216,46 @@ mod tests {
         assert!(rendered.contains("\"square\": 144"));
     }
 
+    /// Boots a single-hart spec ([`boot`]).
+    fn boot_single(spec: &RunSpec) -> Box<System> {
+        match boot(spec).expect("workload builds") {
+            Booted::Single(sys) => sys,
+            Booted::Smp(_) => panic!("a 1-hart spec boots a System"),
+        }
+    }
+
     #[test]
     fn stepwise_and_batched_produce_identical_measurements() {
+        // Compared on the booted systems, before harvest reduces them:
+        // every switch record, every trace mark and every waterfall.
         let w = workloads::by_name("roundrobin_yield").expect("exists");
-        let mut batched = RunSpec::new(CoreKind::Cv32e40p, Preset::Slt, WorkloadSpec::Suite(w));
-        batched.label = Some("x".into());
-        let mut stepwise = batched.clone();
-        stepwise.stepwise = true;
-        let spec = CampaignSpec::new("test_equiv").with(batched).with(stepwise);
-        let c = spec.run(2);
-        let a = c.outcomes[0].sim.as_ref().expect("sim");
-        let b = c.outcomes[1].sim.as_ref().expect("sim");
-        assert_eq!(a.raw_records, b.raw_records);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.retired, b.retired);
-        assert_eq!(a.port, b.port);
-        assert_eq!(a.trace_marks, b.trace_marks);
+        let spec = RunSpec::new(CoreKind::Cv32e40p, Preset::Slt, WorkloadSpec::Suite(w));
+        let mut batched = boot_single(&spec);
+        let mut stepwise = boot_single(&spec);
+        batched.run(w.run_cycles);
+        stepwise.run_stepwise(w.run_cycles);
+        let (a, b) = (batched.take_records(), stepwise.take_records());
+        assert!(a.len() > 20, "{} switch records", a.len());
+        assert_eq!(a, b);
+        assert_eq!(batched.platform.cycle(), stepwise.platform.cycle());
+        assert_eq!(batched.core.retired(), stepwise.core.retired());
         assert_eq!(
-            a.counters.without_host_stats(),
-            b.counters.without_host_stats()
+            batched.platform.port_occupancy(),
+            stepwise.platform.port_occupancy()
         );
-        assert_eq!(a.waterfall, b.waterfall);
+        let (marks_a, marks_b) = (
+            &batched.platform.mmio.trace_marks,
+            &stepwise.platform.mmio.trace_marks,
+        );
+        assert_eq!(marks_a, marks_b);
+        assert_eq!(
+            batched.core.counters().without_host_stats(),
+            stepwise.core.counters().without_host_stats()
+        );
+        assert_eq!(
+            waterfall::decompose(&a, marks_a),
+            waterfall::decompose(&b, marks_b)
+        );
     }
 
     #[test]
@@ -1302,13 +1340,35 @@ mod tests {
         ] {
             assert!(rich.contains(key), "v3 artifact missing `{key}`");
         }
-        // The v1 body is unaffected by telemetry: strip the v2-only keys
-        // conceptually by checking the shared measurements still match.
+        // The waterfall summary is read off the phase histograms; it must
+        // equal the per-phase statistics of the run's decomposed episodes.
         let c = run().run(1);
         let sim = c.outcomes[0].sim.as_ref().expect("sim");
-        assert!(!sim.waterfall.is_empty());
-        for e in &sim.waterfall {
+        let spec = &run().runs[0];
+        let mut sys = boot_single(spec);
+        sys.run(w.run_cycles);
+        let records = spec.filter.apply(spec.core, &sys.take_records());
+        let episodes = waterfall::decompose(&records, &sys.platform.mmio.trace_marks);
+        assert!(!episodes.is_empty());
+        for e in &episodes {
             assert_eq!(e.phases.iter().sum::<u64>(), e.record.latency());
         }
+        let mut expected = Json::object();
+        for (name, stats) in waterfall::phase_stats(&episodes) {
+            expected.push(
+                name,
+                Json::object()
+                    .with("mean", stats.mean)
+                    .with("min", stats.min)
+                    .with("max", stats.max)
+                    .with("jitter", stats.jitter()),
+            );
+        }
+        let expected = Json::object()
+            .with("episodes", episodes.len())
+            .with("phases", expected);
+        assert_eq!(waterfall_json(&sim.metrics).render(), expected.render());
+        let causes: Vec<u32> = records.iter().map(|r| r.cause).collect();
+        assert_eq!(sim.causes, causes);
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! Every simulated run goes through [`campaign`]: [`campaign::boot`] turns
 //! a [`RunSpec`] into a booted system, [`campaign::simulate`] runs it and
-//! collects the filtered [`SwitchRecord`](rtosunit::SwitchRecord)s, and
-//! [`Fig9Row::pool`] aggregates the mean/min/max/jitter rows of Fig. 9.
+//! reduces its filtered [`SwitchRecord`](rtosunit::SwitchRecord)s to a
+//! [`SimOutcome`] (a latency and a cause per episode, plus histograms),
+//! and [`Fig9Row::pool`] aggregates the mean/min/max/jitter rows of Fig. 9.
 
 pub mod campaign;
 pub mod perfdiff;

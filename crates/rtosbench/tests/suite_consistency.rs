@@ -2,7 +2,8 @@
 //! pool the per-workload runs, and the newer workloads must exercise the
 //! kernel paths they claim to.
 
-use rtosbench::{run_workload, workloads, CampaignSpec, Fig9Row};
+use rtosbench::campaign::{self, Booted};
+use rtosbench::{run_workload, runner, workloads, CampaignSpec, Fig9Row, RunSpec, WorkloadSpec};
 use rtosunit::{LatencyStats, Preset};
 use rvsim_cores::CoreKind;
 
@@ -29,9 +30,9 @@ fn priority_chain_produces_back_to_back_preemptions() {
     // Each chain round is low→mid→high→(unwind): several voluntary
     // switches per round, all software-caused.
     let yields = r
-        .records
+        .causes
         .iter()
-        .filter(|rec| rec.cause == rvsim_isa::csr::CAUSE_SOFTWARE)
+        .filter(|&&cause| cause == rvsim_isa::csr::CAUSE_SOFTWARE)
         .count();
     assert!(
         yields > 20,
@@ -81,10 +82,25 @@ fn report_tables_render_all_rows() {
 
 #[test]
 fn records_and_latencies_stay_in_sync() {
+    // The outcome keeps one latency and one cause per filtered episode;
+    // each must be the booted system's filtered record at that position.
     let w = short(&workloads::by_name("mutex_workload").expect("exists"));
-    let r = run_workload(CoreKind::Cva6, Preset::Sl, &w);
-    assert_eq!(r.records.len(), r.latencies.len());
-    for (rec, lat) in r.records.iter().zip(&r.latencies) {
-        assert_eq!(rec.latency(), *lat);
+    let (core, preset) = (CoreKind::Cva6, Preset::Sl);
+    let r = run_workload(core, preset, &w);
+    let Booted::Single(mut sys) =
+        campaign::boot(&RunSpec::new(core, preset, WorkloadSpec::Suite(w))).expect("builds")
+    else {
+        panic!("a 1-hart spec boots a System");
+    };
+    sys.run(w.run_cycles);
+    let raw = sys.take_records();
+    let records = runner::filter_episodes(core, &raw);
+    assert!(records.len() > 20, "{} filtered episodes", records.len());
+    assert_eq!(r.raw_switches, raw.len());
+    assert_eq!(r.latencies.len(), records.len());
+    assert_eq!(r.causes.len(), records.len());
+    for ((cause, latency), rec) in r.episodes().zip(&records) {
+        assert_eq!(latency, rec.latency());
+        assert_eq!(cause, rec.cause);
     }
 }

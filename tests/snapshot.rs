@@ -319,6 +319,49 @@ fn restore_rejects_a_data_cache_that_is_not_the_cores() {
 }
 
 #[test]
+fn restore_rejects_an_external_irq_schedule_out_of_order() {
+    // The schedule is kept latest-first and the run only ever reads its
+    // back, so an earlier arrival behind a later one would never be
+    // raised. Restore must refuse such a document.
+    let schedule = |cycles: &[u64]| {
+        snapshot::Json::Array(cycles.iter().map(|&c| snapshot::Json::UInt(c)).collect())
+    };
+    let state = |arrivals: &[u64]| {
+        let mut sys = single_hart_system(CoreKind::Cv32e40p, Preset::Vanilla, false);
+        for &at in arrivals {
+            sys.schedule_external_irq(at);
+        }
+        sys.state_snap()
+    };
+    // Equal neighbours (two arrivals on one cycle) stay legal.
+    let ties = state(&[300, 2_000, 300, 900, 600]);
+    assert_eq!(
+        ties.get("ext_schedule"),
+        Some(&schedule(&[2_000, 900, 600, 300, 300]))
+    );
+    assert!(
+        System::from_state_snap(&ties).is_ok(),
+        "a schedule with a tie rejected"
+    );
+    let mut state = state(&[1_000, 3_000, 5_000]);
+    assert_eq!(
+        state.get("ext_schedule"),
+        Some(&schedule(&[5_000, 3_000, 1_000]))
+    );
+    assert!(
+        System::from_state_snap(&state).is_ok(),
+        "pristine state rejected"
+    );
+    for order in [[1_000, 3_000, 5_000], [5_000, 1_000, 3_000]] {
+        *field_mut(&mut state, "ext_schedule") = schedule(&order);
+        assert!(
+            System::from_state_snap(&state).is_err(),
+            "schedule {order:?} accepted"
+        );
+    }
+}
+
+#[test]
 fn a_failed_restore_leaves_the_system_untouched() {
     // Documents that pass the identity checks but hold a malformed
     // payload are refused; a rewind replaces its live system only with a
