@@ -176,5 +176,7 @@ for ex in quickstart sensor_control_loop wcet_analysis config_explorer; do
   echo "   example: $ex"
   cargo run -q --release --example "$ex" > /dev/null
 done
+echo "   example: debug_run"
+cargo run -q --release -p freertos-lite --example debug_run > /dev/null
 
 echo "CI OK"

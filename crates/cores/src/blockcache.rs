@@ -9,12 +9,14 @@
 //!
 //! **One executor.** Every micro-op, in a block or not, issues through
 //! `CoreEngine::issue`, so a block step changes nothing a per-cycle step
-//! would not: cycles, retirements, trace entries, counters, profile
-//! attribution and predictor updates are the executor's, and only *when*
-//! ops issue is decided here. Dispatch spends each step's drain
-//! and issue cycles exactly where the interpreter would (owing the bus
-//! clock `lag` cycles until the next data access) and polls bus attention
-//! after every data access. Two rules keep the grouping invisible:
+//! would not: cycles, retirements, counters, profile attribution and
+//! predictor updates are the executor's, and only *when* ops issue is
+//! decided here. (A straight-line ALU run retires in bulk, applying each
+//! op's register write through `exec::alu_write`, the function `issue`
+//! applies it with.) Dispatch spends each step's drain and issue
+//! cycles exactly where the interpreter would (owing the bus clock `lag`
+//! cycles until the next data access) and polls bus attention after
+//! every data access. Three rules keep the grouping invisible:
 //!
 //! * Pairing is decided greedily from the block entry by the
 //!   interpreter's own pairing rule (`CoreEngine::pairs`), exactly as its
@@ -23,6 +25,9 @@
 //! * Fusion only merges two steps the interpreter would have issued as
 //!   *unpaired singles*, and issues both constituents one cycle apart —
 //!   fusion saves a dispatch on the host, never a guest cycle.
+//! * A run of ALU-only steps retires as one step only in a plain batch
+//!   and only when all its cycles fit the budget; otherwise its steps
+//!   issue one by one.
 //!
 //! **Block lifecycle.** The cache itself is built on the engine's first
 //! batched dispatch, so an engine that only steps per cycle never
@@ -45,6 +50,7 @@
 use crate::coproc::Coprocessor;
 use crate::counters::CoreCounters;
 use crate::engine::{BlockStats, CoreEngine, CoreEvent, DataBus};
+use crate::exec::alu_write;
 use crate::timing::TimingParams;
 use rvsim_isa::uop::{fuses, lower, Uop};
 use rvsim_isa::{csr, decode, CsrOp, Instr};
@@ -56,7 +62,8 @@ use std::collections::HashMap;
 const MAX_WORDS: usize = 64;
 
 /// One execution step of a block: what the interpreter would do in one
-/// `step()` call (or, for fused macro-ops, two consecutive calls).
+/// `step()` call (or, for fused macro-ops, two consecutive calls), or the
+/// marker of an ALU run.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// One instruction.
@@ -66,6 +73,58 @@ enum Step {
     /// A fused macro-op pair: two instructions issued one cycle apart,
     /// two interpreter steps, one dispatch.
     Fused(Uop, Uop),
+    /// Marker ahead of the steps of a straight-line ALU run, which plain
+    /// dispatch may issue as one step instead (see `AluRun`).
+    AluRun(AluRun),
+}
+
+impl Step {
+    /// Whether every op of the step is an ALU-only op: one cycle, no
+    /// drain, no bus, no trap, and a register write as its whole effect.
+    fn alu_only(&self) -> bool {
+        let alu = |u: &Uop| {
+            matches!(
+                u,
+                Uop::AluRR { .. } | Uop::AluRI { .. } | Uop::MovImm { .. }
+            )
+        };
+        match self {
+            Step::Single(u) => alu(u),
+            Step::Pair(a, b) | Step::Fused(a, b) => alu(a) && alu(b),
+            Step::AluRun(_) => false,
+        }
+    }
+}
+
+/// A maximal run of two or more ALU-only steps: singles, dual-issue
+/// pairs and `lui+addi` fused pairs. Its issue cycles, retire count and
+/// pair and fused counts are fixed at translation, so a run that fits the
+/// batch budget retires as one record: one walk over its steps applies
+/// their register writes, then each total is charged once
+/// (`CoreEngine::retire_alu_run`). The run's steps follow its marker and
+/// stay the reference: co-stepped dispatch, and a run the budget cuts
+/// short, issue them one by one.
+#[derive(Debug, Clone, Copy)]
+struct AluRun {
+    /// Steps after the marker that make up the run.
+    steps: u32,
+    /// Dual-issue pairs among them.
+    pairs: u32,
+    /// Fused pairs among them.
+    fused: u32,
+}
+
+impl AluRun {
+    /// Issue cycles: one per step, plus the second cycle of each fused
+    /// pair. ALU ops never drain.
+    fn cycles(&self) -> u64 {
+        u64::from(self.steps + self.fused)
+    }
+
+    /// Instructions retired: one per step, two per pair of either kind.
+    fn ops(&self) -> u32 {
+        self.steps + self.pairs + self.fused
+    }
 }
 
 /// A translated basic block.
@@ -332,7 +391,7 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     // 4. Group into steps: pairs as decided, macro-op fusion only between
     // two adjacent *unpaired single* steps (so fusing never steals a pair
     // and the issued timing is exactly two interpreter steps).
-    let mut steps = Vec::with_capacity(n);
+    let mut grouped = Vec::with_capacity(n);
     let mut i = 0;
     while i < n {
         let (instr, uop) = code[i];
@@ -342,11 +401,33 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
             Step::Fused(uop, code[i + 1].1)
         } else {
             i += 1;
-            steps.push(Step::Single(uop));
+            grouped.push(Step::Single(uop));
             continue;
         };
-        steps.push(step);
+        grouped.push(step);
         i += 2;
+    }
+
+    // 5. Mark every maximal run of two or more ALU-only steps with a
+    // marker step ahead of the run's steps.
+    let mut steps = Vec::with_capacity(grouped.len());
+    let mut rest = &grouped[..];
+    while let Some(step) = rest.first() {
+        let len = rest.iter().take_while(|s| s.alu_only()).count();
+        if len < 2 {
+            steps.push(*step);
+            rest = &rest[1..];
+            continue;
+        }
+        let (run, tail) = rest.split_at(len);
+        let count = |kind: fn(&Step) -> bool| run.iter().filter(|s| kind(s)).count() as u32;
+        steps.push(Step::AluRun(AluRun {
+            steps: len as u32,
+            pairs: count(|s| matches!(s, Step::Pair(..))),
+            fused: count(|s| matches!(s, Step::Fused(..))),
+        }));
+        steps.extend_from_slice(run);
+        rest = tail;
     }
 
     Some(Block {
@@ -495,11 +576,13 @@ impl CoreEngine {
     /// Returns how the dispatch ended, the number of fused macro-ops
     /// executed, and whether any step executed at all.
     ///
-    /// With `COSTEP` (a unit-active batch) every consumed cycle is taken
-    /// individually — bus clock first, the core's work for that cycle,
-    /// then the coprocessor's step — so the shared-port arbitration the
-    /// coprocessor sees is bit-identical to per-cycle stepping; `lag`
-    /// stays zero in that mode.
+    /// Plain dispatch retires an ALU run that fits the budget as one
+    /// step, walking the run's steps once for their register writes.
+    /// With `COSTEP` (a unit-active batch) runs are issued step by step
+    /// and every consumed cycle is taken individually — bus clock first,
+    /// the core's work for that cycle, then the coprocessor's step — so
+    /// the shared-port arbitration the coprocessor sees is bit-identical
+    /// to per-cycle stepping; `lag` stays zero in that mode.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_block<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
@@ -514,8 +597,25 @@ impl CoreEngine {
         let mut fused_execs = 0u64;
         let mut any = false;
 
-        for step in steps {
+        let mut steps = steps.iter();
+        while let Some(step) = steps.next() {
             let issue: u64 = match step {
+                // The run drains the previous op and spends its issue
+                // cycles as its steps would, in one charge.
+                Step::AluRun(run) => {
+                    let spend = u64::from(*pending) + run.cycles();
+                    if !COSTEP && (self.cycle - entry_cycle) + spend <= remaining {
+                        self.cycle += spend;
+                        *lag += spend;
+                        *pending = 0;
+                        let (run_steps, rest) = steps.as_slice().split_at(run.steps as usize);
+                        self.retire_alu_run(run_steps, run);
+                        steps = rest.iter();
+                        fused_execs += u64::from(run.fused);
+                        any = true;
+                    }
+                    continue;
+                }
                 Step::Fused(..) => 2,
                 _ => 1,
             };
@@ -557,6 +657,7 @@ impl CoreEngine {
                     fused_execs += 1;
                     self.issue(*second, second_pc, false, bus, co, lag)
                 }
+                Step::AluRun(_) => unreachable!("markers are not issued"),
             };
             *pending = issued.drain;
             let exit = match (issued.trap, step) {
@@ -581,6 +682,61 @@ impl CoreEngine {
         (StepExit::Done, fused_execs, any)
     }
 
+    /// Retires the straight-line ALU run `run`, whose `steps` follow its
+    /// marker, leaving the engine as issuing each step would: an ALU
+    /// op's whole effect is its register write (`alu_write`), its latency
+    /// is one cycle, so it drains nothing and counts no stall, and `pc`,
+    /// the retire count and the pair count are charged once. The caller
+    /// spends the run's cycles.
+    #[inline(always)]
+    fn retire_alu_run(&mut self, steps: &[Step], run: &AluRun) {
+        for step in steps {
+            match *step {
+                Step::Single(op) => alu_write(&mut self.state, op),
+                Step::Pair(first, second) | Step::Fused(first, second) => {
+                    alu_write(&mut self.state, first);
+                    alu_write(&mut self.state, second);
+                }
+                Step::AluRun(_) => unreachable!("runs are marked once"),
+            }
+        }
+        let pc = self.state.pc;
+        if self.profile().is_some() {
+            self.attribute_alu_run(steps, pc);
+        }
+        self.state.pc = pc.wrapping_add(4 * run.ops());
+        self.retired += u64::from(run.ops());
+        self.counters.issued_pairs += u64::from(run.pairs);
+    }
+
+    /// The profile attribution of an ALU run's `steps` from `pc`, as
+    /// `issue` makes it: one cycle per op at its PC, except a pair's
+    /// leading op, whose cycle the op after it takes. Kept out of line,
+    /// so that the walk over the steps that every run takes stays small
+    /// enough for block dispatch to inline.
+    #[cold]
+    fn attribute_alu_run(&mut self, steps: &[Step], mut pc: u32) {
+        for step in steps {
+            let words = match step {
+                Step::Single(_) => {
+                    self.attribute(pc, 1);
+                    1
+                }
+                Step::Pair(..) => {
+                    self.attribute(pc.wrapping_add(4), 1);
+                    2
+                }
+                Step::Fused(..) => {
+                    self.attribute(pc, 1);
+                    self.attribute(pc.wrapping_add(4), 1);
+                    2
+                }
+                Step::AluRun(_) => unreachable!("runs are marked once"),
+            };
+            pc = pc.wrapping_add(4 * words);
+        }
+    }
+
     /// A fused macro-op's mid-step cycle boundary: the first constituent
     /// is done, the second begins next cycle. Co-stepped dispatch takes
     /// the coprocessor's step for the finished cycle and advances the bus
@@ -600,5 +756,61 @@ impl CoreEngine {
             self.cycle += 1;
             *lag += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rvsim_isa::{Asm, Reg};
+
+    /// `(ops, steps, fused, pairs)` of each ALU run marked in the block
+    /// entered at 0, after checking that each marker is followed by its
+    /// run's ALU-only steps and then by no further ALU-only step.
+    fn runs(params: &TimingParams, asm: Asm) -> Vec<(u32, u32, u32, u32)> {
+        let program = asm.finish().unwrap();
+        let mut imem = Mem::new(0, 0x1000);
+        imem.load_words(program.base, &program.words);
+        let block = build_block(params, &imem, 0).expect("a block");
+        let mut out = Vec::new();
+        for (i, step) in block.steps.iter().enumerate() {
+            let Step::AluRun(run) = step else {
+                continue;
+            };
+            let (run_steps, after) = block.steps[i + 1..].split_at(run.steps as usize);
+            assert!(run_steps.iter().all(Step::alu_only), "{run_steps:?}");
+            assert!(!after.first().is_some_and(Step::alu_only), "{after:?}");
+            out.push((run.ops(), run.steps, run.fused, run.pairs));
+        }
+        out
+    }
+
+    #[test]
+    fn build_block_marks_maximal_alu_runs() {
+        let program = || {
+            let mut a = Asm::new(0);
+            a.add(Reg::S4, Reg::S2, Reg::S3);
+            a.xor(Reg::S5, Reg::S4, Reg::S7);
+            a.sw(Reg::A2, 0, Reg::T1);
+            a.addi(Reg::A0, Reg::A0, 1); // a run of one step: unmarked
+            a.lw(Reg::A5, 0, Reg::T1);
+            a.li(Reg::S10, 0x1234_5678); // lui+addi: fused
+            a.or(Reg::S9, Reg::S8, Reg::S10);
+            a.add(Reg::S2, Reg::S3, Reg::A3);
+            a.addi(Reg::S3, Reg::S3, 3);
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.auipc(Reg::T2, 0); // auipc+jalr fuses but ends the run
+            a.jalr(Reg::Zero, Reg::T2, 0);
+            a
+        };
+        assert_eq!(
+            runs(&TimingParams::cv32e40p(), program()),
+            [(2, 2, 0, 0), (6, 5, 1, 0)]
+        );
+        // NaxRiscv pairs `or`+`add` and the two `addi`s.
+        assert_eq!(
+            runs(&TimingParams::naxriscv(), program()),
+            [(2, 2, 0, 0), (6, 3, 1, 2)]
+        );
     }
 }

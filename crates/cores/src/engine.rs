@@ -183,51 +183,8 @@ impl BlockStats {
     }
 }
 
-/// Fixed-depth ring of the last retired `(cycle, pc)` pairs — the
-/// "recent instructions" debug trace. Replaces a `VecDeque` in the
-/// per-retirement hot path: a push is one store plus a masked bump, never
-/// a shift, a reallocation or a bounds check.
-pub(crate) struct RetireRing {
-    buf: [(u64, u32); RETIRE_DEPTH],
-    /// Next write slot.
-    head: usize,
-    len: usize,
-}
-
-impl RetireRing {
-    fn new() -> RetireRing {
-        RetireRing {
-            buf: [(0, 0); RETIRE_DEPTH],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Records a retirement, dropping the oldest entry once full. The
-    /// masked index needs no bounds check.
-    #[inline]
-    pub(crate) fn push(&mut self, entry: (u64, u32)) {
-        let head = self.head & (RETIRE_DEPTH - 1);
-        self.buf[head] = entry;
-        self.head = (head + 1) & (RETIRE_DEPTH - 1);
-        if self.len < RETIRE_DEPTH {
-            self.len += 1;
-        }
-    }
-
-    /// Entries oldest-first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let start = self.head + RETIRE_DEPTH - self.len;
-        (0..self.len).map(move |i| self.buf[(start + i) % RETIRE_DEPTH])
-    }
-}
-
 /// Two-bit branch-predictor counters per engine, indexed by PC.
 const PREDICTOR_ENTRIES: usize = 256;
-/// Depth of the retire-trace ring; a power of two, so the ring's head
-/// wraps with a mask.
-const RETIRE_DEPTH: usize = 64;
-const _: () = assert!(RETIRE_DEPTH.is_power_of_two());
 
 /// A cycle-stepped RV32IM_Zicsr core. Construct via
 /// [`make_engine`](crate::models::make_engine) or [`CoreEngine::new`].
@@ -248,7 +205,6 @@ pub struct CoreEngine {
     pub(crate) cycle: u64,
     pub(crate) retired: u64,
     predictor: Vec<u8>,
-    pub(crate) trace: RetireRing,
     pub(crate) counters: CoreCounters,
     profiler: Option<Box<PcProfile>>,
     pub(crate) wfi_pc: u32,
@@ -285,7 +241,6 @@ impl CoreEngine {
             cycle: 0,
             retired: 0,
             predictor: vec![1; PREDICTOR_ENTRIES],
-            trace: RetireRing::new(),
             counters: CoreCounters::default(),
             profiler: None,
             wfi_pc: 0,
@@ -351,11 +306,6 @@ impl CoreEngine {
     /// Whether the core is parked in `wfi`.
     pub fn waiting_for_interrupt(&self) -> bool {
         self.wfi_wait
-    }
-
-    /// The last retired `(cycle, pc)` pairs, oldest first (debug aid).
-    pub fn recent_pcs(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.trace.iter()
     }
 
     /// Snapshot of the activity counters. Stall cycles are attributed at
@@ -445,13 +395,8 @@ impl CoreEngine {
     fn fetch_miss(&mut self, pc: u32, idx: usize) -> Uop {
         self.counters.decode_misses += 1;
         let word = self.imem.read_word(pc);
-        let instr = decode(word).unwrap_or_else(|e| {
-            let mut dump = String::new();
-            for (cyc, tpc) in self.trace.iter() {
-                dump.push_str(&format!("  cycle {cyc}: pc {tpc:#010x}\n"));
-            }
-            panic!("{e} at pc {pc:#010x}; recent instructions:\n{dump}")
-        });
+        let instr =
+            decode(word).unwrap_or_else(|e| panic!("{e} at pc {pc:#010x} (word {word:#010x})"));
         self.remember_decoded(idx, lower(&instr, pc))
     }
 
@@ -836,24 +781,17 @@ impl CoreEngine {
     /// Serializes the complete engine state for a machine-state
     /// snapshot: architectural state, instruction memory, pipeline
     /// timing state (`busy`/`completing`/`wfi`), cycle and retire
-    /// counts, the branch predictor, the retire-trace ring, activity
-    /// counters, and the optional profiler.
+    /// counts, the branch predictor, activity counters, and the optional
+    /// profiler.
     ///
     /// The per-word micro-op cache and the block translation cache are
     /// host bookkeeping, not machine state: their contents depend on
     /// which execution path ran and where a run was split into batches,
     /// so both are left out together with their counters (see
-    /// [`CoreCounters::HOST_STATS`]). So are the core model, the IMEM
-    /// geometry and the ring depth, which the restoring caller fixes.
+    /// [`CoreCounters::HOST_STATS`]). So are the core model and the IMEM
+    /// geometry, which the restoring caller fixes.
     pub fn to_snap(&self) -> Json {
         let predictor: Vec<u32> = self.predictor.iter().map(|&v| u32::from(v)).collect();
-        let cycles: Vec<u64> = self.trace.buf.iter().map(|&(c, _)| c).collect();
-        let pcs: Vec<u32> = self.trace.buf.iter().map(|&(_, p)| p).collect();
-        let trace = Json::object()
-            .with("head", self.trace.head)
-            .with("len", self.trace.len)
-            .with("cycles", snap::runs_to_json(&cycles))
-            .with("pcs", snap::runs_to_json(&pcs));
         Json::object()
             .with("state", self.state.to_snap())
             .with("imem", self.imem.to_snap())
@@ -871,7 +809,6 @@ impl CoreEngine {
             .with("cycle", self.cycle)
             .with("retired", self.retired)
             .with("predictor", snap::runs_to_json(&predictor))
-            .with("trace", trace)
             .with("counters", self.counters.to_snap())
             .with(
                 "profile",
@@ -892,8 +829,8 @@ impl CoreEngine {
     ///
     /// # Errors
     ///
-    /// Fails on malformed fields, contents of another IMEM size, a
-    /// predictor counter above 3, or a retire-ring cursor past the ring.
+    /// Fails on malformed fields, contents of another IMEM size, or a
+    /// predictor counter above 3.
     pub fn from_snap(
         params: TimingParams,
         imem_base: u32,
@@ -928,22 +865,6 @@ impl CoreEngine {
             }
             predictor.push(w as u8);
         }
-        let trace_v = snap::field(value, "trace")?;
-        let head = snap::get_usize(trace_v, "head")?;
-        let len = snap::get_usize(trace_v, "len")?;
-        if head >= RETIRE_DEPTH || len > RETIRE_DEPTH {
-            return Err(SnapError::new(format!(
-                "engine: retire ring head {head}/len {len} out of range for depth {RETIRE_DEPTH}"
-            )));
-        }
-        let cycles = snap::runs_from_json::<u64>(snap::field(trace_v, "cycles")?, RETIRE_DEPTH)?;
-        let pcs = snap::runs_from_json::<u32>(snap::field(trace_v, "pcs")?, RETIRE_DEPTH)?;
-        let mut trace = RetireRing::new();
-        for (slot, entry) in trace.buf.iter_mut().zip(cycles.into_iter().zip(pcs)) {
-            *slot = entry;
-        }
-        trace.head = head;
-        trace.len = len;
         let profiler = snap::get_opt(value, "profile", |v| {
             PcProfile::from_snap(v, imem_base, imem_size).map(Box::new)
         })?;
@@ -960,7 +881,6 @@ impl CoreEngine {
             cycle,
             retired,
             predictor,
-            trace,
             counters,
             profiler,
             wfi_pc,
@@ -1307,8 +1227,8 @@ mod tests {
     /// `auipc+jalr`, a fusible compare+branch, pairable ALU ops, loads,
     /// stores, a div stall, mid-block CSR accesses (`csrw mtvec`,
     /// `csrw mscratch`, `csrr mcycle`), a gate-CSR barrier (`csrs mie`), a
-    /// `fence`, calls and returns, and — once the retire ring is full — a
-    /// misaligned load trapping into a handler that steps `mepc` past it.
+    /// `fence`, calls and returns, and a misaligned load trapping into a
+    /// handler that steps `mepc` past it.
     fn block_torture_program() -> rvsim_isa::Program {
         use rvsim_isa::csr;
         let mut a = Asm::new(0);
@@ -1441,14 +1361,8 @@ mod tests {
             if params.dual_issue {
                 assert!(fc.issued_pairs > 0, "superscalar model never paired");
             }
-            // The retired-instruction trace and the PC profile match
-            // through the block path.
-            let ft: Vec<_> = fast.recent_pcs().collect();
-            let st: Vec<_> = slow.recent_pcs().collect();
-            assert_eq!(ft, st, "{}: trace", params.name);
-            assert_eq!(st.len(), 64, "{}: the retire ring filled", params.name);
-            // Every serialized field agrees, the retire ring's slots past
-            // its length included.
+            // Every serialized field and the PC profile match through the
+            // block path.
             assert_eq!(
                 fast.to_snap().render(),
                 slow.to_snap().render(),
@@ -1461,6 +1375,145 @@ mod tests {
                 "{}: profile",
                 params.name
             );
+        }
+    }
+
+    /// The kernel's `compute` loop body (its `li` prologue, the ALU chain
+    /// and the loop branch) with a store and a load splitting the chain
+    /// into three ALU runs, and a 32-bit `li` opening the last one. On
+    /// every core the `lui+addi` halves of that `li` fuse; on NaxRiscv
+    /// the independent ALU ops pair, so the last run mixes both.
+    fn alu_run_program() -> rvsim_isa::Program {
+        let mut a = Asm::new(0);
+        a.li(Reg::T1, 0x2000_0010);
+        a.li(Reg::T0, 5);
+        a.li(Reg::S2, 0x13);
+        a.li(Reg::S3, 7);
+        a.li(Reg::S7, 0x5a5a);
+        a.label("comp");
+        a.add(Reg::S4, Reg::S2, Reg::S3);
+        a.xor(Reg::S5, Reg::S4, Reg::S7);
+        a.slli(Reg::S6, Reg::S5, 1);
+        a.add(Reg::A2, Reg::S6, Reg::S4);
+        a.sw(Reg::A2, 0, Reg::T1);
+        a.srli(Reg::A3, Reg::A2, 2);
+        a.add(Reg::A4, Reg::A3, Reg::S5);
+        a.sub(Reg::S8, Reg::A4, Reg::S2);
+        a.lw(Reg::A5, 0, Reg::T1);
+        a.li(Reg::S10, 0x1234_5678);
+        a.or(Reg::S9, Reg::S8, Reg::S10);
+        a.add(Reg::S2, Reg::S3, Reg::A3);
+        a.addi(Reg::S3, Reg::S3, 3);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, "comp");
+        a.ebreak();
+        a.finish().unwrap()
+    }
+
+    /// A coprocessor with background work forever: `run_costep` never
+    /// ends a batch early on it and never stalls an op.
+    struct NeverIdle;
+
+    impl Coprocessor for NeverIdle {
+        fn on_interrupt_entry(&mut self, _: &mut ArchState, _: u32) {}
+        fn mret_stall(&self) -> bool {
+            false
+        }
+        fn on_mret(&mut self, _: &mut ArchState) {}
+        fn custom_stall(&self, _: rvsim_isa::CustomOp) -> bool {
+            false
+        }
+        fn exec_custom(
+            &mut self,
+            op: rvsim_isa::CustomOp,
+            _: u32,
+            _: u32,
+            _: &mut ArchState,
+        ) -> u32 {
+            panic!("unexpected custom op {op}")
+        }
+        fn step<B: DataBus>(&mut self, _: &mut ArchState, _: &mut B) {}
+    }
+
+    /// An ALU run retires as one step only when it fits the batch budget,
+    /// and leaves the engine exactly where its steps would: at every
+    /// budget from 1 to 40, every stop of `run_until` matches per-cycle
+    /// stepping driven to the same cycle (registers, `pc`, cycle, retire
+    /// count, counters, profile, snapshot), and matches a co-stepped run,
+    /// which issues each run step by step, in the block and fusion
+    /// counters too.
+    #[test]
+    fn alu_runs_match_per_cycle_stepping_at_every_budget() {
+        let p = alu_run_program();
+        for params in [
+            TimingParams::cv32e40p(),
+            TimingParams::cva6(),
+            TimingParams::naxriscv(),
+        ] {
+            for profiled in [false, true] {
+                for budget in 1..=40u64 {
+                    let fresh = || {
+                        let mut e = CoreEngine::new(params, 0, 0x1_0000);
+                        e.load_program(&p);
+                        e.set_profiling(profiled);
+                        (e, SramBus::new(0x2000_0000, 0x100))
+                    };
+                    let (mut slow, mut slow_bus) = fresh();
+                    let (mut fast, mut fast_bus) = fresh();
+                    let (mut costep, mut costep_bus) = fresh();
+                    let at = |e: &CoreEngine| {
+                        format!("{} budget {budget} cycle {}", params.name, e.cycle())
+                    };
+                    while !fast.halted() {
+                        let exit = fast.run_until(&mut fast_bus, &mut NullCoprocessor, budget);
+                        assert!(exit.cycles <= budget, "{}: overran", at(&fast));
+                        costep.run_costep(&mut costep_bus, &mut NeverIdle, budget);
+                        while slow.cycle() < fast.cycle() {
+                            slow.step(&mut slow_bus, &mut NullCoprocessor);
+                        }
+                        for n in 0..32 {
+                            let r = Reg::from_number(n);
+                            let (f, s) = (fast.state.read_reg(r), slow.state.read_reg(r));
+                            assert_eq!(f, s, "{}: x{n}", at(&fast));
+                        }
+                        assert_eq!(fast.state.pc, slow.state.pc, "{}: pc", at(&fast));
+                        assert_eq!(fast.cycle(), slow.cycle(), "{}: cycle", at(&fast));
+                        assert_eq!(fast.retired(), slow.retired(), "{}: retired", at(&fast));
+                        assert_eq!(
+                            fast.counters().without_host_stats(),
+                            slow.counters().without_host_stats(),
+                            "{}: counters",
+                            at(&fast)
+                        );
+                        assert_eq!(fast.profile(), slow.profile(), "{}: profile", at(&fast));
+                        assert_eq!(
+                            fast.to_snap().render(),
+                            slow.to_snap().render(),
+                            "{}: snapshot",
+                            at(&fast)
+                        );
+                        // Not the decode counters: where a plain batch
+                        // fetches an op, a co-stepped one may peek it.
+                        let blocks = |e: &CoreEngine| {
+                            let c = e.counters();
+                            (
+                                c.without_host_stats(),
+                                c.block_hits,
+                                c.block_builds,
+                                c.fused_ops,
+                            )
+                        };
+                        assert_eq!(costep.cycle(), fast.cycle(), "{}: co-stepped", at(&fast));
+                        assert_eq!(blocks(&costep), blocks(&fast), "{}: co-stepped", at(&fast));
+                    }
+                    assert_eq!(slow.state.read_reg(Reg::T0), 0, "{}", at(&slow));
+                    let c = fast.counters();
+                    if budget == 40 {
+                        assert!(c.fused_ops > 0, "{}: no fusion", at(&fast));
+                        assert_eq!(c.issued_pairs > 0, params.dual_issue, "{}", at(&fast));
+                    }
+                }
+            }
         }
     }
 
@@ -1514,7 +1567,7 @@ mod tests {
 
     /// Mid-run snapshot/restore is invisible: a restored engine finishes
     /// the torture program cycle-for-cycle, counter-for-counter and
-    /// trace-for-trace identical to one that never stopped — per core
+    /// profile-for-profile identical to one that never stopped — per core
     /// model, profiler attached, with cold host caches on the restored
     /// side.
     #[test]
@@ -1576,9 +1629,6 @@ mod tests {
                 "{}: counters",
                 params.name
             );
-            let at: Vec<_> = a.recent_pcs().collect();
-            let bt: Vec<_> = b.recent_pcs().collect();
-            assert_eq!(bt, at, "{}: trace", params.name);
             assert_eq!(
                 b.take_profile().unwrap(),
                 a.take_profile().unwrap(),
@@ -1614,11 +1664,6 @@ mod tests {
                 "predictor counter above 3",
                 &["predictor"],
                 snap::runs_to_json(&[4u32; PREDICTOR_ENTRIES]),
-            ),
-            (
-                "ring head past the ring",
-                &["trace", "head"],
-                Json::from(RETIRE_DEPTH),
             ),
             (
                 "profile bins of another size",

@@ -1,8 +1,8 @@
 //! The engine's one executor: `CoreEngine::issue`.
 //!
 //! Issuing a micro-op applies its architectural effect, performs its
-//! data-bus or coprocessor access, retires it (retire count and trace
-//! entry) and charges its timing: the drain cycles it holds the pipeline
+//! data-bus or coprocessor access, retires it (bumps the retire count)
+//! and charges its timing: the drain cycles it holds the pipeline
 //! after its issue cycle, the stall counter they count under, and the
 //! profile attribution of all its cycles. A misaligned access traps
 //! instead, retiring and recording nothing. Both drivers call it: the
@@ -41,6 +41,22 @@ fn alu(op: AluOp, a: u32, b: u32) -> u32 {
         AluOp::Sra => ((a as i32).wrapping_shr(b & 0x1f)) as u32,
         AluOp::Or => a | b,
         AluOp::And => a & b,
+    }
+}
+
+/// Applies an ALU-only micro-op (`AluRR`, `AluRI` or `MovImm`), whose
+/// whole architectural effect is its register write. [`CoreEngine::issue`]
+/// issues those ops through it, and so does a straight-line ALU run that
+/// block dispatch retires in bulk (`crate::blockcache`).
+#[inline(always)]
+pub(crate) fn alu_write(s: &mut ArchState, uop: Uop) {
+    match uop {
+        Uop::AluRR { op, rd, rs1, rs2 } => {
+            s.write_reg(rd, alu(op, s.read_reg(rs1), s.read_reg(rs2)));
+        }
+        Uop::AluRI { op, rd, rs1, imm } => s.write_reg(rd, alu(op, s.read_reg(rs1), imm)),
+        Uop::MovImm { rd, value } => s.write_reg(rd, value),
+        _ => unreachable!("{uop:?} is not an ALU-only op"),
     }
 }
 
@@ -174,16 +190,8 @@ impl CoreEngine {
         let fall = pc.wrapping_add(4);
         // The address of the next instruction, and the op's total cycles.
         let (next, latency) = match uop {
-            Uop::AluRR { op, rd, rs1, rs2 } => {
-                s.write_reg(rd, alu(op, s.read_reg(rs1), s.read_reg(rs2)));
-                (fall, 1)
-            }
-            Uop::AluRI { op, rd, rs1, imm } => {
-                s.write_reg(rd, alu(op, s.read_reg(rs1), imm));
-                (fall, 1)
-            }
-            Uop::MovImm { rd, value } => {
-                s.write_reg(rd, value);
+            Uop::AluRR { .. } | Uop::AluRI { .. } | Uop::MovImm { .. } => {
+                alu_write(s, uop);
                 (fall, 1)
             }
             Uop::MulDiv { op, rd, rs1, rs2 } => {
@@ -320,7 +328,6 @@ impl CoreEngine {
         };
         self.state.pc = next;
         self.retired += 1;
-        self.trace.push((self.cycle, pc));
         let drain = latency.saturating_sub(1);
         // Issue-time stall attribution: the drain is fully decided here,
         // so a driver that bulk-skips it ends with identical counters.
@@ -578,7 +585,6 @@ mod tests {
         assert_eq!(out.drain, e.params.irq_entry_latency - 1);
         assert_eq!((e.state.pc, e.state.csrs.mepc), (0x1800, 0x1010));
         assert_eq!(e.retired(), 0);
-        assert_eq!(e.recent_pcs().count(), 0);
         assert_eq!(e.state.read_reg(Reg::A0), 0);
     }
 

@@ -166,6 +166,132 @@ fn switch_rf_stall_delays_issue_until_coproc_releases() {
     panic!("ISR never completed");
 }
 
+/// A coprocessor with background work that never stalls an op: it
+/// counts its steps and `mret` completions, and reports idle once it has
+/// stepped `busy_for` times.
+struct CountingCoproc {
+    busy_for: u64,
+    steps: u64,
+    mrets: u32,
+}
+
+impl Coprocessor for CountingCoproc {
+    fn on_interrupt_entry(&mut self, _state: &mut ArchState, _cause: u32) {}
+
+    fn mret_stall(&self) -> bool {
+        false
+    }
+
+    fn on_mret(&mut self, _state: &mut ArchState) {
+        self.mrets += 1;
+    }
+
+    fn custom_stall(&self, _op: CustomOp) -> bool {
+        false
+    }
+
+    fn exec_custom(&mut self, op: CustomOp, _rs1: u32, _rs2: u32, _state: &mut ArchState) -> u32 {
+        panic!("unexpected custom op {op}")
+    }
+
+    fn step<B: DataBus>(&mut self, _state: &mut ArchState, _bus: &mut B) {
+        self.steps += 1;
+    }
+
+    fn is_idle(&self) -> bool {
+        self.steps >= self.busy_for
+    }
+}
+
+#[test]
+fn costep_drains_stop_where_per_cycle_stepping_does() {
+    // Six ops of one translated block, the last a `div` whose drain the
+    // batch loop takes, then an `mret` whose drain ends in its
+    // completion.
+    let mut a = Asm::new(0);
+    a.li(Reg::A0, 1000);
+    a.li(Reg::A1, 7);
+    a.la(Reg::T0, "after");
+    a.csrw(csr::MEPC, Reg::T0);
+    a.div(Reg::A2, Reg::A0, Reg::A1);
+    a.mret();
+    a.label("after");
+    a.addi(Reg::A3, Reg::A3, 1);
+    a.ebreak();
+    let prog = a.finish().expect("assembles");
+    for kind in [CoreKind::Cv32e40p, CoreKind::Cva6, CoreKind::NaxRiscv] {
+        // Busy throughout, or idle from every cycle of the program on:
+        // mid-`div`-drain and mid-`mret`-drain among them.
+        for busy_for in (1..=45).chain([u64::MAX]) {
+            for budget in 1..=40u64 {
+                let fresh = || {
+                    let mut e = make_engine(kind, 0, 0x1_0000);
+                    e.load_program(&prog);
+                    let co = CountingCoproc {
+                        busy_for,
+                        steps: 0,
+                        mrets: 0,
+                    };
+                    (e, co, bus())
+                };
+                let (mut fast, mut fast_co, mut fast_bus) = fresh();
+                let (mut slow, mut slow_co, mut slow_bus) = fresh();
+                let what = |e: &rvsim_cores::CoreEngine| {
+                    format!(
+                        "{kind:?} busy_for {busy_for} budget {budget} cycle {}",
+                        e.cycle()
+                    )
+                };
+                while !fast.halted() {
+                    let exit = fast.run_costep(&mut fast_bus, &mut fast_co, budget);
+                    assert!((1..=budget).contains(&exit.cycles), "{}", what(&fast));
+                    // The per-cycle reference, the core's step and then
+                    // the coprocessor's, driven to the same cycle. No
+                    // cycle before the last may raise an event, and none
+                    // may leave the coprocessor idle once the `div` (the
+                    // block's last op) has issued: from there the core
+                    // drains in the batch loop or issues through the
+                    // interpreter, so the batch ends at the first idle
+                    // cycle boundary. (Inside a translated block it ends
+                    // only where the block does.)
+                    let start = fast.cycle() - exit.cycles;
+                    let mut event = None;
+                    while slow.cycle() < fast.cycle() {
+                        assert_eq!(event, None, "{}: missed event", what(&slow));
+                        let idle = slow_co.is_idle() && slow.retired() >= 6;
+                        let inside = slow.cycle() > start;
+                        assert!(!(inside && idle), "{}: missed idle", what(&slow));
+                        event = slow.step(&mut slow_bus, &mut slow_co).event;
+                        slow_co.step(&mut slow.state, &mut slow_bus);
+                    }
+                    assert_eq!(fast.cycle(), slow.cycle(), "{}: exit cycle", what(&slow));
+                    assert_eq!(exit.event, event, "{}: event", what(&slow));
+                    if exit.event.is_none() && exit.cycles < budget {
+                        assert!(fast_co.is_idle(), "{}: early exit", what(&fast));
+                    }
+                    assert_eq!(
+                        fast.counters().without_host_stats(),
+                        slow.counters().without_host_stats(),
+                        "{}: counters",
+                        what(&slow)
+                    );
+                    assert_eq!(fast_co.steps, slow_co.steps, "{}: co-steps", what(&slow));
+                    assert_eq!(fast_co.mrets, slow_co.mrets, "{}: mrets", what(&slow));
+                    assert_eq!(fast.state.pc, slow.state.pc, "{}: pc", what(&slow));
+                }
+                assert!(slow.halted(), "{}", what(&slow));
+                assert_eq!(fast_co.mrets, 1, "{}", what(&fast));
+                assert_eq!(fast.state.read_reg(Reg::A2), 142, "{}", what(&fast));
+                assert!(
+                    fast.counters().stall_exec >= 19,
+                    "{}: div drain",
+                    what(&fast)
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn interrupts_are_not_taken_while_masked() {
     let mut a = Asm::new(0);
@@ -211,22 +337,5 @@ fn auipc_and_jalr_form_long_calls() {
         e.state.read_reg(Reg::Ra),
         8,
         "link register holds return address"
-    );
-}
-
-#[test]
-fn recent_pc_trace_covers_last_instructions() {
-    let mut a = Asm::new(0);
-    for _ in 0..100 {
-        a.nop();
-    }
-    a.ebreak();
-    let e = run(a, CoreKind::Cv32e40p);
-    let pcs: Vec<u32> = e.recent_pcs().map(|(_, pc)| pc).collect();
-    assert_eq!(pcs.len(), 64, "trace ring keeps the last 64 entries");
-    assert_eq!(
-        *pcs.last().expect("non-empty"),
-        100 * 4,
-        "last pc is the ebreak"
     );
 }

@@ -6,8 +6,11 @@ use rtosunit::layout::DMEM_BASE;
 use rtosunit::{Preset, System};
 use rvsim_cores::CoreKind;
 use rvsim_isa::Reg;
+use std::collections::VecDeque;
 
 const SCRATCH: u32 = DMEM_BASE + 0x800;
+/// Retired instructions kept in the log printed at the end.
+const RECENT: usize = 64;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "SL".into());
@@ -53,8 +56,19 @@ fn main() {
     }
     let mut sys = System::new(CoreKind::Cv32e40p, preset);
     img.install(&mut sys);
+    // The last `RECENT` retired `(cycle, pc)` pairs, oldest first. A
+    // cycle that retires two instructions (a dual-issue pair) retires
+    // the one at `pc` and the one after it.
+    let mut recent: VecDeque<(u64, u32)> = VecDeque::with_capacity(RECENT);
     for step in 0..30_000 {
+        let (pc, retired) = (sys.core.state.pc, sys.core.retired());
         sys.step();
+        for i in 0..sys.core.retired() - retired {
+            if recent.len() == RECENT {
+                recent.pop_front();
+            }
+            recent.push_back((sys.core.cycle(), pc.wrapping_add(4 * i as u32)));
+        }
         if sys.halted() {
             println!("HALTED at cycle {step}");
             break;
@@ -72,8 +86,7 @@ fn main() {
         println!("unit: {u:?}");
     }
     println!("recent pcs:");
-    let pcs: Vec<_> = sys.core.recent_pcs().collect();
-    for (cyc, pc) in pcs {
+    for (cyc, pc) in recent {
         let dis = sys.core.disassemble_at(pc).unwrap_or_default();
         println!("  {cyc:>8}  {pc:#010x}  {dis}");
     }
