@@ -10,10 +10,12 @@
 //! campaign telemetry reports exact p50/p99/p99.9/p99.99 and the SLO
 //! miss rate against a fixed latency budget.
 //!
-//! `--quick` shrinks the cycle budget for CI smoke runs (the same spec
-//! shape, so the committed perf baseline stays comparable). The
-//! machine-readable artifact lands in `results/fig_tail.json`
-//! (`results/fig_tail_quick.json` with `--quick`).
+//! `--quick` shrinks the cycle budget for CI runs (the same spec shape).
+//! The machine-readable artifact lands in `results/fig_tail.json`
+//! (`results/fig_tail_quick.json` with `--quick`). The quick artifact,
+//! with its host fields zeroed, is committed as the tail-campaign pin
+//! `ci/perf_baseline.json`, which `ci.sh` requires this binary's output
+//! to equal.
 
 use rtosbench::tail::{self, SLO_CYCLES};
 use rtosunit::hist::REPORTED_PERCENTILES;
@@ -84,7 +86,7 @@ fn main() {
     }
     println!("# {}", campaign.throughput_summary());
     // Partial results are still emitted above; a broken cell fails the
-    // invocation so CI (and the perf-regression gate reading the
+    // invocation so CI (and its tail-campaign pin check reading the
     // artifact) cannot mistake a half-empty figure for a healthy one.
     if !broken.is_empty() {
         for b in &broken {

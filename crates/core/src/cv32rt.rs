@@ -230,7 +230,7 @@ mod tests {
         u.on_interrupt_entry(&mut state, csr::CAUSE_TIMER);
         assert!(u.snapshot_busy());
         for _ in 0..16 {
-            p.begin_cycle();
+            p.advance_cycles(1);
             u.step(&mut state, &mut p);
         }
         assert!(!u.snapshot_busy());
@@ -254,7 +254,7 @@ mod tests {
         nax.on_interrupt_entry(&mut state, csr::CAUSE_TIMER);
         cv.on_interrupt_entry(&mut state, csr::CAUSE_TIMER);
         for _ in 0..16 {
-            p.begin_cycle();
+            p.advance_cycles(1);
             nax.step(&mut state, &mut p);
             cv.step(&mut state, &mut p);
         }
@@ -273,7 +273,7 @@ mod tests {
         let mut p = Platform::new(CoreKind::Cv32e40p, 1000);
         u.on_interrupt_entry(&mut state, csr::CAUSE_TIMER);
         for _ in 0..16 {
-            p.begin_cycle();
+            p.advance_cycles(1);
             p.core_access(DMEM_BASE, rvsim_mem::AccessSize::Word, Some(1));
             u.step(&mut state, &mut p);
         }

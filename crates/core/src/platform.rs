@@ -323,14 +323,6 @@ impl Platform {
         self.ctx_queue.as_ref().map(|q| q.stats())
     }
 
-    /// Starts a new cycle: advances time and decays busy counters. Must be
-    /// called once per cycle before the core steps.
-    pub fn begin_cycle(&mut self) {
-        self.arb.end_cycle();
-        self.mmio.mtime += 1;
-        self.bus_busy = self.bus_busy.saturating_sub(1);
-    }
-
     /// Current platform cycle (the MMIO machine time).
     pub fn cycle(&self) -> u64 {
         self.mmio.mtime
@@ -613,8 +605,8 @@ impl DataBus for Platform {
         if cycles == 0 {
             return;
         }
-        // First closure also settles the previous cycle's grant, exactly
-        // like `begin_cycle`; the remaining cycles are guaranteed idle.
+        // The first cycle settles the previous cycle's grant; the
+        // remaining cycles are guaranteed idle.
         self.arb.end_cycle();
         self.arb.skip_idle_cycles(cycles - 1);
         self.mmio.mtime += cycles;
@@ -637,10 +629,10 @@ mod tests {
     fn mmio_timer_fires_and_rearm_clears() {
         let mut p = Platform::new(CoreKind::Cv32e40p, 100);
         for _ in 0..99 {
-            p.begin_cycle();
+            p.advance_cycles(1);
         }
         assert_eq!(p.mmio.pending_mask(), 0);
-        p.begin_cycle();
+        p.advance_cycles(1);
         assert_eq!(p.mmio.pending_mask(), csr::MIP_MTIP);
         // Guest re-arms the comparator.
         p.core_access(
@@ -667,10 +659,10 @@ mod tests {
     #[test]
     fn unit_blocked_while_core_uses_port() {
         let mut p = Platform::new(CoreKind::Cv32e40p, 1000);
-        p.begin_cycle();
+        p.advance_cycles(1);
         p.core_access(DMEM_BASE, AccessSize::Word, Some(5));
         assert_eq!(p.unit_access(DMEM_BASE + 4, Some(7)), None);
-        p.begin_cycle();
+        p.advance_cycles(1);
         assert_eq!(p.unit_access(DMEM_BASE + 4, Some(7)), Some(0));
         assert_eq!(p.dmem.read_word(DMEM_BASE + 4), 7);
     }
@@ -678,15 +670,15 @@ mod tests {
     #[test]
     fn cache_miss_refill_blocks_the_bus_for_the_unit() {
         let mut p = Platform::new(CoreKind::Cva6, 1000);
-        p.begin_cycle();
+        p.advance_cycles(1);
         let resp = p.core_access(DMEM_BASE, AccessSize::Word, None);
         assert!(resp.extra_latency > 1, "first access must miss");
         // Refill traffic occupies the bus for the following cycles.
-        p.begin_cycle();
+        p.advance_cycles(1);
         assert_eq!(p.unit_access(DMEM_BASE + 64, None), None);
         // After the refill drains, the unit gets through.
         for _ in 0..8 {
-            p.begin_cycle();
+            p.advance_cycles(1);
         }
         assert!(p.unit_access(DMEM_BASE + 64, None).is_some());
     }
@@ -697,19 +689,19 @@ mod tests {
         // Eight accesses to distinct lines (all misses) pipeline into the
         // queue back-to-back...
         for i in 0..8 {
-            p.begin_cycle();
+            p.advance_cycles(1);
             assert!(
                 p.unit_access(DMEM_BASE + i * 64, None).is_some(),
                 "miss {i} must pipeline"
             );
         }
         // ...the ninth stalls on the full queue.
-        p.begin_cycle();
+        p.advance_cycles(1);
         assert_eq!(p.unit_access(DMEM_BASE + 8 * 64, None), None, "queue full");
         assert!(p.unit_pending() > 0);
         // After the oldest miss drains, issuing resumes.
         for _ in 0..25 {
-            p.begin_cycle();
+            p.advance_cycles(1);
         }
         assert!(p.unit_access(DMEM_BASE + 8 * 64, None).is_some());
     }
@@ -719,7 +711,7 @@ mod tests {
         let mut p = Platform::new(CoreKind::NaxRiscv, 1000);
         p.set_unit_arbitration(false); // bus level: no queue, bypass cache
         assert!(p.ctx_queue_stats().is_none());
-        p.begin_cycle();
+        p.advance_cycles(1);
         assert!(p.unit_access(DMEM_BASE, None).is_some());
         assert_eq!(p.unit_pending(), 0);
     }
@@ -727,7 +719,7 @@ mod tests {
     #[test]
     fn halt_trace_console_devices() {
         let mut p = Platform::new(CoreKind::Cv32e40p, 1000);
-        p.begin_cycle();
+        p.advance_cycles(1);
         p.core_access(MMIO_CONSOLE, AccessSize::Word, Some(42));
         p.core_access(MMIO_TRACE, AccessSize::Word, Some(7));
         assert!(!p.mmio.halted);
@@ -742,9 +734,9 @@ mod tests {
         let mut p = Platform::new(CoreKind::Cva6, 1000);
         assert!(p.trace().is_none(), "tracing defaults off");
         p.enable_tracing(64);
-        p.begin_cycle();
+        p.advance_cycles(1);
         p.core_access(DMEM_BASE, AccessSize::Word, None); // miss
-        p.begin_cycle();
+        p.advance_cycles(1);
         p.core_access(DMEM_BASE, AccessSize::Word, None); // hit
         p.core_access(MMIO_TRACE, AccessSize::Word, Some(0xE1));
         p.core_access(
@@ -771,11 +763,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_advance_matches_per_cycle_begin() {
+    fn bulk_advance_matches_per_cycle_advance() {
         let mut a = Platform::new(CoreKind::Cv32e40p, 100);
         let mut b = Platform::new(CoreKind::Cv32e40p, 100);
         for _ in 0..73 {
-            a.begin_cycle();
+            a.advance_cycles(1);
         }
         b.advance_cycles(73);
         assert_eq!(a.cycle(), b.cycle());
@@ -788,7 +780,7 @@ mod tests {
     fn mmio_writes_raise_attention() {
         let mut p = Platform::new(CoreKind::Cv32e40p, 100);
         assert!(!p.take_attention());
-        p.begin_cycle();
+        p.advance_cycles(1);
         p.core_access(MMIO_MTIMECMP, AccessSize::Word, Some(500));
         assert!(p.take_attention());
         assert!(!p.take_attention(), "attention is consumed on read");
@@ -800,7 +792,7 @@ mod tests {
     fn auto_reset_rearm_advances_by_period() {
         let mut p = Platform::new(CoreKind::Cv32e40p, 50);
         for _ in 0..50 {
-            p.begin_cycle();
+            p.advance_cycles(1);
         }
         assert!(p.mmio.pending_mask() & csr::MIP_MTIP != 0);
         p.auto_reset_timer();

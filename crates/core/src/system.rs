@@ -380,7 +380,7 @@ impl System {
 
     /// Advances the system by one cycle.
     pub fn step(&mut self) {
-        self.platform.begin_cycle();
+        self.platform.advance_cycles(1);
         let now = self.platform.cycle();
 
         // Faults strike before interrupt sampling, so a spurious /

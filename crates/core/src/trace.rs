@@ -1,10 +1,9 @@
-//! Switch-episode analysis and timeline rendering.
+//! Switch-episode analysis.
 //!
 //! Helpers over switch episodes: per-cause latency breakdowns over
 //! `(cause, latency)` pairs (the cause-dispatch paths of the ISR differ in
 //! length, which is where the last cycles of (SLT) jitter come from), and
-//! ISR overhead and an ASCII timeline over the [`SwitchRecord`] stream for
-//! eyeballing a run.
+//! the ISR overhead of a [`SwitchRecord`] stream.
 
 use crate::stats::{LatencyStats, SwitchRecord};
 use rvsim_isa::csr;
@@ -49,38 +48,6 @@ pub fn isr_overhead(records: &[SwitchRecord], total_cycles: u64) -> f64 {
     }
     let busy: u64 = records.iter().map(|r| r.mret_cycle - r.entry_cycle).sum();
     busy as f64 / total_cycles as f64
-}
-
-/// Renders an ASCII timeline of `width` columns: `#` where an ISR was
-/// executing, `.` where tasks ran, `^` marking trigger points.
-pub fn render_timeline(records: &[SwitchRecord], total_cycles: u64, width: usize) -> String {
-    assert!(width > 0, "timeline width must be positive");
-    if total_cycles == 0 {
-        return String::new();
-    }
-    let mut cols = vec!['.'; width];
-    let scale = |cycle: u64| -> usize {
-        // Clamp in u128 *before* narrowing: a past-horizon cycle could
-        // otherwise wrap the cast and land anywhere in the row.
-        let raw = (cycle as u128) * (width as u128) / (total_cycles as u128);
-        raw.min((width - 1) as u128) as usize
-    };
-    for r in records {
-        // Clamp both endpoints into the row and keep start <= end, so
-        // past-horizon or inverted records degrade instead of panicking.
-        let start = scale(r.entry_cycle);
-        let end = scale(r.mret_cycle.min(total_cycles)).max(start);
-        for c in &mut cols[start..=end] {
-            *c = '#';
-        }
-    }
-    for r in records {
-        let t = scale(r.trigger_cycle);
-        if cols[t] == '.' {
-            cols[t] = '^';
-        }
-    }
-    cols.into_iter().collect()
 }
 
 /// One line per cause of the `(cause, latency)` episodes: count, mean,
@@ -144,32 +111,6 @@ mod tests {
         let ov = isr_overhead(&records, 1000);
         assert!((ov - 0.1).abs() < 1e-9);
         assert_eq!(isr_overhead(&records, 0), 0.0);
-    }
-
-    #[test]
-    fn timeline_marks_isr_and_triggers() {
-        let records = vec![rec(100, 200, 400, csr::CAUSE_TIMER)];
-        let t = render_timeline(&records, 1000, 10);
-        assert_eq!(t.len(), 10);
-        assert_eq!(&t[2..=4], "###");
-        assert_eq!(t.as_bytes()[1], b'^');
-        assert!(t.starts_with('.'));
-    }
-
-    #[test]
-    fn timeline_tolerates_past_horizon_records() {
-        // Regression: an episode past the analysis horizon used to make
-        // the slice range start > end and panic.
-        let records = vec![
-            rec(900, 1500, 1600, csr::CAUSE_TIMER),
-            rec(0, u64::MAX - 7, u64::MAX, csr::CAUSE_TIMER),
-        ];
-        let t = render_timeline(&records, 1000, 10);
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.as_bytes()[9], b'#', "clamped to the last column");
-        // Inverted record (mret before entry) degrades rather than panics.
-        let bad = vec![rec(0, 700, 300, csr::CAUSE_TIMER)];
-        assert_eq!(render_timeline(&bad, 1000, 10).len(), 10);
     }
 
     #[test]

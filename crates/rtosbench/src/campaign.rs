@@ -224,12 +224,6 @@ impl RunSpec {
         self
     }
 
-    /// Sets this run's SLO latency budget (cycles) and returns `self`.
-    pub fn with_slo(mut self, threshold: u64) -> RunSpec {
-        self.slo = Some(threshold);
-        self
-    }
-
     /// The effective label of this run.
     pub fn label(&self) -> String {
         if let Some(l) = &self.label {

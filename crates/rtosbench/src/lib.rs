@@ -22,7 +22,6 @@
 //! and [`Fig9Row::pool`] aggregates the mean/min/max/jitter rows of Fig. 9.
 
 pub mod campaign;
-pub mod perfdiff;
 pub mod report;
 pub mod runner;
 pub mod tail;
@@ -32,7 +31,6 @@ pub use campaign::{
     Campaign, CampaignSpec, ConfigOverride, FailureKind, FilterPolicy, RunFailure, RunOutcome,
     RunSpec, SimOutcome, WorkloadSpec,
 };
-pub use perfdiff::{compare, DiffReport, MetricDelta};
 pub use runner::{run_workload, Fig9Row};
 pub use rvsim_snapshot::json;
 pub use rvsim_snapshot::Json;

@@ -112,8 +112,9 @@ pub fn build_tail_workload(_mean_gap: u32, preset: Preset) -> Result<GuestImage,
 /// queue-delayed episodes the closed-loop filter would drop.
 ///
 /// `quick` shrinks the cycle budget for CI smoke runs; both shapes share
-/// this one definition so the committed perf baseline and the figure
-/// always measure the same campaign.
+/// this one definition so the committed tail-campaign pin
+/// (`ci/perf_baseline.json`) and the figure always measure the same
+/// campaign.
 pub fn tail_spec(quick: bool) -> CampaignSpec {
     let run_cycles = if quick { QUICK_RUN_CYCLES } else { RUN_CYCLES };
     let mut spec = CampaignSpec::new(if quick { "fig_tail_quick" } else { "fig_tail" })

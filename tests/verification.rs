@@ -21,6 +21,7 @@ use rtosunit_suite::check::{
 };
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::isa::progen::GenConfig;
+use rtosunit_suite::unit::snap::fnv1a;
 use rtosunit_suite::unit::Preset;
 
 #[test]
@@ -131,16 +132,6 @@ fn oracle_five_hundred_multicore_schedules() {
         "takes_blocked {}",
         total.takes_blocked
     );
-}
-
-/// FNV-1a, the digest the pre-refactor baseline was pinned with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The fixed single-core matrix both artifact pins run: every core with
