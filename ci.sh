@@ -112,21 +112,35 @@ else
   echo "   (python3 unavailable — relying on tests/perfgate.rs)"
 fi
 
-echo "== campaign figure smoke (fig9 --quick, extension_sync, fig_smp, ablations)"
+echo "== campaign figure smoke (fig9 --quick, extension_sync, fig_smp, ablations, fig12_scaling, wcet_table)"
 # These figures read the campaign outcome (latencies, per-episode causes,
 # trace-mark counts, bus and ctxQueue counters) in ways no other step
-# does; together they take about 2 s.
-for f in fig9_quick extension_sync fig_smp ablations; do
+# does; fig12_scaling and wcet_table are the only artifacts with analytic
+# runs. Together they take about 2 s. Each artifact is written by the
+# in-tree JSON writer, so a foreign parser must load it.
+FIGS="fig9_quick extension_sync fig_smp ablations fig12_scaling wcet_table"
+for f in $FIGS; do
   rm -f "results/$f.txt" "results/$f.json"
 done
 cargo run -q --release -p rtosunit-bench --bin fig9 -- --quick > /dev/null
-cargo run -q --release -p rtosunit-bench --bin extension_sync > /dev/null
-cargo run -q --release -p rtosunit-bench --bin fig_smp > /dev/null
-cargo run -q --release -p rtosunit-bench --bin ablations > /dev/null
-for f in fig9_quick extension_sync fig_smp ablations; do
+for b in extension_sync fig_smp ablations fig12_scaling wcet_table; do
+  cargo run -q --release -p rtosunit-bench --bin "$b" > /dev/null
+done
+for f in $FIGS; do
   test -s "results/$f.txt"
   test -s "results/$f.json"
 done
+if [ "$HAVE_PY" = 1 ]; then
+  python3 -c "
+import json, sys
+for f in sys.argv[1:]:
+    d = json.load(open(f'results/{f}.json'))
+    assert d['schema'].startswith('rtosunit-campaign-v'), (f, d['schema'])
+    assert isinstance(d['runs'], list) and d['runs'], f
+" $FIGS
+else
+  echo "   (python3 unavailable — relying on the artifacts being non-empty)"
+fi
 
 echo "== fault-injection smoke (fig_faults --quick; tier-1 campaign is tests/faults.rs)"
 # The ~200-injection tier-1 slice runs inside `cargo test` above

@@ -16,7 +16,7 @@
 //! in-memory outcomes, and write the machine-readable campaign artifact to
 //! `results/<name>.json` via [`Campaign::write_json`].
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::runner;
 use crate::workloads::{self, Workload};
 use freertos_lite::{GuestImage, KernelError};
@@ -516,13 +516,15 @@ pub struct RunFailure {
 }
 
 impl RunFailure {
-    /// Renders the failure for the artifact's `failures` section.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("index", self.index)
-            .with("label", self.label.as_str())
-            .with("kind", self.kind.name())
-            .with("detail", self.detail.as_str())
+    /// Writes the failure as an entry of the artifact's `failures`
+    /// section.
+    fn write(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("index").u64(self.index as u64);
+        w.key("label").str(&self.label);
+        w.key("kind").str(self.kind.name());
+        w.key("detail").str(&self.detail);
+        w.end_object();
     }
 }
 
@@ -671,123 +673,22 @@ impl Campaign {
     /// summaries, per-run latency/phase histograms with percentile
     /// reports and SLO accounting, and a campaign-wide `aggregate`;
     /// `host_nanos` makes v3 host-dependent.
-    pub fn to_json(&self) -> Json {
-        let runs = self
-            .outcomes
+    ///
+    /// The view borrows the campaign and builds nothing until
+    /// [`CampaignJson::render`] writes the text.
+    pub fn to_json(&self) -> CampaignJson<'_> {
+        CampaignJson(self)
+    }
+
+    /// About the rendered artifact's length, for reserving it: six bytes
+    /// (`1234, `) per latency plus what a run's other fields take (about
+    /// 620 bytes in v1 and 3,900 in v3 on the Fig. 9 matrix).
+    fn artifact_bytes_hint(&self) -> usize {
+        let per_run = if self.telemetry { 4096 } else { 640 };
+        self.outcomes
             .iter()
-            .map(|o| {
-                let mut run = Json::object()
-                    .with("label", o.label.as_str())
-                    .with("core", o.core.name())
-                    .with("preset", o.preset.label())
-                    .with("workload", o.workload)
-                    .with("param", o.param);
-                // Emitted only for SMP runs so single-core campaigns stay
-                // byte-identical to the pre-SMP v1 artifacts.
-                if o.harts != 1 {
-                    run.push("harts", o.harts);
-                }
-                match &o.sim {
-                    Some(sim) => {
-                        let mut j = Json::object()
-                            .with("cycles", sim.cycles)
-                            .with("retired", sim.retired)
-                            .with("raw_switches", sim.raw_switches)
-                            .with("switches", sim.latencies.len());
-                        match sim.stats() {
-                            Some(s) => {
-                                j.push("mean", s.mean);
-                                j.push("min", s.min);
-                                j.push("max", s.max);
-                                j.push("jitter", s.jitter());
-                            }
-                            None => {
-                                j.push("mean", Json::Null);
-                                j.push("min", Json::Null);
-                                j.push("max", Json::Null);
-                                j.push("jitter", Json::Null);
-                            }
-                        }
-                        j.push("latencies", sim.latencies.as_slice());
-                        j.push(
-                            "port",
-                            Json::object()
-                                .with("total", sim.port.0)
-                                .with("core", sim.port.1)
-                                .with("unit", sim.port.2),
-                        );
-                        j.push("trace_marks", sim.trace_marks);
-                        j.push(
-                            "ctx_queue",
-                            match sim.ctx_queue {
-                                Some((issued, stalls)) => Json::object()
-                                    .with("issued", issued)
-                                    .with("full_stalls", stalls),
-                                None => Json::Null,
-                            },
-                        );
-                        if let Some(bus) = &sim.bus {
-                            j.push(
-                                "bus",
-                                bus.iter()
-                                    .map(|m| {
-                                        Json::object()
-                                            .with("grants", m.grants)
-                                            .with("wait_cycles", m.wait_cycles)
-                                            .with("max_wait", m.max_wait)
-                                    })
-                                    .collect::<Vec<_>>(),
-                            );
-                        }
-                        if self.telemetry {
-                            let mut counters = Json::object();
-                            for (name, value) in sim.counters.named() {
-                                counters.push(name, value);
-                            }
-                            j.push("counters", counters);
-                            j.push("waterfall", waterfall_json(&sim.metrics));
-                            j.push("latency_hist", metrics_json(&sim.metrics));
-                        }
-                        run.push("sim", j);
-                    }
-                    None => run.push("sim", Json::Null),
-                }
-                run.push("analytic", o.analytic.clone().unwrap_or(Json::Null));
-                if self.telemetry {
-                    run.push("host_nanos", o.host_nanos);
-                }
-                run
-            })
-            .collect::<Vec<_>>();
-        let schema = if self.telemetry {
-            "rtosunit-campaign-v3"
-        } else {
-            "rtosunit-campaign-v1"
-        };
-        let mut doc = Json::object()
-            .with("schema", schema)
-            .with("campaign", self.name);
-        if self.telemetry {
-            doc.push("host_nanos", self.host_nanos);
-            doc.push("workers", self.workers);
-        }
-        doc.push("runs", runs);
-        if !self.failures.is_empty() {
-            doc.push(
-                "failures",
-                self.failures
-                    .iter()
-                    .map(RunFailure::to_json)
-                    .collect::<Vec<_>>(),
-            );
-        }
-        if self.telemetry {
-            doc.push("aggregate", metrics_json(&self.aggregate_metrics()));
-        }
-        for (name, section) in &self.sections {
-            doc.push(name, section.clone());
-        }
-        doc
+            .map(|o| per_run + o.sim.as_ref().map_or(0, |s| 6 * s.latencies.len()))
+            .sum()
     }
 
     /// Writes `dir/<name>.json` and returns its path.
@@ -806,6 +707,148 @@ impl Campaign {
         std::fs::write(&path, self.to_json().render())?;
         Ok(path)
     }
+}
+
+/// A [`Campaign`]'s artifact ([`Campaign::to_json`]), written on demand
+/// straight from its outcomes.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignJson<'a>(&'a Campaign);
+
+impl CampaignJson<'_> {
+    /// Renders the artifact: each run's fields, latencies, histograms and
+    /// counters go from its outcome into one `String` through a
+    /// [`JsonWriter`], reserved up front from the runs' latency counts.
+    pub fn render(&self) -> String {
+        let c = self.0;
+        let mut w = JsonWriter::with_capacity(c.artifact_bytes_hint());
+        w.begin_object();
+        w.key("schema").str(if c.telemetry {
+            "rtosunit-campaign-v3"
+        } else {
+            "rtosunit-campaign-v1"
+        });
+        w.key("campaign").str(c.name);
+        if c.telemetry {
+            w.key("host_nanos").u64(c.host_nanos);
+            w.key("workers").u64(c.workers as u64);
+        }
+        w.key("runs").begin_array();
+        for o in &c.outcomes {
+            write_run(&mut w, o, c.telemetry);
+        }
+        w.end_array();
+        if !c.failures.is_empty() {
+            w.key("failures").begin_array();
+            for f in &c.failures {
+                f.write(&mut w);
+            }
+            w.end_array();
+        }
+        if c.telemetry {
+            w.key("aggregate");
+            write_metrics(&mut w, &c.aggregate_metrics());
+        }
+        for (name, section) in &c.sections {
+            w.key(name).value(section);
+        }
+        w.end_object();
+        w.finish()
+    }
+}
+
+/// Writes one run of the artifact's `runs` array.
+fn write_run(w: &mut JsonWriter, o: &RunOutcome, telemetry: bool) {
+    w.begin_object();
+    w.key("label").str(&o.label);
+    w.key("core").str(o.core.name());
+    w.key("preset").str(o.preset.label());
+    w.key("workload").str(o.workload);
+    w.key("param").u64(o.param.into());
+    // Emitted only for SMP runs so single-core campaigns stay
+    // byte-identical to the pre-SMP v1 artifacts.
+    if o.harts != 1 {
+        w.key("harts").u64(o.harts as u64);
+    }
+    w.key("sim");
+    match &o.sim {
+        Some(sim) => write_sim(w, sim, telemetry),
+        None => w.null(),
+    }
+    w.key("analytic");
+    match &o.analytic {
+        Some(analytic) => w.value(analytic),
+        None => w.null(),
+    }
+    if telemetry {
+        w.key("host_nanos").u64(o.host_nanos);
+    }
+    w.end_object();
+}
+
+/// Writes a run's `sim` object.
+fn write_sim(w: &mut JsonWriter, sim: &SimOutcome, telemetry: bool) {
+    w.begin_object();
+    w.key("cycles").u64(sim.cycles);
+    w.key("retired").u64(sim.retired);
+    w.key("raw_switches").u64(sim.raw_switches as u64);
+    w.key("switches").u64(sim.latencies.len() as u64);
+    match sim.stats() {
+        Some(s) => {
+            w.key("mean").f64(s.mean);
+            w.key("min").u64(s.min);
+            w.key("max").u64(s.max);
+            w.key("jitter").u64(s.jitter());
+        }
+        None => {
+            for key in ["mean", "min", "max", "jitter"] {
+                w.key(key).null();
+            }
+        }
+    }
+    w.key("latencies").begin_array();
+    for &latency in &sim.latencies {
+        w.u64(latency);
+    }
+    w.end_array();
+    w.key("port").begin_object();
+    w.key("total").u64(sim.port.0);
+    w.key("core").u64(sim.port.1);
+    w.key("unit").u64(sim.port.2);
+    w.end_object();
+    w.key("trace_marks").u64(sim.trace_marks as u64);
+    w.key("ctx_queue");
+    match sim.ctx_queue {
+        Some((issued, stalls)) => {
+            w.begin_object();
+            w.key("issued").u64(issued);
+            w.key("full_stalls").u64(stalls);
+            w.end_object();
+        }
+        None => w.null(),
+    }
+    if let Some(bus) = &sim.bus {
+        w.key("bus").begin_array();
+        for m in bus {
+            w.begin_object();
+            w.key("grants").u64(m.grants);
+            w.key("wait_cycles").u64(m.wait_cycles);
+            w.key("max_wait").u64(m.max_wait);
+            w.end_object();
+        }
+        w.end_array();
+    }
+    if telemetry {
+        w.key("counters").begin_object();
+        for (name, value) in sim.counters.named() {
+            w.key(name).u64(value);
+        }
+        w.end_object();
+        w.key("waterfall");
+        write_waterfall(w, &sim.metrics);
+        w.key("latency_hist");
+        write_metrics(w, &sim.metrics);
+    }
+    w.end_object();
 }
 
 fn execute_run(
@@ -1001,85 +1044,89 @@ fn harvest(
     }
 }
 
-/// Renders one [`LatencyHistogram`] as its summary plus the standard
+/// Writes one [`LatencyHistogram`] as its summary plus the standard
 /// percentile report ([`rtosunit::hist::REPORTED_PERCENTILES`]). Empty
-/// histograms render as `null` fields so readers need no special cases.
-fn histogram_json(h: &LatencyHistogram) -> Json {
-    let mut j = Json::object().with("count", h.count());
+/// histograms write `null` fields so readers need no special cases.
+fn write_histogram(w: &mut JsonWriter, h: &LatencyHistogram) {
+    w.begin_object();
+    w.key("count").u64(h.count());
     match (h.min(), h.max(), h.mean()) {
         (Some(min), Some(max), Some(mean)) => {
-            j.push("min", min);
-            j.push("max", max);
-            j.push("mean", mean);
+            w.key("min").u64(min);
+            w.key("max").u64(max);
+            w.key("mean").f64(mean);
         }
         _ => {
-            j.push("min", Json::Null);
-            j.push("max", Json::Null);
-            j.push("mean", Json::Null);
+            for key in ["min", "max", "mean"] {
+                w.key(key).null();
+            }
         }
     }
-    let mut pcts = Json::object();
+    w.key("percentiles").begin_object();
     match h.report() {
         Some(report) => {
             for (name, value) in report {
-                pcts.push(name, value);
+                w.key(name).u64(value);
             }
         }
         None => {
             for (name, _) in rtosunit::hist::REPORTED_PERCENTILES {
-                pcts.push(name, Json::Null);
+                w.key(name).null();
             }
         }
     }
-    j.push("percentiles", pcts);
-    j
+    w.end_object();
+    w.end_object();
 }
 
-/// Renders a run's [`SwitchMetrics`]: the end-to-end latency histogram,
+/// Writes a run's [`SwitchMetrics`]: the end-to-end latency histogram,
 /// one histogram per waterfall phase, and the SLO accounting (`null`
 /// when no budget is configured).
-fn metrics_json(m: &SwitchMetrics) -> Json {
-    let mut phases = Json::object();
+fn write_metrics(w: &mut JsonWriter, m: &SwitchMetrics) {
+    w.begin_object();
+    w.key("latency");
+    write_histogram(w, &m.latency);
+    w.key("phases").begin_object();
     for (name, hist) in m.named_phases() {
-        phases.push(name, histogram_json(hist));
+        w.key(name);
+        write_histogram(w, hist);
     }
-    Json::object()
-        .with("latency", histogram_json(&m.latency))
-        .with("phases", phases)
-        .with(
-            "slo",
-            match &m.slo {
-                Some(slo) => Json::object()
-                    .with("threshold", slo.threshold)
-                    .with("total", slo.total)
-                    .with("misses", slo.misses)
-                    .with("miss_rate", slo.miss_rate()),
-                None => Json::Null,
-            },
-        )
+    w.end_object();
+    w.key("slo");
+    match &m.slo {
+        Some(slo) => {
+            w.begin_object();
+            w.key("threshold").u64(slo.threshold);
+            w.key("total").u64(slo.total);
+            w.key("misses").u64(slo.misses);
+            w.key("miss_rate").f64(slo.miss_rate());
+            w.end_object();
+        }
+        None => w.null(),
+    }
+    w.end_object();
 }
 
-/// Summarises a run's waterfalls as per-phase mean, min, max and jitter,
+/// Writes a run's waterfall summary: per-phase mean, min, max and jitter,
 /// from the phase histograms' exact count, min, max and total (the same
 /// figures [`waterfall::phase_stats`] computes from the episodes). No
-/// episodes render an empty `phases` object.
-fn waterfall_json(m: &SwitchMetrics) -> Json {
-    let mut phases = Json::object();
+/// episodes write an empty `phases` object.
+fn write_waterfall(w: &mut JsonWriter, m: &SwitchMetrics) {
+    w.begin_object();
+    w.key("episodes").u64(m.latency.count());
+    w.key("phases").begin_object();
     for (name, hist) in m.named_phases() {
         if let (Some(mean), Some(min), Some(max)) = (hist.mean(), hist.min(), hist.max()) {
-            phases.push(
-                name,
-                Json::object()
-                    .with("mean", mean)
-                    .with("min", min)
-                    .with("max", max)
-                    .with("jitter", max - min),
-            );
+            w.key(name).begin_object();
+            w.key("mean").f64(mean);
+            w.key("min").u64(min);
+            w.key("max").u64(max);
+            w.key("jitter").u64(max - min);
+            w.end_object();
         }
     }
-    Json::object()
-        .with("episodes", m.latency.count())
-        .with("phases", phases)
+    w.end_object();
+    w.end_object();
 }
 
 #[cfg(test)]
@@ -1096,6 +1143,13 @@ mod tests {
 
     fn empty_kernel(_param: u32, preset: Preset) -> Result<GuestImage, KernelError> {
         KernelBuilder::new(preset).build()
+    }
+
+    /// One task that never yields: no switch before the first tick.
+    fn lone_kernel(_param: u32, preset: Preset) -> Result<GuestImage, KernelError> {
+        let mut k = KernelBuilder::new(preset);
+        k.task("a", 5, |t| t.compute(10));
+        k.build()
     }
 
     #[test]
@@ -1151,6 +1205,102 @@ mod tests {
         assert!(rendered.contains("\"failures\""));
         assert!(rendered.contains("\"panicked\""));
         assert!(rendered.contains("\"build\""));
+    }
+
+    #[test]
+    fn every_artifact_shape_keeps_the_tree_layout() {
+        // The shapes neither artifact pin reaches: an SMP run, a build
+        // failure and a panic, an analytic run, a run with no measured
+        // switch, attached sections as `fig_smp` attaches them, and an
+        // empty run list. Each renders as v1 and as v3, and the value
+        // tree parsed back from the text must render the same text.
+        let w = workloads::by_name("pingpong_semaphore").expect("exists");
+        let custom = |name, build, run_cycles| WorkloadSpec::Custom {
+            name,
+            param: 0,
+            build,
+            run_cycles,
+        };
+        let analytic = |name, eval| WorkloadSpec::Analytic {
+            name,
+            param: 3,
+            eval,
+        };
+        let mut shapes = CampaignSpec::new("test_shapes")
+            .with(
+                RunSpec::new(CoreKind::Cv32e40p, Preset::Slt, WorkloadSpec::Suite(w)).with_harts(2),
+            )
+            .with(RunSpec::new(
+                CoreKind::Cv32e40p,
+                Preset::Vanilla,
+                custom("silent", lone_kernel, 1_000),
+            ))
+            .with(RunSpec::new(
+                CoreKind::Cva6,
+                Preset::T,
+                analytic("rows", |p, _, _| {
+                    Json::object()
+                        .with("square", u64::from(p * p))
+                        .with("ratio", 0.5)
+                        .with("rows", Json::Array(vec![Json::object().with("x", -1i64)]))
+                }),
+            ))
+            .with(RunSpec::new(
+                CoreKind::Cva6,
+                Preset::T,
+                analytic("boom", |_, _, _| panic!("induced worker panic")),
+            ))
+            .with(RunSpec::new(
+                CoreKind::Cv32e40p,
+                Preset::Vanilla,
+                custom("nobuild", empty_kernel, 1_000),
+            ))
+            .with_slo(400)
+            .run(2);
+        shapes.attach_section(
+            "verification",
+            Json::object().with(
+                "oracle_2harts",
+                Json::object().with("pass", true).with("schedules", 12u64),
+            ),
+        );
+        shapes.attach_section(
+            "bus_contention",
+            Json::object().with(
+                "per_hart",
+                vec![Json::object().with("hart", 0u64).with("grants", 5u64)],
+            ),
+        );
+        let empty = CampaignSpec::new("test_empty").run(1);
+        for mut c in [shapes, empty] {
+            for telemetry in [false, true] {
+                c.telemetry = telemetry;
+                let text = c.to_json().render();
+                let tree = Json::parse(&text).expect("the artifact parses");
+                assert_eq!(tree.render(), text, "{} (v3: {telemetry})", c.name);
+                let runs = tree.get("runs").and_then(Json::as_array).expect("runs");
+                assert_eq!(runs.len(), c.outcomes.len());
+                if c.outcomes.is_empty() {
+                    assert!(text.contains("\"runs\": []"));
+                    continue;
+                }
+                for shape in [
+                    "\"harts\": 2",
+                    "\"bus\": [",
+                    "\"failures\": [",
+                    "\"panicked\"",
+                    "\"build\"",
+                    "\"sim\": null",
+                    "\"square\": 9",
+                    "\"mean\": null",
+                    "\"latencies\": []",
+                    "\"verification\": {",
+                    "\"per_hart\": [",
+                ] {
+                    assert!(text.contains(shape), "v3: {telemetry}, no `{shape}`");
+                }
+            }
+        }
     }
 
     fn tiny_spec() -> CampaignSpec {
@@ -1361,7 +1511,9 @@ mod tests {
         let expected = Json::object()
             .with("episodes", episodes.len())
             .with("phases", expected);
-        assert_eq!(waterfall_json(&sim.metrics).render(), expected.render());
+        let mut w = JsonWriter::new();
+        write_waterfall(&mut w, &sim.metrics);
+        assert_eq!(w.finish(), expected.render());
         let causes: Vec<u32> = records.iter().map(|r| r.cause).collect();
         assert_eq!(sim.causes, causes);
     }

@@ -28,8 +28,8 @@ pub mod tail;
 pub mod workloads;
 
 pub use campaign::{
-    Campaign, CampaignSpec, ConfigOverride, FailureKind, FilterPolicy, RunFailure, RunOutcome,
-    RunSpec, SimOutcome, WorkloadSpec,
+    Campaign, CampaignJson, CampaignSpec, ConfigOverride, FailureKind, FilterPolicy, RunFailure,
+    RunOutcome, RunSpec, SimOutcome, WorkloadSpec,
 };
 pub use runner::{run_workload, Fig9Row};
 pub use rvsim_snapshot::json;

@@ -1,14 +1,23 @@
-//! A minimal, dependency-free JSON value builder, serializer and parser.
+//! A minimal, dependency-free JSON writer, value tree and parser.
 //!
-//! Campaign artifacts (`results/*.json`) and BENCH reports are written
-//! through this module so the whole experiment stack stays offline-friendly
-//! (no serde). Serialization is deterministic: object keys keep insertion
-//! order, floats use Rust's shortest round-trip formatting, and the writer
-//! emits a stable two-space-indented layout — byte-identical output for
-//! equal values, which the campaign determinism tests rely on.
+//! Campaign artifacts (`results/*.json`), snapshots and BENCH reports are
+//! written through this module so the whole experiment stack stays
+//! offline-friendly (no serde). [`JsonWriter`] is the one place the text
+//! layout is stated: a `String` plus a small stack of open containers,
+//! writing each value straight into its output. The layout is
+//! deterministic: two-space indentation, one object member or array item
+//! per line, `{}` and `[]` for empty containers, arrays of scalars only on
+//! one line joined by `, `, object keys in the order they are written,
+//! and floats in Rust's shortest round-trip digits with a forced decimal
+//! point. Equal values render to equal bytes, which the campaign
+//! determinism tests and the snapshot digests rely on.
 //!
-//! [`Json::parse`] is the matching reader; the CI smoke test uses it to
-//! validate that emitted trace artifacts are well-formed JSON.
+//! [`Json`] is the value tree, for documents whose shape is the point:
+//! snapshot payloads, attached artifact sections, analytic rows and
+//! parsed documents. [`Json::render`] walks it through the writer, so a
+//! tree and a streamed document of the same shape render the same text.
+//! [`Json::parse`] is the matching reader; the CI smoke tests use it to
+//! validate that emitted artifacts are well-formed JSON.
 
 use std::fmt::Write as _;
 
@@ -131,77 +140,244 @@ impl Json {
         Ok(value)
     }
 
-    /// Renders with a trailing newline, two-space indentation.
+    /// Renders with a trailing newline, in the [`JsonWriter`] layout.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::new();
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// A streaming JSON writer: the output text plus a stack of the
+/// containers still open in it. Each call writes one token straight into
+/// the text, so a document costs its own bytes and no tree.
+///
+/// A value goes wherever the writer stands: as the document, after a
+/// [`key`](JsonWriter::key) in an object, or as the next array item. An
+/// array's layout is set by its first item: a scalar puts every item on
+/// the opening line, joined by `, `; a container puts each item on its
+/// own line. Misuse (a value without a key in an object, a key outside
+/// one, a container after a scalar in an array, unbalanced closes) is a
+/// programming error and panics.
+///
+/// ```
+/// use rvsim_snapshot::json::{Json, JsonWriter};
+/// let mut w = JsonWriter::new();
+/// w.begin_object();
+/// w.key("name").str("fig9");
+/// w.key("latencies").begin_array();
+/// for l in [70, 72] {
+///     w.u64(l);
+/// }
+/// w.end_array();
+/// w.end_object();
+/// let text = w.finish();
+/// assert_eq!(text, "{\n  \"name\": \"fig9\",\n  \"latencies\": [70, 72]\n}\n");
+/// assert_eq!(Json::parse(&text).unwrap().render(), text);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    open: Vec<Open>,
+    /// A key was written and its value has not been.
+    keyed: bool,
+}
+
+/// One open container on a [`JsonWriter`]'s stack.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// `b'}'` or `b']'`.
+    close: u8,
+    /// Whether a member or item has been written.
+    started: bool,
+    /// Each member or item on its own line (objects, and arrays holding a
+    /// container); otherwise all on the opening line.
+    lines: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Float(f) => write_f64(out, *f),
-            Json::Str(s) => write_escaped(out, s),
+    /// An empty writer whose output has room for `bytes` without growing.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            ..JsonWriter::default()
+        }
+    }
+
+    /// Ends the document with a newline and returns its text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no value was written or a container is still open.
+    pub fn finish(mut self) -> String {
+        assert!(
+            self.open.is_empty() && !self.keyed && !self.out.is_empty(),
+            "finish on an incomplete JSON document"
+        );
+        self.out.push('\n');
+        self.out
+    }
+
+    /// Writes the next object member's key; its value is the next value
+    /// written. Returns `self`, so a member reads `w.key("k").u64(v)`.
+    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+        let depth = self.open.len();
+        let top = self
+            .open
+            .last_mut()
+            .filter(|top| top.close == b'}' && !self.keyed)
+            .expect("a JSON key belongs in an object, before its value");
+        if std::mem::replace(&mut top.started, true) {
+            self.out.push(',');
+        }
+        self.keyed = true;
+        newline(&mut self.out, depth);
+        write_escaped(&mut self.out, key);
+        self.out.push_str(": ");
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.item(true);
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.item(true);
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an unsigned integer, exactly.
+    pub fn u64(&mut self, u: u64) {
+        self.item(true);
+        write_u64(&mut self.out, u);
+    }
+
+    /// Writes a signed integer, exactly.
+    pub fn i64(&mut self, i: i64) {
+        self.item(true);
+        if i < 0 {
+            self.out.push('-');
+        }
+        write_u64(&mut self.out, i.unsigned_abs());
+    }
+
+    /// Writes a float (see [`JsonWriter`] for the digits).
+    pub fn f64(&mut self, f: f64) {
+        self.item(true);
+        write_f64(&mut self.out, f);
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, s: &str) {
+        self.item(true);
+        write_escaped(&mut self.out, s);
+    }
+
+    /// Writes a value tree.
+    pub fn value(&mut self, value: &Json) {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(i) => self.i64(*i),
+            Json::UInt(u) => self.u64(*u),
+            Json::Float(f) => self.f64(*f),
+            Json::Str(s) => self.str(s),
             Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                // An array mixing scalars and containers takes one line
+                // per item, even when a scalar comes first.
+                let lines = !items.iter().all(Json::is_scalar);
+                self.open(b']', lines);
+                for item in items {
+                    self.value(item);
                 }
-                // Scalar-only arrays (e.g. latency vectors with thousands
-                // of entries) render on one line to keep artifacts compact.
-                if items.iter().all(Json::is_scalar) {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        item.write(out, depth);
-                    }
-                    out.push(']');
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                self.end_array();
             }
             Json::Object(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.begin_object();
+                for (k, v) in pairs {
+                    self.key(k).value(v);
                 }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
+                self.end_object();
             }
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open(b'}', true);
+    }
+
+    /// Closes the innermost container, which must be an object.
+    pub fn end_object(&mut self) {
+        self.close(b'}');
+    }
+
+    /// Opens an array; its first item sets its layout.
+    pub fn begin_array(&mut self) {
+        self.open(b']', false);
+    }
+
+    /// Closes the innermost container, which must be an array.
+    pub fn end_array(&mut self) {
+        self.close(b']');
+    }
+
+    fn open(&mut self, close: u8, lines: bool) {
+        self.item(false);
+        self.out.push(if close == b'}' { '{' } else { '[' });
+        self.open.push(Open {
+            close,
+            started: false,
+            lines,
+        });
+    }
+
+    fn close(&mut self, close: u8) {
+        let top = self
+            .open
+            .pop()
+            .filter(|top| top.close == close && !self.keyed)
+            .unwrap_or_else(|| panic!("no open container to close with `{}`", close as char));
+        if top.lines && top.started {
+            newline(&mut self.out, self.open.len());
+        }
+        self.out.push(close as char);
+    }
+
+    /// Places the next value: after its key in an object, or as the next
+    /// item of an array (choosing the array's layout on its first item).
+    fn item(&mut self, scalar: bool) {
+        let depth = self.open.len();
+        let Some(top) = self.open.last_mut() else {
+            assert!(self.out.is_empty(), "a JSON document holds one value");
+            return;
+        };
+        if top.close == b'}' {
+            assert!(
+                std::mem::take(&mut self.keyed),
+                "a JSON object value needs a key"
+            );
+            return;
+        }
+        if std::mem::replace(&mut top.started, true) {
+            assert!(
+                top.lines || scalar,
+                "a one-line JSON array holds scalars only"
+            );
+            self.out.push_str(if top.lines { "," } else { ", " });
+        } else {
+            top.lines |= !scalar;
+        }
+        if top.lines {
+            newline(&mut self.out, depth);
         }
     }
 }
@@ -465,10 +641,29 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
+/// Starts a line indented two spaces per open container.
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
     for _ in 0..depth {
         out.push_str("  ");
     }
+}
+
+/// Writes `u` in decimal, digit by digit from a stack buffer (the
+/// formatting machinery costs more than the digits for the latencies an
+/// artifact is made of).
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// JSON has no NaN/Infinity; they serialize as `null`. Finite floats use
@@ -479,9 +674,9 @@ fn write_f64(out: &mut String, f: f64) {
         out.push_str("null");
         return;
     }
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
@@ -549,11 +744,6 @@ impl From<Vec<Json>> for Json {
         Json::Array(v)
     }
 }
-impl From<&[u64]> for Json {
-    fn from(v: &[u64]) -> Json {
-        Json::Array(v.iter().map(|&u| Json::UInt(u)).collect())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -572,6 +762,83 @@ mod tests {
         assert!(s.contains("\"mean\": 70.25"));
         assert!(s.ends_with("}\n"));
         assert!(s.contains("null"));
+    }
+
+    #[test]
+    fn the_writer_lays_out_every_container_shape() {
+        // Empty containers, a one-line scalar array (with a string that
+        // holds the separator), an array whose container follows a
+        // scalar, nested arrays and an object inside an array.
+        let text = r#"{
+  "empty_arr": [],
+  "empty_obj": {},
+  "row": [0, -9223372036854775808, 18446744073709551615, "x, y", null, 2.5, true],
+  "mixed": [
+    1,
+    {},
+    [
+      []
+    ]
+  ],
+  "objects": [
+    {
+      "k": 0.0
+    }
+  ]
+}
+"#;
+        assert_eq!(Json::parse(text).unwrap().render(), text);
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        w.begin_object();
+        w.key("k").f64(0.0);
+        w.end_object();
+        w.u64(3);
+        w.end_array();
+        assert_eq!(w.finish(), "[\n  {\n    \"k\": 0.0\n  },\n  3\n]\n");
+        assert_eq!(Json::UInt(7).render(), "7\n");
+    }
+
+    #[test]
+    fn the_writer_rejects_misuse() {
+        let misuses: [fn(&mut JsonWriter); 6] = [
+            |w| {
+                w.begin_object();
+                w.u64(1);
+            },
+            |w| {
+                w.begin_array();
+                w.key("k");
+            },
+            |w| {
+                w.begin_array();
+                w.u64(1);
+                w.begin_object();
+            },
+            |w| {
+                w.begin_object();
+                w.end_array();
+            },
+            |w| {
+                w.u64(1);
+                w.u64(2);
+            },
+            |w| {
+                w.begin_object();
+                w.key("k");
+                w.end_object();
+            },
+        ];
+        for misuse in misuses {
+            let caught = std::panic::catch_unwind(|| misuse(&mut JsonWriter::new()));
+            assert!(caught.is_err());
+        }
+        let unfinished = std::panic::catch_unwind(|| {
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.finish()
+        });
+        assert!(unfinished.is_err());
     }
 
     #[test]
