@@ -112,23 +112,29 @@ else
   echo "   (python3 unavailable — relying on tests/perfgate.rs)"
 fi
 
-echo "== campaign figure smoke (fig9 --quick, extension_sync, fig_smp, ablations, fig12_scaling, wcet_table)"
+echo "== campaign figure smoke (fig9 --quick, extension_sync, fig_smp, ablations, fig12_scaling, wcet_table, fig10_area, fig11_fmax, fig13_power)"
 # These figures read the campaign outcome (latencies, per-episode causes,
 # trace-mark counts, bus and ctxQueue counters) in ways no other step
 # does; fig12_scaling and wcet_table are the only artifacts with analytic
 # runs. Together they take about 2 s. Each artifact is written by the
-# in-tree JSON writer, so a foreign parser must load it.
+# in-tree JSON writer, so a foreign parser must load it. The three ASIC
+# figures write text only; fig13_power derives power from unit activity
+# simulated through System::run.
 FIGS="fig9_quick extension_sync fig_smp ablations fig12_scaling wcet_table"
-for f in $FIGS; do
+ASIC_FIGS="fig10_area fig11_fmax fig13_power"
+for f in $FIGS $ASIC_FIGS; do
   rm -f "results/$f.txt" "results/$f.json"
 done
 cargo run -q --release -p rtosunit-bench --bin fig9 -- --quick > /dev/null
-for b in extension_sync fig_smp ablations fig12_scaling wcet_table; do
+for b in extension_sync fig_smp ablations fig12_scaling wcet_table $ASIC_FIGS; do
   cargo run -q --release -p rtosunit-bench --bin "$b" > /dev/null
 done
 for f in $FIGS; do
   test -s "results/$f.txt"
   test -s "results/$f.json"
+done
+for f in $ASIC_FIGS; do
+  test -s "results/$f.txt"
 done
 if [ "$HAVE_PY" = 1 ]; then
   python3 -c "

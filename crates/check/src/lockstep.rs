@@ -378,7 +378,7 @@ pub fn run_episode(ep: &EpisodeSpec) -> Result<EpisodeStats, Mismatch> {
             let budget = BATCH.min(ep.max_cycles - engine.cycle());
             engine.run_until(&mut bus, &mut coproc, budget).event
         } else {
-            engine.step(&mut bus, &mut coproc).event
+            engine.step(&mut bus, &mut coproc)
         };
         let retires = engine.retired() - before;
 

@@ -378,7 +378,8 @@ impl System {
         self.core.block_stats_in(start, end)
     }
 
-    /// Advances the system by one cycle.
+    /// Advances the system by one cycle, in the order every path takes a
+    /// cycle: bus clock, interrupt lines, core, unit, episode bookkeeping.
     pub fn step(&mut self) {
         self.platform.advance_cycles(1);
         let now = self.platform.cycle();
@@ -415,10 +416,9 @@ impl System {
         }
         self.core.state.csrs.mip = mask;
 
-        let out = self.core.step(&mut self.platform, &mut self.unit);
-        self.track_episode(out.event, now);
-
+        let event = self.core.step(&mut self.platform, &mut self.unit);
         self.unit.step(&mut self.core.state, &mut self.platform);
+        self.track_episode(event, now);
     }
 
     /// Switch-episode bookkeeping for a core event on cycle `now`: ISR
@@ -452,31 +452,25 @@ impl System {
         }
     }
 
-    /// How many upcoming cycles can run batched, and in which mode.
+    /// How many upcoming cycles can run batched: the length of the
+    /// *quiescent* stretch ahead, over which the interrupt lines already
+    /// match what the core sees and no timer fire, scheduled external IRQ
+    /// or planned fault lands. Over such a stretch the per-cycle `System`
+    /// bookkeeping beyond the core and the unit is provably a no-op, so
+    /// [`CoreEngine::run_until`] may take it in one call, whatever the
+    /// unit is doing (it co-steps the unit while the unit has work). A
+    /// guest store that could break the assumption mid-batch (an MMIO
+    /// write to the interrupt devices) stops the batch via the bus
+    /// attention latch.
     ///
-    /// `(n, false)` with `n > 0`: the stretch is fully *quiescent* — the
-    /// attached unit has no background work, the interrupt lines already
-    /// match what the core sees, and no timer fire, scheduled external
-    /// IRQ or planned fault lands inside the window. Over such a stretch
-    /// the per-cycle `System` bookkeeping is provably a no-op, so the
-    /// engine may run batched. Guest actions that could break the
-    /// assumption mid-batch (MMIO writes to the interrupt devices, custom
-    /// unit instructions) stop the batch via the bus attention latch and
-    /// the engine's custom-instruction stop.
-    ///
-    /// `(n, true)`: the lines are quiescent but the unit has background
-    /// work (context store/restore, preload, a scheduler sort) — the
-    /// engine may still run batched provided it steps the coprocessor
-    /// every cycle ([`CoreEngine::run_costep`](rvsim_cores::CoreEngine)).
-    ///
-    /// `(0, _)`: something needs the full per-cycle path this cycle.
-    fn batch_budget(&mut self, now: u64, end: u64) -> (u64, bool) {
+    /// Zero: something needs the full per-cycle path this cycle.
+    fn batch_budget(&mut self, now: u64, end: u64) -> u64 {
         // A queued IPI needs the per-cycle path to assert MSIP.
         if self.platform.ipi_pending() {
-            return (0, false);
+            return 0;
         }
         if self.platform.mmio.pending_mask() != self.core.state.csrs.mip {
-            return (0, false);
+            return 0;
         }
         let mut horizon = end;
         if let Some(delta) = self.platform.mmio.cycles_until_timer_fire() {
@@ -492,17 +486,18 @@ impl System {
         if let Some(next) = self.fault_plan.as_ref().and_then(|p| p.next_cycle()) {
             horizon = horizon.min(next.saturating_sub(1));
         }
-        (horizon.saturating_sub(now), !self.unit.is_idle())
+        horizon.saturating_sub(now)
     }
 
     /// Runs until the guest halts or `max_cycles` elapse.
     ///
-    /// Quiescent stretches execute through the engine's batched
-    /// [`run_until`](CoreEngine::run_until) and
-    /// [`run_costep`](CoreEngine::run_costep), which dispatch translated
-    /// blocks — cycle-exact with [`run_stepwise`](Self::run_stepwise) (the
-    /// differential tests assert identical records and counters) but
-    /// without the per-cycle system bookkeeping.
+    /// Each quiescent stretch executes as one call to the engine's batched
+    /// [`run_until`](CoreEngine::run_until), which dispatches translated
+    /// blocks and takes the unit's step on every consumed cycle where the
+    /// unit has work, so `run` only records the batch's exit event. It is
+    /// cycle-exact with [`run_stepwise`](Self::run_stepwise) (the
+    /// differential tests assert identical records, counters and event
+    /// traces) but without the per-cycle system bookkeeping.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let end = self.platform.cycle() + max_cycles;
         loop {
@@ -514,29 +509,15 @@ impl System {
                 return RunExit::CyclesExhausted;
             }
 
-            let (budget, costep) = self.batch_budget(now, end);
+            let budget = self.batch_budget(now, end);
             if budget == 0 {
                 self.step();
                 continue;
             }
-
-            let exit = if costep {
-                // Unit-active batch: the engine co-steps the coprocessor
-                // every consumed cycle, including the exit cycle.
-                self.core
-                    .run_costep(&mut self.platform, &mut self.unit, budget)
-            } else {
-                self.core
-                    .run_until(&mut self.platform, &mut self.unit, budget)
-            };
+            let exit = self
+                .core
+                .run_until(&mut self.platform, &mut self.unit, budget);
             self.track_episode(exit.event, self.platform.cycle());
-            // The exit cycle's unit step: a no-op unless the final cycle
-            // entered an interrupt or executed a custom instruction —
-            // exactly the cycles where the per-cycle path steps a
-            // newly-active unit. A co-stepped batch already took it.
-            if !costep && exit.cycles > 0 {
-                self.unit.step(&mut self.core.state, &mut self.platform);
-            }
         }
     }
 

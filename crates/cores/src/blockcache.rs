@@ -25,9 +25,9 @@
 //! * Fusion only merges two steps the interpreter would have issued as
 //!   *unpaired singles*, and issues both constituents one cycle apart —
 //!   fusion saves a dispatch on the host, never a guest cycle.
-//! * A run of ALU-only steps retires as one step only in a plain batch
-//!   and only when all its cycles fit the budget; otherwise its steps
-//!   issue one by one.
+//! * A run of ALU-only steps retires as one step only in plain dispatch
+//!   (the coprocessor idle) and only when all its cycles fit the budget;
+//!   otherwise its steps issue one by one.
 //!
 //! **Block lifecycle.** The cache itself is built on the engine's first
 //! batched dispatch, so an engine that only steps per cycle never
@@ -467,13 +467,13 @@ enum StepExit {
 impl CoreEngine {
     /// Runs translated blocks from the current PC for up to `remaining`
     /// cycles, building the cache on first use. Caller guarantees the
-    /// quiescent-batch contract plus: `busy == 0`, not parked in `wfi`,
+    /// `run_until` batch contract plus: `busy == 0`, not parked in `wfi`,
     /// not halted, and no enabled pending interrupt.
     ///
-    /// With `COSTEP` (a unit-active batch) the coprocessor is stepped
-    /// after every consumed cycle, in exactly the per-cycle platform
-    /// order (core work first, then the coprocessor's port cycle);
-    /// otherwise `coproc` is left alone.
+    /// `run_until` passes `COSTEP` while the coprocessor has work: it is
+    /// then stepped after every consumed cycle, in the per-cycle platform
+    /// order (core work first, then its port cycle). Otherwise it is idle,
+    /// stays so (blocks hold no custom op or `mret`) and is left alone.
     pub(crate) fn try_blocks<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,
         bus: &mut B,
@@ -538,9 +538,9 @@ impl CoreEngine {
             match exit {
                 // Chain only while no interrupt is takeable (a gate-CSR
                 // write ending the block may have unmasked one, and only
-                // the caller may take it) and, in a co-stepped batch,
-                // until the coprocessor drains idle: the plain quiescent
-                // batch path is faster from there.
+                // the caller may take it) and, when co-stepping, until
+                // the coprocessor drains idle: `run_until` switches to
+                // plain dispatch from there.
                 StepExit::Done => {
                     if (COSTEP && co.is_idle()) || self.takeable_interrupt().is_some() {
                         break;
@@ -578,11 +578,11 @@ impl CoreEngine {
     ///
     /// Plain dispatch retires an ALU run that fits the budget as one
     /// step, walking the run's steps once for their register writes.
-    /// With `COSTEP` (a unit-active batch) runs are issued step by step
-    /// and every consumed cycle is taken individually — bus clock first,
-    /// the core's work for that cycle, then the coprocessor's step — so
-    /// the shared-port arbitration the coprocessor sees is bit-identical
-    /// to per-cycle stepping; `lag` stays zero in that mode.
+    /// With `COSTEP` runs are issued step by step and every consumed
+    /// cycle is taken individually — bus clock first, the core's work for
+    /// that cycle, then the coprocessor's step — so the shared-port
+    /// arbitration the coprocessor sees is bit-identical to per-cycle
+    /// stepping; `lag` stays zero in that mode.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_block<const COSTEP: bool, B: DataBus, C: Coprocessor>(
         &mut self,

@@ -44,11 +44,12 @@ pub trait Coprocessor {
     fn step<B: DataBus>(&mut self, state: &mut ArchState, bus: &mut B);
 
     /// Whether the unit has no background work in flight — no store or
-    /// restore FSM activity, no pending scheduler sort, no preload to run —
-    /// so that skipping its per-cycle [`step`](Self::step) calls is
-    /// observationally equivalent to making them. Batched execution
-    /// ([`CoreEngine::run_until`](crate::engine::CoreEngine::run_until)) is
-    /// only entered while this holds. Default: `false` (always poll).
+    /// restore FSM activity, no pending scheduler sort, no preload to run.
+    /// The contract: stepping an idle coprocessor changes nothing. Batched
+    /// execution ([`CoreEngine::run_until`](crate::engine::CoreEngine::run_until))
+    /// steps it only while this is `false`, and runs its bulk skips and
+    /// plain block dispatch while it is `true`. Default: `false` (always
+    /// poll).
     fn is_idle(&self) -> bool {
         false
     }

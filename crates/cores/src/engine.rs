@@ -109,23 +109,11 @@ pub enum CoreEvent {
     Halted,
 }
 
-/// Result of one [`CoreEngine::step`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepOutput {
-    /// Event raised this cycle, if any.
-    pub event: Option<CoreEvent>,
-    /// A coprocessor custom instruction executed this cycle (the
-    /// coprocessor's state may have changed — batched runs stop here).
-    pub custom: bool,
-}
-
 /// Why [`CoreEngine::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// A [`CoreEvent`] fired on the final cycle.
     Event,
-    /// A coprocessor custom instruction executed on the final cycle.
-    CustomExecuted,
     /// The bus raised its attention flag on the final cycle.
     Attention,
     /// The cycle budget ran out (or the core was already halted).
@@ -476,16 +464,20 @@ impl CoreEngine {
         predicted
     }
 
-    /// Advances the core by one cycle.
+    /// Advances the core by one cycle and returns the event it raised, if
+    /// any.
     ///
     /// The platform must have refreshed `state.csrs.mip` before calling
     /// this, and should step the coprocessor *after* it (the RTOSUnit uses
     /// the data-port cycles the core left idle).
-    pub fn step<B: DataBus, C: Coprocessor>(&mut self, bus: &mut B, coproc: &mut C) -> StepOutput {
+    pub fn step<B: DataBus, C: Coprocessor>(
+        &mut self,
+        bus: &mut B,
+        coproc: &mut C,
+    ) -> Option<CoreEvent> {
         self.cycle += 1;
-        let mut out = StepOutput::default();
         if self.halted {
-            return out;
+            return None;
         }
 
         // Drain an in-flight multi-cycle instruction.
@@ -494,9 +486,9 @@ impl CoreEngine {
             if self.busy == 0 && self.completing == Completing::Mret {
                 self.completing = Completing::Plain;
                 coproc.on_mret(&mut self.state);
-                out.event = Some(CoreEvent::MretRetired);
+                return Some(CoreEvent::MretRetired);
             }
-            return out;
+            return None;
         }
 
         // Wake from wfi as soon as an interrupt is pending (even if
@@ -508,7 +500,7 @@ impl CoreEngine {
                 self.counters.wfi_cycles += 1;
                 let pc = self.wfi_pc;
                 self.attribute(pc, 1);
-                return out;
+                return None;
             }
         }
 
@@ -516,8 +508,7 @@ impl CoreEngine {
         if let Some(cause) = self.takeable_interrupt() {
             self.busy = self.enter_handler(self.state.pc, cause);
             coproc.on_interrupt_entry(&mut self.state, cause);
-            out.event = Some(CoreEvent::InterruptEntered { cause });
-            return out;
+            return Some(CoreEvent::InterruptEntered { cause });
         }
 
         // Issue one instruction (two when the superscalar model pairs
@@ -532,15 +523,14 @@ impl CoreEngine {
             if pc & 3 != 0 {
                 let cause = rvsim_isa::csr::CAUSE_MISALIGNED_FETCH;
                 self.busy = self.enter_handler(pc, cause);
-                out.event = Some(CoreEvent::ExceptionEntered { cause });
-                return out;
+                return Some(CoreEvent::ExceptionEntered { cause });
             }
 
             let uop = self.fetch(pc);
             if Self::coproc_stalls(&uop, coproc) {
                 self.counters.stall_coproc += 1;
                 self.attribute(pc, 1);
-                return out;
+                return None;
             }
 
             // Superscalar pairing: one extra independent simple ALU
@@ -554,18 +544,16 @@ impl CoreEngine {
                 continue;
             }
             self.busy = issued.drain;
-            out.event = issued.trap;
             match uop {
-                Uop::Halt => out.event = Some(CoreEvent::Halted),
+                Uop::Halt => return Some(CoreEvent::Halted),
                 Uop::Mret if issued.drain == 0 => {
                     coproc.on_mret(&mut self.state);
-                    out.event = Some(CoreEvent::MretRetired);
+                    return Some(CoreEvent::MretRetired);
                 }
                 Uop::Mret => self.completing = Completing::Mret,
-                Uop::Custom { .. } => out.custom = true,
                 _ => {}
             }
-            return out;
+            return issued.trap;
         }
     }
 
@@ -584,129 +572,96 @@ impl CoreEngine {
         self.cycle - start
     }
 
-    /// Runs a quiescent batch of up to `max_cycles` cycles without a
-    /// per-cycle call from the platform.
+    /// Runs a batch of up to `max_cycles` cycles without a per-cycle call
+    /// from the platform.
     ///
-    /// The caller guarantees that, for the whole budget, nothing *outside*
-    /// the core can change `state.csrs.mip` or wants per-cycle polling:
-    /// no timer/software/external interrupt edge lands inside the window
-    /// and the coprocessor is idle (guest-initiated changes are caught via
-    /// [`DataBus::take_attention`] and the `custom` stop). Under that
-    /// contract this is cycle-exact with calling [`step`](Self::step) in a
-    /// loop, but executes straight-line code as translated blocks (see
-    /// [`crate::blockcache`]) and burns through multi-cycle stalls and
-    /// `wfi` stretches in bulk, advancing the bus clock via
-    /// [`DataBus::advance_cycles`].
+    /// The caller guarantees that no timer, software or external
+    /// interrupt edge lands inside the budget (guest stores that could
+    /// move one are caught via [`DataBus::take_attention`]). Under that
+    /// contract this is cycle-exact with calling [`step`](Self::step) in
+    /// a loop, each call followed by the coprocessor's
+    /// [`step`](Coprocessor::step) while [`Coprocessor::is_idle`] is
+    /// false: every consumed cycle, the last one included, has taken that
+    /// step, so the caller never steps the coprocessor for a batch.
     ///
-    /// Stops at the first of: a [`CoreEvent`], a custom (coprocessor)
-    /// instruction executing, the bus raising attention, or the budget
-    /// running out.
+    /// Each dispatch picks its path from `is_idle`. While the coprocessor
+    /// is idle, straight-line code runs as translated blocks (see
+    /// [`crate::blockcache`]) and multi-cycle stalls and `wfi` stretches
+    /// burn through in bulk via [`DataBus::advance_cycles`]; while it has
+    /// work, blocks replay each cycle with it co-stepped. Stops at the
+    /// first of: a [`CoreEvent`], the bus raising attention, or the
+    /// budget running out.
     pub fn run_until<B: DataBus, C: Coprocessor>(
         &mut self,
         bus: &mut B,
         coproc: &mut C,
         max_cycles: u64,
     ) -> BatchExit {
-        self.run_batch::<false, B, C>(bus, coproc, max_cycles)
-    }
-
-    /// Runs a *unit-active* batch: the coprocessor has background work
-    /// (context store/restore FSMs, speculative preload, a scheduler
-    /// sort), so it must be stepped every cycle — but the interrupt lines
-    /// are quiescent, so the platform's per-cycle mask bookkeeping is
-    /// still provably a no-op. Executes in exactly the stepwise order
-    /// (bus clock advances, core steps, coprocessor steps), dispatching
-    /// translated blocks with the coprocessor co-stepped between
-    /// micro-ops, and returns as soon as the coprocessor drains idle so
-    /// the caller can re-enter the plain quiescent batch path.
-    ///
-    /// Same quiescence contract and stop conditions as
-    /// [`run_until`](Self::run_until), with two exceptions. A custom
-    /// instruction does not end the batch: its only side effects live in
-    /// the coprocessor and the core, and the coprocessor is stepped every
-    /// cycle here anyway. And every consumed cycle *including the final
-    /// one* has already taken its coprocessor step — the caller must not
-    /// step it again.
-    pub fn run_costep<B: DataBus, C: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        coproc: &mut C,
-        max_cycles: u64,
-    ) -> BatchExit {
-        self.run_batch::<true, B, C>(bus, coproc, max_cycles)
-    }
-
-    /// The batch loop behind [`run_until`](Self::run_until) and, with
-    /// `COSTEP`, [`run_costep`](Self::run_costep).
-    fn run_batch<const COSTEP: bool, B: DataBus, C: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        coproc: &mut C,
-        max_cycles: u64,
-    ) -> BatchExit {
         let start = self.cycle;
+        let end = start + max_cycles;
         loop {
-            let used = self.cycle - start;
-            if self.halted || used >= max_cycles || (COSTEP && used > 0 && coproc.is_idle()) {
+            if self.halted || self.cycle >= end {
                 return BatchExit {
-                    cycles: used,
+                    cycles: self.cycle - start,
                     event: None,
                     reason: StopReason::Budget,
                 };
             }
-            let remaining = max_cycles - used;
+            let remaining = end - self.cycle;
+            let idle = coproc.is_idle();
 
             // Bulk skips, only while the coprocessor needs no per-cycle
-            // step.
-            if !COSTEP {
-                // Bulk-drain a multi-cycle instruction. The cycle where
-                // `busy` reaches zero may complete an `mret`, exactly as
-                // in `step`.
-                if self.busy > 0 {
-                    let skip = u64::from(self.busy).min(remaining);
-                    bus.advance_cycles(skip);
-                    self.cycle += skip;
-                    self.busy -= skip as u32;
-                    if self.busy == 0 && self.completing == Completing::Mret {
-                        self.completing = Completing::Plain;
-                        coproc.on_mret(&mut self.state);
-                        return BatchExit {
-                            cycles: self.cycle - start,
-                            event: Some(CoreEvent::MretRetired),
-                            reason: StopReason::Event,
-                        };
+            // step. A multi-cycle instruction drains at once; the cycle
+            // where `busy` reaches zero may complete an `mret`, exactly as
+            // in `step`, and the coprocessor steps on it if that handed it
+            // work.
+            if idle && self.busy > 0 {
+                let skip = u64::from(self.busy).min(remaining);
+                bus.advance_cycles(skip);
+                self.cycle += skip;
+                self.busy -= skip as u32;
+                if self.busy == 0 && self.completing == Completing::Mret {
+                    self.completing = Completing::Plain;
+                    coproc.on_mret(&mut self.state);
+                    if !coproc.is_idle() {
+                        coproc.step(&mut self.state, bus);
                     }
-                    continue;
-                }
-
-                // `wfi` park: `mip` is constant for the whole batch, so
-                // with no pending-and-enabled interrupt the core sleeps
-                // out the budget.
-                if self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
-                    bus.advance_cycles(remaining);
-                    self.cycle += remaining;
-                    self.counters.wfi_cycles += remaining;
-                    let pc = self.wfi_pc;
-                    self.attribute(pc, remaining);
                     return BatchExit {
-                        cycles: max_cycles,
-                        event: None,
-                        reason: StopReason::Budget,
+                        cycles: self.cycle - start,
+                        event: Some(CoreEvent::MretRetired),
+                        reason: StopReason::Event,
                     };
                 }
+                continue;
+            }
+            // `wfi` park: `mip` is constant for the whole batch, so with no
+            // pending-and-enabled interrupt the core sleeps out the budget.
+            if idle && self.wfi_wait && self.state.csrs.mip & self.state.csrs.mie == 0 {
+                bus.advance_cycles(remaining);
+                self.cycle += remaining;
+                self.counters.wfi_cycles += remaining;
+                let pc = self.wfi_pc;
+                self.attribute(pc, remaining);
+                continue;
             }
 
             // Translated-block fast path: when the core can issue
             // straight-line code (no drain, no park, no takeable interrupt
             // — `mip` is constant for the whole batch), execute whole
-            // pre-decoded blocks per dispatch.
+            // pre-decoded blocks per dispatch, co-stepping a coprocessor
+            // that has work.
             let mut ran = None;
             if self.busy == 0 && !self.wfi_wait && self.takeable_interrupt().is_none() {
-                match self.try_blocks::<COSTEP, B, C>(bus, coproc, remaining) {
+                let outcome = if idle {
+                    self.try_blocks::<false, B, C>(bus, coproc, remaining)
+                } else {
+                    self.try_blocks::<true, B, C>(bus, coproc, remaining)
+                };
+                match outcome {
                     BlockOutcome::Ran { event, attention } => ran = Some((event, attention)),
-                    BlockOutcome::NotEngaged if COSTEP => {
-                        self.skip_coproc_stall(bus, coproc, start + max_cycles);
-                        if self.cycle - start >= max_cycles {
+                    BlockOutcome::NotEngaged if !idle => {
+                        self.skip_coproc_stall(bus, coproc, end);
+                        if self.cycle >= end {
                             continue;
                         }
                     }
@@ -714,22 +669,22 @@ impl CoreEngine {
                 }
             }
 
-            let (event, custom, attention) = match ran {
-                Some((event, attention)) => (event, false, attention),
+            let (event, attention) = match ran {
+                Some(ran) => ran,
                 None => {
-                    // One active cycle in stepwise order: bus clock, core,
-                    // and in a co-stepped batch the coprocessor.
+                    // One cycle in stepwise order: bus clock, core, and
+                    // the coprocessor while it has work (stepping an idle
+                    // one changes nothing).
                     bus.advance_cycles(1);
-                    let out = self.step(bus, coproc);
-                    if COSTEP {
+                    let event = self.step(bus, coproc);
+                    if !coproc.is_idle() {
                         coproc.step(&mut self.state, bus);
                     }
-                    (out.event, out.custom, bus.take_attention())
+                    (event, bus.take_attention())
                 }
             };
             let reason = match event {
                 Some(_) => StopReason::Event,
-                None if custom && !COSTEP => StopReason::CustomExecuted,
                 None if attention => StopReason::Attention,
                 None => continue,
             };
@@ -741,7 +696,7 @@ impl CoreEngine {
         }
     }
 
-    /// Coprocessor-stall fast-forward for co-stepped batches, up to cycle
+    /// Coprocessor-stall fast-forward for co-stepped dispatch, up to cycle
     /// `end`: a custom instruction or `mret` the coprocessor refuses pins
     /// the core at `pc`, and the interpreter burns one stall cycle per
     /// full step call. Replay those cycles in a tight loop — stall
@@ -1289,7 +1244,7 @@ mod tests {
             let event = if batched {
                 e.run_until(&mut bus, &mut co, 1_000).event
             } else {
-                e.step(&mut bus, &mut co).event
+                e.step(&mut bus, &mut co)
             };
             if event.is_some() {
                 at_events.push(e.to_snap().render());
@@ -1410,8 +1365,8 @@ mod tests {
         a.finish().unwrap()
     }
 
-    /// A coprocessor with background work forever: `run_costep` never
-    /// ends a batch early on it and never stalls an op.
+    /// A coprocessor with background work forever, which never stalls an
+    /// op: `run_until` co-steps every block it dispatches.
     struct NeverIdle;
 
     impl Coprocessor for NeverIdle {
@@ -1467,7 +1422,7 @@ mod tests {
                     while !fast.halted() {
                         let exit = fast.run_until(&mut fast_bus, &mut NullCoprocessor, budget);
                         assert!(exit.cycles <= budget, "{}: overran", at(&fast));
-                        costep.run_costep(&mut costep_bus, &mut NeverIdle, budget);
+                        costep.run_until(&mut costep_bus, &mut NeverIdle, budget);
                         while slow.cycle() < fast.cycle() {
                             slow.step(&mut slow_bus, &mut NullCoprocessor);
                         }
@@ -1492,8 +1447,8 @@ mod tests {
                             "{}: snapshot",
                             at(&fast)
                         );
-                        // Not the decode counters: where a plain batch
-                        // fetches an op, a co-stepped one may peek it.
+                        // Not the decode counters: where plain dispatch
+                        // fetches an op, co-stepped dispatch may peek it.
                         let blocks = |e: &CoreEngine| {
                             let c = e.counters();
                             (
@@ -1543,7 +1498,7 @@ mod tests {
                 (e, SramBus::new(0x2000_0000, 0x100))
             };
             let (mut slow, mut slow_bus) = fresh();
-            while slow.step(&mut slow_bus, &mut NullCoprocessor).event != trapped {
+            while slow.step(&mut slow_bus, &mut NullCoprocessor) != trapped {
                 assert!(slow.cycle() < 100, "{}: no trap per cycle", params.name);
             }
             let (mut fast, mut fast_bus) = fresh();
@@ -1820,8 +1775,7 @@ mod tests {
         e.state.csrs.mip = csr::MIP_MTIP;
         for _ in 0..50 {
             e.state.csrs.mip = csr::MIP_MTIP;
-            let out = e.step(&mut bus, &mut co);
-            if let Some(CoreEvent::InterruptEntered { cause }) = out.event {
+            if let Some(CoreEvent::InterruptEntered { cause }) = e.step(&mut bus, &mut co) {
                 entered = Some(cause);
             }
             if e.halted() {

@@ -39,9 +39,7 @@ pub mod timing;
 pub use coproc::{Coprocessor, NullCoprocessor};
 pub use counters::CoreCounters;
 pub use csrs::Csrs;
-pub use engine::{
-    BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, SramBus, StepOutput, StopReason,
-};
+pub use engine::{BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, SramBus, StopReason};
 pub use fault::{fault_code_name, FaultEvent, FaultKind, FaultPlan, FaultTargets};
 pub use golden::{GoldenCore, GoldenStep};
 pub use models::{make_engine, CoreKind};

@@ -3,16 +3,16 @@
 //! stall interactions.
 
 use rvsim_cores::{
-    make_engine, ArchState, Bank, Coprocessor, CoreEvent, CoreKind, DataBus, NullCoprocessor,
-    SramBus,
+    make_engine, ArchState, Bank, Coprocessor, CoreEngine, CoreEvent, CoreKind, DataBus,
+    NullCoprocessor, SramBus,
 };
-use rvsim_isa::{csr, Asm, CustomOp, Reg};
+use rvsim_isa::{csr, Asm, CustomOp, Program, Reg};
 
 fn bus() -> SramBus {
     SramBus::new(0x2000_0000, 0x1000)
 }
 
-fn run(asm: Asm, kind: CoreKind) -> rvsim_cores::CoreEngine {
+fn run(asm: Asm, kind: CoreKind) -> CoreEngine {
     let prog = asm.finish().expect("assembles");
     let mut e = make_engine(kind, 0, 0x1_0000);
     e.load_program(&prog);
@@ -149,10 +149,10 @@ fn switch_rf_stall_delays_issue_until_coproc_releases() {
     let mut entered_at = 0;
     for cycle in 0..200u64 {
         e.state.csrs.mip = if cycle > 20 { csr::MIP_MTIP } else { 0 };
-        let out = e.step(&mut b, &mut co);
+        let event = e.step(&mut b, &mut co);
         // The platform normally steps the coprocessor once per cycle.
         co.step(&mut e.state, &mut b);
-        if let Some(CoreEvent::InterruptEntered { .. }) = out.event {
+        if let Some(CoreEvent::InterruptEntered { .. }) = event {
             entered_at = cycle;
         }
         if e.halted() {
@@ -166,11 +166,15 @@ fn switch_rf_stall_delays_issue_until_coproc_releases() {
     panic!("ISR never completed");
 }
 
-/// A coprocessor with background work that never stalls an op: it
-/// counts its steps and `mret` completions, and reports idle once it has
-/// stepped `busy_for` times.
+/// A coprocessor with background work that never stalls an op: it counts
+/// its busy steps and `mret`s, is idle once it has taken `busy_for` busy
+/// steps, and an `mret` or `GET_HW_SCHED` (which returns the busy steps so
+/// far) keeps it busy for at least `rearm` more. Stepping it while idle
+/// changes nothing, as `Coprocessor::is_idle` requires.
+#[derive(Debug, Clone, Copy)]
 struct CountingCoproc {
     busy_for: u64,
+    rearm: u64,
     steps: u64,
     mrets: u32,
 }
@@ -184,6 +188,7 @@ impl Coprocessor for CountingCoproc {
 
     fn on_mret(&mut self, _state: &mut ArchState) {
         self.mrets += 1;
+        self.busy_for = self.busy_for.max(self.steps + self.rearm);
     }
 
     fn custom_stall(&self, _op: CustomOp) -> bool {
@@ -191,11 +196,15 @@ impl Coprocessor for CountingCoproc {
     }
 
     fn exec_custom(&mut self, op: CustomOp, _rs1: u32, _rs2: u32, _state: &mut ArchState) -> u32 {
-        panic!("unexpected custom op {op}")
+        assert_eq!(op, CustomOp::GetHwSched, "unexpected custom op");
+        self.busy_for = self.busy_for.max(self.steps + self.rearm);
+        self.steps as u32
     }
 
     fn step<B: DataBus>(&mut self, _state: &mut ArchState, _bus: &mut B) {
-        self.steps += 1;
+        if !self.is_idle() {
+            self.steps += 1;
+        }
     }
 
     fn is_idle(&self) -> bool {
@@ -203,8 +212,55 @@ impl Coprocessor for CountingCoproc {
     }
 }
 
+/// Runs `prog` to its halt in `run_until` batches of `budget` cycles, each
+/// ending at an event or its budget, and checks every exit against
+/// per-cycle stepping (the core's step, then the coprocessor's while it
+/// has work). Returns the engine, its coprocessor and the batch count.
+fn batched_against_per_cycle(
+    kind: CoreKind,
+    prog: &Program,
+    co: CountingCoproc,
+    budget: u64,
+) -> (CoreEngine, CountingCoproc, u64) {
+    let fresh = || {
+        let mut e = make_engine(kind, 0, 0x1_0000);
+        e.load_program(prog);
+        (e, co, bus())
+    };
+    let (mut fast, mut fast_co, mut fast_bus) = fresh();
+    let (mut slow, mut slow_co, mut slow_bus) = fresh();
+    let at = |e: &CoreEngine| format!("{kind:?} {co:?} budget {budget} cycle {}", e.cycle());
+    let mut batches = 0;
+    while !fast.halted() {
+        let exit = fast.run_until(&mut fast_bus, &mut fast_co, budget);
+        batches += 1;
+        let ended = exit.cycles == budget || (exit.cycles < budget && exit.event.is_some());
+        assert!(ended, "{}: ended at {:?}", at(&fast), exit.reason);
+        let mut event = None;
+        while slow.cycle() < fast.cycle() {
+            assert_eq!(event, None, "{}: missed event", at(&slow));
+            event = slow.step(&mut slow_bus, &mut slow_co);
+            if !slow_co.is_idle() {
+                slow_co.step(&mut slow.state, &mut slow_bus);
+            }
+        }
+        assert_eq!(fast.cycle(), slow.cycle(), "{}: exit cycle", at(&slow));
+        assert_eq!(exit.event, event, "{}: event", at(&slow));
+        assert_eq!(
+            fast.counters().without_host_stats(),
+            slow.counters().without_host_stats(),
+            "{}: counters",
+            at(&slow)
+        );
+        assert_eq!(fast_co.steps, slow_co.steps, "{}: co-steps", at(&slow));
+        assert_eq!(fast_co.mrets, slow_co.mrets, "{}: mrets", at(&slow));
+        assert_eq!(fast.state.pc, slow.state.pc, "{}: pc", at(&slow));
+    }
+    (fast, fast_co, batches)
+}
+
 #[test]
-fn costep_drains_stop_where_per_cycle_stepping_does() {
+fn run_until_co_steps_exactly_where_per_cycle_stepping_does() {
     // Six ops of one translated block, the last a `div` whose drain the
     // batch loop takes, then an `mret` whose drain ends in its
     // completion.
@@ -218,75 +274,54 @@ fn costep_drains_stop_where_per_cycle_stepping_does() {
     a.label("after");
     a.addi(Reg::A3, Reg::A3, 1);
     a.ebreak();
-    let prog = a.finish().expect("assembles");
+    let drains = a.finish().expect("assembles");
+    // Busy for two steps, then idle through the first ALU run. The
+    // custom op re-arms the unit, so the block after it (a `div` and the
+    // loop's first pass) is co-stepped; once the unit drains, the loop
+    // runs plain again. `a1` reads the busy steps taken before it.
+    let mut a = Asm::new(0);
+    a.li(Reg::S2, 0x13);
+    a.li(Reg::S3, 7);
+    a.add(Reg::S4, Reg::S2, Reg::S3);
+    a.xor(Reg::S5, Reg::S4, Reg::S3);
+    a.get_hw_sched(Reg::A1);
+    a.div(Reg::A2, Reg::S5, Reg::S3);
+    a.li(Reg::T0, 20);
+    a.label("loop");
+    a.add(Reg::S4, Reg::S2, Reg::S3);
+    a.xor(Reg::S5, Reg::S4, Reg::A2);
+    a.addi(Reg::S3, Reg::S3, 3);
+    a.addi(Reg::T0, Reg::T0, -1);
+    a.bnez(Reg::T0, "loop");
+    a.ebreak();
+    let rearms = a.finish().expect("assembles");
+    let counting = |busy_for, rearm| CountingCoproc {
+        busy_for,
+        rearm,
+        steps: 0,
+        mrets: 0,
+    };
     for kind in [CoreKind::Cv32e40p, CoreKind::Cva6, CoreKind::NaxRiscv] {
-        // Busy throughout, or idle from every cycle of the program on:
-        // mid-`div`-drain and mid-`mret`-drain among them.
-        for busy_for in (1..=45).chain([u64::MAX]) {
-            for budget in 1..=40u64 {
-                let fresh = || {
-                    let mut e = make_engine(kind, 0, 0x1_0000);
-                    e.load_program(&prog);
-                    let co = CountingCoproc {
-                        busy_for,
-                        steps: 0,
-                        mrets: 0,
-                    };
-                    (e, co, bus())
-                };
-                let (mut fast, mut fast_co, mut fast_bus) = fresh();
-                let (mut slow, mut slow_co, mut slow_bus) = fresh();
-                let what = |e: &rvsim_cores::CoreEngine| {
-                    format!(
-                        "{kind:?} busy_for {busy_for} budget {budget} cycle {}",
-                        e.cycle()
-                    )
-                };
-                while !fast.halted() {
-                    let exit = fast.run_costep(&mut fast_bus, &mut fast_co, budget);
-                    assert!((1..=budget).contains(&exit.cycles), "{}", what(&fast));
-                    // The per-cycle reference, the core's step and then
-                    // the coprocessor's, driven to the same cycle. No
-                    // cycle before the last may raise an event, and none
-                    // may leave the coprocessor idle once the `div` (the
-                    // block's last op) has issued: from there the core
-                    // drains in the batch loop or issues through the
-                    // interpreter, so the batch ends at the first idle
-                    // cycle boundary. (Inside a translated block it ends
-                    // only where the block does.)
-                    let start = fast.cycle() - exit.cycles;
-                    let mut event = None;
-                    while slow.cycle() < fast.cycle() {
-                        assert_eq!(event, None, "{}: missed event", what(&slow));
-                        let idle = slow_co.is_idle() && slow.retired() >= 6;
-                        let inside = slow.cycle() > start;
-                        assert!(!(inside && idle), "{}: missed idle", what(&slow));
-                        event = slow.step(&mut slow_bus, &mut slow_co).event;
-                        slow_co.step(&mut slow.state, &mut slow_bus);
-                    }
-                    assert_eq!(fast.cycle(), slow.cycle(), "{}: exit cycle", what(&slow));
-                    assert_eq!(exit.event, event, "{}: event", what(&slow));
-                    if exit.event.is_none() && exit.cycles < budget {
-                        assert!(fast_co.is_idle(), "{}: early exit", what(&fast));
-                    }
-                    assert_eq!(
-                        fast.counters().without_host_stats(),
-                        slow.counters().without_host_stats(),
-                        "{}: counters",
-                        what(&slow)
-                    );
-                    assert_eq!(fast_co.steps, slow_co.steps, "{}: co-steps", what(&slow));
-                    assert_eq!(fast_co.mrets, slow_co.mrets, "{}: mrets", what(&slow));
-                    assert_eq!(fast.state.pc, slow.state.pc, "{}: pc", what(&slow));
-                }
-                assert!(slow.halted(), "{}", what(&slow));
-                assert_eq!(fast_co.mrets, 1, "{}", what(&fast));
-                assert_eq!(fast.state.read_reg(Reg::A2), 142, "{}", what(&fast));
-                assert!(
-                    fast.counters().stall_exec >= 19,
-                    "{}: div drain",
-                    what(&fast)
-                );
+        // Budget 1 000 never binds: every batch ends at an event.
+        for budget in (1..=40).chain([1_000]) {
+            // Busy throughout, or idle from every cycle of the program on:
+            // mid-`div`-drain and mid-`mret`-drain among them; and re-armed
+            // by the `mret`, or not.
+            for (busy_for, rearm) in (1..=45).chain([u64::MAX]).flat_map(|b| [(b, 0), (b, 3)]) {
+                let (e, co, batches) =
+                    batched_against_per_cycle(kind, &drains, counting(busy_for, rearm), budget);
+                assert_eq!((co.mrets, e.state.read_reg(Reg::A2)), (1, 142));
+                assert!(e.counters().stall_exec >= 19, "{kind:?}: div drain");
+                assert!(budget < 1_000 || batches == 2, "{kind:?}: to mret, to halt");
+            }
+            // Drained on the custom op's own cycle, inside the `div`, and a
+            // few loop iterations in; always before the halt, so at budget
+            // 1 000 one batch runs plain, co-stepped and plain again.
+            for rearm in [1, 3, 8, 25, 50] {
+                let (e, co, batches) =
+                    batched_against_per_cycle(kind, &rearms, counting(2, rearm), budget);
+                assert_eq!((co.steps, e.state.read_reg(Reg::A1)), (2 + rearm, 2));
+                assert!(budget < 1_000 || batches == 1, "{kind:?}: one batch");
             }
         }
     }

@@ -1,18 +1,18 @@
 //! Differential test for the batched execution path.
 //!
 //! `System::run` burns through quiescent stretches with the engine's
-//! batched `run_until`/`run_costep`, which execute translated blocks;
-//! `System::run_stepwise` is the cycle-by-cycle reference.
-//! The two must be cycle-exact: identical switch episodes (trigger, entry
-//! and `mret` timestamps), cycle counts, retirement counts and port
-//! occupancy, for every core model and unit preset — including the
-//! presets with background FSM activity (preloading, hardware
-//! scheduling, CV32RT snapshots) where batching must correctly fall back
-//! to per-cycle stepping.
+//! batched `run_until`, which executes translated blocks and steps the
+//! unit on every cycle it has work; `System::run_stepwise` is the
+//! cycle-by-cycle reference. The two must be cycle-exact: identical switch
+//! episodes (trigger, entry and `mret` timestamps), cycle counts,
+//! retirement counts, port occupancy and event traces (in-cycle order
+//! included), for every core model and unit preset — including the
+//! presets with background FSM activity (preloading, hardware scheduling,
+//! CV32RT snapshots), whose unit a batch must co-step.
 
 use rtosbench::campaign::{self, Booted, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosbench::workloads;
-use rtosunit::{Preset, System};
+use rtosunit::{Preset, System, TraceEvent};
 use rvsim_cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rvsim_isa::Reg;
 
@@ -76,10 +76,11 @@ fn run_one(
     if faulted {
         sys.attach_fault_plan(tame_plan(w.run_cycles));
     }
-    // Profile every run: the per-PC cycle attribution must be path-exact
-    // too (asserted below), and enabling it must not perturb any of the
-    // other equivalences.
+    // Profile and trace every run: the per-PC cycle attribution and the
+    // event trace must be path-exact too (asserted below), and enabling
+    // them must not perturb any of the other equivalences.
     sys.set_profiling(true);
+    sys.enable_tracing(1 << 20);
     if stepwise {
         sys.run_stepwise(w.run_cycles);
     } else {
@@ -102,6 +103,7 @@ fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, fault
         slow.records(),
         "{ctx}: switch episodes diverged"
     );
+    assert_same_trace(&fast, &slow, &ctx);
     assert_eq!(
         fast.platform.cycle(),
         slow.platform.cycle(),
@@ -144,6 +146,22 @@ fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, fault
     );
     if faulted {
         assert!(fast.faults_applied() > 0, "{ctx}: plan never fired");
+    }
+}
+
+/// The two runs traced the same events in the same order, none dropped;
+/// a mismatch names the first differing index and its neighbours.
+fn assert_same_trace(fast: &System, slow: &System, ctx: &str) {
+    let [f, s] = [fast, slow].map(|sys| sys.platform.trace().expect("tracing is on"));
+    assert!(
+        f.dropped() + s.dropped() == 0,
+        "{ctx}: trace ring overflowed"
+    );
+    let (f, s): (Vec<_>, Vec<_>) = (f.iter().collect(), s.iter().collect());
+    if let Some(i) = (0..f.len().max(s.len())).find(|&i| f.get(i) != s.get(i)) {
+        let near = |t: &[(u64, TraceEvent)]| t[i.saturating_sub(3)..t.len().min(i + 4)].to_vec();
+        let (f, s) = (near(&f), near(&s));
+        panic!("{ctx}: event traces diverge at event {i}\nbatched  {f:?}\nstepwise {s:?}");
     }
 }
 
