@@ -168,11 +168,12 @@ else
   echo "   (python3 unavailable — relying on tests/faults.rs)"
 fi
 
-echo "== snapshot smoke (roundtrip, resume determinism, fork, time travel)"
+echo "== snapshot smoke (roundtrip, info, resume determinism, fork, time travel)"
 # The snapshot contract: a restored system is byte-identical to one that
 # never stopped. `roundtrip` byte-diffs the cold-run snapshot against
-# save -> restore -> resume; two `resume`s of the same saved document
-# must print identical summaries (digest included); `fork` spawns
+# save -> restore -> resume; `info` verifies the saved envelope (schema
+# and digest); two `resume`s of the same saved document must print
+# identical summaries (digest included); `fork` spawns
 # divergent futures and proves each is individually deterministic;
 # `checkfuzz travel` rewinds checkpointed runs and byte-compares every
 # rewound state against cold execution.
@@ -180,6 +181,8 @@ cargo run -q --release -p rtosunit-bench --bin snap -- \
   roundtrip naxriscv split interrupt_latency 6000 25000
 cargo run -q --release -p rtosunit-bench --bin snap -- \
   save cva6 slt pingpong_semaphore 8000 results/snap_boot.json
+cargo run -q --release -p rtosunit-bench --bin snap -- \
+  info results/snap_boot.json > /dev/null
 cargo run -q --release -p rtosunit-bench --bin snap -- \
   resume results/snap_boot.json 20000 > results/snap_resume_a.txt
 cargo run -q --release -p rtosunit-bench --bin snap -- \
@@ -192,6 +195,10 @@ cargo run -q --release -p rtosunit-bench --bin checkfuzz -- \
   travel --cycles 60000 > /dev/null
 
 echo "== guest flamegraph smoke test"
+# The SMP profiler path first: with `--harts 2` every hart is profiled
+# and the folded output keeps one root per hart, so hart 1 must show up.
+cargo run -q --release -p rtosunit-bench --bin guest_profile -- --harts 2 > /dev/null
+grep -q '^hart1;' results/flamegraph.folded
 cargo run -q --release -p rtosunit-bench --bin guest_profile > /dev/null
 test -s results/flamegraph.folded
 test -s results/guest_profile.txt

@@ -111,6 +111,7 @@ fn spec() -> CampaignSpec {
 }
 
 fn main() {
+    rtosunit_bench::flags("ablations", []);
     let campaign = spec().run(rtosunit_bench::default_workers());
     let sim = |label: &str| -> &SimOutcome {
         campaign

@@ -4,6 +4,7 @@
 use std::process::Command;
 
 fn main() {
+    rtosunit_bench::flags("all_figures", []);
     let bins = [
         "fig9",
         "wcet_table",

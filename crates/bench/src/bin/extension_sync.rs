@@ -51,6 +51,7 @@ fn spec() -> CampaignSpec {
 }
 
 fn main() {
+    rtosunit_bench::flags("extension_sync", []);
     let campaign = spec().run(rtosunit_bench::default_workers());
     let mut out = String::new();
     out.push_str("## Extension: hardware synchronisation primitives (paper §7 future work)\n\n");

@@ -6,6 +6,7 @@ use rtosunit::Preset;
 use rvsim_cores::CoreKind;
 
 fn main() {
+    rtosunit_bench::flags("fig10_area", []);
     let mut out = String::new();
     for core in CoreKind::ALL {
         out.push_str(&format!("## {core}: area (µm², 22 nm-class model)\n\n"));

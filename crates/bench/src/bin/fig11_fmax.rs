@@ -6,6 +6,7 @@ use rtosunit::Preset;
 use rvsim_cores::CoreKind;
 
 fn main() {
+    rtosunit_bench::flags("fig11_fmax", []);
     let mut out = String::new();
     for core in CoreKind::ALL {
         out.push_str(&format!("## {core}: f_max (MHz)\n\n"));

@@ -38,6 +38,7 @@ fn spec() -> CampaignSpec {
 }
 
 fn main() {
+    rtosunit_bench::flags("fig12_scaling", []);
     let campaign = spec().run(rtosunit_bench::default_workers());
     let mut out = String::new();
     out.push_str("## CV32E40P (T): area vs scheduler list length\n\n");

@@ -14,7 +14,7 @@ use rtosunit::{trace, Preset};
 use rvsim_cores::CoreKind;
 
 fn main() {
-    let quick = rtosunit_bench::quick_arg("fig9");
+    let [quick] = rtosunit_bench::flags("fig9", ["--quick"]);
     let cores: &[CoreKind] = if quick {
         &CoreKind::ALL[..1]
     } else {

@@ -33,7 +33,7 @@ const SCENARIO_SEED: u64 = 1;
 const FAULTS_PER_RUN: usize = 2;
 
 fn main() {
-    let quick = rtosunit_bench::quick_arg("fig_faults");
+    let [quick] = rtosunit_bench::flags("fig_faults", ["--quick"]);
     let fault_seeds: u64 = if quick { 8 } else { 64 };
     // Crashed runs are a *classification*, not an error: silence the
     // default panic hook so `catch_unwind` inside the campaign does not

@@ -25,6 +25,7 @@ const HART_COUNTS: [usize; 3] = [1, 2, 4];
 const PRESETS: [Preset; 2] = [Preset::Vanilla, Preset::Slt];
 
 fn main() {
+    rtosunit_bench::flags("fig_smp", []);
     let w = workloads::by_name("pingpong_semaphore").expect("suite workload exists");
     let mut spec = CampaignSpec::new("fig_smp")
         .with_telemetry()

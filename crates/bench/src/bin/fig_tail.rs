@@ -21,7 +21,7 @@ use rtosbench::tail::{self, SLO_CYCLES};
 use rtosunit::hist::REPORTED_PERCENTILES;
 
 fn main() {
-    let quick = rtosunit_bench::quick_arg("fig_tail");
+    let [quick] = rtosunit_bench::flags("fig_tail", ["--quick"]);
     let campaign = tail::tail_spec(quick)
         .with_progress()
         .run(rtosunit_bench::default_workers());

@@ -16,7 +16,7 @@
 //!
 //! A single-hart run executes through the block translation cache, so
 //! its hot-block table carries per-block cache columns: dispatches, hit
-//! rate, fused macro-ops and retranslations. The SMP path steps
+//! rate and retranslations. The SMP path steps
 //! per-cycle and builds no cache, so its tables omit them.
 //!
 //! The run boots exactly as a campaign run does ([`campaign::boot`]),

@@ -19,7 +19,7 @@
 
 use freertos_lite::SmpKernelBuilder;
 use rtosbench::json::Json;
-use rtosbench::workloads;
+use rtosbench::workloads::{self, Workload};
 use rtosunit::waterfall;
 use rtosunit::{Preset, SmpSystem, System};
 use rtosunit_bench::chrome_trace::{chrome_trace, chrome_trace_smp, validate};
@@ -33,12 +33,28 @@ const RUN_CYCLES: u64 = 60_000;
 /// nothing is dropped.
 const TRACE_CAPACITY: usize = 1_000_000;
 
+/// The workload named by the one optional argument (default
+/// `delay_periodic`). Anything else prints usage on stderr and exits with
+/// status 2 before any work.
+fn workload_arg() -> Workload {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let workload = match args.as_slice() {
+        [] => workloads::by_name("delay_periodic"),
+        [name] => workloads::by_name(name),
+        _ => None,
+    };
+    workload.unwrap_or_else(|| {
+        let names: Vec<&str> = workloads::ALL.iter().map(|w| w.name).collect();
+        eprintln!(
+            "usage: trace_dump [WORKLOAD]\n  workloads: {}",
+            names.join(", ")
+        );
+        std::process::exit(2)
+    })
+}
+
 fn main() {
-    let name = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "delay_periodic".to_string());
-    let workload = workloads::by_name(&name)
-        .unwrap_or_else(|| panic!("unknown workload `{name}` (see workloads::ALL)"));
+    let workload = workload_arg();
     // A cached core so the trace shows cache hit/miss events; (SLT) so
     // unit traffic shows up too.
     let core = CoreKind::Cva6;

@@ -38,6 +38,7 @@ fn spec() -> CampaignSpec {
 }
 
 fn main() {
+    rtosunit_bench::flags("wcet_table", []);
     let campaign = spec().run(rtosunit_bench::default_workers());
     let mut out = String::new();
     out.push_str("## CV32E40P worst-case context-switch latency (static analysis)\n\n");

@@ -26,20 +26,22 @@ pub fn paper_note(lines: &[&str]) -> String {
     s
 }
 
-/// Parses the command line of a figure binary whose only option is
-/// `--quick`. Any other argument prints a usage line and exits with
-/// status 2, so a removed or mistyped flag fails loudly instead of being
-/// ignored.
-pub fn quick_arg(bin: &str) -> bool {
-    let mut quick = false;
+/// Parses the command line of a figure binary that takes only the flags
+/// in `accepted` (most take none) and returns which of them were given,
+/// in `accepted` order. Any other argument prints a usage line on stderr
+/// and exits with status 2 before the binary does any work, so a removed
+/// or mistyped flag fails loudly instead of being ignored.
+pub fn flags<const N: usize>(bin: &str, accepted: [&str; N]) -> [bool; N] {
+    let mut given = [false; N];
     for arg in std::env::args().skip(1) {
-        if arg != "--quick" {
-            eprintln!("{bin}: unknown argument `{arg}`\nusage: {bin} [--quick]");
+        let Some(i) = accepted.iter().position(|&flag| flag == arg) else {
+            let usage: String = accepted.iter().map(|f| format!(" [{f}]")).collect();
+            eprintln!("{bin}: unknown argument `{arg}`\nusage: {bin}{usage}");
             std::process::exit(2);
-        }
-        quick = true;
+        };
+        given[i] = true;
     }
-    quick
+    given
 }
 
 /// Worker-thread count for campaign execution: the host's available

@@ -3,9 +3,8 @@
 //! The interpreter pays a fetch → micro-op cache probe → gate checks per
 //! instruction, plus one `DataBus` clock advance per cycle. This module
 //! pre-decodes straight-line guest code into dense [`Uop`] buffers once
-//! (dual-issue pairs and fusible macro-op pairs resolved statically) and
-//! dispatches whole blocks, batching the bus clock into one
-//! `advance_cycles` call per block chain.
+//! (dual-issue pairs resolved statically) and dispatches whole blocks,
+//! batching the bus clock into one `advance_cycles` call per block chain.
 //!
 //! **One executor.** Every micro-op, in a block or not, issues through
 //! `CoreEngine::issue`, so a block step changes nothing a per-cycle step
@@ -16,15 +15,13 @@
 //! applies it with.) Dispatch spends each step's drain and issue
 //! cycles exactly where the interpreter would (owing the bus clock `lag`
 //! cycles until the next data access) and polls bus attention after
-//! every data access. Three rules keep the grouping invisible:
+//! every data access. Two rules keep the grouping invisible:
 //!
-//! * Pairing is decided greedily from the block entry by the
-//!   interpreter's own pairing rule (`CoreEngine::pairs`), exactly as its
-//!   memoryless per-step pairing does; a block is trimmed so its cut
-//!   never splits a pair the interpreter would have issued.
-//! * Fusion only merges two steps the interpreter would have issued as
-//!   *unpaired singles*, and issues both constituents one cycle apart —
-//!   fusion saves a dispatch on the host, never a guest cycle.
+//! * A block holds only the steps the interpreter issues: singles and
+//!   dual-issue pairs. Pairing is decided greedily from the block entry
+//!   by the interpreter's own pairing rule (`CoreEngine::pairs`), exactly
+//!   as its memoryless per-step pairing does; a block is trimmed so its
+//!   cut never splits a pair the interpreter would have issued.
 //! * A run of ALU-only steps retires as one step only in plain dispatch
 //!   (the coprocessor idle) and only when all its cycles fit the budget;
 //!   otherwise its steps issue one by one.
@@ -52,8 +49,8 @@ use crate::counters::CoreCounters;
 use crate::engine::{BlockStats, CoreEngine, CoreEvent, DataBus};
 use crate::exec::alu_write;
 use crate::timing::TimingParams;
-use rvsim_isa::uop::{fuses, lower, Uop};
-use rvsim_isa::{csr, decode, CsrOp, Instr};
+use rvsim_isa::uop::{lower, Uop};
+use rvsim_isa::{csr, decode, CsrOp};
 use rvsim_mem::Mem;
 use std::collections::HashMap;
 
@@ -62,17 +59,13 @@ use std::collections::HashMap;
 const MAX_WORDS: usize = 64;
 
 /// One execution step of a block: what the interpreter would do in one
-/// `step()` call (or, for fused macro-ops, two consecutive calls), or the
-/// marker of an ALU run.
+/// `step()` call, or the marker of an ALU run.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// One instruction.
     Single(Uop),
     /// A dual-issue pair: both retire in one cycle.
     Pair(Uop, Uop),
-    /// A fused macro-op pair: two instructions issued one cycle apart,
-    /// two interpreter steps, one dispatch.
-    Fused(Uop, Uop),
     /// Marker ahead of the steps of a straight-line ALU run, which plain
     /// dispatch may issue as one step instead (see `AluRun`).
     AluRun(AluRun),
@@ -90,40 +83,31 @@ impl Step {
         };
         match self {
             Step::Single(u) => alu(u),
-            Step::Pair(a, b) | Step::Fused(a, b) => alu(a) && alu(b),
+            Step::Pair(a, b) => alu(a) && alu(b),
             Step::AluRun(_) => false,
         }
     }
 }
 
-/// A maximal run of two or more ALU-only steps: singles, dual-issue
-/// pairs and `lui+addi` fused pairs. Its issue cycles, retire count and
-/// pair and fused counts are fixed at translation, so a run that fits the
-/// batch budget retires as one record: one walk over its steps applies
-/// their register writes, then each total is charged once
-/// (`CoreEngine::retire_alu_run`). The run's steps follow its marker and
-/// stay the reference: co-stepped dispatch, and a run the budget cuts
-/// short, issue them one by one.
+/// A maximal run of two or more ALU-only steps: singles and dual-issue
+/// pairs. Its issue cycles, retire count and pair count are fixed at
+/// translation, so a run that fits the batch budget retires as one
+/// record: one walk over its steps applies their register writes, then
+/// each total is charged once (`CoreEngine::retire_alu_run`). The run's
+/// steps follow its marker and stay the reference: co-stepped dispatch,
+/// and a run the budget cuts short, issue them one by one.
 #[derive(Debug, Clone, Copy)]
 struct AluRun {
     /// Steps after the marker that make up the run.
     steps: u32,
     /// Dual-issue pairs among them.
     pairs: u32,
-    /// Fused pairs among them.
-    fused: u32,
 }
 
 impl AluRun {
-    /// Issue cycles: one per step, plus the second cycle of each fused
-    /// pair. ALU ops never drain.
-    fn cycles(&self) -> u64 {
-        u64::from(self.steps + self.fused)
-    }
-
-    /// Instructions retired: one per step, two per pair of either kind.
+    /// Instructions retired: one per step, two per pair.
     fn ops(&self) -> u32 {
-        self.steps + self.pairs + self.fused
+        self.steps + self.pairs
     }
 }
 
@@ -136,8 +120,6 @@ struct Block {
     words: u32,
     /// Dispatches of this translation.
     execs: u64,
-    /// Fused macro-op executions inside this translation.
-    fused_execs: u64,
 }
 
 impl Block {
@@ -151,7 +133,6 @@ impl Block {
 struct PcStats {
     builds: u64,
     execs: u64,
-    fused: u64,
 }
 
 /// Map entry of a word no block is entered at. Zero, so a fresh map is
@@ -241,9 +222,7 @@ impl BlockCache {
 
     fn kill_slot(&mut self, slot: u32) {
         if let Some(b) = self.blocks[slot as usize].take() {
-            let s = self.stats.entry(b.start).or_default();
-            s.execs += b.execs;
-            s.fused += b.fused_execs;
+            self.stats.entry(b.start).or_default().execs += b.execs;
             let idx = self.word_index(b.start);
             self.map[idx] = MAP_NONE;
             self.free.push(slot);
@@ -283,14 +262,12 @@ impl BlockCache {
             if pc >= start && pc <= end {
                 out.builds += s.builds;
                 out.execs += s.execs;
-                out.fused += s.fused;
                 out.entries += 1;
             }
         }
         for b in self.blocks.iter().flatten() {
             if b.start >= start && b.start <= end {
                 out.execs += b.execs;
-                out.fused += b.fused_execs;
             }
         }
         out
@@ -302,7 +279,7 @@ impl BlockCache {
 /// outside IMEM).
 fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     // 1. Scan straight-line code.
-    let mut code: Vec<(Instr, Uop)> = Vec::new();
+    let mut code = Vec::new();
     let mut terminated = false;
     let mut pc = start;
     while imem.contains(pc) {
@@ -316,7 +293,7 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
         ) {
             break; // system op: the interpreter issues it
         }
-        code.push((instr, uop));
+        code.push(uop);
         if instr.is_control_flow() {
             terminated = true;
             break;
@@ -349,66 +326,50 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
         pc = pc.wrapping_add(4);
     }
 
-    // 2. Greedy pairing from the entry — ground truth for the
-    // interpreter's memoryless per-step pairing.
-    let mut n = code.len();
-    let mut pair_first = vec![false; n];
-    if params.dual_issue {
-        let mut i = 0;
-        while i + 1 < n {
-            if CoreEngine::pairs(&code[i].1, || Some(code[i + 1].1)) {
-                pair_first[i] = true;
-                i += 2;
-            } else {
-                i += 1;
-            }
+    // 2. Group into steps by greedy pairing from the entry — ground truth
+    // for the interpreter's memoryless per-step pairing; every other op
+    // is a single.
+    let mut grouped = Vec::with_capacity(code.len());
+    let mut i = 0;
+    while i < code.len() {
+        if params.dual_issue
+            && i + 1 < code.len()
+            && CoreEngine::pairs(&code[i], || Some(code[i + 1]))
+        {
+            grouped.push(Step::Pair(code[i], code[i + 1]));
+            i += 2;
+        } else {
+            grouped.push(Step::Single(code[i]));
+            i += 1;
         }
+    }
 
-        // 3. Never cut between a pair the interpreter would issue: if the
-        // trailing instruction is an unpaired simple op that pairs with
-        // the word just past the cut, drop it — the successor block will
-        // pair them. (At most one drop: the pass already proved the new
-        // trailing op does not pair with the dropped one.)
-        if !terminated && n > 0 && !(n >= 2 && pair_first[n - 2]) {
-            let next_pc = start.wrapping_add(4 * n as u32);
-            let tail_pairs = CoreEngine::pairs(&code[n - 1].1, || {
+    // 3. Never cut between a pair the interpreter would issue: if the
+    // trailing step is an unpaired op that pairs with the word just past
+    // the cut, drop it — the successor block will pair them. (At most one
+    // drop: the pass already proved the new trailing op does not pair
+    // with the dropped one.)
+    let mut words = code.len() as u32;
+    if params.dual_issue && !terminated {
+        if let Some(Step::Single(last)) = grouped.last() {
+            let next_pc = start.wrapping_add(4 * words);
+            let tail_pairs = CoreEngine::pairs(last, || {
                 imem.contains(next_pc)
                     .then(|| imem.read_word(next_pc))
                     .and_then(|word| decode(word).ok())
                     .map(|instr| lower(&instr, next_pc))
             });
             if tail_pairs {
-                code.pop();
-                pair_first.pop();
-                n -= 1;
+                grouped.pop();
+                words -= 1;
             }
         }
     }
-    if code.is_empty() {
+    if grouped.is_empty() {
         return None;
     }
 
-    // 4. Group into steps: pairs as decided, macro-op fusion only between
-    // two adjacent *unpaired single* steps (so fusing never steals a pair
-    // and the issued timing is exactly two interpreter steps).
-    let mut grouped = Vec::with_capacity(n);
-    let mut i = 0;
-    while i < n {
-        let (instr, uop) = code[i];
-        let step = if pair_first[i] {
-            Step::Pair(uop, code[i + 1].1)
-        } else if i + 1 < n && !pair_first[i + 1] && fuses(&instr, &code[i + 1].0) {
-            Step::Fused(uop, code[i + 1].1)
-        } else {
-            i += 1;
-            grouped.push(Step::Single(uop));
-            continue;
-        };
-        grouped.push(step);
-        i += 2;
-    }
-
-    // 5. Mark every maximal run of two or more ALU-only steps with a
+    // 4. Mark every maximal run of two or more ALU-only steps with a
     // marker step ahead of the run's steps.
     let mut steps = Vec::with_capacity(grouped.len());
     let mut rest = &grouped[..];
@@ -420,11 +381,9 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
             continue;
         }
         let (run, tail) = rest.split_at(len);
-        let count = |kind: fn(&Step) -> bool| run.iter().filter(|s| kind(s)).count() as u32;
         steps.push(Step::AluRun(AluRun {
             steps: len as u32,
-            pairs: count(|s| matches!(s, Step::Pair(..))),
-            fused: count(|s| matches!(s, Step::Fused(..))),
+            pairs: run.iter().filter(|s| matches!(s, Step::Pair(..))).count() as u32,
         }));
         steps.extend_from_slice(run);
         rest = tail;
@@ -433,9 +392,8 @@ fn build_block(params: &TimingParams, imem: &Mem, start: u32) -> Option<Block> {
     Some(Block {
         start,
         steps,
-        words: n as u32,
+        words,
         execs: 0,
-        fused_execs: 0,
     })
 }
 
@@ -522,7 +480,7 @@ impl CoreEngine {
             };
             self.counters.block_hits += 1;
             let block = cache.blocks[slot as usize].as_mut().expect("live slot");
-            let (exit, fused, any) = self.dispatch_block::<COSTEP, B, C>(
+            let (exit, any) = self.dispatch_block::<COSTEP, B, C>(
                 &block.steps,
                 bus,
                 co,
@@ -532,8 +490,6 @@ impl CoreEngine {
                 &mut pending,
             );
             block.execs += 1;
-            block.fused_execs += fused;
-            self.counters.fused_ops += fused;
             engaged |= any;
             match exit {
                 // Chain only while no interrupt is takeable (a gate-CSR
@@ -573,8 +529,8 @@ impl CoreEngine {
     }
 
     /// Issues one block's steps at the cycles the interpreter would.
-    /// Returns how the dispatch ended, the number of fused macro-ops
-    /// executed, and whether any step executed at all.
+    /// Returns how the dispatch ended and whether any step executed at
+    /// all.
     ///
     /// Plain dispatch retires an ALU run that fits the budget as one
     /// step, walking the run's steps once for their register writes.
@@ -593,34 +549,29 @@ impl CoreEngine {
         entry_cycle: u64,
         lag: &mut u64,
         pending: &mut u32,
-    ) -> (StepExit, u64, bool) {
-        let mut fused_execs = 0u64;
+    ) -> (StepExit, bool) {
         let mut any = false;
 
         let mut steps = steps.iter();
         while let Some(step) = steps.next() {
-            let issue: u64 = match step {
-                // The run drains the previous op and spends its issue
-                // cycles as its steps would, in one charge.
-                Step::AluRun(run) => {
-                    let spend = u64::from(*pending) + run.cycles();
-                    if !COSTEP && (self.cycle - entry_cycle) + spend <= remaining {
-                        self.cycle += spend;
-                        *lag += spend;
-                        *pending = 0;
-                        let (run_steps, rest) = steps.as_slice().split_at(run.steps as usize);
-                        self.retire_alu_run(run_steps, run);
-                        steps = rest.iter();
-                        fused_execs += u64::from(run.fused);
-                        any = true;
-                    }
-                    continue;
+            // The run drains the previous op and spends one issue cycle
+            // per step, as its steps would, in one charge (ALU ops never
+            // drain).
+            if let Step::AluRun(run) = step {
+                let spend = u64::from(*pending) + u64::from(run.steps);
+                if !COSTEP && (self.cycle - entry_cycle) + spend <= remaining {
+                    self.cycle += spend;
+                    *lag += spend;
+                    *pending = 0;
+                    let (run_steps, rest) = steps.as_slice().split_at(run.steps as usize);
+                    self.retire_alu_run(run_steps, run);
+                    steps = rest.iter();
+                    any = true;
                 }
-                Step::Fused(..) => 2,
-                _ => 1,
-            };
-            if (self.cycle - entry_cycle) + u64::from(*pending) + issue > remaining {
-                return (StepExit::Budget, fused_execs, any);
+                continue;
+            }
+            if (self.cycle - entry_cycle) + u64::from(*pending) + 1 > remaining {
+                return (StepExit::Budget, any);
             }
             // Drain the previous op, then spend this op's issue cycle —
             // the same cycles the interpreter's busy-skip and
@@ -644,18 +595,11 @@ impl CoreEngine {
 
             // Straight-line steps leave `pc` at the next step's address.
             let pc = self.state.pc;
-            let second_pc = pc.wrapping_add(4);
             let issued = match step {
                 Step::Single(uop) => self.issue(*uop, pc, false, bus, co, lag),
                 Step::Pair(first, second) => {
                     self.issue(*first, pc, true, bus, co, lag);
-                    self.issue(*second, second_pc, false, bus, co, lag)
-                }
-                Step::Fused(first, second) => {
-                    self.issue(*first, pc, false, bus, co, lag);
-                    self.fused_mid_cycle::<COSTEP, B, C>(bus, co, lag);
-                    fused_execs += 1;
-                    self.issue(*second, second_pc, false, bus, co, lag)
+                    self.issue(*second, pc.wrapping_add(4), false, bus, co, lag)
                 }
                 Step::AluRun(_) => unreachable!("markers are not issued"),
             };
@@ -676,10 +620,10 @@ impl CoreEngine {
                 co.step(&mut self.state, bus);
             }
             if let Some(e) = exit {
-                return (e, fused_execs, any);
+                return (e, any);
             }
         }
-        (StepExit::Done, fused_execs, any)
+        (StepExit::Done, any)
     }
 
     /// Retires the straight-line ALU run `run`, whose `steps` follow its
@@ -693,7 +637,7 @@ impl CoreEngine {
         for step in steps {
             match *step {
                 Step::Single(op) => alu_write(&mut self.state, op),
-                Step::Pair(first, second) | Step::Fused(first, second) => {
+                Step::Pair(first, second) => {
                     alu_write(&mut self.state, first);
                     alu_write(&mut self.state, second);
                 }
@@ -726,35 +670,9 @@ impl CoreEngine {
                     self.attribute(pc.wrapping_add(4), 1);
                     2
                 }
-                Step::Fused(..) => {
-                    self.attribute(pc, 1);
-                    self.attribute(pc.wrapping_add(4), 1);
-                    2
-                }
                 Step::AluRun(_) => unreachable!("runs are marked once"),
             };
             pc = pc.wrapping_add(4 * words);
-        }
-    }
-
-    /// A fused macro-op's mid-step cycle boundary: the first constituent
-    /// is done, the second begins next cycle. Co-stepped dispatch takes
-    /// the coprocessor's step for the finished cycle and advances the bus
-    /// clock; plain dispatch just accrues lag.
-    #[inline]
-    fn fused_mid_cycle<const COSTEP: bool, B: DataBus, C: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        co: &mut C,
-        lag: &mut u64,
-    ) {
-        if COSTEP {
-            co.step(&mut self.state, bus);
-            bus.advance_cycles(1);
-            self.cycle += 1;
-        } else {
-            self.cycle += 1;
-            *lag += 1;
         }
     }
 }
@@ -764,10 +682,10 @@ mod tests {
     use super::*;
     use rvsim_isa::{Asm, Reg};
 
-    /// `(ops, steps, fused, pairs)` of each ALU run marked in the block
+    /// `(ops, steps, pairs)` of each ALU run marked in the block
     /// entered at 0, after checking that each marker is followed by its
     /// run's ALU-only steps and then by no further ALU-only step.
-    fn runs(params: &TimingParams, asm: Asm) -> Vec<(u32, u32, u32, u32)> {
+    fn runs(params: &TimingParams, asm: Asm) -> Vec<(u32, u32, u32)> {
         let program = asm.finish().unwrap();
         let mut imem = Mem::new(0, 0x1000);
         imem.load_words(program.base, &program.words);
@@ -780,7 +698,7 @@ mod tests {
             let (run_steps, after) = block.steps[i + 1..].split_at(run.steps as usize);
             assert!(run_steps.iter().all(Step::alu_only), "{run_steps:?}");
             assert!(!after.first().is_some_and(Step::alu_only), "{after:?}");
-            out.push((run.ops(), run.steps, run.fused, run.pairs));
+            out.push((run.ops(), run.steps, run.pairs));
         }
         out
     }
@@ -794,23 +712,24 @@ mod tests {
             a.sw(Reg::A2, 0, Reg::T1);
             a.addi(Reg::A0, Reg::A0, 1); // a run of one step: unmarked
             a.lw(Reg::A5, 0, Reg::T1);
-            a.li(Reg::S10, 0x1234_5678); // lui+addi: fused
+            a.li(Reg::S10, 0x1234_5678); // lui+addi
             a.or(Reg::S9, Reg::S8, Reg::S10);
             a.add(Reg::S2, Reg::S3, Reg::A3);
             a.addi(Reg::S3, Reg::S3, 3);
             a.addi(Reg::T0, Reg::T0, -1);
-            a.auipc(Reg::T2, 0); // auipc+jalr fuses but ends the run
+            a.sltu(Reg::T1, Reg::S2, Reg::S3);
+            a.auipc(Reg::T2, 0); // only the control flow after it ends the run
             a.jalr(Reg::Zero, Reg::T2, 0);
             a
         };
         assert_eq!(
             runs(&TimingParams::cv32e40p(), program()),
-            [(2, 2, 0, 0), (6, 5, 1, 0)]
+            [(2, 2, 0), (8, 8, 0)]
         );
-        // NaxRiscv pairs `or`+`add` and the two `addi`s.
+        // NaxRiscv pairs `or`+`add`, the two `addi`s and `sltu`+`auipc`.
         assert_eq!(
             runs(&TimingParams::naxriscv(), program()),
-            [(2, 2, 0, 0), (6, 3, 1, 2)]
+            [(2, 2, 0), (8, 5, 3)]
         );
     }
 }

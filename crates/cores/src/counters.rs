@@ -45,8 +45,10 @@ pub struct CoreCounters {
     /// Basic blocks translated into the cache, first builds plus
     /// retranslations after invalidation (host bookkeeping).
     pub block_builds: u64,
-    /// Fused macro-op executions, each retiring two guest instructions
-    /// (host bookkeeping).
+    /// Always zero: the block cache issues no macro-op fusion. Kept only
+    /// because perfbench's `rvsim_cores.fused_ops` metric reads it; it is
+    /// not among [`named`](Self::named), so no artifact or snapshot
+    /// carries it.
     pub fused_ops: u64,
 }
 
@@ -57,13 +59,8 @@ impl CoreCounters {
     /// was split into batches, so equivalence tests compare through
     /// [`without_host_stats`](Self::without_host_stats) and snapshots
     /// leave them out.
-    pub const HOST_STATS: [&'static str; 5] = [
-        "decode_hits",
-        "decode_misses",
-        "block_hits",
-        "block_builds",
-        "fused_ops",
-    ];
+    pub const HOST_STATS: [&'static str; 4] =
+        ["decode_hits", "decode_misses", "block_hits", "block_builds"];
 
     /// Total stall cycles across all causes (excluding `wfi` parking).
     pub fn total_stalls(&self) -> u64 {
@@ -76,7 +73,7 @@ impl CoreCounters {
     }
 
     /// Every field by name, in the stable [`named`](Self::named) order.
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 13] {
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 12] {
         [
             ("decode_hits", &mut self.decode_hits),
             ("decode_misses", &mut self.decode_misses),
@@ -90,13 +87,12 @@ impl CoreCounters {
             ("wfi_cycles", &mut self.wfi_cycles),
             ("block_hits", &mut self.block_hits),
             ("block_builds", &mut self.block_builds),
-            ("fused_ops", &mut self.fused_ops),
         ]
     }
 
     /// `(name, value)` pairs in a stable order, for machine-readable
     /// artifacts.
-    pub fn named(&self) -> [(&'static str, u64); 13] {
+    pub fn named(&self) -> [(&'static str, u64); 12] {
         let mut copy = *self;
         copy.fields_mut().map(|(name, value)| (name, *value))
     }
@@ -162,7 +158,7 @@ mod tests {
         };
         assert_eq!(c.total_stalls(), 21);
         let named = c.named();
-        assert_eq!(named.len(), 13);
+        assert_eq!(named.len(), 12);
         assert!(named.iter().any(|&(n, v)| n == "wfi_cycles" && v == 100));
     }
 
@@ -175,7 +171,6 @@ mod tests {
             stall_mem: 4,
             block_hits: 40,
             block_builds: 5,
-            fused_ops: 11,
             ..CoreCounters::default()
         };
         let v = c.without_host_stats();
@@ -197,7 +192,6 @@ mod tests {
             wfi_cycles: 9,
             block_hits: 40,
             block_builds: 5,
-            fused_ops: 11,
             ..CoreCounters::default()
         };
         let text = c.to_snap().render();

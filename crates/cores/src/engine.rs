@@ -146,8 +146,6 @@ pub struct BlockStats {
     pub builds: u64,
     /// Block dispatches entered in the range.
     pub execs: u64,
-    /// Fused macro-op executions inside those dispatches.
-    pub fused: u64,
     /// Distinct entry PCs translated in the range; `builds - entries` is
     /// the number of retranslations forced by invalidation.
     pub entries: u64,
@@ -1178,8 +1176,8 @@ mod tests {
         assert_eq!(name_of(ranked[1].0).as_deref(), Some("div"), "div stall");
     }
 
-    /// A program with every block-relevant shape: fusible `lui+addi` and
-    /// `auipc+jalr`, a fusible compare+branch, pairable ALU ops, loads,
+    /// A program with every block-relevant shape: `lui+addi`,
+    /// `auipc+jalr`, a compare+branch, pairable ALU ops, loads,
     /// stores, a div stall, mid-block CSR accesses (`csrw mtvec`,
     /// `csrw mscratch`, `csrr mcycle`), a gate-CSR barrier (`csrs mie`), a
     /// `fence`, calls and returns, and a misaligned load trapping into a
@@ -1192,7 +1190,7 @@ mod tests {
         a.add(Reg::S1, Reg::S1, Reg::S0);
         a.addi(Reg::S0, Reg::S0, 3);
         a.slti(Reg::A2, Reg::S0, 100);
-        a.bnez(Reg::A2, "skip"); // fusible cmp+branch
+        a.bnez(Reg::A2, "skip");
         a.addi(Reg::A3, Reg::A3, 1);
         a.label("skip");
         a.ret();
@@ -1201,7 +1199,7 @@ mod tests {
         a.csrw(csr::MTVEC, Reg::T4);
         a.li(Reg::T5, csr::MIP_MSIP as i32);
         a.li(Reg::T0, 0x2000_0000u32 as i32);
-        a.li(Reg::S0, 0x1234_5678); // fusible lui+addi
+        a.li(Reg::S0, 0x1234_5678); // lui+addi
         a.li(Reg::T1, 30);
         a.label("loop");
         a.sw(Reg::T1, 0, Reg::T0);
@@ -1212,7 +1210,7 @@ mod tests {
         a.csrrs(Reg::Zero, csr::MIE, Reg::T5); // gate CSR: ends the block
         a.call("leaf");
         let ap = a.here();
-        a.auipc(Reg::T3, 0); // fusible auipc+jalr back to `leaf` (pc 4)
+        a.auipc(Reg::T3, 0); // auipc+jalr back to `leaf` (pc 4)
         a.jalr(Reg::Ra, Reg::T3, 4 - ap as i32);
         a.addi(Reg::T1, Reg::T1, -1);
         a.bnez(Reg::T1, "loop");
@@ -1311,8 +1309,6 @@ mod tests {
             let fc = fast.counters();
             assert!(fc.block_hits > 0, "{}: blocks never engaged", params.name);
             assert!(fc.block_builds > 0, "{}: no translations", params.name);
-            assert!(fc.fused_ops > 0, "{}: no macro-op fusion", params.name);
-            assert_eq!(slow.counters().fused_ops, 0);
             if params.dual_issue {
                 assert!(fc.issued_pairs > 0, "superscalar model never paired");
             }
@@ -1335,9 +1331,9 @@ mod tests {
 
     /// The kernel's `compute` loop body (its `li` prologue, the ALU chain
     /// and the loop branch) with a store and a load splitting the chain
-    /// into three ALU runs, and a 32-bit `li` opening the last one. On
-    /// every core the `lui+addi` halves of that `li` fuse; on NaxRiscv
-    /// the independent ALU ops pair, so the last run mixes both.
+    /// into three ALU runs, and a 32-bit `li` (`lui+addi`) opening the
+    /// last one. On NaxRiscv the independent ALU ops pair, so the last run
+    /// mixes singles and pairs.
     fn alu_run_program() -> rvsim_isa::Program {
         let mut a = Asm::new(0);
         a.li(Reg::T1, 0x2000_0010);
@@ -1395,8 +1391,7 @@ mod tests {
     /// budget from 1 to 40, every stop of `run_until` matches per-cycle
     /// stepping driven to the same cycle (registers, `pc`, cycle, retire
     /// count, counters, profile, snapshot), and matches a co-stepped run,
-    /// which issues each run step by step, in the block and fusion
-    /// counters too.
+    /// which issues each run step by step, in the block counters too.
     #[test]
     fn alu_runs_match_per_cycle_stepping_at_every_budget() {
         let p = alu_run_program();
@@ -1451,21 +1446,15 @@ mod tests {
                         // fetches an op, co-stepped dispatch may peek it.
                         let blocks = |e: &CoreEngine| {
                             let c = e.counters();
-                            (
-                                c.without_host_stats(),
-                                c.block_hits,
-                                c.block_builds,
-                                c.fused_ops,
-                            )
+                            (c.without_host_stats(), c.block_hits, c.block_builds)
                         };
                         assert_eq!(costep.cycle(), fast.cycle(), "{}: co-stepped", at(&fast));
                         assert_eq!(blocks(&costep), blocks(&fast), "{}: co-stepped", at(&fast));
                     }
                     assert_eq!(slow.state.read_reg(Reg::T0), 0, "{}", at(&slow));
-                    let c = fast.counters();
                     if budget == 40 {
-                        assert!(c.fused_ops > 0, "{}: no fusion", at(&fast));
-                        assert_eq!(c.issued_pairs > 0, params.dual_issue, "{}", at(&fast));
+                        let pairs = fast.counters().issued_pairs;
+                        assert_eq!(pairs > 0, params.dual_issue, "{}", at(&fast));
                     }
                 }
             }
@@ -1478,7 +1467,7 @@ mod tests {
     #[test]
     fn a_trap_inside_a_block_matches_per_cycle_stepping() {
         let mut a = Asm::new(0);
-        a.li(Reg::T0, 0x2000_0002); // misaligned; lui+addi fuse on scalar cores
+        a.li(Reg::T0, 0x2000_0002); // misaligned
         a.addi(Reg::A0, Reg::A0, 1); // NaxRiscv dual-issues these ALU ops
         a.addi(Reg::A1, Reg::A1, 2);
         a.lw(Reg::A2, 0, Reg::T0); // traps

@@ -279,11 +279,11 @@ pub fn hot_block_report(profile: &PcProfile, blocks: &[HotBlock], limit: usize) 
 }
 
 /// Renders the ranked hot-block table with per-block translation-cache
-/// columns appended: dispatches, hit rate, fused macro-ops executed and
-/// retranslations, from [`BlockStats`](crate::engine::BlockStats) folded
-/// over each block's PC range (pass the owning engine's
-/// `block_stats_in`). Blocks the cache never entered show all-zero
-/// columns — e.g. handler bodies reached only through trap entry.
+/// columns appended: dispatches, hit rate and retranslations, from
+/// [`BlockStats`](crate::engine::BlockStats) folded over each block's PC
+/// range (pass the owning engine's `block_stats_in`). Blocks the cache
+/// never entered show all-zero columns — e.g. handler bodies reached
+/// only through trap entry.
 pub fn hot_block_report_with_blocks(
     profile: &PcProfile,
     blocks: &[HotBlock],
@@ -292,13 +292,13 @@ pub fn hot_block_report_with_blocks(
 ) -> String {
     let total = profile.total_cycles().max(1);
     let mut out = String::from(
-        "| rank | block | instrs | cycles | share | bc execs | hit rate | fused | retrans |\n",
+        "| rank | block | instrs | cycles | share | bc execs | hit rate | retrans |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str("|---|---|---|---|---|---|---|---|\n");
     for (rank, b) in blocks.iter().take(limit).enumerate() {
         let s = stats(b.start, b.end);
         out.push_str(&format!(
-            "| {} | {:#010x}..{:#010x} | {} | {} | {:.2}% | {} | {:.1}% | {} | {} |\n",
+            "| {} | {:#010x}..{:#010x} | {} | {} | {:.2}% | {} | {:.1}% | {} |\n",
             rank + 1,
             b.start,
             b.end,
@@ -307,7 +307,6 @@ pub fn hot_block_report_with_blocks(
             b.cycles as f64 * 100.0 / total as f64,
             s.execs,
             s.hit_rate() * 100.0,
-            s.fused,
             s.retranslations(),
         ));
     }
@@ -413,9 +412,8 @@ mod tests {
             hot_block_report_with_blocks(&p, &blocks, 10, |_, _| crate::engine::BlockStats {
                 builds: 3,
                 execs: 10,
-                fused: 4,
                 entries: 1,
             });
-        assert!(report.contains("| 10 | 70.0% | 4 | 2 |"), "{report}");
+        assert!(report.contains("| 10 | 70.0% | 2 |"), "{report}");
     }
 }

@@ -8,9 +8,7 @@
 //! part of the representation — a cycle model applies its own latencies
 //! from the op class, so the same `Uop` serves any engine.
 //!
-//! [`lower`] converts any [`Instr`] at a known PC; [`fuses`] detects the
-//! classic macro-op fusion pairs (`lui+addi`, `auipc+jalr`,
-//! `slt/sltu+beqz/bnez`), which a block executor may dispatch together.
+//! [`lower`] converts any [`Instr`] at a known PC.
 
 use crate::custom::CustomOp;
 use crate::instr::{AluOp, BranchOp, CsrOp, Instr, LoadOp, MulDivOp, StoreOp};
@@ -179,49 +177,6 @@ pub fn lower(instr: &Instr, pc: u32) -> Uop {
     }
 }
 
-/// Whether `first` and the `second` instruction right after it form a
-/// fusible macro-op pair:
-///
-/// * `lui rd, hi` + `addi rd2, rd, lo` (immediate materialisation),
-/// * `auipc rd, hi` + `jalr rd2, lo(rd)` (PC-relative call),
-/// * `slt/sltu/slti/sltiu rd, ...` + `beq/bne rd, x0, off` (compare-and-
-///   branch).
-///
-/// The producing destination must not be `x0`: an `x0` write vanishes, so
-/// the consumer would read zero, not the produced value.
-pub fn fuses(first: &Instr, second: &Instr) -> bool {
-    match (*first, *second) {
-        (
-            Instr::Lui { rd, .. },
-            Instr::OpImm {
-                op: AluOp::Add,
-                rs1,
-                ..
-            },
-        )
-        | (Instr::Auipc { rd, .. }, Instr::Jalr { rs1, .. }) => rd != Reg::Zero && rs1 == rd,
-        (
-            Instr::Op {
-                op: AluOp::Slt | AluOp::Sltu,
-                rd,
-                ..
-            }
-            | Instr::OpImm {
-                op: AluOp::Slt | AluOp::Sltu,
-                rd,
-                ..
-            },
-            Instr::Branch {
-                op: BranchOp::Eq | BranchOp::Ne,
-                rs1,
-                rs2,
-                ..
-            },
-        ) => rd != Reg::Zero && rs1 == rd && rs2 == Reg::Zero,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,75 +240,5 @@ mod tests {
                 rs2: Reg::A1,
             }
         );
-    }
-
-    #[test]
-    fn fuses_lui_addi() {
-        let lui = Instr::Lui {
-            rd: Reg::T0,
-            imm: 0x12345 << 12,
-        };
-        let addi = |rd, rs1| Instr::OpImm {
-            op: AluOp::Add,
-            rd,
-            rs1,
-            imm: 0x678,
-        };
-        assert!(fuses(&lui, &addi(Reg::T0, Reg::T0)));
-        // A different destination still fuses (both writes kept).
-        assert!(fuses(&lui, &addi(Reg::A0, Reg::T0)));
-        // addi reading a different register: no fusion.
-        assert!(!fuses(&lui, &addi(Reg::A0, Reg::A1)));
-        // lui to x0 produces zero, not `hi`: must not fuse.
-        let lui_x0 = Instr::Lui {
-            rd: Reg::Zero,
-            imm: 0x1000,
-        };
-        assert!(!fuses(&lui_x0, &addi(Reg::A0, Reg::Zero)));
-    }
-
-    #[test]
-    fn fuses_auipc_jalr() {
-        let auipc = Instr::Auipc {
-            rd: Reg::T1,
-            imm: 0x2000,
-        };
-        let jalr = |rs1| Instr::Jalr {
-            rd: Reg::Ra,
-            rs1,
-            offset: 0x31,
-        };
-        assert!(fuses(&auipc, &jalr(Reg::T1)));
-        assert!(!fuses(&auipc, &jalr(Reg::T2)));
-    }
-
-    #[test]
-    fn fuses_cmp_branch_forms() {
-        let slt = Instr::Op {
-            op: AluOp::Slt,
-            rd: Reg::T2,
-            rs1: Reg::A0,
-            rs2: Reg::A1,
-        };
-        let branch = |op, rs1, rs2| Instr::Branch {
-            op,
-            rs1,
-            rs2,
-            offset: 0x20,
-        };
-        assert!(fuses(&slt, &branch(BranchOp::Ne, Reg::T2, Reg::Zero)));
-        let sltiu = Instr::OpImm {
-            op: AluOp::Sltu,
-            rd: Reg::T2,
-            rs1: Reg::A0,
-            imm: 7,
-        };
-        assert!(fuses(&sltiu, &branch(BranchOp::Eq, Reg::T2, Reg::Zero)));
-        // Branch comparing against a non-zero register: no fusion.
-        assert!(!fuses(&slt, &branch(BranchOp::Ne, Reg::T2, Reg::A3)));
-        // Branch reading a different register than the comparison wrote.
-        assert!(!fuses(&slt, &branch(BranchOp::Ne, Reg::A4, Reg::Zero)));
-        // Only equality branches fuse.
-        assert!(!fuses(&slt, &branch(BranchOp::Lt, Reg::T2, Reg::Zero)));
     }
 }

@@ -17,6 +17,7 @@ use crate::emit::{self, LabelGen};
 use crate::klayout::{tcb, KernelLayout, FRAME_BYTES};
 use crate::probe;
 use crate::protect::{self, ProtectSpec};
+use rtosunit::cv32rt::{HW_BLOCK_OFF, SNAPSHOT_REGS};
 use rtosunit::layout::{
     ctx_index_of, ctx_reg, CTX_MEPC_IDX, CTX_MSTATUS_IDX, CTX_REGION_BASE, CTX_SHIFT, MMIO_EXT_ACK,
     MMIO_IPI_RECV, MMIO_MSIP, MMIO_MTIME, MMIO_MTIMECMP, MMIO_TRACE,
@@ -78,38 +79,52 @@ impl IsrSpec {
     }
 }
 
+/// Context word of the first CV32RT snapshot register. The unit
+/// snapshots the last 16 general-purpose context words (x16..x31), so
+/// software saves every word below this one, plus `mstatus` and `mepc`.
+fn cv32rt_first_hw_word() -> usize {
+    ctx_index_of(SNAPSHOT_REGS[0])
+}
+
 /// Frame byte offset of context word `w` (`0..=30`; 29 = mstatus,
-/// 30 = mepc). CV32RT uses a rearranged 128-byte frame: the 15
-/// software-saved words sit in the low half and the 16 hardware-written
-/// snapshot words occupy a single 64-byte-aligned block (§6).
+/// 30 = mepc). CV32RT uses the unit's rearranged frame
+/// ([`rtosunit::cv32rt::FRAME_BYTES`]): the software-saved words sit
+/// packed at the bottom and the hardware-written snapshot words occupy
+/// the block at [`HW_BLOCK_OFF`], in [`SNAPSHOT_REGS`] order (§6).
 pub fn frame_word_off(w: usize, cv32rt: bool) -> i32 {
     if !cv32rt {
         return (w as i32) * 4;
     }
-    match w {
-        0..=12 => (w as i32) * 4,
-        CTX_MSTATUS_IDX => 52,
-        CTX_MEPC_IDX => 56,
-        _ => (crate::klayout::CV32RT_HW_BLOCK_OFF as i32) + ((w - 13) as i32) * 4,
-    }
+    let first_hw = cv32rt_first_hw_word();
+    let off = match w {
+        CTX_MSTATUS_IDX => first_hw * 4,
+        CTX_MEPC_IDX => first_hw * 4 + 4,
+        w if w < first_hw => w * 4,
+        w => HW_BLOCK_OFF as usize + (w - first_hw) * 4,
+    };
+    off as i32
 }
 
 /// Frame size in bytes for the given save style.
 pub fn frame_bytes(cv32rt: bool) -> u32 {
     if cv32rt {
-        crate::klayout::CV32RT_FRAME_BYTES
+        rtosunit::cv32rt::FRAME_BYTES
     } else {
         FRAME_BYTES
     }
 }
 
 /// Emits the software context save to the stack frame (vanilla-style).
-/// For CV32RT the 16 snapshot registers (context words 13..=28) are saved
-/// by hardware through the dedicated port and skipped here.
+/// For CV32RT the 16 snapshot registers are saved by hardware through the
+/// dedicated port and skipped here.
 fn emit_save_frame(a: &mut Asm, cv32rt: bool) {
     let size = frame_bytes(cv32rt) as i32;
     a.addi(Reg::Sp, Reg::Sp, -size);
-    let limit = if cv32rt { 13 } else { 29 };
+    let limit = if cv32rt {
+        cv32rt_first_hw_word()
+    } else {
+        CTX_MSTATUS_IDX
+    };
     for w in 0..limit {
         let r = ctx_reg(w);
         if r == Reg::Sp {
@@ -402,6 +417,29 @@ mod tests {
         gen_isr(&mut a, &mut lg, &spec(p));
         a.ebreak();
         a.finish().expect("ISR assembles").words.len()
+    }
+
+    /// The CV32RT frame the ISR saves and restores is the one the unit
+    /// drains into: snapshot register `i` at `HW_BLOCK_OFF + 4 * i`, and
+    /// every software-saved word at its own offset below that block.
+    #[test]
+    fn cv32rt_frame_matches_the_units_snapshot_block() {
+        for (i, &r) in SNAPSHOT_REGS.iter().enumerate() {
+            let off = frame_word_off(ctx_index_of(r), true);
+            assert_eq!(off, (HW_BLOCK_OFF + 4 * i as u32) as i32, "{r}");
+        }
+        let hw: Vec<usize> = SNAPSHOT_REGS.iter().map(|&r| ctx_index_of(r)).collect();
+        let mut soft: Vec<i32> = (0..rtosunit::layout::CTX_WORDS)
+            .filter(|w| !hw.contains(w))
+            .map(|w| frame_word_off(w, true))
+            .collect();
+        assert!(soft
+            .iter()
+            .all(|&off| (0..HW_BLOCK_OFF as i32).contains(&off)));
+        let words = soft.len();
+        soft.sort_unstable();
+        soft.dedup();
+        assert_eq!(soft.len(), words, "two software-saved words share a slot");
     }
 
     #[test]

@@ -18,14 +18,6 @@ pub const SEM_BYTES: u32 = 8;
 /// Size of a saved context frame on the stack in bytes (31 words).
 pub const FRAME_BYTES: u32 = 124;
 
-/// CV32RT frame size: 128 bytes, 64-byte aligned (stack tops are 1 KiB
-/// aligned), so the 16 hardware-written words occupy exactly one cache
-/// line (paper §6: "the single cache line containing the bypassed 16
-/// words").
-pub const CV32RT_FRAME_BYTES: u32 = 128;
-/// Frame offset of the first hardware-written (snapshot) word.
-pub const CV32RT_HW_BLOCK_OFF: u32 = 64;
-
 /// TCB field offsets (bytes).
 pub mod tcb {
     /// Saved stack pointer (top of the saved context frame).
