@@ -30,14 +30,24 @@
 //!   auto-checkpoints, rewinds to intermediate cycles (restore nearest
 //!   checkpoint + deterministic re-execution) and byte-compares every
 //!   rewound state snapshot against a cold run stopped at that cycle.
+//! * `checkfuzz smp [--secs N] [--start-seed S]` — time-boxed SMP
+//!   exactness loop: each seed picks a core, an ISR variant and 2 to 4
+//!   harts, and its multi-hart scenario must pass the SMP scheduler
+//!   oracle and leave every hart of the lazy lockstep (`SmpSystem::run`)
+//!   exactly as per-cycle lockstep does
+//!   (`rvsim_check::check_lazy_lockstep`). A failure, a panic included,
+//!   is reported with its seed, core, preset and hart count; the exit
+//!   code is non-zero if anything failed.
 //!
-//! The nightly CI job runs `fuzz` with a fresh start seed and uploads
-//! `results/repro/` so failures arrive as self-contained repro files.
+//! The nightly CI job runs `fuzz` and `smp` with fresh start seeds and
+//! uploads `results/repro/` so fuzz failures arrive as self-contained
+//! repro files.
 
 use rtosbench::json::Json;
 use rtosunit::Preset;
 use rvsim_check::scenario::ORACLE_PRESETS;
 use rvsim_check::{artifact, episode_for_seed, run_episode, run_scenario, scenario_for_seed};
+use rvsim_check::{check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed};
 use rvsim_check::{shrink_episode, shrink_scenario, travel_selfcheck, Fault};
 use rvsim_cores::CoreKind;
 use rvsim_isa::progen::GenConfig;
@@ -52,7 +62,8 @@ fn usage() -> ! {
         "usage: checkfuzz fuzz [--secs N] [--start-seed S] [--blocks] [--snap]\n       \
          checkfuzz replay <path>...\n       \
          checkfuzz selftest\n       \
-         checkfuzz travel [--cycles N] [--interval N]"
+         checkfuzz travel [--cycles N] [--interval N]\n       \
+         checkfuzz smp [--secs N] [--start-seed S]"
     );
     std::process::exit(2);
 }
@@ -64,6 +75,7 @@ fn main() {
         Some("replay") if args.len() > 1 => cmd_replay(&args[1..]),
         Some("selftest") => cmd_selftest(),
         Some("travel") => cmd_travel(&args[1..]),
+        Some("smp") => cmd_smp(&args[1..]),
         _ => usage(),
     };
     std::process::exit(code);
@@ -334,4 +346,50 @@ fn cmd_travel(args: &[String]) -> i32 {
         }
     }
     i32::from(failed)
+}
+
+/// One SMP exactness run: the seed picks the core, the ISR variant and 2
+/// to 4 harts, and the scenario must pass the SMP oracle and the
+/// lazy-against-per-cycle lockstep comparison. Returns the failure, named
+/// by seed, core, preset and hart count.
+fn smp_one(seed: u64) -> Option<String> {
+    let core = CoreKind::ALL[(seed % 3) as usize];
+    let preset = ORACLE_PRESETS[(seed / 3 % ORACLE_PRESETS.len() as u64) as usize];
+    let harts = 2 + (seed / 18 % 3) as usize;
+    let spec = smp_scenario_for_seed(core, preset, harts, seed);
+    let outcome = catch_panic(|| {
+        run_smp_scenario(&spec).map_err(|v| format!("oracle: {v}"))?;
+        check_lazy_lockstep(&spec, seed).map_err(|m| format!("lazy lockstep: {m}"))
+    });
+    let failure = match outcome {
+        Ok(result) => result.err()?,
+        Err(message) => format!("panicked: {message}"),
+    };
+    Some(format!(
+        "seed={seed} core={core} preset={} harts={harts}: {failure}",
+        preset.tag()
+    ))
+}
+
+fn cmd_smp(args: &[String]) -> i32 {
+    let secs = parse_flag(args, "--secs").unwrap_or(60);
+    let start = parse_flag(args, "--start-seed").unwrap_or(0);
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    let mut seed = start;
+    let mut failures = 0;
+    // A panicking run is reported by `smp_one`.
+    std::panic::set_hook(Box::new(|_| {}));
+    while Instant::now() < deadline && failures < 20 {
+        if let Some(failure) = smp_one(seed) {
+            eprintln!("smp FAIL {failure}");
+            failures += 1;
+        }
+        seed += 1;
+    }
+    let _ = std::panic::take_hook();
+    println!(
+        "checkfuzz smp: {} runs, seeds {start}..{seed}, {failures} failure(s)",
+        seed - start
+    );
+    i32::from(failures > 0)
 }

@@ -16,8 +16,9 @@
 //!
 //! A single-hart run executes through the block translation cache, so
 //! its hot-block table carries per-block cache columns: dispatches, hit
-//! rate and retranslations. The SMP path steps
-//! per-cycle and builds no cache, so its tables omit them.
+//! rate and retranslations. The SMP path steps each hart per cycle
+//! where its core can issue and only drains in batches, so it builds no
+//! cache and its tables omit them.
 //!
 //! The run boots exactly as a campaign run does ([`campaign::boot`]),
 //! external-interrupt arrivals included. With `--harts N` (N > 1) the

@@ -13,10 +13,11 @@
 //! * [`oracle`] — randomized kernel scenarios run on the full system
 //!   simulator while a host-side model of ready/delay/event-list semantics
 //!   checks scheduling invariants from the emitted event trace.
-//! * [`smp`] — multi-hart scenarios run in per-cycle lockstep on the
-//!   shared bus; every hart's trace is checked against its own scheduler
-//!   model (per-core ready lists) and the shared IPI mailboxes must
-//!   conserve every cross-core wakeup.
+//! * [`smp`] — multi-hart scenarios run in lockstep on the shared bus;
+//!   every hart's trace is checked against its own scheduler model
+//!   (per-core ready lists), the shared IPI mailboxes must conserve every
+//!   cross-core wakeup, and the lazy lockstep must leave every hart
+//!   exactly as per-cycle lockstep does.
 //! * [`timetravel`] — full-system snapshots taken on a periodic cadence
 //!   let any previously visited cycle be revisited exactly: rewind is
 //!   restore-nearest-checkpoint plus deterministic re-execution, verified
@@ -51,7 +52,7 @@ pub use scenario::{
 };
 pub use shrink::{shrink_episode, shrink_scenario, shrink_scenario_with};
 pub use smp::{
-    run_smp_scenario, smp_scenario_for_seed, smp_scenario_system, trace_smp_scenario,
-    SmpScenarioSpec,
+    check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed, smp_scenario_system,
+    trace_smp_scenario, SmpScenarioSpec,
 };
 pub use timetravel::{travel_selfcheck, TimeTravel, TravelReport};

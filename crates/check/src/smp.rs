@@ -17,6 +17,10 @@
 //! * sends == receives + residual mailbox depth for every hart — **no
 //!   cross-core wakeup is ever lost**.
 //!
+//! [`check_lazy_lockstep`] runs the same scenarios through both SMP
+//! paths and demands that the lazy lockstep of [`SmpSystem::run`] leave
+//! every hart exactly as per-cycle lockstep does.
+//!
 //! Senders always follow an `IpiGive` with a `Delay`: task bodies loop
 //! forever, and an unthrottled IPI flood whose period matches the
 //! receiver's ISR episode re-enters the interrupt at every `mret`,
@@ -29,6 +33,7 @@ use rtosunit::{EventTrace, Preset, SmpSystem, TraceEvent};
 use rvsim_cores::CoreKind;
 use rvsim_isa::csr;
 use rvsim_isa::rng::Rng64;
+use rvsim_snapshot::Json;
 
 use crate::oracle::{self, OracleStats, Violation};
 use crate::scenario::{emit_task, Action, ScenarioSpec, TaskScript};
@@ -177,8 +182,8 @@ pub fn smp_scenario_system(spec: &SmpScenarioSpec) -> SmpSystem {
     smp
 }
 
-/// Builds and runs one SMP scenario in per-cycle lockstep, returning one
-/// probed event trace per hart plus the final shared state (mailbox
+/// Builds and runs one SMP scenario in lockstep, returning one probed
+/// event trace per hart plus the final shared state (mailbox
 /// counters, bus stats).
 ///
 /// # Panics
@@ -203,9 +208,8 @@ pub fn trace_smp_scenario(spec: &SmpScenarioSpec) -> (Vec<EventTrace>, SmpSystem
     // software-quiet windows within a couple of tick periods.
     let mut grace = 0u64;
     while (0..n).any(|h| {
-        smp.shared().borrow().ipi_pending(h)
+        smp.shared().borrow().mailbox_depth(h) > 0
             || smp.hart(h).isr_cause() == Some(csr::CAUSE_SOFTWARE)
-            || smp.hart(h).platform.ipi_pending()
     }) {
         grace += 1;
         assert!(
@@ -297,6 +301,132 @@ pub fn run_smp_scenario(spec: &SmpScenarioSpec) -> Result<OracleStats, Violation
     Ok(total)
 }
 
+/// Runs one SMP scenario for three times its budget on both SMP paths —
+/// the lazy [`SmpSystem::run`] in uneven chunks of 1 to 997 cycles drawn
+/// from `chunk_seed`, and the per-cycle [`SmpSystem::run_stepwise`] in one
+/// call — and compares what they leave: how the runs ended, every hart's
+/// event trace (none dropped), every hart's bus statistics, IPI counters
+/// and mailbox depth, and every hart's whole state snapshot. No hart of
+/// the lazy run may have built a block cache: a catch-up only drains.
+///
+/// # Errors
+///
+/// Names the first difference found: its hart and event index, its
+/// statistic, or its path in the hart's state snapshot.
+///
+/// # Panics
+///
+/// Panics if the generated kernels fail to build (a harness bug).
+pub fn check_lazy_lockstep(spec: &SmpScenarioSpec, chunk_seed: u64) -> Result<(), String> {
+    let n = spec.harts.len();
+    let budget = 3 * spec.max_cycles;
+    let build = || {
+        let mut smp = smp_scenario_system(spec);
+        // Room for three budgets' events: a dropped one is a failure.
+        for h in 0..n {
+            smp.hart_mut(h).enable_tracing(1 << 17);
+        }
+        smp
+    };
+    let mut lockstep = build();
+    let lockstep_exit = lockstep.run_stepwise(budget);
+    let mut lazy = build();
+    let mut rng = Rng64::new(chunk_seed);
+    let mut left = budget;
+    let lazy_exit = loop {
+        let chunk = (1 + rng.next_u64() % 997).min(left);
+        let exit = lazy.run(chunk);
+        left -= chunk;
+        if left == 0 {
+            break exit;
+        }
+    };
+    if lazy_exit != lockstep_exit {
+        return Err(format!(
+            "runs ended differently: lazy {lazy_exit:?}, lockstep {lockstep_exit:?}"
+        ));
+    }
+
+    for h in 0..n {
+        let [a, b] = [&lazy, &lockstep].map(|smp| {
+            let trace = smp.hart(h).platform.trace().expect("tracing is on");
+            (trace.dropped(), trace.iter().collect::<Vec<_>>())
+        });
+        if a.0 + b.0 > 0 {
+            return Err(format!("hart {h}: event ring overflowed"));
+        }
+        if let Some(i) = (0..a.1.len().max(b.1.len())).find(|&i| a.1.get(i) != b.1.get(i)) {
+            return Err(format!(
+                "hart {h}: event {i} differs: lazy {:?}, lockstep {:?}",
+                a.1.get(i),
+                b.1.get(i)
+            ));
+        }
+    }
+    let (shared_lazy, shared_lockstep) = (lazy.shared(), lockstep.shared());
+    let (a, b) = (shared_lazy.borrow(), shared_lockstep.borrow());
+    for h in 0..n {
+        let stats = |s: &rtosunit::SmpShared| (s.bus_stats(h), s.ipi_counts(h), s.mailbox_depth(h));
+        if stats(&a) != stats(&b) {
+            return Err(format!(
+                "hart {h}: (bus, IPI counts, mailbox depth) differ: lazy {:?}, lockstep {:?}",
+                stats(&a),
+                stats(&b)
+            ));
+        }
+        let builds = lazy.hart(h).core.counters().block_builds;
+        if builds > 0 {
+            return Err(format!("hart {h}: the lazy run built {builds} blocks"));
+        }
+        let (x, y) = (lazy.hart(h).state_snap(), lockstep.hart(h).state_snap());
+        if x != y {
+            return Err(format!(
+                "hart {h}: state differs at {}",
+                first_difference(&x, &y)
+            ));
+        }
+    }
+    if a.to_snap() != b.to_snap() {
+        return Err(format!(
+            "shared state differs at {}",
+            first_difference(&a.to_snap(), &b.to_snap())
+        ));
+    }
+    Ok(())
+}
+
+/// The path to the first difference between two snapshot values, ending
+/// in the two differing leaves (large arrays by length only).
+fn first_difference(a: &Json, b: &Json) -> String {
+    match (a, b) {
+        (Json::Object(x), Json::Object(y)) if x.len() == y.len() => x
+            .iter()
+            .zip(y)
+            .find(|(p, q)| p != q)
+            .map_or_else(String::new, |((k, v), (l, w))| {
+                if k == l {
+                    format!(".{k}{}", first_difference(v, w))
+                } else {
+                    format!(": key `{k}` against `{l}`")
+                }
+            }),
+        (Json::Array(x), Json::Array(y)) if x.len() == y.len() => x
+            .iter()
+            .zip(y)
+            .position(|(v, w)| v != w)
+            .map_or_else(String::new, |i| {
+                format!("[{i}]{}", first_difference(&x[i], &y[i]))
+            }),
+        _ => {
+            let brief = |v: &Json| match v {
+                Json::Array(items) if items.len() > 8 => format!("an array of {}", items.len()),
+                v => v.render(),
+            };
+            format!(": lazy {}, lockstep {}", brief(a), brief(b))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,7 +491,8 @@ mod tests {
         drop(traces);
         // Inject an extra undrained send: counters now disagree with any
         // trace-derived tally of zero-extra sends.
-        smp.shared().borrow_mut().send_ipi(0, 1);
+        let cycle = smp.hart(1).platform.cycle();
+        smp.shared().borrow_mut().send_ipi((cycle, 1), 0, 1);
         let shared = smp.shared();
         let shared = shared.borrow();
         let (sent, recvd) = shared.ipi_counts(0);

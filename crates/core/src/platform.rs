@@ -56,7 +56,11 @@ pub struct Mmio {
     pub halted: bool,
     /// Attention latch: a guest MMIO write changed interrupt/halt state,
     /// so any precomputed quiescence horizon is stale. Consumed (cleared)
-    /// by [`DataBus::take_attention`] during batched execution.
+    /// by [`DataBus::take_attention`] during batched execution. Host
+    /// bookkeeping, not machine state: per-cycle steps never consume it,
+    /// and a stale latch only ends the next batch a cycle early (every
+    /// batch recomputes its horizon from device state), so snapshots
+    /// leave it out and a restore starts with it clear.
     attention: bool,
     /// Typed TRACE writes: benchmark marks and kernel phase marks.
     pub trace_marks: Vec<TraceMark>,
@@ -122,7 +126,8 @@ impl Mmio {
 
     /// Serializes the device block for a machine-state snapshot. Trace
     /// marks are one flat `[cycle, code, ...]` array, the console a plain
-    /// array. Whether the timer auto-resets is the preset's.
+    /// array. Whether the timer auto-resets is the preset's; the
+    /// attention latch is host bookkeeping and stays out.
     pub fn to_snap(&self) -> Json {
         let marks = snap::rows_to_json(
             self.trace_marks
@@ -136,13 +141,12 @@ impl Mmio {
             .with("ext_pending", self.ext_pending)
             .with("timer_period", self.timer_period)
             .with("halted", self.halted)
-            .with("attention", self.attention)
             .with("trace_marks", marks)
             .with("console", snap::list_to_json(&self.console))
     }
 
     /// Rebuilds the device block from [`to_snap`](Self::to_snap) output,
-    /// with the caller's `auto_timer_reset`.
+    /// with the caller's `auto_timer_reset` and the attention latch clear.
     ///
     /// # Errors
     ///
@@ -164,7 +168,7 @@ impl Mmio {
             auto_timer_reset,
             timer_period: snap::get_u32(value, "timer_period")?,
             halted: snap::get_bool(value, "halted")?,
-            attention: snap::get_bool(value, "attention")?,
+            attention: false,
             trace_marks,
             console: snap::list_from_json(snap::field(value, "console")?, "console")?,
         })
@@ -258,13 +262,13 @@ impl Platform {
         self.smp = Some(SmpLink { hart, shared });
     }
 
-    /// Whether an IPI is queued for this hart (drives `mip.MSIP` in
-    /// addition to the local `msip` latch).
-    pub fn ipi_pending(&self) -> bool {
-        match &self.smp {
-            Some(link) => link.shared.borrow().ipi_pending(link.hart),
-            None => false,
-        }
+    /// The first cycle on which this hart sees the oldest IPI queued for
+    /// it (see [`SmpShared::ipi_visible_from`]); from then on the IPI
+    /// drives `mip.MSIP` in addition to the local `msip` latch. `None`
+    /// with an empty mailbox or without an SMP attachment.
+    pub(crate) fn ipi_visible_from(&self) -> Option<u64> {
+        let link = self.smp.as_ref()?;
+        link.shared.borrow().ipi_visible_from(link.hart)
     }
 
     /// Charges the shared bus for a `beats`-cycle transaction, returning
@@ -431,17 +435,21 @@ impl Platform {
         if let Some(link) = &self.smp {
             match (addr & !0x3, write) {
                 (MMIO_IPI_SEND, Some(v)) => {
-                    link.shared
-                        .borrow_mut()
-                        .send_ipi((v >> 8) as usize, v & 0xFF);
+                    link.shared.borrow_mut().send_ipi(
+                        (self.mmio.mtime, link.hart),
+                        (v >> 8) as usize,
+                        v & 0xFF,
+                    );
                     return BusResponse {
                         data: 0,
                         extra_latency: 0,
                     };
                 }
                 (MMIO_IPI_RECV, None) => {
-                    let hart = link.hart;
-                    let code = link.shared.borrow_mut().recv_ipi(hart);
+                    let code = link
+                        .shared
+                        .borrow_mut()
+                        .recv_ipi(link.hart, self.mmio.mtime);
                     return BusResponse {
                         data: code,
                         extra_latency: 1,

@@ -1,5 +1,5 @@
-//! SMP composition: N single-hart [`System`]s in per-cycle lockstep on a
-//! shared memory bus, with inter-processor interrupts.
+//! SMP composition: N single-hart [`System`]s in lockstep on a shared
+//! memory bus, with inter-processor interrupts.
 //!
 //! ## Topology
 //!
@@ -21,6 +21,23 @@
 //! until it reads 0. A code that arrives between the drain loop and the
 //! `mret` keeps `MSIP` asserted, so the ISR re-enters immediately and no
 //! wakeup is lost — the scheduler oracle asserts exactly this.
+//!
+//! ## Lazy lockstep
+//!
+//! Lockstep does each cycle's work in hart order: hart `h` working on
+//! cycle `c` sits at the lockstep [`Position`] `(c, h)`. Harts interact
+//! only through the bus arbiter and the mailboxes, so
+//! [`SmpSystem::run`] steps a hart on every cycle where its core can
+//! issue, in that order, but lets a hart whose core is draining a
+//! multi-cycle instruction ([`CoreEngine::busy`](rvsim_cores::CoreEngine::busy))
+//! sit the drain out and catches it up in one [`System::run`] call when
+//! the drain ends. A draining core issues nothing: no bus request, no
+//! IPI sent or received. The one shared thing it still reads is its
+//! mailbox, through the `MSIP` line, and every mailbox entry carries the
+//! position of its send: hart `h` on cycle `c` sees an entry exactly when
+//! the send's position is before `(c, h)`, so a late catch-up sees what
+//! per-cycle lockstep saw. [`SmpSystem::run_stepwise`] is the per-cycle
+//! reference.
 
 use crate::config::Preset;
 use crate::system::{RunExit, System};
@@ -32,6 +49,24 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+/// A hart's lockstep position on a cycle: `(cycle, hart id)`. Per-cycle
+/// lockstep does its work in this order, so comparing two positions
+/// compares when their work happens.
+pub type Position = (u64, usize);
+
+/// The send position given to mailbox entries a snapshot restores: every
+/// hart sees them on every cycle it can work on. Restoring a composition
+/// puts every hart on one cycle, from whose successor on each queued
+/// entry is visible to every hart, so no real send position is needed.
+const RESTORED: Position = (0, 0);
+
+/// One queued IPI: its code and the lockstep position of its send.
+#[derive(Debug, Clone, Copy)]
+struct Ipi {
+    sent: Position,
+    code: u32,
+}
+
 /// State shared by all harts of an [`SmpSystem`]: the bus arbiter and the
 /// IPI mailboxes. Lives behind `Rc<RefCell<..>>` so each hart's
 /// [`Platform`](crate::Platform) can reach it from inside a bus access.
@@ -39,7 +74,7 @@ use std::rc::Rc;
 pub struct SmpShared {
     /// Shared-bus arbiter; master index = hart id.
     pub bus: BusArbiter,
-    mailboxes: Vec<VecDeque<u32>>,
+    mailboxes: Vec<VecDeque<Ipi>>,
     sends: Vec<u64>,
     recvs: Vec<u64>,
 }
@@ -56,33 +91,41 @@ impl SmpShared {
     }
 
     /// Pushes an IPI `code` into `target`'s mailbox (the
-    /// `MMIO_IPI_SEND` device). Out-of-range targets are dropped, like a
-    /// write to an unmapped device register.
-    pub fn send_ipi(&mut self, target: usize, code: u32) {
+    /// `MMIO_IPI_SEND` device), stamped with the sender's position.
+    /// Sends arrive in lockstep order, so each mailbox is ordered by
+    /// stamp. Out-of-range targets are dropped, like a write to an
+    /// unmapped device register.
+    pub fn send_ipi(&mut self, sent: Position, target: usize, code: u32) {
         if let Some(mb) = self.mailboxes.get_mut(target) {
-            mb.push_back(code);
+            mb.push_back(Ipi { sent, code });
             self.sends[target] += 1;
         }
     }
 
-    /// Pops the oldest pending IPI code for `hart`, or 0 when none is
-    /// pending (the `MMIO_IPI_RECV` device).
-    pub fn recv_ipi(&mut self, hart: usize) -> u32 {
-        match self.mailboxes[hart].pop_front() {
-            Some(code) => {
+    /// Pops the oldest IPI code `hart` sees on `cycle`, or 0 when it
+    /// sees none (the `MMIO_IPI_RECV` device).
+    pub fn recv_ipi(&mut self, hart: usize, cycle: u64) -> u32 {
+        match self.ipi_visible_from(hart) {
+            Some(at) if at <= cycle => {
                 self.recvs[hart] += 1;
-                code
+                self.mailboxes[hart].pop_front().map_or(0, |ipi| ipi.code)
             }
-            None => 0,
+            _ => 0,
         }
     }
 
-    /// Whether `hart` has an undelivered IPI (drives its `mip.MSIP`).
-    pub fn ipi_pending(&self, hart: usize) -> bool {
-        !self.mailboxes[hart].is_empty()
+    /// The first cycle on which `hart` sees the oldest IPI queued for it,
+    /// or `None` with an empty mailbox. Hart `h` on cycle `c` sees an
+    /// entry sent at position `p` exactly when `p < (c, h)`: a send by a
+    /// lower hart id is seen on its own cycle, any other on the next.
+    /// Seen entries drive the hart's `mip.MSIP`.
+    pub fn ipi_visible_from(&self, hart: usize) -> Option<u64> {
+        let (cycle, sender) = self.mailboxes[hart].front()?.sent;
+        Some(if sender < hart { cycle } else { cycle + 1 })
     }
 
-    /// Undelivered IPI codes currently queued for `hart`.
+    /// Undelivered IPI codes currently queued for `hart`, seen yet or
+    /// not.
     pub fn mailbox_depth(&self, hart: usize) -> usize {
         self.mailboxes[hart].len()
     }
@@ -101,9 +144,15 @@ impl SmpShared {
 
     /// Serializes the shared bus and IPI mailboxes (one plain array of
     /// codes per hart) for a machine-state snapshot. The hart count is the
-    /// composition's.
+    /// composition's. Send positions are left out: snapshots are taken
+    /// with every hart on one cycle, so each queued entry is visible to
+    /// every hart from the next cycle on, which is what a restore marks.
     pub fn to_snap(&self) -> Json {
-        let mailboxes: Vec<Json> = self.mailboxes.iter().map(snap::list_to_json).collect();
+        let mailboxes: Vec<Json> = self
+            .mailboxes
+            .iter()
+            .map(|mb| snap::list_to_json(mb.iter().map(|ipi| &ipi.code)))
+            .collect();
         Json::object()
             .with("bus", self.bus.to_snap())
             .with("mailboxes", mailboxes)
@@ -130,7 +179,16 @@ impl SmpShared {
             bus: BusArbiter::from_snap(snap::field(value, "bus")?, harts)?,
             mailboxes: boxes
                 .iter()
-                .map(|mb| Ok(snap::list_from_json(mb, "mailbox")?.into()))
+                .map(|mb| {
+                    let codes: Vec<u32> = snap::list_from_json(mb, "mailbox")?;
+                    Ok(codes
+                        .into_iter()
+                        .map(|code| Ipi {
+                            sent: RESTORED,
+                            code,
+                        })
+                        .collect())
+                })
                 .collect::<Result<_, SnapError>>()?,
             sends: snap::runs_from_json(snap::field(value, "sends")?, harts)?,
             recvs: snap::runs_from_json(snap::field(value, "recvs")?, harts)?,
@@ -138,12 +196,13 @@ impl SmpShared {
     }
 }
 
-/// N homogeneous harts in per-cycle lockstep.
+/// N homogeneous harts in lockstep.
 ///
-/// Stepping is strictly cycle-interleaved (hart 0 first each cycle) so
-/// cross-hart interactions — bus grants, IPI delivery — resolve at cycle
-/// granularity, never reordered by batching. Hart 0 is the *measured*
-/// hart by convention: [`run`](Self::run) stops when it halts.
+/// Cross-hart interactions — bus grants, IPI delivery — resolve in the
+/// per-cycle lockstep order (hart 0 first each cycle) on every path;
+/// [`run`](Self::run) only lets a draining hart catch up late (see the
+/// [module docs](self)). Hart 0 is the *measured* hart by convention:
+/// runs stop when it halts.
 pub struct SmpSystem {
     harts: Vec<System>,
     shared: Rc<RefCell<SmpShared>>,
@@ -268,8 +327,62 @@ impl SmpSystem {
         Ok(SmpSystem { harts, shared })
     }
 
-    /// Runs in lockstep until hart 0 halts or `max_cycles` elapse.
+    /// Runs until hart 0 halts or `max_cycles` elapse, cycle-exact with
+    /// [`run_stepwise`](Self::run_stepwise).
+    ///
+    /// Cycle by cycle, each live hart in id order sits the cycle out
+    /// while its core drains, and otherwise takes it with
+    /// [`System::step`], first catching up over the drain it sat out: one
+    /// step for a one-cycle drain, one [`System::run`] for a longer one.
+    /// A catch-up covers drain cycles only, so the batch drains in bulk
+    /// (or per cycle while the unit has work) and never dispatches a
+    /// translated block: SMP harts build no block cache. Its batches end
+    /// before the cycle a queued IPI becomes visible to the hart. When
+    /// hart 0 halts, the other harts finish its cycle. On return every
+    /// live hart stands on one cycle, as after per-cycle lockstep.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
+        if self.halted() {
+            return RunExit::Halted;
+        }
+        let start = self.harts[0].platform.cycle();
+        let end = start + max_cycles;
+        // The last cycle of each hart's drain: it sits out every cycle up
+        // to this one. A halted hart sits out the rest of the run; only a
+        // hart's own step, which issues, can halt it.
+        let mut drained_at: Vec<u64> = self
+            .harts
+            .iter()
+            .map(|sys| drain_end(sys, sys.platform.cycle()))
+            .collect();
+        for cycle in start + 1..=end {
+            for (sys, drained) in self.harts.iter_mut().zip(&mut drained_at) {
+                if cycle <= *drained {
+                    continue;
+                }
+                catch_up(sys, cycle - 1);
+                sys.step();
+                *drained = drain_end(sys, cycle);
+            }
+            if self.halted() {
+                self.catch_up_to(cycle);
+                return RunExit::Halted;
+            }
+        }
+        self.catch_up_to(end);
+        RunExit::CyclesExhausted
+    }
+
+    /// Catches every live hart up to `cycle`.
+    fn catch_up_to(&mut self, cycle: u64) {
+        for sys in self.harts.iter_mut().filter(|sys| !sys.halted()) {
+            catch_up(sys, cycle);
+        }
+    }
+
+    /// The per-cycle reference path: until hart 0 halts or `max_cycles`
+    /// elapse, every live hart takes every cycle through
+    /// [`step`](Self::step). Kept for differential testing.
+    pub fn run_stepwise(&mut self, max_cycles: u64) -> RunExit {
         for _ in 0..max_cycles {
             if self.halted() {
                 return RunExit::Halted;
@@ -282,6 +395,35 @@ impl SmpSystem {
             RunExit::CyclesExhausted
         }
     }
+}
+
+/// The last cycle of the drain of a hart standing on `cycle`, or
+/// `u64::MAX` once it has halted.
+fn drain_end(sys: &System, cycle: u64) -> u64 {
+    if sys.halted() {
+        u64::MAX
+    } else {
+        cycle + u64::from(sys.core.busy())
+    }
+}
+
+/// Advances a hart that sat out a drain to `cycle`, the drain's last
+/// cycle or an earlier one: one step for one cycle, one batched run for
+/// more.
+fn catch_up(sys: &mut System, cycle: u64) {
+    let lag = cycle - sys.platform.cycle();
+    debug_assert!(
+        lag <= u64::from(sys.core.busy()),
+        "a catch-up past the drain"
+    );
+    match lag {
+        0 => {}
+        1 => sys.step(),
+        _ => {
+            sys.run(lag);
+        }
+    }
+    debug_assert_eq!(sys.platform.cycle(), cycle, "a catch-up stopped short");
 }
 
 impl std::fmt::Debug for SmpSystem {

@@ -398,9 +398,10 @@ impl System {
         }
 
         // Refresh mip and record rising edges as trigger timestamps. A
-        // queued IPI asserts MSIP alongside the local doorbell latch.
+        // queued IPI this hart sees asserts MSIP alongside the local
+        // doorbell latch.
         let mut mask = self.platform.mmio.pending_mask();
-        if self.platform.ipi_pending() {
+        if self.platform.ipi_visible_from().is_some_and(|at| at <= now) {
             mask |= csr::MIP_MSIP;
         }
         let rising = mask & !self.core.state.csrs.mip;
@@ -454,25 +455,30 @@ impl System {
 
     /// How many upcoming cycles can run batched: the length of the
     /// *quiescent* stretch ahead, over which the interrupt lines already
-    /// match what the core sees and no timer fire, scheduled external IRQ
-    /// or planned fault lands. Over such a stretch the per-cycle `System`
-    /// bookkeeping beyond the core and the unit is provably a no-op, so
-    /// [`CoreEngine::run_until`] may take it in one call, whatever the
-    /// unit is doing (it co-steps the unit while the unit has work). A
-    /// guest store that could break the assumption mid-batch (an MMIO
-    /// write to the interrupt devices) stops the batch via the bus
-    /// attention latch.
+    /// match what the core sees and no timer fire, scheduled external
+    /// IRQ, newly visible IPI or planned fault lands. Over such a stretch
+    /// the per-cycle `System` bookkeeping beyond the core and the unit is
+    /// provably a no-op, so [`CoreEngine::run_until`] may take it in one
+    /// call, whatever the unit is doing (it co-steps the unit while the
+    /// unit has work). A guest store that could break the assumption
+    /// mid-batch (an MMIO write to the interrupt devices) stops the batch
+    /// via the bus attention latch.
     ///
     /// Zero: something needs the full per-cycle path this cycle.
     fn batch_budget(&mut self, now: u64, end: u64) -> u64 {
-        // A queued IPI needs the per-cycle path to assert MSIP.
-        if self.platform.ipi_pending() {
-            return 0;
+        // A queued IPI needs the per-cycle path to assert MSIP from the
+        // cycle this hart sees it on: one sent later in the lockstep
+        // order than the batch's first cycle ends the batch short of it.
+        let mut horizon = end;
+        if let Some(at) = self.platform.ipi_visible_from() {
+            if at <= now + 1 {
+                return 0;
+            }
+            horizon = horizon.min(at - 1);
         }
         if self.platform.mmio.pending_mask() != self.core.state.csrs.mip {
             return 0;
         }
-        let mut horizon = end;
         if let Some(delta) = self.platform.mmio.cycles_until_timer_fire() {
             // Stop one cycle short of the rising edge so the per-cycle
             // path records the trigger timestamp exactly at the edge.

@@ -294,6 +294,15 @@ impl CoreEngine {
         self.wfi_wait
     }
 
+    /// The drain: how many more cycles the core holds its issued
+    /// instruction (a multi-cycle latency, a cache refill, a shared-bus
+    /// wait or handler entry). The next `busy` steps only count it down,
+    /// the last one retiring a held `mret`; the core issues nothing,
+    /// takes no interrupt and makes no bus access until it has drained.
+    pub fn busy(&self) -> u32 {
+        self.busy
+    }
+
     /// Snapshot of the activity counters. Stall cycles are attributed at
     /// issue time, so the snapshot is identical whether the engine ran
     /// per-cycle or through batched [`run_until`](Self::run_until), in

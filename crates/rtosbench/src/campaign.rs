@@ -188,7 +188,8 @@ pub struct RunSpec {
     /// Episode filtering for the measured latencies.
     pub filter: FilterPolicy,
     /// Use the cycle-by-cycle reference loop instead of batched stepping
-    /// (the reference side of differential tests).
+    /// (the reference side of differential tests): `System::run_stepwise`
+    /// for one hart, [`SmpSystem::run_stepwise`] for several.
     pub stepwise: bool,
     /// Per-run SLO latency budget in cycles; falls back to the campaign's
     /// [`CampaignSpec::slo`] when `None`. Misses are counted exactly at
@@ -953,10 +954,12 @@ pub fn boot(spec: &RunSpec) -> Result<Booted, KernelError> {
 /// harvests the measured hart. `slo` is the latency budget counted into
 /// [`SimOutcome::metrics`].
 ///
-/// An SMP run steps its harts in lockstep, ignoring
-/// [`RunSpec::stepwise`]. Every other hart runs the memory-pounding
-/// [`contention_program`], so hart 0's switch latencies include shared-bus
-/// arbitration delay (the `fig_smp` axis).
+/// An SMP run takes [`SmpSystem::run`]'s lazy lockstep, in which harts
+/// catch up over their drains in batches, or the per-cycle
+/// [`SmpSystem::run_stepwise`] when [`RunSpec::stepwise`] is set. Every
+/// other hart runs the memory-pounding [`contention_program`], so hart 0's
+/// switch latencies include shared-bus arbitration delay (the `fig_smp`
+/// axis).
 ///
 /// # Errors
 ///
@@ -977,7 +980,11 @@ pub fn simulate(spec: &RunSpec, slo: Option<u64>) -> Result<SimOutcome, KernelEr
             harvest(&mut sys, spec, None, slo)
         }
         Booted::Smp(mut smp) => {
-            smp.run(run_cycles);
+            if spec.stepwise {
+                smp.run_stepwise(run_cycles);
+            } else {
+                smp.run(run_cycles);
+            }
             let bus: Vec<BusMasterStats> = {
                 let shared = smp.shared();
                 let shared = shared.borrow();

@@ -9,10 +9,14 @@
 //! included), for every core model and unit preset — including the
 //! presets with background FSM activity (preloading, hardware scheduling,
 //! CV32RT snapshots), whose unit a batch must co-step.
+//!
+//! The same holds for SMP runs: `SmpSystem::run`'s lazy lockstep, whose
+//! draining harts catch up in batches, against the per-cycle
+//! `SmpSystem::run_stepwise`, hart by hart on `fig_smp`'s cells.
 
 use rtosbench::campaign::{self, Booted, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosbench::workloads;
-use rtosunit::{Preset, System, TraceEvent};
+use rtosunit::{Preset, SmpSystem, System, TraceEvent};
 use rvsim_cores::{CoreKind, FaultEvent, FaultKind, FaultPlan};
 use rvsim_isa::Reg;
 
@@ -93,6 +97,20 @@ fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, fault
     let mut fast = run_one(core, preset, workload, false, faulted);
     let mut slow = run_one(core, preset, workload, true, faulted);
     let ctx = format!("{core:?}/{preset}/{workload}/faulted={faulted}");
+    assert_same_run(&mut fast, &mut slow, &ctx);
+    assert!(
+        fast.core.counters().block_hits > 0,
+        "{ctx}: block cache never engaged"
+    );
+    if faulted {
+        assert!(fast.faults_applied() > 0, "{ctx}: plan never fired");
+    }
+}
+
+/// The fast and the reference run of one system measured the same:
+/// profiles, episodes, event traces, cycles, retirements, port
+/// occupancy, trace marks, unit and core counters and applied faults.
+fn assert_same_run(fast: &mut System, slow: &mut System, ctx: &str) {
     assert_eq!(
         fast.take_profile(),
         slow.take_profile(),
@@ -103,7 +121,7 @@ fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, fault
         slow.records(),
         "{ctx}: switch episodes diverged"
     );
-    assert_same_trace(&fast, &slow, &ctx);
+    assert_same_trace(fast, slow, ctx);
     assert_eq!(
         fast.platform.cycle(),
         slow.platform.cycle(),
@@ -135,18 +153,11 @@ fn assert_equivalent_inner(core: CoreKind, preset: Preset, workload: &str, fault
         slow.core.counters().without_host_stats(),
         "{ctx}: core activity counters diverged"
     );
-    assert!(
-        fast.core.counters().block_hits > 0,
-        "{ctx}: block cache never engaged"
-    );
     assert_eq!(
         fast.faults_applied(),
         slow.faults_applied(),
         "{ctx}: applied fault counts diverged"
     );
-    if faulted {
-        assert!(fast.faults_applied() > 0, "{ctx}: plan never fired");
-    }
 }
 
 /// The two runs traced the same events in the same order, none dropped;
@@ -214,6 +225,69 @@ fn batched_run_matches_stepwise_with_a_fault_plan() {
         for preset in [Preset::Vanilla, Preset::Slt] {
             for workload in ["delay_periodic", "interrupt_latency"] {
                 assert_equivalent_inner(core, preset, workload, true);
+            }
+        }
+    }
+}
+
+/// Boots a `fig_smp` cell — the ping-pong workload on hart 0 of a
+/// `harts`-hart system, the other harts pounding the shared bus — with
+/// every hart traced and profiled and a tame fault plan on hart 0, and
+/// runs its budget on the path [`RunSpec::stepwise`] names.
+fn run_smp_cell(core: CoreKind, preset: Preset, harts: usize, stepwise: bool) -> SmpSystem {
+    let w = workloads::by_name("pingpong_semaphore").expect("workload exists");
+    let mut spec = RunSpec::new(core, preset, WorkloadSpec::Suite(w)).with_harts(harts);
+    spec.stepwise = stepwise;
+    let Booted::Smp(mut smp) = campaign::boot(&spec).expect("workload builds") else {
+        panic!("a multi-hart spec boots an SmpSystem");
+    };
+    smp.hart_mut(0).attach_fault_plan(tame_plan(w.run_cycles));
+    smp.set_profiling(true);
+    for h in 0..harts {
+        smp.hart_mut(h).enable_tracing(1 << 20);
+    }
+    if spec.stepwise {
+        smp.run_stepwise(w.run_cycles);
+    } else {
+        smp.run(w.run_cycles);
+    }
+    smp
+}
+
+#[test]
+fn lazy_smp_run_matches_per_cycle_lockstep_on_fig_smp_cells() {
+    // Every core × {vanilla, SLT} × {2, 4} harts: each hart of the lazy
+    // lockstep measures exactly what per-cycle lockstep measures, the
+    // shared bus and mailboxes end alike, and no hart on either path
+    // builds a block cache (a catch-up only drains).
+    for core in CoreKind::ALL {
+        for preset in [Preset::Vanilla, Preset::Slt] {
+            for harts in [2, 4] {
+                let mut fast = run_smp_cell(core, preset, harts, false);
+                let mut slow = run_smp_cell(core, preset, harts, true);
+                let cell = format!("{core:?}/{preset}/{harts} harts");
+                assert!(
+                    fast.hart(0).faults_applied() > 0,
+                    "{cell}: plan never fired"
+                );
+                for h in 0..harts {
+                    let ctx = format!("{cell}, hart {h}");
+                    assert_same_run(fast.hart_mut(h), slow.hart_mut(h), &ctx);
+                    for (smp, path) in [(&fast, "lazy"), (&slow, "per-cycle")] {
+                        let builds = smp.hart(h).core.counters().block_builds;
+                        assert_eq!(builds, 0, "{ctx}: the {path} run built blocks");
+                    }
+                    let [a, b] = [&fast, &slow].map(|smp| {
+                        let shared = smp.shared();
+                        let shared = shared.borrow();
+                        (
+                            shared.bus_stats(h),
+                            shared.ipi_counts(h),
+                            shared.mailbox_depth(h),
+                        )
+                    });
+                    assert_eq!(a, b, "{ctx}: bus and mailbox statistics diverged");
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! {
-//!   "schema": "rtosunit-snapshot-v5",
+//!   "schema": "rtosunit-snapshot-v6",
 //!   "digest": "0x<fnv1a-64 of the rendered state>",
 //!   "state": { ... }
 //! }
@@ -47,8 +47,8 @@ pub mod json;
 
 pub use json::{Json, JsonParseError};
 
-/// Schema tag of version 5 snapshot artifacts.
-pub const SCHEMA: &str = "rtosunit-snapshot-v5";
+/// Schema tag of version 6 snapshot artifacts.
+pub const SCHEMA: &str = "rtosunit-snapshot-v6";
 
 /// FNV-1a 64-bit offset basis.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -4,10 +4,11 @@
 //! cycle-for-cycle, counter-for-counter and trace-for-trace identical to
 //! one that never stopped. This battery enforces it across the full
 //! matrix — every timing engine × both execution paths (per-cycle
-//! stepping, batched translated blocks) × {1, 2, 4} harts × fault
-//! injection on/off — and checks the envelope itself: tampered or
-//! truncated documents are rejected, and serialization is byte-stable
-//! so digests can be pinned.
+//! stepping; batched translated blocks, or for SMP the lazy lockstep) ×
+//! {1, 2, 4} harts × fault injection on/off — and checks the envelope
+//! itself: tampered or truncated documents are rejected, serialization is
+//! byte-stable so digests can be pinned, and both paths leave the same
+//! snapshot of one machine.
 
 use rtosunit_suite::bench::workloads;
 use rtosunit_suite::check::{smp_scenario_for_seed, smp_scenario_system};
@@ -143,16 +144,32 @@ fn single_hart_roundtrip_battery() {
     }
 }
 
+fn advance_smp(smp: &mut SmpSystem, mode: Mode, cycles: u64) {
+    match mode {
+        Mode::Stepwise => {
+            smp.run_stepwise(cycles);
+        }
+        Mode::Batched => {
+            smp.run(cycles);
+        }
+    }
+}
+
 #[test]
 fn smp_roundtrip_battery() {
     // The same contract for whole multi-core compositions: {2, 4} harts,
-    // every engine, faults on/off. Shared bus arbitration and in-flight
-    // IPI mailboxes must survive the round-trip. (SMP always steps
-    // per-cycle in lockstep, so there is no execution-mode axis.)
+    // every engine, both SMP paths (per-cycle lockstep, and the lazy
+    // lockstep whose draining harts catch up in batches), faults on/off.
+    // Shared bus arbitration and in-flight IPI mailboxes must survive the
+    // round-trip.
     for harts in [2usize, 4] {
-        for (i, (core, preset)) in CELLS.into_iter().enumerate() {
+        for ((i, (core, preset)), mode) in CELLS
+            .into_iter()
+            .enumerate()
+            .flat_map(|cell| MODES.map(|mode| (cell, mode)))
+        {
             for faults in [false, true] {
-                let label = format!("{harts}x {core}/{} faults={faults}", preset.tag());
+                let label = format!("{harts}x {core}/{} {mode:?} faults={faults}", preset.tag());
                 let spec = smp_scenario_for_seed(core, preset, harts, 17 + i as u64);
                 let mut original = smp_scenario_system(&spec);
                 if faults {
@@ -170,7 +187,7 @@ fn smp_roundtrip_battery() {
                         },
                     ]));
                 }
-                original.run(2_500);
+                advance_smp(&mut original, mode, 2_500);
 
                 let doc = original.snapshot();
                 assert_eq!(
@@ -181,8 +198,8 @@ fn smp_roundtrip_battery() {
                 let mut restored =
                     SmpSystem::from_snapshot(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
 
-                original.run(2_500);
-                restored.run(2_500);
+                advance_smp(&mut original, mode, 2_500);
+                advance_smp(&mut restored, mode, 2_500);
 
                 assert_eq!(
                     original.snapshot().render(),
@@ -191,6 +208,38 @@ fn smp_roundtrip_battery() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn both_paths_leave_byte_identical_snapshots() {
+    // A snapshot holds machine state only, so one machine run the same
+    // number of cycles on the batched path and on the per-cycle
+    // reference must render the same bytes: single-hart cells and SMP
+    // compositions alike. (Host bookkeeping such as the MMIO attention
+    // latch, which batches consume and per-cycle steps leave set, stays
+    // out of the payload.)
+    for (core, preset) in CELLS {
+        let [mut fast, mut slow] = [(); 2].map(|()| single_hart_system(core, preset, false));
+        advance(&mut fast, Mode::Batched, 50_000);
+        advance(&mut slow, Mode::Stepwise, 50_000);
+        assert_eq!(
+            fast.state_snap().render(),
+            slow.state_snap().render(),
+            "{core}/{}: the paths left different snapshots",
+            preset.tag()
+        );
+    }
+    for harts in [2usize, 4] {
+        let spec = smp_scenario_for_seed(CoreKind::Cva6, Preset::Slt, harts, 23);
+        let [mut fast, mut slow] = [(); 2].map(|()| smp_scenario_system(&spec));
+        advance_smp(&mut fast, Mode::Batched, 6_000);
+        advance_smp(&mut slow, Mode::Stepwise, 6_000);
+        assert_eq!(
+            fast.snapshot().render(),
+            slow.snapshot().render(),
+            "{harts} harts: the paths left different snapshots"
+        );
     }
 }
 

@@ -8,7 +8,8 @@
 //! * 500 randomized *multi-core* schedules pass the per-hart oracle plus
 //!   the IPI conservation check (no cross-core wakeup lost);
 //! * the single-core campaign artifact is byte-identical to the
-//!   pre-SMP-refactor baseline (pinned digest).
+//!   pre-SMP-refactor baseline (pinned digest), and a multi-hart one to
+//!   the per-cycle lockstep baseline, on both SMP paths.
 //!
 //! Seeds are fixed, so all gates are deterministic; failure messages
 //! name the seed for replay via the `checkfuzz` bin.
@@ -16,8 +17,8 @@
 use rtosunit_suite::bench::campaign::{Campaign, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosunit_suite::bench::workloads;
 use rtosunit_suite::check::{
-    episode_for_seed, run_episode, run_scenario, run_smp_scenario, scenario_for_seed,
-    smp_scenario_for_seed, OracleStats, ORACLE_PRESETS,
+    check_lazy_lockstep, episode_for_seed, run_episode, run_scenario, run_smp_scenario,
+    scenario_for_seed, smp_scenario_for_seed, OracleStats, ORACLE_PRESETS,
 };
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::isa::progen::GenConfig;
@@ -134,6 +135,23 @@ fn oracle_five_hundred_multicore_schedules() {
     );
 }
 
+#[test]
+fn lazy_smp_lockstep_matches_per_cycle_lockstep() {
+    // Every core with every ISR variant once, the hart count rotating
+    // through 2, 3 and 4 so each core meets each: the lazy lockstep, run
+    // for three budgets in uneven chunks, must leave every hart's trace,
+    // bus and mailbox statistics and whole state exactly as per-cycle
+    // lockstep does. `checkfuzz smp` runs the same check on fresh seeds.
+    for seed in 0..18u64 {
+        let core = CoreKind::ALL[(seed % 3) as usize];
+        let preset = ORACLE_PRESETS[(seed / 3) as usize];
+        let harts = 2 + ((seed / 3 + seed) % 3) as usize;
+        let spec = smp_scenario_for_seed(core, preset, harts, seed);
+        check_lazy_lockstep(&spec, seed)
+            .unwrap_or_else(|m| panic!("{preset} core={core} harts={harts} seed={seed}: {m}"));
+    }
+}
+
 /// The fixed single-core matrix both artifact pins run: every core with
 /// and without the unit on one suite workload, on the chosen path.
 fn pinned_matrix_campaign(stepwise: bool) -> Campaign {
@@ -147,6 +165,25 @@ fn pinned_matrix_campaign(stepwise: bool) -> Campaign {
         }
     }
     spec.run(4)
+}
+
+/// The fixed multi-hart matrix the SMP pin runs: the measured workload on
+/// hart 0 of a 2- and a 4-hart system, every other hart pounding the
+/// shared bus, at a reduced budget, on the chosen path.
+fn pinned_smp_campaign(stepwise: bool) -> Campaign {
+    let mut w = workloads::by_name("pingpong_semaphore").expect("suite workload exists");
+    w.run_cycles = 60_000;
+    let mut spec = CampaignSpec::new("smp_pin");
+    for core in CoreKind::ALL {
+        for preset in [Preset::Vanilla, Preset::Slt] {
+            for harts in [2, 4] {
+                let mut run = RunSpec::new(core, preset, WorkloadSpec::Suite(w)).with_harts(harts);
+                run.stepwise = stepwise;
+                spec.runs.push(run);
+            }
+        }
+    }
+    spec.run(2)
 }
 
 fn assert_matches_pre_smp_pin(campaign: &Campaign, path: &str) {
@@ -200,4 +237,36 @@ fn block_cache_campaign_artifact_matches_the_pinned_baseline() {
         assert!(sim.counters.block_hits > 0, "{}: no block hits", o.label);
     }
     assert_matches_pre_smp_pin(&campaign, "block cache");
+}
+
+#[test]
+fn smp_campaign_artifact_matches_the_pinned_lockstep_baseline() {
+    // Pinned from per-cycle lockstep before harts caught up over their
+    // drains: 2- and 4-hart systems on every core, with and without the
+    // unit. The per-cycle reference and the lazy default path must both
+    // render these bytes, and no hart-0 run may build a block cache (a
+    // catch-up only drains).
+    for (stepwise, path) in [(true, "per-cycle lockstep"), (false, "lazy lockstep")] {
+        let campaign = pinned_smp_campaign(stepwise);
+        assert!(
+            campaign.failures.is_empty(),
+            "{path}: {:?}",
+            campaign.failures
+        );
+        for o in &campaign.outcomes {
+            let sim = o.sim.as_ref().expect("suite run simulates");
+            assert_eq!(
+                sim.counters.block_builds, 0,
+                "{path} {}: an SMP hart built blocks",
+                o.label
+            );
+        }
+        let rendered = campaign.to_json().render();
+        assert_eq!(rendered.len(), 21064, "{path}: artifact length drifted");
+        assert_eq!(
+            fnv1a(rendered.as_bytes()),
+            0x88ca_248d_c5fe_3b84,
+            "{path}: artifact bytes drifted from the lockstep baseline"
+        );
+    }
 }
