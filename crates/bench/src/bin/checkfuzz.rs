@@ -38,8 +38,16 @@
 //!   (`rvsim_check::check_lazy_lockstep`). A failure, a panic included,
 //!   is reported with its seed, core, preset and hart count; the exit
 //!   code is non-zero if anything failed.
+//! * `checkfuzz batch [--secs N] [--start-seed S]` — time-boxed batching
+//!   exactness loop: each seed picks a core and a latency preset, and its
+//!   single-hart scenario, run batched in uneven chunks, must leave
+//!   exactly what its per-cycle run leaves
+//!   (`rvsim_check::check_batching`). A failure, a panic included, is
+//!   reported with its seed, core and preset; the exit code is non-zero
+//!   if anything failed.
 //!
-//! The nightly CI job runs `fuzz` and `smp` with fresh start seeds and
+//! The nightly CI job runs `fuzz`, `smp` and `batch` with fresh start
+//! seeds and
 //! uploads `results/repro/` so fuzz failures arrive as self-contained
 //! repro files.
 
@@ -47,7 +55,7 @@ use rtosbench::json::Json;
 use rtosunit::Preset;
 use rvsim_check::scenario::ORACLE_PRESETS;
 use rvsim_check::{artifact, episode_for_seed, run_episode, run_scenario, scenario_for_seed};
-use rvsim_check::{check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed};
+use rvsim_check::{check_batching, check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed};
 use rvsim_check::{shrink_episode, shrink_scenario, travel_selfcheck, Fault};
 use rvsim_cores::CoreKind;
 use rvsim_isa::progen::GenConfig;
@@ -63,7 +71,8 @@ fn usage() -> ! {
          checkfuzz replay <path>...\n       \
          checkfuzz selftest\n       \
          checkfuzz travel [--cycles N] [--interval N]\n       \
-         checkfuzz smp [--secs N] [--start-seed S]"
+         checkfuzz smp [--secs N] [--start-seed S]\n       \
+         checkfuzz batch [--secs N] [--start-seed S]"
     );
     std::process::exit(2);
 }
@@ -76,6 +85,7 @@ fn main() {
         Some("selftest") => cmd_selftest(),
         Some("travel") => cmd_travel(&args[1..]),
         Some("smp") => cmd_smp(&args[1..]),
+        Some("batch") => cmd_batch(&args[1..]),
         _ => usage(),
     };
     std::process::exit(code);
@@ -389,6 +399,47 @@ fn cmd_smp(args: &[String]) -> i32 {
     let _ = std::panic::take_hook();
     println!(
         "checkfuzz smp: {} runs, seeds {start}..{seed}, {failures} failure(s)",
+        seed - start
+    );
+    i32::from(failures > 0)
+}
+
+/// One batching exactness run: the seed picks the core and the latency
+/// preset, and the scenario's batched run must match its per-cycle run.
+/// Returns the failure, named by seed, core and preset.
+fn batch_one(seed: u64) -> Option<String> {
+    let core = CoreKind::ALL[(seed % 3) as usize];
+    let presets = Preset::LATENCY_SET;
+    let preset = presets[(seed / 3 % presets.len() as u64) as usize];
+    let spec = scenario_for_seed(core, preset, seed);
+    let failure = match catch_panic(|| check_batching(&spec, seed)) {
+        Ok(result) => result.err()?,
+        Err(message) => format!("panicked: {message}"),
+    };
+    Some(format!(
+        "seed={seed} core={core} preset={}: {failure}",
+        preset.tag()
+    ))
+}
+
+fn cmd_batch(args: &[String]) -> i32 {
+    let secs = parse_flag(args, "--secs").unwrap_or(60);
+    let start = parse_flag(args, "--start-seed").unwrap_or(0);
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    let mut seed = start;
+    let mut failures = 0;
+    // A panicking run is reported by `batch_one`.
+    std::panic::set_hook(Box::new(|_| {}));
+    while Instant::now() < deadline && failures < 20 {
+        if let Some(failure) = batch_one(seed) {
+            eprintln!("batch FAIL {failure}");
+            failures += 1;
+        }
+        seed += 1;
+    }
+    let _ = std::panic::take_hook();
+    println!(
+        "checkfuzz batch: {} runs, seeds {start}..{seed}, {failures} failure(s)",
         seed - start
     );
     i32::from(failures > 0)

@@ -17,7 +17,8 @@
 //!   every hart's trace is checked against its own scheduler model
 //!   (per-core ready lists), the shared IPI mailboxes must conserve every
 //!   cross-core wakeup, and the lazy lockstep must leave every hart
-//!   exactly as per-cycle lockstep does.
+//!   exactly as per-cycle lockstep does; [`check_batching`] holds a
+//!   single hart's batched run to its per-cycle run the same way.
 //! * [`timetravel`] — full-system snapshots taken on a periodic cadence
 //!   let any previously visited cycle be revisited exactly: rewind is
 //!   restore-nearest-checkpoint plus deterministic re-execution, verified
@@ -52,7 +53,7 @@ pub use scenario::{
 };
 pub use shrink::{shrink_episode, shrink_scenario, shrink_scenario_with};
 pub use smp::{
-    check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed, smp_scenario_system,
-    trace_smp_scenario, SmpScenarioSpec,
+    check_batching, check_lazy_lockstep, run_smp_scenario, smp_scenario_for_seed,
+    smp_scenario_system, trace_smp_scenario, SmpScenarioSpec,
 };
 pub use timetravel::{travel_selfcheck, TimeTravel, TravelReport};

@@ -19,7 +19,10 @@
 //!
 //! [`check_lazy_lockstep`] runs the same scenarios through both SMP
 //! paths and demands that the lazy lockstep of [`SmpSystem::run`] leave
-//! every hart exactly as per-cycle lockstep does.
+//! every hart exactly as per-cycle lockstep does; [`check_batching`]
+//! holds one hart's batched [`System::run`](rtosunit::System::run) to its
+//! per-cycle run the same way, on the single-hart scenarios of
+//! [`crate::scenario`].
 //!
 //! Senders always follow an `IpiGive` with a `Delay`: task bodies loop
 //! forever, and an unthrottled IPI flood whose period matches the
@@ -36,7 +39,7 @@ use rvsim_isa::rng::Rng64;
 use rvsim_snapshot::Json;
 
 use crate::oracle::{self, OracleStats, Violation};
-use crate::scenario::{emit_task, Action, ScenarioSpec, TaskScript};
+use crate::scenario::{emit_task, scenario_system, Action, ScenarioSpec, TaskScript};
 
 /// A complete randomized SMP scenario; self-contained and replayable.
 ///
@@ -382,22 +385,23 @@ pub fn check_lazy_lockstep(spec: &SmpScenarioSpec, chunk_seed: u64) -> Result<()
         if x != y {
             return Err(format!(
                 "hart {h}: state differs at {}",
-                first_difference(&x, &y)
+                first_difference(&x, &y, ["lazy", "lockstep"])
             ));
         }
     }
     if a.to_snap() != b.to_snap() {
         return Err(format!(
             "shared state differs at {}",
-            first_difference(&a.to_snap(), &b.to_snap())
+            first_difference(&a.to_snap(), &b.to_snap(), ["lazy", "lockstep"])
         ));
     }
     Ok(())
 }
 
 /// The path to the first difference between two snapshot values, ending
-/// in the two differing leaves (large arrays by length only).
-fn first_difference(a: &Json, b: &Json) -> String {
+/// in the two differing leaves (large arrays by length only), each named
+/// by its entry of `labels`.
+fn first_difference(a: &Json, b: &Json, labels: [&str; 2]) -> String {
     match (a, b) {
         (Json::Object(x), Json::Object(y)) if x.len() == y.len() => x
             .iter()
@@ -405,7 +409,7 @@ fn first_difference(a: &Json, b: &Json) -> String {
             .find(|(p, q)| p != q)
             .map_or_else(String::new, |((k, v), (l, w))| {
                 if k == l {
-                    format!(".{k}{}", first_difference(v, w))
+                    format!(".{k}{}", first_difference(v, w, labels))
                 } else {
                     format!(": key `{k}` against `{l}`")
                 }
@@ -415,16 +419,96 @@ fn first_difference(a: &Json, b: &Json) -> String {
             .zip(y)
             .position(|(v, w)| v != w)
             .map_or_else(String::new, |i| {
-                format!("[{i}]{}", first_difference(&x[i], &y[i]))
+                format!("[{i}]{}", first_difference(&x[i], &y[i], labels))
             }),
         _ => {
             let brief = |v: &Json| match v {
                 Json::Array(items) if items.len() > 8 => format!("an array of {}", items.len()),
                 v => v.render(),
             };
-            format!(": lazy {}, lockstep {}", brief(a), brief(b))
+            format!(": {} {}, {} {}", labels[0], brief(a), labels[1], brief(b))
         }
     }
+}
+
+/// Runs one single-hart scenario for three times its budget two ways —
+/// through the batched [`System::run`](rtosunit::System::run) in uneven
+/// chunks of 1 to 997 cycles drawn from `chunk_seed`, and through the
+/// per-cycle [`System::run_stepwise`](rtosunit::System::run_stepwise) in
+/// one call — and compares what they leave: how the runs ended, the
+/// switch records, the event traces (none dropped), the unit statistics
+/// and the whole state snapshot. The [`check_lazy_lockstep`] of one hart.
+///
+/// # Errors
+///
+/// Names the first difference found: its event index, its statistic, or
+/// its path in the state snapshot.
+///
+/// # Panics
+///
+/// Panics if the generated kernel fails to build (a harness bug).
+pub fn check_batching(spec: &ScenarioSpec, chunk_seed: u64) -> Result<(), String> {
+    let budget = 3 * spec.max_cycles;
+    let build = || {
+        let mut sys = scenario_system(spec);
+        // Room for three budgets' events: a dropped one is a failure.
+        sys.enable_tracing(1 << 17);
+        sys
+    };
+    let mut stepwise = build();
+    let stepwise_exit = stepwise.run_stepwise(budget);
+    let mut batched = build();
+    let mut rng = Rng64::new(chunk_seed);
+    let mut left = budget;
+    let batched_exit = loop {
+        let chunk = (1 + rng.next_u64() % 997).min(left);
+        let exit = batched.run(chunk);
+        left -= chunk;
+        if left == 0 {
+            break exit;
+        }
+    };
+    if batched_exit != stepwise_exit {
+        return Err(format!(
+            "runs ended differently: batched {batched_exit:?}, stepwise {stepwise_exit:?}"
+        ));
+    }
+    if batched.records() != stepwise.records() {
+        return Err(format!(
+            "switch records differ: batched {} records, stepwise {}",
+            batched.records().len(),
+            stepwise.records().len()
+        ));
+    }
+    let [a, b] = [&batched, &stepwise].map(|sys| {
+        let trace = sys.platform.trace().expect("tracing is on");
+        (trace.dropped(), trace.iter().collect::<Vec<_>>())
+    });
+    if a.0 + b.0 > 0 {
+        return Err("event ring overflowed".to_string());
+    }
+    if let Some(i) = (0..a.1.len().max(b.1.len())).find(|&i| a.1.get(i) != b.1.get(i)) {
+        return Err(format!(
+            "event {i} differs: batched {:?}, stepwise {:?}",
+            a.1.get(i),
+            b.1.get(i)
+        ));
+    }
+    if batched.unit_stats() != stepwise.unit_stats() {
+        return Err(format!(
+            "unit statistics differ: batched {:?}, stepwise {:?}",
+            batched.unit_stats(),
+            stepwise.unit_stats()
+        ));
+    }
+    let (x, y) = (batched.state_snap(), stepwise.state_snap());
+    if x != y {
+        return Err(format!(
+            "state differs at {}",
+            first_difference(&x, &y, ["batched", "stepwise"])
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

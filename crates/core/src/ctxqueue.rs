@@ -101,7 +101,10 @@ impl CtxQueue {
     /// # Errors
     ///
     /// Fails on malformed fields, a depth outside [`DEPTHS`](Self::DEPTHS),
-    /// or more in-flight entries than the depth allows.
+    /// more in-flight entries than the depth allows, or in-flight
+    /// completion times that go backwards: [`try_issue`](Self::try_issue)
+    /// keeps them non-decreasing, and both the drain from the front and
+    /// [`pending_at`](Self::pending_at)'s scan from the back rely on it.
     pub fn from_snap(value: &Json) -> Result<CtxQueue, SnapError> {
         let capacity = snap::get_usize(value, "capacity")?;
         if !Self::DEPTHS.contains(&capacity) {
@@ -112,6 +115,12 @@ impl CtxQueue {
             return Err(SnapError::new(format!(
                 "ctxqueue: {} in flight exceeds capacity {capacity}",
                 inflight.len()
+            )));
+        }
+        if let Some(w) = inflight.windows(2).find(|w| w[0] > w[1]) {
+            return Err(SnapError::new(format!(
+                "ctxqueue: in-flight completion {} after {} goes backwards",
+                w[1], w[0]
             )));
         }
         Ok(CtxQueue {
@@ -155,6 +164,24 @@ mod tests {
             assert!(q.try_issue(i, 1), "hit {i} must issue");
         }
         assert!(q.pending(33) == 0);
+    }
+
+    #[test]
+    fn restore_rejects_completion_times_that_go_backwards() {
+        let mut q = CtxQueue::new(4);
+        assert!(q.try_issue(0, 10));
+        assert!(q.try_issue(1, 10));
+        let good = q.to_snap();
+        let back = CtxQueue::from_snap(&good).expect("a queue's own snapshot restores");
+        assert_eq!(back.pending_at(6), 2);
+        // `[10, 5]` would read 0 pending at cycle 6 with two entries held.
+        let text = good.render().replace("[10, 11]", "[10, 5]");
+        assert_ne!(text, good.render(), "tamper target present");
+        let err = CtxQueue::from_snap(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("backwards"), "{err}");
+        // Equal completion times are in order.
+        let tied = Json::parse(&good.render().replace("[10, 11]", "[10, 10]")).unwrap();
+        assert_eq!(CtxQueue::from_snap(&tied).unwrap().pending_at(6), 2);
     }
 
     #[test]

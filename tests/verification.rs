@@ -7,6 +7,8 @@
 //!   checked event-by-event against the host-side scheduler oracle;
 //! * 500 randomized *multi-core* schedules pass the per-hart oracle plus
 //!   the IPI conservation check (no cross-core wakeup lost);
+//! * batched single-hart runs of generated kernels, on every core and
+//!   latency preset, leave exactly what per-cycle runs leave;
 //! * the single-core campaign artifact is byte-identical to the
 //!   pre-SMP-refactor baseline (pinned digest), and a multi-hart one to
 //!   the per-cycle lockstep baseline, on both SMP paths.
@@ -17,8 +19,8 @@
 use rtosunit_suite::bench::campaign::{Campaign, CampaignSpec, RunSpec, WorkloadSpec};
 use rtosunit_suite::bench::workloads;
 use rtosunit_suite::check::{
-    check_lazy_lockstep, episode_for_seed, run_episode, run_scenario, run_smp_scenario,
-    scenario_for_seed, smp_scenario_for_seed, OracleStats, ORACLE_PRESETS,
+    check_batching, check_lazy_lockstep, episode_for_seed, run_episode, run_scenario,
+    run_smp_scenario, scenario_for_seed, smp_scenario_for_seed, OracleStats, ORACLE_PRESETS,
 };
 use rtosunit_suite::cores::CoreKind;
 use rtosunit_suite::isa::progen::GenConfig;
@@ -149,6 +151,23 @@ fn lazy_smp_lockstep_matches_per_cycle_lockstep() {
         let spec = smp_scenario_for_seed(core, preset, harts, seed);
         check_lazy_lockstep(&spec, seed)
             .unwrap_or_else(|m| panic!("{preset} core={core} harts={harts} seed={seed}: {m}"));
+    }
+}
+
+#[test]
+fn batched_runs_of_generated_kernels_match_per_cycle_runs() {
+    // Every core with every latency preset once: `System::run`, for three
+    // budgets in uneven chunks, must leave the exit, records, event trace,
+    // unit statistics and whole state exactly as `run_stepwise` does.
+    // `checkfuzz batch` runs the same check on fresh seeds.
+    let mut seed = 0u64;
+    for core in CoreKind::ALL {
+        for preset in Preset::LATENCY_SET {
+            let spec = scenario_for_seed(core, preset, seed);
+            check_batching(&spec, seed)
+                .unwrap_or_else(|m| panic!("{preset} core={core} seed={seed}: {m}"));
+            seed += 1;
+        }
     }
 }
 
