@@ -94,7 +94,14 @@ impl HwScheduler {
 
     /// Advances the sorting network by one cycle.
     pub fn step(&mut self) {
-        self.sort_busy = self.sort_busy.saturating_sub(1);
+        self.advance(1);
+    }
+
+    /// Advances the sorting network by `cycles` cycles.
+    pub fn advance(&mut self, cycles: u64) {
+        self.sort_busy = self
+            .sort_busy
+            .saturating_sub(cycles.min(u64::from(u32::MAX)) as u32);
     }
 
     fn next_seq(&mut self) -> u64 {

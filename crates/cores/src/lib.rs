@@ -36,7 +36,7 @@ pub mod profile;
 pub mod state;
 pub mod timing;
 
-pub use coproc::{Coprocessor, NullCoprocessor};
+pub use coproc::{Coprocessor, Gate, NullCoprocessor};
 pub use counters::CoreCounters;
 pub use csrs::Csrs;
 pub use engine::{BatchExit, BlockStats, CoreEngine, CoreEvent, DataBus, SramBus, StopReason};
